@@ -324,11 +324,21 @@ impl<M: Memory> Machine<M> {
     /// Appends the architectural state (registers, vector config, PC, halt
     /// flag, counters — *not* the backing memory, which the simulator
     /// checkpoints once, globally) to a checkpoint.
+    ///
+    /// Each vector register is written up to its last non-zero element
+    /// slot: the rest are zero, so a register the program never wrote
+    /// costs one length word however long the hardware vectors are.
     pub fn save_state(&self, w: &mut bvl_snap::SnapWriter) {
         w.u32(self.vlen_bits);
         self.xregs.save(w);
         self.fregs.save(w);
-        self.vregs.save(w);
+        for v in &self.vregs {
+            let used = v.iter().rposition(|&e| e != 0).map_or(0, |i| i + 1);
+            w.usize(used);
+            for &e in &v[..used] {
+                w.u64(e);
+            }
+        }
         self.vcfg.save(w);
         w.u32(self.pc);
         w.bool(self.halted);
@@ -341,8 +351,8 @@ impl<M: Memory> Machine<M> {
     /// # Errors
     ///
     /// Fails with [`bvl_snap::SnapError::Corrupt`] if the checkpoint was
-    /// taken at a different hardware vector length or the vector register
-    /// file has the wrong shape.
+    /// taken at a different hardware vector length or holds a vector
+    /// register longer than this machine's.
     pub fn restore_state(
         &mut self,
         r: &mut bvl_snap::SnapReader<'_>,
@@ -358,12 +368,18 @@ impl<M: Memory> Machine<M> {
         }
         let xregs: [u64; NUM_REGS] = Snap::load(r)?;
         let fregs: [u64; NUM_REGS] = Snap::load(r)?;
-        let vregs: Vec<Vec<u64>> = Snap::load(r)?;
         let max_elems = (self.vlen_bits / 8) as usize;
-        if vregs.len() != NUM_REGS || vregs.iter().any(|v| v.len() != max_elems) {
-            return Err(bvl_snap::SnapError::Corrupt {
-                what: "vector register file has the wrong shape".into(),
-            });
+        let mut vregs = vec![vec![0; max_elems]; NUM_REGS];
+        for v in &mut vregs {
+            let used = r.len(8)?;
+            if used > max_elems {
+                return Err(bvl_snap::SnapError::Corrupt {
+                    what: format!("vector register of {used} elements, machine holds {max_elems}"),
+                });
+            }
+            for e in &mut v[..used] {
+                *e = r.u64()?;
+            }
         }
         self.xregs = xregs;
         self.fregs = fregs;
@@ -1160,6 +1176,55 @@ mod tests {
         let mut m = Machine::new(VecMemory::new(1 << 20), 512);
         m.run(&p, 1_000_000).unwrap();
         m
+    }
+
+    fn saved(m: &Machine<VecMemory>) -> Vec<u8> {
+        let mut w = bvl_snap::SnapWriter::new();
+        m.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn checkpoint_holds_vector_elements_up_to_the_last_nonzero() {
+        let cold = saved(&Machine::new(VecMemory::new(64), 512));
+        let wide = Machine::new(VecMemory::new(64), 4096);
+        assert_eq!(
+            saved(&wide).len(),
+            cold.len(),
+            "unused vectors cost nothing"
+        );
+
+        let mut m = Machine::new(VecMemory::new(64), 4096);
+        m.set_vreg_elem(v(3), 0, 7);
+        m.set_vreg_elem(v(3), 9, u64::MAX); // ten slots, interior zeros kept
+        m.set_vreg_elem(v(31), 511, 1); // the very last slot
+        let bytes = saved(&m);
+        assert_eq!(bytes.len(), cold.len() + (10 + 512) * 8);
+
+        let mut back = Machine::new(VecMemory::new(64), 4096);
+        let mut r = bvl_snap::SnapReader::new(&bytes);
+        back.restore_state(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.snapshot(), m.snapshot());
+    }
+
+    #[test]
+    fn checkpoint_vector_longer_than_the_machine_is_rejected() {
+        let mut m = Machine::new(VecMemory::new(64), 4096);
+        m.set_vreg_elem(v(0), 100, 1);
+        let bytes = saved(&m);
+        let mut narrow = Machine::new(VecMemory::new(64), 512);
+        // Claim the narrow machine's vlen, so the register length is what
+        // disagrees.
+        let mut patched = bytes.clone();
+        patched[..4].copy_from_slice(&512u32.to_le_bytes());
+        let err = narrow
+            .restore_state(&mut bvl_snap::SnapReader::new(&patched))
+            .unwrap_err();
+        assert!(
+            matches!(err, bvl_snap::SnapError::Corrupt { ref what } if what.contains("101 elements")),
+            "{err}"
+        );
     }
 
     #[test]

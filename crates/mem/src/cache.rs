@@ -117,6 +117,9 @@ impl CacheStats {
     }
 }
 
+/// One line slot. An invalid slot is always `Line::default()` — nothing
+/// clears `valid` without resetting the whole slot — which is what lets a
+/// checkpoint encode resident lines only.
 #[derive(Clone, Copy, Debug, Default)]
 struct Line {
     valid: bool,
@@ -151,7 +154,8 @@ pub enum AccessOutcome {
 #[derive(Clone, Debug)]
 pub struct Cache {
     params: CacheParams,
-    sets: Vec<Vec<Line>>,
+    /// Every line slot, set-major: set `s` is `lines[s * assoc..][..assoc]`.
+    lines: Vec<Line>,
     mshrs: Vec<Mshr>,
     hit_pipe: DelayQueue<MemReq>,
     resp_out: VecDeque<MemReq>,
@@ -168,8 +172,8 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sets or non-power-of-two
-    /// line size).
+    /// Panics if the geometry is degenerate (zero sets, non-power-of-two
+    /// line size, or more ways than a checkpoint's 16-bit way index holds).
     pub fn new(params: CacheParams) -> Self {
         assert!(
             params.line_bytes.is_power_of_two(),
@@ -180,9 +184,13 @@ impl Cache {
             sets > 0 && sets.is_power_of_two(),
             "set count must be a positive power of two"
         );
+        assert!(
+            params.assoc <= 1 << 16,
+            "associativity must fit a 16-bit way index"
+        );
         Cache {
             params,
-            sets: vec![vec![Line::default(); params.assoc as usize]; sets as usize],
+            lines: vec![Line::default(); (sets * u64::from(params.assoc)) as usize],
             mshrs: Vec::with_capacity(params.mshrs),
             hit_pipe: DelayQueue::new(params.hit_latency),
             resp_out: VecDeque::new(),
@@ -223,6 +231,18 @@ impl Cache {
         (set as usize, line)
     }
 
+    /// The ways of one set.
+    fn ways(&self, set: usize) -> &[Line] {
+        let assoc = self.params.assoc as usize;
+        &self.lines[set * assoc..][..assoc]
+    }
+
+    /// The ways of one set, mutably.
+    fn ways_mut(&mut self, set: usize) -> &mut [Line] {
+        let assoc = self.params.assoc as usize;
+        &mut self.lines[set * assoc..][..assoc]
+    }
+
     /// Advances the hit pipeline; call once per cycle before accesses.
     pub fn tick(&mut self, now: u64) {
         self.accepts_this_cycle = 0;
@@ -240,15 +260,15 @@ impl Cache {
         let (set, tag) = self.locate(req.addr);
 
         // Hit?
-        if let Some(way) = self.sets[set].iter().position(|l| l.valid && l.tag == tag) {
+        if let Some(way) = self.ways(set).iter().position(|l| l.valid && l.tag == tag) {
             self.accepts_this_cycle += 1;
             self.stats.accesses += 1;
             self.stats.hits += 1;
             if req.is_store {
                 self.stats.stores += 1;
-                self.sets[set][way].dirty = true;
+                self.ways_mut(set)[way].dirty = true;
             }
-            self.sets[set][way].last_used = now;
+            self.ways_mut(set)[way].last_used = now;
             self.hit_pipe.push(now, req);
             return AccessOutcome::Hit;
         }
@@ -303,7 +323,8 @@ impl Cache {
         let any_store = mshr_idx.map(|i| self.mshrs[i].any_store).unwrap_or(false);
 
         // Victim selection: invalid way first, else LRU.
-        let ways = &mut self.sets[set];
+        let assoc = self.params.assoc as usize;
+        let ways = &mut self.lines[set * assoc..][..assoc];
         let way = ways.iter().position(|l| !l.valid).unwrap_or_else(|| {
             ways.iter()
                 .enumerate()
@@ -342,7 +363,7 @@ impl Cache {
     pub fn warm(&mut self, stamp: u64, line_addr: u64, dirty: bool) {
         let (set, tag) = self.locate(line_addr);
         debug_assert_eq!(tag, line_addr, "warm address must be line-aligned");
-        let ways = &mut self.sets[set];
+        let ways = self.ways_mut(set);
         if let Some(way) = ways.iter().position(|l| l.valid && l.tag == tag) {
             ways[way].last_used = stamp;
             ways[way].dirty |= dirty;
@@ -367,9 +388,8 @@ impl Cache {
     /// order — used by the warm-state injection tests to compare a warmed
     /// cache against one reached by detailed simulation.
     pub fn resident_lines(&self) -> Vec<(u64, bool)> {
-        self.sets
+        self.lines
             .iter()
-            .flat_map(|ways| ways.iter())
             .filter(|l| l.valid)
             .map(|l| (l.tag, l.dirty))
             .collect()
@@ -385,7 +405,7 @@ impl Cache {
     /// Dirty invalidations also surface a writeback on the writeback port.
     pub fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
         let (set, tag) = self.locate(line_addr);
-        let ways = &mut self.sets[set];
+        let ways = self.ways_mut(set);
         let way = ways.iter().position(|l| l.valid && l.tag == tag)?;
         let dirty = ways[way].dirty;
         ways[way] = Line::default();
@@ -400,7 +420,7 @@ impl Cache {
     /// True if the line is resident.
     pub fn probe(&self, line_addr: u64) -> bool {
         let (set, tag) = self.locate(line_addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        self.ways(set).iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Undelivered entries on the miss port — misses already counted in
@@ -449,9 +469,19 @@ impl Cache {
     }
 
     /// Appends this cache's mutable state (everything but the
-    /// configuration) to a checkpoint.
+    /// configuration) to a checkpoint. Only resident lines are written,
+    /// each as its way, dirtiness, tag and recency; the set follows from
+    /// the tag, and every other slot is `Line::default()`. A checkpoint's
+    /// size therefore follows what the run touched, not the capacity.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        self.sets.save(w);
+        let assoc = self.params.assoc as usize;
+        w.usize(self.lines.iter().filter(|l| l.valid).count());
+        for (slot, l) in self.lines.iter().enumerate().filter(|(_, l)| l.valid) {
+            w.u16((slot % assoc) as u16);
+            w.bool(l.dirty);
+            w.u64(l.tag);
+            w.u64(l.last_used);
+        }
         self.mshrs.save(w);
         self.hit_pipe.save(w);
         self.resp_out.save(w);
@@ -463,22 +493,44 @@ impl Cache {
 
     /// Restores state written by [`Cache::save_state`] into this cache.
     /// The configuration (`params`, `mshr_targets`) is kept — the caller
-    /// rebuilds it from the run parameters — and the restored geometry
-    /// must match it.
+    /// rebuilds it from the run parameters — and every restored line must
+    /// fit it: a way inside the set, a line-aligned tag, and no slot or
+    /// tag claimed twice.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let sets: Vec<Vec<Line>> = Snap::load(r)?;
-        if sets.len() != self.sets.len()
-            || sets
-                .iter()
-                .any(|ways| ways.len() != self.params.assoc as usize)
-        {
+        // Way (2) + dirty (1) + tag (8) + recency (8) bytes per line.
+        let resident = r.len(19)?;
+        if resident > self.lines.len() {
             return Err(SnapError::Corrupt {
                 what: format!(
-                    "cache geometry mismatch: {} sets restored into {}",
-                    sets.len(),
-                    self.sets.len()
+                    "{resident} resident lines restored into a cache of {}",
+                    self.lines.len()
                 ),
             });
+        }
+        self.lines.fill(Line::default());
+        for _ in 0..resident {
+            let way = usize::from(r.u16()?);
+            let dirty = r.bool()?;
+            let tag = r.u64()?;
+            let last_used = r.u64()?;
+            let (set, line) = self.locate(tag);
+            if way >= self.params.assoc as usize || line != tag {
+                return Err(SnapError::Corrupt {
+                    what: format!("cache line {tag:#x} restored into way {way}"),
+                });
+            }
+            let ways = self.ways_mut(set);
+            if ways[way].valid || ways.iter().any(|l| l.valid && l.tag == tag) {
+                return Err(SnapError::Corrupt {
+                    what: format!("cache line {tag:#x} or its slot restored twice"),
+                });
+            }
+            ways[way] = Line {
+                valid: true,
+                dirty,
+                tag,
+                last_used,
+            };
         }
         let mshrs: Vec<Mshr> = Snap::load(r)?;
         if mshrs.len() > self.params.mshrs {
@@ -496,7 +548,6 @@ impl Cache {
                 what: "cache hit-pipe latency mismatch".into(),
             });
         }
-        self.sets = sets;
         self.mshrs = mshrs;
         self.hit_pipe = hit_pipe;
         self.resp_out = Snap::load(r)?;
@@ -508,12 +559,6 @@ impl Cache {
     }
 }
 
-snap_struct!(Line {
-    valid,
-    dirty,
-    tag,
-    last_used,
-});
 snap_struct!(Mshr {
     line_addr,
     reqs,
@@ -679,6 +724,94 @@ mod tests {
         assert_eq!(c.next_event(7), Some(7));
         assert_eq!(c.pop_response().unwrap().id, 1);
         assert_eq!(c.next_event(7), None);
+    }
+
+    fn encoded(c: &Cache) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn restored(bytes: &[u8]) -> Result<Cache, SnapError> {
+        let mut c = small_cache();
+        let mut r = SnapReader::new(bytes);
+        c.restore_state(&mut r)?;
+        r.finish()?;
+        Ok(c)
+    }
+
+    #[test]
+    fn checkpoint_grows_with_resident_lines_not_capacity() {
+        let cold = encoded(&small_cache());
+        let mut big = Cache::new(CacheParams::shared_l2());
+        assert_eq!(encoded(&big).len(), cold.len(), "capacity costs nothing");
+
+        let mut c = small_cache();
+        for (i, line) in [0x0u64, 0x200, 0x440].into_iter().enumerate() {
+            c.warm(i as u64, line, i == 1);
+            big.warm(i as u64, line, i == 1);
+        }
+        assert_eq!(encoded(&c).len(), cold.len() + 3 * 19);
+        assert_eq!(encoded(&big).len(), encoded(&c).len());
+    }
+
+    #[test]
+    fn resident_lines_restore_into_their_slots() {
+        let mut c = small_cache(); // 8 sets, 2 ways
+        c.warm(1, 0x0, false);
+        c.warm(2, 0x200, true); // same set, second way
+        c.warm(3, 0x440, false);
+        c.invalidate(0x0); // leaves a hole in way 0
+        let bytes = encoded(&c);
+        let mut back = restored(&bytes).expect("restore");
+        assert_eq!(encoded(&back), bytes, "re-encoding is stable");
+        let mut lines = back.resident_lines();
+        lines.sort_unstable();
+        assert_eq!(lines, vec![(0x200, true), (0x440, false)]);
+        // The hole is still way 0 and 0x200 still way 1: the next two
+        // fills of that set take the hole, then evict the LRU line.
+        for cache in [&mut c, &mut back] {
+            cache.fill(10, 0x400);
+            cache.fill(11, 0x600);
+            assert!(!cache.probe(0x200), "LRU victim after restore");
+            assert_eq!(cache.pop_writeback(), Some(0x200));
+        }
+        assert_eq!(encoded(&back), encoded(&c));
+    }
+
+    #[test]
+    fn misplaced_or_repeated_lines_are_typed_errors() {
+        let line = |way: u16, tag: u64| {
+            let mut w = SnapWriter::new();
+            w.u16(way);
+            w.bool(false);
+            w.u64(tag);
+            w.u64(0);
+            w.into_bytes()
+        };
+        let cold = encoded(&small_cache());
+        let with = |lines: &[Vec<u8>]| {
+            let mut w = SnapWriter::new();
+            w.usize(lines.len());
+            let mut bytes = w.into_bytes();
+            for l in lines {
+                bytes.extend_from_slice(l);
+            }
+            bytes.extend_from_slice(&cold[8..]); // the rest of the state
+            bytes
+        };
+        assert!(restored(&with(&[line(1, 0x40)])).is_ok());
+        for bad in [
+            with(&[line(2, 0x40)]),                 // way beyond the set
+            with(&[line(0, 0x41)]),                 // unaligned tag
+            with(&[line(0, 0x40), line(0, 0x240)]), // one slot twice
+            with(&[line(0, 0x40), line(1, 0x40)]),  // one line twice
+        ] {
+            assert!(
+                matches!(restored(&bad), Err(SnapError::Corrupt { .. })),
+                "accepted a corrupt line table"
+            );
+        }
     }
 
     #[test]

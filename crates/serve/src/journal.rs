@@ -192,10 +192,9 @@ impl QueueJournal {
 }
 
 fn encode_rec(rec: &Rec) -> Vec<u8> {
-    let framed = bvl_snap::to_framed(rec);
-    let mut out = Vec::with_capacity(framed.len() + 4);
-    out.extend_from_slice(&(framed.len() as u32).to_le_bytes());
-    out.extend_from_slice(&framed);
+    let mut out = bvl_snap::frame_with(4, |w| rec.save(w));
+    let framed = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&framed.to_le_bytes());
     out
 }
 

@@ -4,8 +4,8 @@
 //! Layout of one frame on the wire:
 //!
 //! ```text
-//! [u32 le total]  [ bvl_snap::frame( snap-encoded Msg ) ]
-//!                   magic "BVLS" · version · payload len · payload · fnv1a
+//! [u32 le total]  [ bvl_snap::frame_with( snap-encoded Msg ) ]
+//!                   magic "BVLS" · version · payload len · payload · checksum
 //! ```
 //!
 //! The outer length prefix is what lets a stream reader recover frame
@@ -443,18 +443,17 @@ impl Snap for Msg {
     }
 }
 
-/// Encodes `msg` into its full wire form (outer length prefix included).
+/// Encodes `msg` into its full wire form (outer length prefix included),
+/// framed in place behind the prefix.
 pub fn encode_frame(msg: &Msg) -> Vec<u8> {
-    let framed = bvl_snap::to_framed(msg);
+    let mut wire = bvl_snap::frame_with(4, |w| msg.save(w));
+    let framed = wire.len() - 4;
     assert!(
-        framed.len() <= MAX_FRAME as usize,
-        "outgoing frame of {} bytes exceeds MAX_FRAME",
-        framed.len()
+        framed <= MAX_FRAME as usize,
+        "outgoing frame of {framed} bytes exceeds MAX_FRAME"
     );
-    let mut out = Vec::with_capacity(framed.len() + 4);
-    out.extend_from_slice(&(framed.len() as u32).to_le_bytes());
-    out.extend_from_slice(&framed);
-    out
+    wire[..4].copy_from_slice(&(framed as u32).to_le_bytes());
+    wire
 }
 
 /// Decodes the *body* of a frame (everything after the outer length
@@ -624,12 +623,12 @@ mod tests {
         // Hand-assemble a Submit whose priority byte is out of range:
         // the decode must be a typed BadTag, not a panic or a silent
         // default.
-        let mut w = SnapWriter::new();
-        w.u8(0); // Msg::Submit
-        w.u64(9); // id
-        w.u8(3); // invalid Priority tag
-        sample_spec().save(&mut w);
-        let framed = bvl_snap::frame(&w.into_bytes());
+        let framed = bvl_snap::frame_with(0, |w| {
+            w.u8(0); // Msg::Submit
+            w.u64(9); // id
+            w.u8(3); // invalid Priority tag
+            sample_spec().save(w);
+        });
         let mut wire = (framed.len() as u32).to_le_bytes().to_vec();
         wire.extend_from_slice(&framed);
         match read_msg(&mut std::io::Cursor::new(&wire)) {

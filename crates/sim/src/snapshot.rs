@@ -25,7 +25,7 @@
 //! configured system.
 
 use crate::config::{SimParams, SystemKind};
-use bvl_snap::{fnv1a, frame, unframe, SnapError, SnapReader, SnapWriter};
+use bvl_snap::{fnv1a, frame_with, unframe, SnapError, SnapReader};
 use bvl_workloads::Workload;
 
 /// A serializable whole-system checkpoint (see the module docs).
@@ -77,15 +77,18 @@ impl SysState {
         &self.body
     }
 
-    /// Serializes the checkpoint into a framed, checksummed blob.
+    /// Serializes the checkpoint into a framed, checksummed blob, copying
+    /// the body once: straight into a buffer sized for the whole blob.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.u8(kind_tag(self.kind));
-        w.u64(self.params_fp);
-        w.u64(self.workload_fp);
-        w.u64(self.cyc_u);
-        w.bytes(&self.body);
-        frame(&w.into_bytes())
+        frame_with(0, |w| {
+            // Header fields, body length prefix, body, frame checksum.
+            w.reserve(1 + 3 * 8 + 8 + self.body.len() + 8);
+            w.u8(kind_tag(self.kind));
+            w.u64(self.params_fp);
+            w.u64(self.workload_fp);
+            w.u64(self.cyc_u);
+            w.bytes(&self.body);
+        })
     }
 
     /// Validates a framed blob and decodes the checkpoint header.
@@ -215,13 +218,14 @@ mod tests {
 
     #[test]
     fn unknown_kind_tag_is_rejected() {
-        let mut w = SnapWriter::new();
-        w.u8(99);
-        w.u64(0);
-        w.u64(0);
-        w.u64(0);
-        w.bytes(&[]);
-        match SysState::from_bytes(&frame(&w.into_bytes())) {
+        let blob = frame_with(0, |w| {
+            w.u8(99);
+            w.u64(0);
+            w.u64(0);
+            w.u64(0);
+            w.bytes(&[]);
+        });
+        match SysState::from_bytes(&blob) {
             Err(SnapError::BadTag {
                 ty: "SystemKind",
                 tag: 99,

@@ -24,8 +24,8 @@
 //!    can implement [`Snap`] for its own types without orphan-rule
 //!    friction.
 //!
-//! The framing (magic `BVLS`, version, payload, FNV-1a checksum) lives in
-//! [`frame`] / [`unframe`]; `bvl_sim::SysState` is a framed blob plus a
+//! The framing (magic `BVLS`, version, payload, checksum) lives in
+//! [`frame_with`] / [`unframe`]; `bvl_sim::SysState` is a framed blob plus a
 //! parsed header.
 
 use std::collections::VecDeque;
@@ -34,10 +34,13 @@ use std::fmt;
 /// Current checkpoint format version. Bump on ANY encoding change — a
 /// restore across versions is a [`SnapError::VersionMismatch`], never a
 /// best-effort decode.
-pub const SNAP_VERSION: u32 = 1;
+pub const SNAP_VERSION: u32 = 2;
 
 /// Leading magic bytes of a framed checkpoint blob.
 pub const SNAP_MAGIC: [u8; 4] = *b"BVLS";
+
+/// Bytes of frame ahead of the payload: magic, version, payload length.
+const FRAME_HEADER: usize = 16;
 
 /// Typed failure modes of checkpoint decoding.
 ///
@@ -117,8 +120,9 @@ impl fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// FNV-1a over `bytes` — the frame checksum (also used by the sweep
-/// harness for cache keys; the constants are the standard 64-bit ones).
+/// FNV-1a over `bytes` — the fingerprint of simulation parameters and
+/// workloads (also used by the sweep harness for cache keys; the
+/// constants are the standard 64-bit ones).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -126,6 +130,29 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The frame checksum: xor in the next little-endian 8-byte word (the
+/// last one zero-padded), multiply by an odd constant, fold the high half
+/// into the low half. One dependent multiply per eight bytes, where
+/// [`fnv1a`] takes one per byte. Every step is a bijection of the running
+/// sum, so corruption confined to one word always changes it.
+fn checksum(bytes: &[u8]) -> u64 {
+    let step = |h: u64, word: u64| {
+        let h = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ (h >> 32)
+    };
+    let mut words = bytes.chunks_exact(8);
+    let h = (&mut words).fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        step(h, u64::from_le_bytes(w.try_into().expect("len 8")))
+    });
+    let tail = words.remainder();
+    if tail.is_empty() {
+        return h;
+    }
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    step(h, u64::from_le_bytes(last))
 }
 
 /// Append-only little-endian byte sink for [`Snap::save`].
@@ -153,6 +180,13 @@ impl SnapWriter {
     /// Consumes the writer, returning the raw (unframed) payload.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Makes room for at least `additional` more bytes, so a writer whose
+    /// output size is known up front fills one allocation instead of
+    /// copying itself as it grows.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     /// Writes one byte.
@@ -531,15 +565,26 @@ macro_rules! snap_struct {
     };
 }
 
-/// Frames a raw payload: magic, version, payload length, payload, FNV-1a
-/// checksum over everything before the checksum.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(&SNAP_MAGIC);
-    out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    let sum = fnv1a(&out);
+/// Builds a framed blob — magic, version, payload length, payload, a
+/// checksum over everything before the checksum — in one buffer: the
+/// header is reserved up front, `payload` writes straight after it, and
+/// the length and checksum are filled in once it returns, so the payload
+/// is never copied into a second buffer.
+///
+/// The blob starts after `lead` zero bytes that belong to the caller, for
+/// an outer prefix it patches in afterwards (the fabric's `u32` length);
+/// the checksum does not cover them. [`unframe`] takes the blob without
+/// the lead.
+pub fn frame_with(lead: usize, payload: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+    let mut w = SnapWriter { buf: vec![0; lead] };
+    w.buf.extend_from_slice(&SNAP_MAGIC);
+    w.u32(SNAP_VERSION);
+    w.u64(0); // payload length, patched below
+    payload(&mut w);
+    let mut out = w.buf;
+    let len = (out.len() - lead - FRAME_HEADER) as u64;
+    out[lead + 8..lead + FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
+    let sum = checksum(&out[lead..]);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -547,8 +592,8 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// Validates a framed blob and returns its payload slice.
 ///
 /// Checks, in order: magic, version, length, checksum — so the error
-/// names the outermost problem (a truncated v2 blob reports the version,
-/// not the truncation).
+/// names the outermost problem (a truncated blob of another version
+/// reports the version, not the truncation).
 pub fn unframe(blob: &[u8]) -> Result<&[u8], SnapError> {
     let mut r = SnapReader::new(blob);
     let magic = r.take(4)?;
@@ -575,7 +620,7 @@ pub fn unframe(blob: &[u8]) -> Result<&[u8], SnapError> {
     }
     let payload = r.take(len)?;
     let recorded = r.u64()?;
-    let computed = fnv1a(&blob[..blob.len() - 8]);
+    let computed = checksum(&blob[..blob.len() - 8]);
     if recorded != computed {
         return Err(SnapError::ChecksumMismatch {
             found: recorded,
@@ -587,9 +632,7 @@ pub fn unframe(blob: &[u8]) -> Result<&[u8], SnapError> {
 
 /// Convenience: saves one [`Snap`] value into a framed blob.
 pub fn to_framed<T: Snap>(value: &T) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    value.save(&mut w);
-    frame(&w.into_bytes())
+    frame_with(0, |w| value.save(w))
 }
 
 /// Convenience: validates a framed blob and decodes one [`Snap`] value,
@@ -686,6 +729,25 @@ mod tests {
     }
 
     #[test]
+    fn checksum_sees_every_bit_and_every_tail_length() {
+        let bytes: Vec<u8> = (0..29u8).map(|b| b.wrapping_mul(37)).collect();
+        for len in 0..bytes.len() {
+            let sum = checksum(&bytes[..len]);
+            for bit in 0..len * 8 {
+                let mut bad = bytes[..len].to_vec();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&bad), sum, "flip of bit {bit} of {len} bytes");
+            }
+        }
+        // The same high bit flipped in two words must not cancel out.
+        let mut two = vec![0u8; 16];
+        let sum = checksum(&two);
+        two[7] ^= 0x80;
+        two[15] ^= 0x80;
+        assert_ne!(checksum(&two), sum);
+    }
+
+    #[test]
     fn bad_magic_detected() {
         let mut blob = to_framed(&7u64);
         blob[0] ^= 0xFF;
@@ -751,14 +813,27 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut w = SnapWriter::new();
-        5u64.save(&mut w);
-        0u8.save(&mut w);
-        let blob = frame(&w.into_bytes());
+        let blob = frame_with(0, |w| {
+            5u64.save(w);
+            0u8.save(w);
+        });
         assert!(matches!(
             from_framed::<u64>(&blob),
             Err(SnapError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn frame_with_writes_in_place_after_the_lead() {
+        let mut w = SnapWriter::new();
+        vec![1u64, 2, 3].save(&mut w);
+        let payload = w.into_bytes();
+        let blob = to_framed(&vec![1u64, 2, 3]);
+        assert_eq!(unframe(&blob).unwrap(), &payload[..]);
+
+        let led = frame_with(4, |w| vec![1u64, 2, 3].save(w));
+        assert_eq!(&led[..4], &[0; 4], "the lead is left to the caller");
+        assert_eq!(&led[4..], &blob[..], "the checksum skips the lead");
     }
 
     #[test]

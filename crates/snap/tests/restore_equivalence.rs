@@ -149,6 +149,26 @@ fn restore_matches_straight_through_on_every_system() {
     );
 }
 
+/// Checkpoints are sized by what the run touched — resident cache lines,
+/// written vector elements, the written memory prefix — never by the
+/// machine's capacity. Encoding every cache slot would take 330–460 KB
+/// per blob on these systems; what these tiny runs touch takes under
+/// 42 KB.
+#[test]
+fn checkpoints_are_sized_by_what_the_run_touched() {
+    for kind in SystemKind::ALL {
+        for w in &workloads() {
+            let (_, _, _, ckpts) = run_collecting(kind, w, false);
+            let largest = ckpts.iter().map(|c| c.to_bytes().len()).max().unwrap();
+            assert!(
+                largest < 64 << 10,
+                "{kind}/{}: a {largest}-byte checkpoint of a tiny run",
+                w.name
+            );
+        }
+    }
+}
+
 /// A preemptible run that yields at every Nth checkpoint and is resumed
 /// each time (the sweep fabric's eviction/migration cycle, each leg
 /// crossing the serialized blob as a migrated run would) finishes with a

@@ -98,9 +98,10 @@ proptest! {
             }
             Ok(decoded) => {
                 // Flip landed in the (length-checked) body copy without
-                // tripping the checksum — impossible for FNV-1a over the
-                // whole frame, but keep the belt-and-braces check: the
-                // restore itself must reject it.
+                // tripping the checksum — impossible, since the frame
+                // checksum catches any change within one word, but keep
+                // the belt-and-braces check: the restore itself must
+                // reject it.
                 let params = SimParams {
                     max_uncore_cycles: 20_000_000,
                     ..SimParams::default()
