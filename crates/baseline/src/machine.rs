@@ -7,10 +7,10 @@
 //! number of parallel 32-bit operations per cycle; long-latency operations
 //! are pipelined at the same rate with their latency added on top.
 
-use bvl_core::types::{Quiescence, VecCmd, VectorEngine};
+use bvl_core::types::{ClockDomain, Quiescence, VecCmd, VectorEngine};
 use bvl_isa::instr::{Instr, VMemMode};
 use bvl_isa::meta::{vector_op_latency, LAT_ALU};
-use bvl_mem::{AccessKind, IdMap, MemHierarchy, MemReq, PortId};
+use bvl_mem::{AccessKind, IdMap, MemHierarchy, MemReq, PortId, WarmTarget};
 use bvl_snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::VecDeque;
 
@@ -153,27 +153,6 @@ impl SimpleVecMachine {
     /// Accumulated statistics.
     pub fn stats(&self) -> &SimpleVecStats {
         &self.stats
-    }
-
-    /// Certifies that no in-flight engine activity can still affect
-    /// architectural state: the command queue, memory transactions,
-    /// scalar-done handoffs and compute pipeline are all drained.
-    ///
-    /// The engine is timing-only (architectural state lives in the issuing
-    /// core's golden machine), so this is the precondition under which a
-    /// final-state snapshot of that machine is well defined — the oracle
-    /// contract checked by the differential-test harness.
-    pub fn arch_drained(&self) -> bool {
-        VectorEngine::idle(self)
-    }
-
-    /// The hierarchy port this machine's requests and responses use
-    /// (skip logic gates on `response_pending` for it).
-    pub fn port(&self) -> PortId {
-        match self.params.mem_path {
-            MemPath::SharedL1 => PortId::Ivu,
-            MemPath::DirectL2 => PortId::DveL2,
-        }
     }
 
     /// Registers a memory command's lines and gating.
@@ -385,15 +364,135 @@ impl SimpleVecMachine {
         }
     }
 
-    /// The machine's self-assessment for the tick-skip engine.
-    ///
-    /// `Active` means a tick at `now` may change state (or a scalar
-    /// response is deliverable, so the big core must keep stepping).
-    /// `Idle` means every tick strictly before `until` — absent memory
-    /// responses on [`SimpleVecMachine::port`] and new dispatches — is a
-    /// pure no-op; the machine accounts nothing per cycle, so `account`
-    /// is always `None`.
-    pub fn quiescence(&self, now: u64) -> Quiescence {
+    fn compute_dest(&self, cmd: &VecCmd) -> Option<u8> {
+        use Instr::*;
+        match cmd.instr {
+            VArith { vd, .. }
+            | VCmp { vd, .. }
+            | VRed { vd, .. }
+            | VMask { vd, .. }
+            | VRgather { vd, .. }
+            | VSlideUp { vd, .. }
+            | VSlideDown { vd, .. }
+            | VMvVX { vd, .. }
+            | VFMvVF { vd, .. }
+            | VMvVV { vd, .. }
+            | VMvSX { vd, .. }
+            | VId { vd, .. } => Some(vd.index() as u8),
+            _ => None,
+        }
+    }
+}
+
+impl VectorEngine for SimpleVecMachine {
+    fn can_accept(&self) -> bool {
+        self.cmdq.len() < self.params.cmdq_depth
+    }
+
+    fn dispatch(&mut self, cmd: VecCmd) {
+        assert!(self.can_accept(), "vector command queue overflow");
+        bvl_obs::trace::emit(self.now, "svec", 0, "cmd", cmd.seq);
+        self.stats.cmds += 1;
+        self.cmdq.push_back(cmd);
+    }
+
+    fn pop_scalar_done(&mut self) -> Option<u64> {
+        if self.scalar_pending() {
+            self.scalar_done.pop_front().map(|(_, seq)| seq)
+        } else {
+            None
+        }
+    }
+
+    fn mem_drained(&self) -> bool {
+        self.mem_txs.is_empty() && !self.cmdq.iter().any(|c| c.instr.is_vector_mem())
+    }
+
+    fn idle(&self) -> bool {
+        self.cmdq.is_empty()
+            && self.mem_txs.is_empty()
+            && self.scalar_done.is_empty()
+            && self.now >= self.compute_busy_until
+    }
+
+    fn tick(&mut self, now: u64, hier: &mut MemHierarchy) {
+        self.now = now;
+        self.mem_tick(now, hier);
+
+        // Process the head command (in-order front end, 1/cycle).
+        let Some(cmd) = self.cmdq.front() else {
+            return;
+        };
+        match cmd.instr {
+            Instr::VSetVl { .. } => {
+                let seq = cmd.seq;
+                self.scalar_done
+                    .push_back((now + self.params.resp_latency, seq));
+                self.cmdq.pop_front();
+            }
+            Instr::VLoad { .. } | Instr::VStore { .. } => {
+                let cmd = self.cmdq.pop_front().expect("front exists");
+                self.start_mem(&cmd);
+            }
+            Instr::VmFence => {
+                self.cmdq.pop_front();
+            }
+            _ => {
+                // Compute: wait for the pipe and for sources.
+                if now < self.compute_busy_until {
+                    return;
+                }
+                let srcs = self.compute_srcs(cmd);
+                if srcs.iter().any(|&s| self.vreg_ready[s as usize] > now) {
+                    return;
+                }
+                let (occ, lat) = self.compute_cost(cmd);
+                let needs_resp = cmd.instr.vector_writes_scalar();
+                let seq = cmd.seq;
+                let dest = self.compute_dest(cmd);
+                self.compute_busy_until = now + occ;
+                self.stats.compute_passes += 1;
+                if let Some(d) = dest {
+                    self.vreg_ready[d as usize] = now + occ + lat;
+                    self.vreg_epoch[d as usize] += 1;
+                }
+                if needs_resp {
+                    self.scalar_done
+                        .push_back((now + occ + lat + self.params.resp_latency, seq));
+                }
+                self.cmdq.pop_front();
+            }
+        }
+    }
+
+    fn vlen_bits(&self) -> u32 {
+        self.params.vlen_bits
+    }
+
+    fn clock_domain(&self) -> ClockDomain {
+        ClockDomain::Big
+    }
+
+    /// The integrated unit shares the big core's L1D port; the decoupled
+    /// engine has its own wide port into the L2. Requests leave on the
+    /// same port.
+    fn port(&self) -> PortId {
+        match self.params.mem_path {
+            MemPath::SharedL1 => PortId::Ivu,
+            MemPath::DirectL2 => PortId::DveL2,
+        }
+    }
+
+    fn scalar_pending(&self) -> bool {
+        self.scalar_done
+            .front()
+            .is_some_and(|&(at, _)| at <= self.now)
+    }
+
+    /// A deliverable scalar response counts as `Active` (the big core
+    /// polls it). Idle ticks are pure no-ops: the machine accounts
+    /// nothing per cycle, so `account` is always `None`.
+    fn quiescence(&self, now: u64) -> Quiescence {
         let mut until: Option<u64> = None;
         let mut fold = |t: u64| until = Some(until.map_or(t, |u| u.min(t)));
 
@@ -476,16 +575,13 @@ impl SimpleVecMachine {
         }
     }
 
-    /// Batch-applies `cycles` skipped quiescent ticks: the machine
-    /// accounts nothing per cycle, so only its internal clock (which
-    /// gates [`VectorEngine::pop_scalar_done`]) advances.
-    pub fn skip_idle(&mut self, cycles: u64) {
+    /// The machine accounts nothing per cycle, so only its internal
+    /// clock (which gates [`VectorEngine::pop_scalar_done`]) advances.
+    fn skip_idle(&mut self, _now: u64, cycles: u64) {
         self.now += cycles;
     }
 
-    /// Appends the machine's mutable state to a checkpoint (`params` and
-    /// `line_bytes` are configuration and not written).
-    pub fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut SnapWriter) {
         self.cmdq.save(w);
         self.compute_busy_until.save(w);
         self.vreg_ready.save(w);
@@ -502,13 +598,9 @@ impl SimpleVecMachine {
         self.now.save(w);
     }
 
-    /// Restores state written by [`SimpleVecMachine::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails with a [`SnapError`] on malformed input or a command queue
-    /// deeper than this machine's configuration allows.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// Also rejects a command queue deeper than this machine's
+    /// configuration allows.
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let cmdq: VecDeque<VecCmd> = Snap::load(r)?;
         if cmdq.len() > self.params.cmdq_depth {
             return Err(SnapError::Corrupt {
@@ -536,113 +628,19 @@ impl SimpleVecMachine {
         Ok(())
     }
 
-    fn compute_dest(&self, cmd: &VecCmd) -> Option<u8> {
-        use Instr::*;
-        match cmd.instr {
-            VArith { vd, .. }
-            | VCmp { vd, .. }
-            | VRed { vd, .. }
-            | VMask { vd, .. }
-            | VRgather { vd, .. }
-            | VSlideUp { vd, .. }
-            | VSlideDown { vd, .. }
-            | VMvVX { vd, .. }
-            | VFMvVF { vd, .. }
-            | VMvVV { vd, .. }
-            | VMvSX { vd, .. }
-            | VId { vd, .. } => Some(vd.index() as u8),
-            _ => None,
-        }
-    }
-}
-
-impl VectorEngine for SimpleVecMachine {
-    fn can_accept(&self) -> bool {
-        self.cmdq.len() < self.params.cmdq_depth
+    fn checkpoint_tag(&self) -> u8 {
+        2
     }
 
-    fn dispatch(&mut self, cmd: VecCmd) {
-        assert!(self.can_accept(), "vector command queue overflow");
-        bvl_obs::trace::emit(self.now, "svec", 0, "cmd", cmd.seq);
-        self.stats.cmds += 1;
-        self.cmdq.push_back(cmd);
-    }
-
-    fn pop_scalar_done(&mut self) -> Option<u64> {
-        if self
-            .scalar_done
-            .front()
-            .is_some_and(|&(at, _)| at <= self.now)
-        {
-            self.scalar_done.pop_front().map(|(_, seq)| seq)
-        } else {
-            None
+    fn warm_target(&self, _line: u64, _hier: &MemHierarchy) -> WarmTarget {
+        match self.params.mem_path {
+            MemPath::SharedL1 => WarmTarget::BigD,
+            MemPath::DirectL2 => WarmTarget::L2Only,
         }
     }
 
-    fn mem_drained(&self) -> bool {
-        self.mem_txs.is_empty() && !self.cmdq.iter().any(|c| c.instr.is_vector_mem())
-    }
-
-    fn idle(&self) -> bool {
-        self.cmdq.is_empty()
-            && self.mem_txs.is_empty()
-            && self.scalar_done.is_empty()
-            && self.now >= self.compute_busy_until
-    }
-
-    fn tick(&mut self, now: u64, hier: &mut MemHierarchy) {
-        self.now = now;
-        self.mem_tick(now, hier);
-
-        // Process the head command (in-order front end, 1/cycle).
-        let Some(cmd) = self.cmdq.front() else {
-            return;
-        };
-        match cmd.instr {
-            Instr::VSetVl { .. } => {
-                let seq = cmd.seq;
-                self.scalar_done
-                    .push_back((now + self.params.resp_latency, seq));
-                self.cmdq.pop_front();
-            }
-            Instr::VLoad { .. } | Instr::VStore { .. } => {
-                let cmd = self.cmdq.pop_front().expect("front exists");
-                self.start_mem(&cmd);
-            }
-            Instr::VmFence => {
-                self.cmdq.pop_front();
-            }
-            _ => {
-                // Compute: wait for the pipe and for sources.
-                if now < self.compute_busy_until {
-                    return;
-                }
-                let srcs = self.compute_srcs(cmd);
-                if srcs.iter().any(|&s| self.vreg_ready[s as usize] > now) {
-                    return;
-                }
-                let (occ, lat) = self.compute_cost(cmd);
-                let needs_resp = cmd.instr.vector_writes_scalar();
-                let seq = cmd.seq;
-                let dest = self.compute_dest(cmd);
-                self.compute_busy_until = now + occ;
-                self.stats.compute_passes += 1;
-                if let Some(d) = dest {
-                    self.vreg_ready[d as usize] = now + occ + lat;
-                    self.vreg_epoch[d as usize] += 1;
-                }
-                if needs_resp {
-                    self.scalar_done
-                        .push_back((now + occ + lat + self.params.resp_latency, seq));
-                }
-                self.cmdq.pop_front();
-            }
-        }
-    }
-
-    fn vlen_bits(&self) -> u32 {
-        self.params.vlen_bits
+    fn register_stats(&self, sys: &mut bvl_obs::Scope<'_>) {
+        self.stats.register(&mut sys.scope("engine"));
     }
 }
 

@@ -1092,6 +1092,33 @@ mod engine_protocol_tests {
         fn vlen_bits(&self) -> u32 {
             512
         }
+        fn clock_domain(&self) -> crate::types::ClockDomain {
+            crate::types::ClockDomain::Big
+        }
+        fn port(&self) -> bvl_mem::PortId {
+            bvl_mem::PortId::Ivu
+        }
+        fn scalar_pending(&self) -> bool {
+            !self.scalar_done.is_empty()
+        }
+        fn quiescence(&self, _now: u64) -> Quiescence {
+            Quiescence::Active
+        }
+        fn skip_idle(&mut self, _now: u64, _cycles: u64) {}
+        fn checkpoint_tag(&self) -> u8 {
+            9
+        }
+        fn save_state(&self, _w: &mut bvl_snap::SnapWriter) {}
+        fn restore_state(
+            &mut self,
+            _r: &mut bvl_snap::SnapReader<'_>,
+        ) -> Result<(), bvl_snap::SnapError> {
+            Ok(())
+        }
+        fn warm_target(&self, _line: u64, _hier: &MemHierarchy) -> bvl_mem::WarmTarget {
+            bvl_mem::WarmTarget::BigD
+        }
+        fn register_stats(&self, _sys: &mut bvl_obs::Scope<'_>) {}
     }
 
     fn setup(a: &Assembler) -> (BigCore, MemHierarchy) {

@@ -28,4 +28,4 @@ pub mod types;
 pub use big::{BigCore, BigParams};
 pub use fetch::FetchUnit;
 pub use little::{LittleCore, LittleParams};
-pub use types::{CoreStats, StallKind, VecCmd, VectorEngine};
+pub use types::{ClockDomain, CoreStats, StallKind, VecCmd, VectorEngine};

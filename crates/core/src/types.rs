@@ -4,8 +4,8 @@
 use bvl_isa::exec::MemAccess;
 use bvl_isa::instr::Instr;
 use bvl_isa::vcfg::Sew;
-use bvl_mem::MemHierarchy;
-use bvl_snap::snap_struct;
+use bvl_mem::{MemHierarchy, PortId, WarmTarget};
+use bvl_snap::{snap_struct, SnapError, SnapReader, SnapWriter};
 
 /// Why a core could not retire useful work in a given cycle.
 ///
@@ -191,6 +191,15 @@ snap_struct!(VecCmd {
     needs_scalar_response,
 });
 
+/// The cluster clock a vector engine ticks on.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ClockDomain {
+    /// The big core's clock (integrated and decoupled units).
+    Big,
+    /// The little cluster's clock (the VLITTLE engine is made of it).
+    Little,
+}
+
 /// The interface every vector engine implements: the VLITTLE cluster, the
 /// integrated vector unit and the decoupled vector engine.
 ///
@@ -199,6 +208,10 @@ snap_struct!(VecCmd {
 /// committed at dispatch, while scalar-writing instructions complete when
 /// the engine reports their sequence number via
 /// [`VectorEngine::pop_scalar_done`].
+///
+/// Beyond that handshake the trait carries everything the system
+/// simulator needs to clock, skip, checkpoint and report an engine, so
+/// attaching a new engine is one impl of this trait.
 pub trait VectorEngine {
     /// True if the engine can accept a new command this cycle.
     fn can_accept(&self) -> bool;
@@ -227,6 +240,58 @@ pub trait VectorEngine {
 
     /// Hardware vector length in bits (what `vsetvl` grants against).
     fn vlen_bits(&self) -> u32;
+
+    /// The clock the engine ticks on (before the cores of that cluster).
+    fn clock_domain(&self) -> ClockDomain;
+
+    /// The hierarchy port the engine's memory responses return on. A
+    /// pending response there wakes the engine, so the tick-skip planner
+    /// does not skip while one is pending.
+    fn port(&self) -> PortId;
+
+    /// True while a scalar response awaits the big core's poll (the big
+    /// core's next tick consumes it, so its domain must keep stepping).
+    fn scalar_pending(&self) -> bool;
+
+    /// The engine's self-assessment for the tick-skip planner, at cycle
+    /// `now` of its own clock. `Idle` promises that every tick strictly
+    /// before `until` — absent responses on [`VectorEngine::port`] and new
+    /// dispatches — changes nothing but the accounting that
+    /// [`VectorEngine::skip_idle`] applies in batch.
+    fn quiescence(&self, now: u64) -> Quiescence;
+
+    /// Batch-applies the effects of `cycles` skipped quiescent ticks
+    /// starting at `now`.
+    fn skip_idle(&mut self, now: u64, cycles: u64);
+
+    /// The tag that guards a checkpoint against restoring into an engine
+    /// of another shape (0 is reserved for "no engine").
+    fn checkpoint_tag(&self) -> u8;
+
+    /// Appends the engine's mutable state to a checkpoint. Configuration
+    /// is not written: a restore target is built from the same arguments.
+    fn save_state(&self, w: &mut SnapWriter);
+
+    /// Restores state written by [`VectorEngine::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Fails with a [`SnapError`] on malformed input or shapes not
+    /// matching this engine's configuration.
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+
+    /// The structure a detailed run's vector accesses to `line` fill —
+    /// where sampled simulation warms them.
+    fn warm_target(&self, line: u64, hier: &MemHierarchy) -> WarmTarget;
+
+    /// Registers the engine's counters under the system scope `sys`:
+    /// its own under `sys.engine`, and lane-level ones beside the cores.
+    fn register_stats(&self, sys: &mut bvl_obs::Scope<'_>);
+
+    /// Per-lane statistics, for engines built from lanes (Figure 7).
+    fn lane_stats(&self) -> Vec<CoreStats> {
+        Vec::new()
+    }
 }
 
 #[cfg(test)]

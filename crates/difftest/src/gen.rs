@@ -4,7 +4,7 @@
 //! seed: a scalar-only `serial:` section and a mixed scalar/vector
 //! `vector:` section, each initializing every register it reads and
 //! ending in `halt`. The two sections are the entry points the harness
-//! hands to [`bvl_sim::simulate_with_state`] (serial/task systems run
+//! hands to [`bvl_sim::simulate_with`] (serial/task systems run
 //! `serial`, vector-capable systems run `vector`).
 //!
 //! # Determinism and safety invariants

@@ -2,7 +2,7 @@
 //!
 //! [`check_program`] runs a [`DtProgram`] through the functional
 //! [`Machine`] executor (the architectural oracle) and through
-//! [`bvl_sim::simulate_with_state`] on **every** [`SystemKind`], then
+//! [`bvl_sim::simulate_with`] on **every** [`SystemKind`], then
 //! compares final memory images, scalar/FP register files and vector
 //! registers element-by-element. The contract it enforces is written up
 //! in `DESIGN.md` §4.9: because the simulator executes architectural
@@ -15,7 +15,7 @@ use bvl_isa::asm::Program;
 use bvl_isa::exec::{ArchSnapshot, ExecError, Machine};
 use bvl_mem::{MemImage, SimMemory};
 use bvl_runtime::Task;
-use bvl_sim::{simulate_with_state, ExecMode, FinalState, SimParams, SystemKind};
+use bvl_sim::{simulate_with, ExecMode, FinalState, Hooks, SimParams, SystemKind};
 use bvl_workloads::{Phase, Workload, WorkloadClass};
 use std::collections::HashMap;
 use std::fmt;
@@ -130,8 +130,15 @@ pub fn check_program(dt: &DtProgram) -> DiffResult {
     }
 
     for kind in SystemKind::ALL {
-        let fs = match simulate_with_state(kind, &workload, &params) {
-            Ok((_, _, fs)) => fs,
+        let hooks = Hooks {
+            want_state: true,
+            ..Hooks::default()
+        };
+        let fs = match simulate_with(kind, &workload, &params, hooks) {
+            Ok(out) => out
+                .finished()
+                .and_then(|run| run.final_state)
+                .expect("no checkpoint callback; state requested"),
             Err(e) => {
                 return DiffResult::Diverged(Divergence {
                     system: kind,

@@ -11,7 +11,7 @@
 //!    reconfiguration and bounded loops, constrained so it runs
 //!    in-bounds and terminates at every hardware VLEN.
 //! 2. [`harness::check_program`] executes it through
-//!    [`bvl_sim::simulate_with_state`] on all seven [`bvl_sim::SystemKind`]s
+//!    [`bvl_sim::simulate_with`] on all seven [`bvl_sim::SystemKind`]s
 //!    and compares each run's [`bvl_sim::FinalState`] — memory image,
 //!    scalar/FP register files and vector registers element-by-element —
 //!    against a per-`(entry, VLEN)` oracle run.

@@ -26,7 +26,7 @@
 
 use crate::harness::{check_program, difftest_workload, MAX_UNCORE_CYCLES};
 use crate::text::DtProgram;
-use bvl_sim::{simulate_resumable, simulate_with_state, SimParams, SysState, SystemKind};
+use bvl_sim::{simulate_with, CkptControl, Hooks, SimParams, SysState, SystemKind};
 use bvl_snap::fnv1a;
 use std::collections::HashMap;
 
@@ -95,31 +95,46 @@ pub fn replay_divergence_tail(dt: &DtProgram, system: SystemKind) -> Result<Tail
         max_uncore_cycles: MAX_UNCORE_CYCLES,
         ..SimParams::default()
     };
-    let (base_r, base_s, base_f) = simulate_with_state(system, &workload, &params)
-        .map_err(|e| format!("straight run failed (nothing to checkpoint): {e}"))?;
+    let with_state = |resume| Hooks {
+        resume,
+        want_state: true,
+        ..Hooks::default()
+    };
+    let base = simulate_with(system, &workload, &params, with_state(None))
+        .map_err(|e| format!("straight run failed (nothing to checkpoint): {e}"))?
+        .finished()
+        .expect("no checkpoint callback to yield");
 
     // A cadence of total/8 puts the last checkpoint in the final eighth
     // of the run; the floor keeps very short runs from checkpointing
     // every cycle.
-    let total = base_r.uncore_cycles;
+    let total = base.result.uncore_cycles;
     let mut cadenced = params.clone();
     cadenced.checkpoint_every = (total / 8).max(16);
     let mut last: Option<SysState> = None;
-    simulate_resumable(system, &workload, &cadenced, None, &mut |s| {
-        last = Some(s.clone());
-    })
-    .map_err(|e| format!("checkpointed run failed: {e}"))?;
+    let hooks = Hooks {
+        on_checkpoint: Some(&mut |s| {
+            last = Some(s.clone());
+            CkptControl::Continue
+        }),
+        ..Hooks::default()
+    };
+    simulate_with(system, &workload, &cadenced, hooks)
+        .map_err(|e| format!("checkpointed run failed: {e}"))?;
     let checkpoint =
         last.ok_or_else(|| format!("run finished in {total} cycles, before the first checkpoint"))?;
 
-    let (r, s, f) = simulate_resumable(system, &workload, &params, Some(&checkpoint), &mut |_| {})
+    let tail = simulate_with(system, &workload, &params, with_state(Some(&checkpoint)))
         .map_err(|e| {
             format!(
                 "resume from cycle {} failed: {e}",
                 checkpoint.uncore_cycle()
             )
-        })?;
-    if r != base_r || s != base_s || f != base_f {
+        })?
+        .finished()
+        .expect("no checkpoint callback to yield");
+    if (&tail.result, tail.skip, &tail.final_state) != (&base.result, base.skip, &base.final_state)
+    {
         return Err(format!(
             "tail replay from cycle {} did not reproduce the straight-through run on {system}",
             checkpoint.uncore_cycle()

@@ -17,7 +17,7 @@
 
 use bvl_difftest::{difftest_workload, generate};
 use bvl_sim::{
-    plan_sampled, simulate_sampled, simulate_with_state, SamplingParams, SimParams, SystemKind,
+    plan_sampled, simulate_sampled, simulate_with, Hooks, SamplingParams, SimParams, SystemKind,
 };
 use proptest::prelude::*;
 
@@ -82,8 +82,15 @@ proptest! {
 
             // Functional equivalence: the fast-forward's final state is
             // exactly what the detailed run's active core halts with.
-            let (exact_r, _, fs) = simulate_with_state(kind, &workload, &exact)
-                .unwrap_or_else(|e| panic!("seed {seed:#x}: exact {kind}: {e}"));
+            let hooks = Hooks {
+                want_state: true,
+                ..Hooks::default()
+            };
+            let run = simulate_with(kind, &workload, &exact, hooks)
+                .unwrap_or_else(|e| panic!("seed {seed:#x}: exact {kind}: {e}"))
+                .finished()
+                .expect("no checkpoint callback to yield");
+            let (exact_r, fs) = (run.result, run.final_state.expect("state requested"));
             let active = fs
                 .big
                 .iter()
@@ -141,7 +148,7 @@ fn scan_estimator_error() {
         let sampled = sampled_params();
         let exact = SimParams::default();
         for kind in FF_SYSTEMS {
-            let (exact_r, _, _) = simulate_with_state(kind, &workload, &exact).unwrap();
+            let exact_r = bvl_sim::simulate(kind, &workload, &exact).unwrap();
             let (est_r, _) = simulate_sampled(kind, &workload, &sampled).unwrap();
             let rel = (est_r.wall_ns - exact_r.wall_ns).abs() / exact_r.wall_ns;
             if rel > worst.0 {

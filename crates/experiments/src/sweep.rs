@@ -24,10 +24,12 @@
 //! * with `--checkpoint-every N`, every in-flight point periodically
 //!   writes a whole-system checkpoint under `<cache_dir>/ckpt/` (deleted
 //!   when the point completes), and `--resume` restarts interrupted
-//!   points from their last checkpoint instead of cycle 0. Resumed
-//!   results are byte-identical by the restore-equivalence contract but
-//!   are deliberately *not* persisted to the disk cache — only
-//!   straight-through runs populate it;
+//!   points from their last checkpoint instead of cycle 0 — both through
+//!   [`bvl_serve::worker::run_exact_point`], the exact-point runner the
+//!   fabric's worker tiers use too. Resumed results are byte-identical
+//!   by the restore-equivalence contract but are deliberately *not*
+//!   persisted to the disk cache — only straight-through runs populate
+//!   it;
 //! * with `--sampled`, every point runs *sampled* simulation
 //!   (DESIGN.md §4.12): a functional fast-forward plans one detailed
 //!   window per sampling period, the windows of **all** missed points fan
@@ -50,11 +52,11 @@
 use crate::ExpOpts;
 use bvl_serve::spec::{PointSpec, WorkloadSpec};
 use bvl_serve::store::ResultStore;
+use bvl_serve::worker::{run_exact_point, PointRun};
 use bvl_serve::Client;
 use bvl_sim::{
-    combine_sampled, plan_sampled, run_sample_window, simulate_traced,
-    simulate_with_stats_resumable, RunResult, SamplePlan, SamplingMeta, SimParams, SysState,
-    SystemKind, WindowMeasurement,
+    combine_sampled, plan_sampled, run_sample_window, simulate_with, Hooks, RunResult, SamplePlan,
+    SamplingMeta, SimParams, SkipStats, SystemKind, WindowMeasurement,
 };
 use bvl_workloads::Workload;
 use serde::Serialize;
@@ -124,9 +126,9 @@ impl SweepJob {
 
     /// The memo/disk cache key of this point:
     /// `"{system}__{workload_key}__{params-hash}"`. The params hash is
-    /// FNV-1a over the exhaustive `Debug` rendering of [`SimParams`],
-    /// which covers every knob the figures sweep (clocks, engine
-    /// geometry, queue depths, cycle caps).
+    /// [`bvl_sim::params_fingerprint`], FNV-1a over the exhaustive `Debug`
+    /// rendering of [`SimParams`], which covers every knob the figures
+    /// sweep (clocks, engine geometry, queue depths, cycle caps).
     pub fn cache_key(&self) -> String {
         cache_key_for(self.system, &self.workload_key, &self.params)
     }
@@ -248,7 +250,7 @@ impl ThroughputTracker {
         *self.inner.lock().expect("throughput lock")
     }
 
-    fn record(&self, stats: bvl_sim::SkipStats, secs: f64) {
+    fn record(&self, stats: SkipStats, secs: f64) {
         let mut t = self.inner.lock().expect("throughput lock");
         t.runs += 1;
         t.edges_run += stats.edges_run;
@@ -358,13 +360,14 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
     }
 
     // Resolve what the cache layers already know.
+    let store = ResultStore::new(&opts.cache_dir);
     let mut slot_results: Vec<Option<RunResult>> = Vec::with_capacity(unique.len());
     for &ji in &unique {
         let mut hit = None;
         if opts.use_cache {
             hit = opts.cache.get(&keys[ji]);
             if hit.is_none() && opts.persist_cache {
-                hit = load_cached(&opts.cache_dir, &keys[ji]);
+                hit = store.load(&keys[ji]);
                 if let Some(ref r) = hit {
                     opts.cache.insert(keys[ji].clone(), r.clone());
                 }
@@ -391,7 +394,7 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
             // runs only — the conservative half of that contract. The
             // point simulates in full on the next cold invocation.
             if opts.persist_cache && !resumed {
-                store_cached(&opts.cache_dir, key, &result);
+                store.store(key, &result);
             }
         }
         slot_results[slot] = Some(result);
@@ -404,8 +407,15 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
     // so this rides outside the cache entirely.
     if let Some(path) = opts.take_trace_out() {
         if let Some(job) = jobs.first() {
-            let (_, log) = simulate_traced(job.system, &job.workload, &params[0])
-                .unwrap_or_else(|e| panic!("{} on {}: {e}", job.workload_key, job.system.label()));
+            let traced = SimParams {
+                trace: true,
+                ..params[0].clone()
+            };
+            let log = simulate_with(job.system, &job.workload, &traced, Hooks::default())
+                .unwrap_or_else(|e| panic!("{} on {}: {e}", job.workload_key, job.system.label()))
+                .finished()
+                .and_then(|run| run.trace)
+                .expect("a traced run with no checkpoint callback finishes with a log");
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
                 fs::create_dir_all(dir).expect("create trace-out dir");
             }
@@ -482,9 +492,10 @@ fn run_misses(
     }
 
     enum ItemOut {
-        Point(RunResult, bvl_sim::SkipStats, bool, f64),
+        Point(RunResult, SkipStats, bool, f64),
         Window(WindowMeasurement, f64),
     }
+    let store = ResultStore::new(&opts.cache_dir);
     let outs = run_parallel(&items, opts.jobs, |&(mi, wi)| {
         let ji = unique[misses[mi]];
         let job = &jobs[ji];
@@ -513,10 +524,29 @@ fn run_misses(
                         });
                     ItemOut::Point(r, s, false, start.elapsed().as_secs_f64())
                 }
-                None => {
-                    let (r, s, resumed) = run_point(job, &params[ji], &keys[ji], opts);
-                    ItemOut::Point(r, s, resumed, start.elapsed().as_secs_f64())
-                }
+                // An exact point: checkpointed when the cadence is armed,
+                // resumed from a leftover checkpoint under `--resume`.
+                None => match run_exact_point(
+                    job.system,
+                    &job.workload,
+                    &params[ji],
+                    &keys[ji],
+                    &store,
+                    opts.resume,
+                    &mut |_| false,
+                ) {
+                    Ok(PointRun::Finished(out)) => {
+                        let skip = SkipStats {
+                            edges_run: out.edges_run,
+                            edges_skipped: out.edges_skipped,
+                            windows: 0,
+                        };
+                        let secs = start.elapsed().as_secs_f64();
+                        ItemOut::Point(out.result, skip, out.resumed, secs)
+                    }
+                    Ok(PointRun::Yielded { .. }) => unreachable!("nothing orders a yield"),
+                    Err(e) => panic!("{} on {}: {e}", job.workload_key, job.system.label()),
+                },
             },
         }
     });
@@ -664,7 +694,7 @@ fn run_misses_served(
             // (coalesced twins come back as cache hits), so client-side
             // throughput counts each simulation once — same as local.
             opts.throughput.record(
-                bvl_sim::SkipStats {
+                SkipStats {
                     edges_run: r.edges_run,
                     edges_skipped: r.edges_skipped,
                     windows: 0,
@@ -701,72 +731,6 @@ fn report_sampling(key: &str, planned: usize, meta: Option<&SamplingMeta>) {
             meta.windows_measured, meta.windows_truncated, meta.window_instrs, meta.ci_halfwidth_ns
         );
     }
-}
-
-/// Simulates one deduplicated sweep point, writing periodic checkpoints
-/// when the cadence is armed and — under `--resume` — restarting from a
-/// leftover checkpoint instead of cycle 0. Returns the result, the run's
-/// skip counters, and whether the run actually resumed.
-///
-/// An unresumable checkpoint (undecodable, or fingerprint-mismatched
-/// because the parameters changed since the interrupt) is reported and
-/// ignored: the point restarts from cycle 0 rather than failing the
-/// sweep.
-fn run_point(
-    job: &SweepJob,
-    params: &SimParams,
-    key: &str,
-    opts: &ExpOpts,
-) -> (RunResult, bvl_sim::SkipStats, bool) {
-    let store = ResultStore::new(&opts.cache_dir);
-    let mut save = |state: &SysState| store.store_checkpoint(key, state);
-
-    if opts.resume {
-        if let Some(state) = store.load_checkpoint(key) {
-            match simulate_with_stats_resumable(
-                job.system,
-                &job.workload,
-                params,
-                Some(&state),
-                &mut save,
-            ) {
-                Ok((r, s)) => {
-                    store.remove_checkpoint(key);
-                    return (r, s, true);
-                }
-                Err(e) => eprintln!(
-                    "{key}: checkpoint at cycle {} not resumable ({e}); \
-                     restarting from cycle 0",
-                    state.uncore_cycle()
-                ),
-            }
-        }
-    }
-    match simulate_with_stats_resumable(job.system, &job.workload, params, None, &mut save) {
-        Ok((r, s)) => {
-            store.remove_checkpoint(key);
-            (r, s, false)
-        }
-        Err(e) => panic!("{} on {}: {e}", job.workload_key, job.system.label()),
-    }
-}
-
-// --- disk persistence -----------------------------------------------------
-//
-// The on-disk format (one JSON file per cache key, checkpoint blobs
-// under `ckpt/`) is owned by `bvl_serve::store::ResultStore` — one
-// implementation serves the in-process sweep, the fabric daemon and its
-// worker processes, so all three read and write interchangeable files
-// and legacy-format entries decode as misses everywhere at once.
-
-use std::path::Path;
-
-fn load_cached(dir: &Path, key: &str) -> Option<RunResult> {
-    ResultStore::new(dir).load(key)
-}
-
-fn store_cached(dir: &Path, key: &str, result: &RunResult) {
-    ResultStore::new(dir).store(key, result);
 }
 
 #[cfg(test)]

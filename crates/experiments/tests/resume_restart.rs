@@ -18,7 +18,7 @@
 
 use bvl_experiments::sweep::{run_sweep, SweepJob};
 use bvl_experiments::{ExpOpts, ARTIFACTS};
-use bvl_sim::{simulate_with_stats_resumable, SimParams, SysState, SystemKind};
+use bvl_sim::{simulate_with, CkptControl, Hooks, SimParams, SysState, SystemKind};
 use bvl_workloads::{kernels, Scale};
 use std::collections::BTreeMap;
 use std::fs;
@@ -137,11 +137,18 @@ fn mid_run_checkpoint_resumes_the_tail_and_is_not_persisted() {
         ..SimParams::default()
     };
     let mut last: Option<SysState> = None;
-    let (straight, straight_skip) =
-        simulate_with_stats_resumable(SystemKind::B4Vl, &w, &cadenced, None, &mut |s| {
-            last = Some(s.clone())
-        })
-        .expect("straight run");
+    let hooks = Hooks {
+        on_checkpoint: Some(&mut |s| {
+            last = Some(s.clone());
+            CkptControl::Continue
+        }),
+        ..Hooks::default()
+    };
+    let run = simulate_with(SystemKind::B4Vl, &w, &cadenced, hooks)
+        .expect("straight run")
+        .finished()
+        .expect("the callback never yields");
+    let (straight, straight_skip) = (run.result, run.skip);
     let planted = last.expect("run crossed no checkpoint boundary — lower the cadence");
     let ckpt = out.join("cache").join("ckpt").join(format!("{key}.snap"));
     fs::create_dir_all(ckpt.parent().unwrap()).expect("create ckpt dir");

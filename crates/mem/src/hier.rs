@@ -134,7 +134,7 @@ struct L2Entry {
 /// (see [`MemHierarchy::warm_line`]). The shared L2 is warmed inclusively
 /// for every target, so `L2Only` exists for agents without an L1 in the
 /// path (the decoupled vector engine).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WarmTarget {
     /// A little core's (or VMU bank's) L1I.
     LittleI(usize),

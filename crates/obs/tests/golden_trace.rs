@@ -11,7 +11,7 @@
 //! Perfetto / chrome://tracing).
 
 use bvl_difftest::{difftest_workload, DtProgram};
-use bvl_sim::{simulate_traced, SimParams, SystemKind};
+use bvl_sim::{simulate_with, Hooks, SimParams, SystemKind};
 use std::path::PathBuf;
 
 const CORPUS_PROGRAM: &str = "seed_0ae89775f52a28c8";
@@ -32,9 +32,15 @@ fn traced_corpus_run() -> bvl_obs::TraceLog {
         program.label("vector").expect("vector label"),
     );
     let workload = difftest_workload(&program, serial, vector);
-    let (_, log) = simulate_traced(SystemKind::B4Vl, &workload, &SimParams::default())
-        .expect("traced simulation");
-    log
+    let params = SimParams {
+        trace: true,
+        ..SimParams::default()
+    };
+    simulate_with(SystemKind::B4Vl, &workload, &params, Hooks::default())
+        .expect("traced simulation")
+        .finished()
+        .and_then(|run| run.trace)
+        .expect("a traced run finishes with a log")
 }
 
 #[test]

@@ -23,7 +23,8 @@
 //! - [`spec`] — wire-transportable point specs ([`spec::PointSpec`])
 //! - [`store`] — content-addressed result + checkpoint store
 //! - [`journal`] — the persistent admission-queue journal
-//! - [`worker`] — point execution shared by both worker tiers
+//! - [`worker`] — point execution shared by both worker tiers and the
+//!   in-process sweep
 //! - [`daemon`] — the scheduler: priority + fair-share dispatch,
 //!   dedupe, memo, backpressure, preemption, fault plans
 //! - [`client`] — the submit/collect client library
@@ -47,4 +48,4 @@ pub use journal::QueueJournal;
 pub use proto::{Msg, Priority, ProtoError, EVICT_BYTE, MAX_FRAME};
 pub use spec::{PointSpec, WorkloadSpec};
 pub use store::{cache_key_for, ResultStore};
-pub use worker::{run_one_point, worker_main, PointOutcome, PointRun};
+pub use worker::{run_exact_point, run_one_point, worker_main, PointOutcome, PointRun};

@@ -6,11 +6,11 @@
 //! the fabric can address it from multiple processes:
 //!
 //! * **Key.** [`cache_key_for`] — `"{system}__{workload-key}__{params
-//!   hash}"`, FNV-1a over the exhaustive `Debug` rendering of the
-//!   normalized [`SimParams`]. Observability knobs (checkpoint cadence,
-//!   tracing) are zeroed before hashing because their on/off state leaves
-//!   results byte-identical; the sampling configuration is *kept*, so a
-//!   sampled estimate can never alias an exact result.
+//!   hash}"`, where the hash is [`bvl_sim::params_fingerprint`], the
+//!   same one checkpoints carry. It ignores the observability knobs
+//!   (checkpoint cadence, tracing), whose on/off state leaves results
+//!   byte-identical; the sampling configuration is *kept*, so a sampled
+//!   estimate can never alias an exact result.
 //! * **Entries.** Hand-rolled `serde_json::Value` encoding (no derived
 //!   deserializers across bvl-core/mem/runtime). Unreadable files and
 //!   files from older format generations — pre-stats-snapshot (PR-4) and
@@ -30,40 +30,26 @@ use bvl_core::types::CoreStats;
 use bvl_mem::MemStats;
 use bvl_obs::StatsSnapshot;
 use bvl_runtime::RuntimeStats;
-use bvl_sim::{RunResult, SamplingMeta, SimParams, SysState, SystemKind};
+use bvl_sim::{params_fingerprint, RunResult, SamplingMeta, SimParams, SysState, SystemKind};
 use serde_json::Value;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The cache key for a (system, workload-instance, params) point.
 ///
-/// The checkpoint cadence and the trace flag are zeroed before hashing:
-/// both are pure observability knobs whose on/off state leaves results
-/// byte-identical (the restore-equivalence and tracing contracts), so a
-/// checkpointed or traced run must *reuse* the cache entry of its plain
-/// twin, not fork a parallel one. This is also the fabric's in-flight
-/// dedupe key: two submissions differing only in those knobs coalesce
-/// onto one simulation.
+/// The params hash is [`params_fingerprint`], which leaves out the pure
+/// observability knobs (checkpoint cadence, tracing): a checkpointed or
+/// traced run must *reuse* the cache entry of its plain twin, not fork a
+/// parallel one. This is also the fabric's in-flight dedupe key: two
+/// submissions differing only in those knobs coalesce onto one
+/// simulation.
 pub fn cache_key_for(system: SystemKind, workload_key: &str, params: &SimParams) -> String {
-    let mut p = params.clone();
-    p.checkpoint_every = 0;
-    p.trace = false;
     format!(
         "{}__{}__{:016x}",
         system.label(),
         workload_key,
-        fnv1a(format!("{p:?}").as_bytes())
+        params_fingerprint(params)
     )
-}
-
-/// FNV-1a over `bytes` (64-bit).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A handle on one store directory. Cheap to clone; all state is on disk.

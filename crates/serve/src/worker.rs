@@ -1,12 +1,14 @@
-//! Point execution, shared by both worker tiers.
+//! Point execution, shared by both worker tiers and the in-process sweep.
 //!
-//! [`run_one_point`] is the single code path a fabric worker — an
-//! in-daemon thread or a spawned worker process — uses to execute one
-//! experiment point. It always attempts to resume from a persisted
-//! checkpoint first (that is what makes worker death and eviction cheap:
-//! whoever picks the point up next continues from the last blob), writes
-//! a fresh blob at every checkpoint boundary, and can yield mid-run when
-//! the scheduler asks.
+//! [`run_exact_point`] is the single code path that executes one exact
+//! experiment point: it resumes from a persisted checkpoint when asked,
+//! writes a fresh blob at every checkpoint boundary, and can yield mid-run
+//! when the scheduler asks. [`run_one_point`] is what a fabric worker —
+//! an in-daemon thread or a spawned worker process — runs: it always
+//! resumes (that is what makes worker death and eviction cheap: whoever
+//! picks the point up next continues from the last blob). The in-process
+//! sweep calls [`run_exact_point`] directly and resumes only under
+//! `--resume`.
 //!
 //! [`worker_main`] is the process-tier entry: connect back to the
 //! daemon, say hello on a main and a control connection, then loop
@@ -16,7 +18,11 @@
 use crate::proto::{self, Msg, ProtoError, EVICT_BYTE};
 use crate::spec::PointSpec;
 use crate::store::ResultStore;
-use bvl_sim::{simulate_preemptible, simulate_sampled, CkptControl, RunResult, SimOutcome};
+use bvl_sim::{
+    simulate_sampled, simulate_with, CkptControl, Hooks, RunResult, SimError, SimOutcome,
+    SimParams, SysState, SystemKind,
+};
+use bvl_workloads::Workload;
 use std::io::{self, Read};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -52,15 +58,14 @@ pub enum PointRun {
     },
 }
 
-/// Executes one point against `store`.
+/// Executes one point against `store`, always resuming from an existing
+/// checkpoint blob for its key.
 ///
 /// `on_checkpoint(cycle)` fires after each checkpoint blob is persisted;
-/// returning `true` orders a yield at that very checkpoint. Exact points
-/// resume from any existing blob for their key — an unusable blob is
-/// reported and the point restarts from cycle 0 (the PR-5 `SnapError`
-/// miss path), never fails. Sampled points (params carry a sampling
-/// config) run the serial sampled pipeline, which has no mid-run
-/// checkpoint to yield at; a killed worker simply re-runs them.
+/// returning `true` orders a yield at that very checkpoint. Sampled
+/// points (params carry a sampling config) run the serial sampled
+/// pipeline, which has no mid-run checkpoint to yield at; a killed worker
+/// simply re-runs them. Exact points run through [`run_exact_point`].
 ///
 /// # Errors
 ///
@@ -71,7 +76,6 @@ pub fn run_one_point(
     store: &ResultStore,
     on_checkpoint: &mut dyn FnMut(u64) -> bool,
 ) -> Result<PointRun, String> {
-    let key = spec.key();
     let workload = spec.workload.build()?;
     let params = &spec.params;
 
@@ -87,58 +91,95 @@ pub fn run_one_point(
             restarted_from_zero: false,
         })));
     }
+    let key = spec.key();
+    run_exact_point(
+        spec.system,
+        &workload,
+        params,
+        &key,
+        store,
+        true,
+        on_checkpoint,
+    )
+}
 
+/// Executes one exact point under cache key `key`, persisting a
+/// checkpoint blob in `store` at every boundary of the
+/// `params.checkpoint_every` cadence and deleting it once the point
+/// finishes. `on_checkpoint(cycle)` fires after each blob is persisted;
+/// returning `true` orders a yield at that very checkpoint.
+///
+/// With `resume`, an existing blob for `key` is resumed instead of
+/// starting at cycle 0. A blob that does not restore (its fingerprints do
+/// not match, or its body does not decode) is reported and the point
+/// restarts from cycle 0; a resumed run that fails on its own fails like
+/// any other run, since starting over would fail the same way.
+///
+/// # Errors
+///
+/// Simulation failures: the cycle budget ran out or the output check
+/// failed.
+pub fn run_exact_point(
+    system: SystemKind,
+    workload: &Workload,
+    params: &SimParams,
+    key: &str,
+    store: &ResultStore,
+    resume: bool,
+    on_checkpoint: &mut dyn FnMut(u64) -> bool,
+) -> Result<PointRun, String> {
     let start = Instant::now();
-    let mut save = |state: &bvl_sim::SysState| {
-        store.store_checkpoint(&key, state);
+    let mut save = |state: &SysState| {
+        store.store_checkpoint(key, state);
         if on_checkpoint(state.uncore_cycle()) {
             CkptControl::Yield
         } else {
             CkptControl::Continue
         }
     };
+    let mut run_from = |from: Option<&SysState>| {
+        let hooks = Hooks {
+            resume: from,
+            on_checkpoint: Some(&mut save),
+            want_state: false,
+        };
+        simulate_with(system, workload, params, hooks)
+    };
 
+    let saved = resume.then(|| store.load_checkpoint(key)).flatten();
     let mut restarted_from_zero = false;
-    if let Some(state) = store.load_checkpoint(&key) {
-        match simulate_preemptible(spec.system, &workload, params, Some(&state), &mut save) {
-            Ok(out) => return Ok(finish(out, store, &key, start, true, false)),
-            Err(e) => {
+    let resumed_out = saved
+        .as_ref()
+        .and_then(|state| match run_from(Some(state)) {
+            Err(SimError::Restore(e)) => {
                 eprintln!(
                     "{key}: checkpoint at cycle {} not resumable ({e}); \
-                     restarting from cycle 0",
+                 restarting from cycle 0",
                     state.uncore_cycle()
                 );
                 restarted_from_zero = true;
+                None
             }
-        }
-    }
-    let out = simulate_preemptible(spec.system, &workload, params, None, &mut save)?;
-    Ok(finish(out, store, &key, start, false, restarted_from_zero))
-}
-
-fn finish(
-    out: SimOutcome,
-    store: &ResultStore,
-    key: &str,
-    start: Instant,
-    resumed: bool,
-    restarted_from_zero: bool,
-) -> PointRun {
-    match out {
-        SimOutcome::Finished { result, stats } => {
+            out => Some(out),
+        });
+    let resumed = resumed_out.is_some();
+    let out = resumed_out.unwrap_or_else(|| run_from(None));
+    match out.map_err(|e| e.to_string())? {
+        SimOutcome::Finished(run) => {
             store.remove_checkpoint(key);
-            PointRun::Finished(Box::new(PointOutcome {
-                result: *result,
-                edges_run: stats.edges_run,
-                edges_skipped: stats.edges_skipped,
+            let tail = run.skip.since(&run.skip_resumed);
+            Ok(PointRun::Finished(Box::new(PointOutcome {
+                result: run.result,
+                edges_run: tail.edges_run,
+                edges_skipped: tail.edges_skipped,
                 host_secs: start.elapsed().as_secs_f64(),
                 resumed,
                 restarted_from_zero,
-            }))
+            })))
         }
-        SimOutcome::Yielded { state } => PointRun::Yielded {
+        SimOutcome::Yielded(state) => Ok(PointRun::Yielded {
             cycle: state.uncore_cycle(),
-        },
+        }),
     }
 }
 
@@ -230,5 +271,63 @@ pub fn worker_main(
             Msg::Shutdown => return Ok(()),
             other => return Err(format!("unexpected message for a worker: {other:?}")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::WorkloadSpec;
+    use bvl_workloads::Scale;
+
+    /// A resumed run that fails on its own — here it exceeds the cycle
+    /// budget — reports that failure. Only a checkpoint that does not
+    /// restore sends the point back to cycle 0; restarting a run that
+    /// ran out of budget would fail the same way, only later.
+    #[test]
+    fn a_failing_resumed_run_is_not_restarted_from_zero() {
+        let spec = PointSpec {
+            system: SystemKind::B4Vl,
+            workload_key: "vvadd@tiny".into(),
+            workload: WorkloadSpec::Named {
+                name: "vvadd".into(),
+                scale: Scale::tiny(),
+            },
+            params: SimParams {
+                checkpoint_every: 200,
+                max_uncore_cycles: 1100,
+                ..SimParams::default()
+            },
+        };
+        let workload = spec.workload.build().expect("build vvadd");
+        let mut last = None;
+        let hooks = Hooks {
+            on_checkpoint: Some(&mut |s: &SysState| {
+                last = Some(s.clone());
+                CkptControl::Continue
+            }),
+            ..Hooks::default()
+        };
+        let err = simulate_with(spec.system, &workload, &spec.params, hooks)
+            .expect_err("the point needs more than its cycle budget");
+        assert!(matches!(err, SimError::Run(_)), "unexpected error: {err:?}");
+        let planted = last.expect("a checkpoint before the budget ran out");
+
+        let dir = std::env::temp_dir().join(format!("bvl-worker-budget-{}", std::process::id()));
+        let store = ResultStore::new(&dir);
+        store.store_checkpoint(&spec.key(), &planted);
+        let mut reported = Vec::new();
+        let err = run_one_point(&spec, &store, &mut |cycle| {
+            reported.push(cycle);
+            false
+        })
+        .expect_err("the resumed point runs out of budget too");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(err.contains("exceeded"), "unexpected error: {err}");
+        assert!(
+            reported.iter().all(|&c| c > planted.uncore_cycle()),
+            "restarted from cycle 0: checkpoints at {reported:?} after resuming cycle {}",
+            planted.uncore_cycle()
+        );
     }
 }

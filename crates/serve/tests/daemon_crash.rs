@@ -15,7 +15,7 @@
 //!   re-simulation.
 
 use bvl_serve::{run_one_point, Client, PointRun, PointSpec, Priority, ResultStore, WorkloadSpec};
-use bvl_sim::{simulate_preemptible, CkptControl, RunResult, SimParams, SysState, SystemKind};
+use bvl_sim::{simulate_with, CkptControl, Hooks, RunResult, SimParams, SysState, SystemKind};
 use bvl_workloads::Scale;
 use std::collections::HashMap;
 use std::fs;
@@ -81,17 +81,14 @@ fn sigkilled_daemon_resumes_its_queue_byte_identically_with_zero_resimulation() 
         ..SimParams::default()
     };
     let mut boundaries = 0u64;
-    simulate_preemptible(
-        SystemKind::B4Vl,
-        &mmult_workload,
-        &cadenced,
-        None,
-        &mut |_: &SysState| {
+    let hooks = Hooks {
+        on_checkpoint: Some(&mut |_: &SysState| {
             boundaries += 1;
             CkptControl::Continue
-        },
-    )
-    .expect("cadence probe");
+        }),
+        ..Hooks::default()
+    };
+    simulate_with(SystemKind::B4Vl, &mmult_workload, &cadenced, hooks).expect("cadence probe");
     assert!(
         boundaries >= 4,
         "mmult@tiny crosses only {boundaries} checkpoints at cadence 100; \

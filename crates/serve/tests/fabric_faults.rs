@@ -18,7 +18,7 @@ use bvl_serve::{
     run_one_point, Client, Daemon, DaemonConfig, FaultPlan, PointRun, PointSpec, ResultStore,
     WorkerCmd, WorkloadSpec,
 };
-use bvl_sim::{simulate_preemptible, CkptControl, RunResult, SimParams, SysState, SystemKind};
+use bvl_sim::{simulate_with, CkptControl, Hooks, RunResult, SimParams, SysState, SystemKind};
 use bvl_workloads::Scale;
 use std::fs;
 use std::path::PathBuf;
@@ -201,17 +201,14 @@ fn garbage_checkpoint_blob_is_a_miss_and_the_point_restarts_cleanly() {
         ..SimParams::default()
     };
     let mut blob: Option<Vec<u8>> = None;
-    simulate_preemptible(
-        spec.system,
-        &workload,
-        &cadenced,
-        None,
-        &mut |s: &SysState| {
+    let hooks = Hooks {
+        on_checkpoint: Some(&mut |s: &SysState| {
             blob = Some(s.to_bytes());
             CkptControl::Continue
-        },
-    )
-    .expect("capture run");
+        }),
+        ..Hooks::default()
+    };
+    simulate_with(spec.system, &workload, &cadenced, hooks).expect("capture run");
     let mut cut = blob.expect("run crossed no checkpoint — lower the cadence");
     cut.truncate(cut.len() / 2);
     fs::write(store.ckpt_path(&key), &cut).unwrap();
@@ -248,17 +245,14 @@ fn wrong_params_checkpoint_is_rejected_and_counted_as_a_restart_from_zero() {
         ..SimParams::default()
     };
     let mut planted: Option<SysState> = None;
-    simulate_preemptible(
-        spec.system,
-        &workload,
-        &mismatched,
-        None,
-        &mut |s: &SysState| {
+    let hooks = Hooks {
+        on_checkpoint: Some(&mut |s: &SysState| {
             planted = Some(s.clone());
             CkptControl::Continue
-        },
-    )
-    .expect("capture run");
+        }),
+        ..Hooks::default()
+    };
+    simulate_with(spec.system, &workload, &mismatched, hooks).expect("capture run");
     let planted = planted.expect("run crossed no checkpoint — lower the cadence");
 
     let store_dir = dir.join("cache");

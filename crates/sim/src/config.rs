@@ -196,8 +196,8 @@ pub struct SimParams {
     pub no_skip: bool,
     /// Collect a structured event trace of the run (see `bvl_obs::trace`).
     /// Off by default: the emit sites compile down to a branch on a
-    /// thread-local bool, and the collected log is only returned by the
-    /// `simulate_traced` entry point.
+    /// thread-local bool, and the collected log is returned on
+    /// [`crate::FinishedRun::trace`] by [`crate::simulate_with`].
     pub trace: bool,
     /// Emit a whole-system checkpoint (`crate::snapshot::SysState`) every
     /// this-many uncore cycles; 0 (the default) disables checkpointing.

@@ -37,11 +37,10 @@ pub use sampling::{
     combine_sampled, plan_sampled, run_sample_window, simulate_sampled, PlannedWindow, SamplePlan,
     WindowMeasurement,
 };
-pub use snapshot::SysState;
+pub use snapshot::{params_fingerprint, SysState};
 pub use system::{
-    simulate, simulate_preemptible, simulate_resumable, simulate_traced, simulate_with_state,
-    simulate_with_stats, simulate_with_stats_resumable, CkptControl, ExecMode, FinalState,
-    SimOutcome, SkipStats,
+    simulate, simulate_with, simulate_with_stats, CkptControl, ExecMode, FinalState, FinishedRun,
+    Hooks, SimError, SimOutcome, SkipStats,
 };
 
 /// Checks every conservation law against a finished run's counter

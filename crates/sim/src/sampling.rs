@@ -214,7 +214,7 @@ impl WarmTraces {
     /// to the L1 structure the detailed run would have used and keeping
     /// only the capacity-most-recent lines per target. Install order is
     /// deterministic (targets in a fixed order, lines by touch stamp).
-    fn replay(&self, sys: &mut System<'_>, kind: SystemKind) {
+    fn replay(&self, sys: &mut System<'_>) {
         let big = sys.big.is_some();
         let itarget = if big {
             WarmTarget::BigI
@@ -227,32 +227,22 @@ impl WarmTraces {
             WarmTarget::LittleD(0)
         };
 
-        // Per-target entry lists in a fixed first-appearance order, so
-        // the materialized snapshot is identical across plan runs.
+        // Per-target entry lists: the instruction and scalar targets
+        // first, then the vector-only ones in target order, so the
+        // materialized snapshot is identical across plan runs.
         let mut groups: Vec<WarmGroup> = vec![(itarget, Vec::new()), (starget, Vec::new())];
-        let vector_routes = sys.mode == ExecMode::Vector;
-        if vector_routes {
-            match kind {
-                // The integrated unit shares the big core's L1D path.
-                SystemKind::BIv => {}
-                // The decoupled engine bypasses every L1.
-                SystemKind::BDv => groups.push((WarmTarget::L2Only, Vec::new())),
-                // VLITTLE: the little L1Ds are the vector banks.
-                SystemKind::B4Vl => {
-                    for c in 0..kind.num_little() {
-                        groups.push((WarmTarget::LittleD(c), Vec::new()));
-                    }
-                }
-                _ => unreachable!("vector mode only exists on 1bIV/1bDV/1b-4VL"),
-            }
-        }
-        let push = |groups: &mut Vec<WarmGroup>, t: WarmTarget, e: (u64, u64, bool)| {
-            groups
-                .iter_mut()
-                .find(|(g, _)| *g == t)
-                .expect("warm target pre-registered")
-                .1
-                .push(e);
+        // A serial entry never executes vector instructions, but be safe:
+        // outside vector mode, route them to the scalar structure.
+        let engine = sys
+            .engine
+            .as_deref()
+            .filter(|_| sys.mode == ExecMode::Vector);
+        let push = |groups: &mut Vec<WarmGroup>, t: WarmTarget, e: (u64, u64, bool)| match groups
+            .iter_mut()
+            .find(|(g, _)| *g == t)
+        {
+            Some((_, entries)) => entries.push(e),
+            None => groups.push((t, vec![e])),
         };
 
         for (&line, &(stamp, _)) in &self.ifetch {
@@ -276,20 +266,10 @@ impl WarmTraces {
                 Some(&(_, sdirty)) => (stamp, dirty | sdirty),
                 None => (stamp, dirty),
             };
-            let vtarget = if !vector_routes {
-                // A serial entry never executes vector instructions, but
-                // be safe: route to the scalar structure.
-                starget
-            } else {
-                match kind {
-                    SystemKind::BIv => starget,
-                    SystemKind::BDv => WarmTarget::L2Only,
-                    SystemKind::B4Vl => WarmTarget::LittleD(usize::from(sys.hier.bank_of(line))),
-                    _ => unreachable!(),
-                }
-            };
+            let vtarget = engine.map_or(starget, |e| e.warm_target(line, &sys.hier));
             push(&mut groups, vtarget, (stamp, line, dirty));
         }
+        groups[2..].sort_unstable_by_key(|(t, _)| *t);
 
         for (target, mut entries) in groups {
             entries.sort_unstable();
@@ -349,7 +329,7 @@ fn materialize_boundary(
     r.finish()
         .map_err(|e| format!("fast-forward state injection failed: {e}"))?;
 
-    warm.replay(&mut sys, kind);
+    warm.replay(&mut sys);
     warm_branch_predictors(&mut sys, warm);
 
     Ok(PlannedWindow {

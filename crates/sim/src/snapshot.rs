@@ -95,7 +95,7 @@ impl SysState {
     ///
     /// The component payload itself is only decoded — against a freshly
     /// built system of the matching shape — when the checkpoint is handed
-    /// to [`crate::system::simulate_resumable`].
+    /// to [`crate::simulate_with`].
     ///
     /// # Errors
     ///
@@ -152,13 +152,17 @@ fn kind_from_tag(tag: u8) -> Result<SystemKind, SnapError> {
     })
 }
 
-/// Fingerprint of everything in `params` that shapes simulation behavior.
+/// Fingerprint of everything in `params` that shapes simulation results:
+/// FNV-1a over the `Debug` rendering, with the knobs that cannot change a
+/// result zeroed first.
 ///
-/// The checkpoint cadence is zeroed first: it only controls *when*
-/// checkpoints are emitted, never what the simulation computes, so a run
-/// may legitimately be resumed under a different cadence. Tracing is
-/// likewise excluded — the trace ring is outside the checkpoint contract.
-pub(crate) fn params_fingerprint(params: &SimParams) -> u64 {
+/// This is the one rule for which parameters leave results unchanged,
+/// shared by checkpoint headers and the result-store cache key. The
+/// checkpoint cadence only controls *when* checkpoints are emitted, so a
+/// run may be resumed under a different cadence; tracing only records
+/// events. The skip-equivalence and restore-equivalence suites check that
+/// neither changes a result.
+pub fn params_fingerprint(params: &SimParams) -> u64 {
     let mut p = params.clone();
     p.checkpoint_every = 0;
     p.trace = false;

@@ -5,7 +5,7 @@ use crate::result::RunResult;
 use crate::snapshot::{params_fingerprint, workload_fingerprint, SysState};
 use bvl_baseline::{dve_params, ivu_params, SimpleVecMachine};
 use bvl_core::fetch::TEXT_BASE;
-use bvl_core::types::{Quiescence, StallKind, VectorEngine};
+use bvl_core::types::{ClockDomain, Quiescence, StallKind, VectorEngine};
 use bvl_core::{BigCore, BigParams, LittleCore, LittleParams};
 use bvl_isa::exec::ArchSnapshot;
 use bvl_mem::{HierConfig, MemHierarchy, MemImage, PortId, SharedMem, SimMemory};
@@ -67,84 +67,6 @@ impl SkipStats {
 /// Failed-plan backoff ramp cap: after repeated vetoes the planner rests
 /// for up to `2^this` edge steps between attempts (see the loop comment).
 const PLAN_BACKOFF_LOG_CAP: u32 = 3;
-
-/// The attached vector engine, kept concrete for stats access.
-enum Engine {
-    None,
-    VLittle(Box<VLittleEngine>),
-    Simple(Box<SimpleVecMachine>),
-}
-
-impl Engine {
-    fn as_dyn(&mut self) -> Option<&mut dyn VectorEngine> {
-        match self {
-            Engine::None => None,
-            Engine::VLittle(e) => Some(e.as_mut()),
-            Engine::Simple(e) => Some(e.as_mut()),
-        }
-    }
-
-    fn vlen_bits(&self) -> u32 {
-        match self {
-            Engine::None => 64,
-            Engine::VLittle(e) => e.vlen_bits(),
-            Engine::Simple(e) => e.vlen_bits(),
-        }
-    }
-
-    fn idle(&self) -> bool {
-        match self {
-            Engine::None => true,
-            Engine::VLittle(e) => e.idle(),
-            Engine::Simple(e) => e.idle(),
-        }
-    }
-
-    /// Certifies architectural state is final (see the engines'
-    /// `arch_drained` docs); trivially true with no engine attached.
-    fn arch_drained(&self) -> bool {
-        match self {
-            Engine::None => true,
-            Engine::VLittle(e) => e.arch_drained(),
-            Engine::Simple(e) => e.arch_drained(),
-        }
-    }
-
-    /// Which cluster clock drives the engine.
-    fn on_little_clock(&self) -> bool {
-        matches!(self, Engine::VLittle(_))
-    }
-
-    /// Serializes the engine's mutable state. The variant is determined
-    /// by system construction; the tag byte only guards against decoding
-    /// a checkpoint into a differently shaped system.
-    fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            Engine::None => w.u8(0),
-            Engine::VLittle(e) => {
-                w.u8(1);
-                e.save_state(w);
-            }
-            Engine::Simple(m) => {
-                w.u8(2);
-                m.save_state(w);
-            }
-        }
-    }
-
-    /// Restores mutable state into the already-constructed engine.
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let tag = r.u8()?;
-        match (tag, self) {
-            (0, Engine::None) => Ok(()),
-            (1, Engine::VLittle(e)) => e.restore_state(r),
-            (2, Engine::Simple(m)) => m.restore_state(r),
-            (t, _) => Err(SnapError::Corrupt {
-                what: format!("engine variant tag {t} does not match the rebuilt system"),
-            }),
-        }
-    }
-}
 
 /// How the workload executes on this system.
 ///
@@ -252,7 +174,7 @@ pub(crate) struct System<'w> {
     pub(crate) mode: ExecMode,
     pub(crate) shared: SharedMem,
     pub(crate) hier: MemHierarchy,
-    engine: Engine,
+    pub(crate) engine: Option<Box<dyn VectorEngine>>,
     pub(crate) big: Option<BigCore>,
     pub(crate) littles: Vec<LittleCore>,
     big_worker_exists: bool,
@@ -302,19 +224,16 @@ impl<'w> System<'w> {
         hier.set_vector_mode(vector_mode_banks);
 
         // ---- vector engine
-        let engine = match (kind, mode) {
-            (SystemKind::BIv | SystemKind::BIv4L, _) => Engine::Simple(Box::new(
-                SimpleVecMachine::new(ivu_params(), hier.line_bytes()),
-            )),
-            (SystemKind::BDv, _) => Engine::Simple(Box::new(SimpleVecMachine::new(
-                dve_params(),
-                hier.line_bytes(),
-            ))),
-            (SystemKind::B4Vl, ExecMode::Vector) => Engine::VLittle(Box::new(VLittleEngine::new(
-                params.engine,
-                hier.line_bytes(),
-            ))),
-            _ => Engine::None,
+        let line_bytes = hier.line_bytes();
+        let engine: Option<Box<dyn VectorEngine>> = match (kind, mode) {
+            (SystemKind::BIv | SystemKind::BIv4L, _) => {
+                Some(Box::new(SimpleVecMachine::new(ivu_params(), line_bytes)))
+            }
+            (SystemKind::BDv, _) => Some(Box::new(SimpleVecMachine::new(dve_params(), line_bytes))),
+            (SystemKind::B4Vl, ExecMode::Vector) => {
+                Some(Box::new(VLittleEngine::new(params.engine, line_bytes)))
+            }
+            _ => None,
         };
 
         // ---- cores
@@ -324,7 +243,7 @@ impl<'w> System<'w> {
                 Arc::clone(&program),
                 TEXT_BASE,
                 hier.line_bytes(),
-                engine.vlen_bits(),
+                engine_vlen(engine.as_deref()),
                 BigParams::default(),
             )
         });
@@ -387,7 +306,10 @@ impl<'w> System<'w> {
         let pl = ClockConfig::period_fs(params.clocks.little_ghz);
         let pu = ClockConfig::period_fs(params.clocks.uncore_ghz);
         let big_active = big.is_some();
-        let little_active = !littles.is_empty() || engine.on_little_clock();
+        let little_active = !littles.is_empty()
+            || engine
+                .as_ref()
+                .is_some_and(|e| e.clock_domain() == ClockDomain::Little);
         let n_littles = littles.len();
 
         Ok(System {
@@ -435,14 +357,14 @@ impl<'w> System<'w> {
         let cores_done = self.big.as_ref().is_none_or(BigCore::done)
             && self.littles.iter().all(LittleCore::done);
         let done = match self.mode {
-            ExecMode::Serial | ExecMode::Vector => cores_done && self.engine.idle(),
+            ExecMode::Serial | ExecMode::Vector => cores_done && self.engine_idle(),
             ExecMode::Tasks => {
                 let rt = self.runtime.as_ref().expect("task mode");
                 let workers_idle = self
                     .worker_state
                     .iter()
                     .all(|s| matches!(s, WorkerState::Parked));
-                if rt.drained() && workers_idle && cores_done && self.engine.idle() {
+                if rt.drained() && workers_idle && cores_done && self.engine_idle() {
                     self.phase_idx += 1;
                     if self.phase_idx >= self.workload.phases.len() {
                         true
@@ -508,39 +430,22 @@ impl<'w> System<'w> {
                 None => {}
             }
 
-            // Big domain: core, big-clocked engine, worker 0.
+            // Big domain: core, worker 0.
             if let Some(b) = self.big.as_ref() {
                 if self.hier.response_pending(PortId::BigFetch)
                     || self.hier.response_pending(PortId::BigData)
                 {
                     break 'plan None;
                 }
-                let (eca, esp, emd) = match &self.engine {
-                    Engine::None => (false, false, true),
-                    Engine::VLittle(e) => (e.can_accept(), e.scalar_pending(), e.mem_drained()),
-                    // A deliverable Simple-machine scalar forces that
-                    // machine's quiescence to `Active` below.
-                    Engine::Simple(m) => (m.can_accept(), false, m.mem_drained()),
-                };
+                let (eca, esp, emd) = self.engine.as_ref().map_or((false, false, true), |e| {
+                    (e.can_accept(), e.scalar_pending(), e.mem_drained())
+                });
                 match b.quiescence(self.cyc_b, eca, esp, emd) {
                     Quiescence::Active => break 'plan None,
                     Quiescence::Idle { until, account } => {
                         self.big_acct = account;
                         if let Some(u) = until {
                             t = fold(t, edge_fs(u, self.cyc_b, self.next_b, self.pb));
-                        }
-                    }
-                }
-                if let Engine::Simple(m) = &self.engine {
-                    if self.hier.response_pending(m.port()) {
-                        break 'plan None;
-                    }
-                    match m.quiescence(self.cyc_b) {
-                        Quiescence::Active => break 'plan None,
-                        Quiescence::Idle { until, .. } => {
-                            if let Some(u) = until {
-                                t = fold(t, edge_fs(u, self.cyc_b, self.next_b, self.pb));
-                            }
                         }
                     }
                 }
@@ -553,20 +458,26 @@ impl<'w> System<'w> {
                 }
             }
 
-            // Little domain: cores, the VLITTLE engine, their workers.
-            if let Engine::VLittle(e) = &self.engine {
-                if self.hier.response_pending(PortId::Vmu(0)) {
+            // The engine, on its cluster's clock.
+            if let Some(e) = self.engine.as_deref() {
+                if self.hier.response_pending(e.port()) {
                     break 'plan None;
                 }
-                match e.quiescence(self.cyc_l) {
+                let (cyc, next, period) = match e.clock_domain() {
+                    ClockDomain::Big => (self.cyc_b, self.next_b, self.pb),
+                    ClockDomain::Little => (self.cyc_l, self.next_l, self.pl),
+                };
+                match e.quiescence(cyc) {
                     Quiescence::Active => break 'plan None,
                     Quiescence::Idle { until, .. } => {
                         if let Some(u) = until {
-                            t = fold(t, edge_fs(u, self.cyc_l, self.next_l, self.pl));
+                            t = fold(t, edge_fs(u, cyc, next, period));
                         }
                     }
                 }
             }
+
+            // Little domain: cores and their workers.
             for (i, lc) in self.littles.iter().enumerate() {
                 if self.hier.response_pending(PortId::LittleFetch(i as u8))
                     || self.hier.response_pending(PortId::LittleData(i as u8))
@@ -624,8 +535,8 @@ impl<'w> System<'w> {
                 if let Some(b) = self.big.as_mut() {
                     b.skip_idle(n, self.big_acct);
                 }
-                if let Engine::Simple(m) = &mut self.engine {
-                    m.skip_idle(n);
+                if let Some(e) = engine_on(&mut self.engine, ClockDomain::Big) {
+                    e.skip_idle(self.cyc_b, n);
                 }
                 self.cyc_b += n;
                 self.next_b += n * self.pb;
@@ -633,7 +544,7 @@ impl<'w> System<'w> {
             }
             if self.little_active && self.next_l < t_star {
                 let n = (t_star - self.next_l).div_ceil(self.pl);
-                if let Engine::VLittle(e) = &mut self.engine {
+                if let Some(e) = engine_on(&mut self.engine, ClockDomain::Little) {
                     e.skip_idle(self.cyc_l, n);
                 }
                 for (i, lc) in self.littles.iter_mut().enumerate() {
@@ -673,24 +584,25 @@ impl<'w> System<'w> {
 
         // Engines tick on their cluster's edge, before the cores that feed
         // them.
-        if (self.engine.on_little_clock() && little_edge)
-            || (!self.engine.on_little_clock() && big_edge && !matches!(self.engine, Engine::None))
-        {
-            let cyc = if self.engine.on_little_clock() {
-                self.cyc_l
-            } else {
-                self.cyc_b
-            };
-            if let Some(e) = self.engine.as_dyn() {
-                e.tick(cyc, &mut self.hier);
+        if big_edge {
+            if let Some(e) = engine_on(&mut self.engine, ClockDomain::Big) {
+                e.tick(self.cyc_b, &mut self.hier);
+            }
+        }
+        if little_edge {
+            if let Some(e) = engine_on(&mut self.engine, ClockDomain::Little) {
+                e.tick(self.cyc_l, &mut self.hier);
             }
         }
 
         if big_edge {
             if let Some(b) = self.big.as_mut() {
-                b.tick(self.cyc_b, &mut self.hier, self.engine.as_dyn());
+                // The cast narrows the boxed engine's `'static` bound to
+                // this borrow, which `BigCore::tick`'s parameter asks for.
+                let engine = self.engine.as_deref_mut().map(|e| e as _);
+                b.tick(self.cyc_b, &mut self.hier, engine);
                 if self.mode == ExecMode::Tasks && self.big_worker_exists {
-                    let vector_capable = !matches!(self.engine, Engine::None);
+                    let vector_capable = self.engine.is_some();
                     service_worker(
                         0,
                         self.cyc_b,
@@ -736,10 +648,7 @@ impl<'w> System<'w> {
     ///
     /// Fails if the final memory image does not match the workload's
     /// reference.
-    fn finish(
-        &self,
-        want_state: bool,
-    ) -> Result<(RunResult, SkipStats, Option<FinalState>), String> {
+    fn finish(&self, want_state: bool) -> Result<(RunResult, Option<FinalState>), String> {
         // ---- verification
         self.shared.with(|m| (self.workload.check)(m))?;
 
@@ -748,13 +657,13 @@ impl<'w> System<'w> {
         // settled.
         let final_state = want_state.then(|| FinalState {
             mode: self.mode,
-            engine_drained: self.engine.arch_drained(),
+            engine_drained: self.engine_idle(),
             big: self.big.as_ref().map(BigCore::arch_snapshot),
             littles: self.littles.iter().map(LittleCore::arch_snapshot).collect(),
             mem: self.shared.with(MemImage::capture),
         });
 
-        Ok((self.collect_result(), self.skip_stats, final_state))
+        Ok((self.collect_result(), final_state))
     }
 
     /// Total instructions retired across every core so far — the
@@ -770,7 +679,7 @@ impl<'w> System<'w> {
     /// were built with — a fast-forwarding `Machine` must match it for
     /// its architectural state to be restorable into a core.
     pub(crate) fn machine_vlen(&self) -> u32 {
-        self.engine.vlen_bits()
+        engine_vlen(self.engine.as_deref())
     }
 
     /// True when the attached vector engine (if any) has no in-flight
@@ -779,7 +688,7 @@ impl<'w> System<'w> {
     /// built (empty) engine must not stop while queued vector work is
     /// still outstanding, or that work's cycles would be lost.
     pub(crate) fn engine_idle(&self) -> bool {
-        self.engine.idle()
+        self.engine.as_ref().is_none_or(|e| e.idle())
     }
 
     /// Assembles the run's measured results from the current state —
@@ -842,16 +751,8 @@ impl<'w> System<'w> {
             for (i, lc) in self.littles.iter().enumerate() {
                 lc.stats().register(&mut sys.scope(&format!("little{i}")));
             }
-            match &self.engine {
-                Engine::VLittle(e) => {
-                    for c in 0..e.num_lanes() {
-                        e.lane_stats(c)
-                            .register(&mut sys.scope(&format!("lane{c}")));
-                    }
-                    e.register_stats(&mut sys.scope("engine"));
-                }
-                Engine::Simple(m) => m.stats().register(&mut sys.scope("engine")),
-                Engine::None => {}
+            if let Some(e) = self.engine.as_ref() {
+                e.register_stats(&mut sys);
             }
             if let Some(rt) = self.runtime.as_ref() {
                 rt.stats().register(&mut sys.scope("runtime"));
@@ -859,21 +760,21 @@ impl<'w> System<'w> {
             self.hier.register_stats(&mut sys);
         }
 
-        let mut result = RunResult {
+        let result = RunResult {
             wall_ns: wall_fs as f64 / 1.0e6,
             uncore_cycles: self.cyc_u,
             big: self.big.as_ref().map(|b| *b.stats()),
             littles: self.littles.iter().map(|l| *l.stats()).collect(),
-            lanes: Vec::new(),
+            lanes: self
+                .engine
+                .as_ref()
+                .map_or_else(Vec::new, |e| e.lane_stats()),
             fetch_groups,
             mem: self.hier.stats(),
             runtime: self.runtime.as_ref().map(|r| *r.stats()),
             stats: reg.snapshot(),
             sampling: None,
         };
-        if let Engine::VLittle(e) = &self.engine {
-            result.lanes = (0..e.num_lanes()).map(|c| *e.lane_stats(c)).collect();
-        }
 
         // Debug builds audit every run against the conservation laws;
         // release builds skip the sweep (it is pure verification, not
@@ -904,7 +805,10 @@ impl<'w> System<'w> {
     fn save_state(&self, w: &mut SnapWriter) {
         self.shared.with(|m| m.save(w));
         self.hier.save_state(w);
-        self.engine.save_state(w);
+        w.u8(engine_tag(self.engine.as_deref()));
+        if let Some(e) = self.engine.as_ref() {
+            e.save_state(w);
+        }
         if let Some(b) = self.big.as_ref() {
             b.save_state(w);
         }
@@ -933,7 +837,15 @@ impl<'w> System<'w> {
         let mem = SimMemory::load(r)?;
         self.shared.with_mut(|m| *m = mem);
         self.hier.restore_state(r)?;
-        self.engine.restore_state(r)?;
+        let tag = r.u8()?;
+        if tag != engine_tag(self.engine.as_deref()) {
+            return Err(SnapError::Corrupt {
+                what: format!("engine variant tag {tag} does not match the rebuilt system"),
+            });
+        }
+        if let Some(e) = self.engine.as_mut() {
+            e.restore_state(r)?;
+        }
         if let Some(b) = self.big.as_mut() {
             b.restore_state(r)?;
         }
@@ -1006,6 +918,93 @@ impl<'w> System<'w> {
     }
 }
 
+/// Optional behavior of one [`simulate_with`] run. `Hooks::default()`
+/// runs from cycle 0 to completion and extracts nothing extra.
+#[derive(Default)]
+pub struct Hooks<'a> {
+    /// Start from this checkpoint instead of cycle 0. It must have been
+    /// taken on the same system kind, simulation parameters and workload
+    /// (fingerprint-checked).
+    pub resume: Option<&'a SysState>,
+    /// Called with a fresh checkpoint each time the uncore clock crosses a
+    /// multiple of `params.checkpoint_every`, always at a loop boundary.
+    /// Answering [`CkptControl::Yield`] stops the run at that checkpoint.
+    pub on_checkpoint: Option<&'a mut dyn FnMut(&SysState) -> CkptControl>,
+    /// Extract the run's [`FinalState`].
+    pub want_state: bool,
+}
+
+/// The checkpoint callback's verdict at a checkpoint boundary.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum CkptControl {
+    /// Keep simulating.
+    Continue,
+    /// Stop here: the run returns [`SimOutcome::Yielded`] carrying this
+    /// very checkpoint, to be resumed later (possibly elsewhere).
+    Yield,
+}
+
+/// A run that reached completion and passed its output check.
+#[derive(Debug)]
+pub struct FinishedRun {
+    /// The measured result.
+    pub result: RunResult,
+    /// Cumulative tick-skip counters, including those a resumed
+    /// checkpoint carried in (so they match a straight-through run).
+    pub skip: SkipStats,
+    /// The counters the resumed checkpoint carried in (zero on a run from
+    /// cycle 0): `skip.since(&skip_resumed)` is what this call processed.
+    pub skip_resumed: SkipStats,
+    /// The final architectural state, when [`Hooks::want_state`] asked.
+    pub final_state: Option<FinalState>,
+    /// The event trace, when `params.trace` is set (render with
+    /// `to_chrome_json` for Perfetto, or `to_text` for a byte-stable dump).
+    pub trace: Option<TraceLog>,
+}
+
+/// What a [`simulate_with`] run produced.
+#[derive(Debug)]
+pub enum SimOutcome {
+    /// The run completed.
+    Finished(Box<FinishedRun>),
+    /// The checkpoint callback ordered a yield at this checkpoint; resume
+    /// from it to continue.
+    Yielded(SysState),
+}
+
+impl SimOutcome {
+    /// The finished run, or `None` when the run yielded.
+    pub fn finished(self) -> Option<FinishedRun> {
+        match self {
+            SimOutcome::Finished(run) => Some(*run),
+            SimOutcome::Yielded(_) => None,
+        }
+    }
+}
+
+/// Why a [`simulate_with`] run failed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SimError {
+    /// The `resume` checkpoint does not match this system, parameters or
+    /// workload, or its body does not decode. A run from cycle 0 may
+    /// still succeed.
+    Restore(String),
+    /// The run itself failed: the system could not be built, the cycle
+    /// budget ran out, or the output check failed. Running again from
+    /// cycle 0 fails the same way.
+    Run(String),
+}
+
+impl std::fmt::Display for SimError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SimError::Restore(e) | SimError::Run(e) => f.write_str(e),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
 /// Runs `workload` on `kind` and returns the measured result.
 ///
 /// # Errors
@@ -1031,253 +1030,67 @@ pub fn simulate_with_stats(
     workload: &Workload,
     params: &SimParams,
 ) -> Result<(RunResult, SkipStats), String> {
-    run_system(kind, workload, params, false, None, None).map(|(out, _)| match out {
-        InnerOutcome::Finished { result, skip, .. } => (*result, skip),
-        InnerOutcome::Yielded(_) => unreachable!("no checkpoint callback"),
-    })
+    let run = simulate_with(kind, workload, params, Hooks::default())
+        .map_err(|e| e.to_string())?
+        .finished()
+        .expect("no checkpoint callback to yield");
+    Ok((run.result, run.skip))
 }
 
-/// Like [`simulate`], with event tracing forced on: returns the run's
-/// structured [`TraceLog`] (render with `to_chrome_json` for Perfetto /
-/// `chrome://tracing`, or `to_text` for a byte-stable dump).
+/// Runs `workload` on `kind` with the given [`Hooks`]: resume from a
+/// checkpoint, take (and possibly yield at) checkpoints on the
+/// `params.checkpoint_every` cadence, and extract the final state. The
+/// event trace is recorded when `params.trace` is set.
+///
+/// The checkpoint contract (`DESIGN.md` §4.11, enforced by the
+/// `restore_equivalence` suite) is that resuming any checkpoint reproduces
+/// the straight-through run's result, final state and stats snapshot
+/// byte-identically — which is what lets the sweep fabric yield a point
+/// at a checkpoint and resume it on another worker.
 ///
 /// # Errors
 ///
-/// Fails if the run exceeds the configured cycle budget or the final
+/// [`SimError::Restore`] when `hooks.resume` does not fit this run;
+/// [`SimError::Run`] when the run exceeds the cycle budget or the final
 /// memory image does not match the workload's reference.
-pub fn simulate_traced(
+pub fn simulate_with(
     kind: SystemKind,
     workload: &Workload,
     params: &SimParams,
-) -> Result<(RunResult, TraceLog), String> {
-    let mut params = params.clone();
-    params.trace = true;
-    run_system(kind, workload, &params, false, None, None).map(|(out, log)| match out {
-        InnerOutcome::Finished { result, .. } => (*result, log.expect("tracing was requested")),
-        InnerOutcome::Yielded(_) => unreachable!("no checkpoint callback"),
+    hooks: Hooks<'_>,
+) -> Result<SimOutcome, SimError> {
+    // Arm the thread-local trace sink around the run so it is disarmed
+    // (and drained) on every exit path, including errors.
+    if params.trace {
+        trace::start(TRACE_CAPACITY);
+    }
+    let out = run_system(kind, workload, params, hooks);
+    let log = params.trace.then(trace::finish);
+    out.map(|out| match out {
+        SimOutcome::Finished(mut run) => {
+            run.trace = log;
+            SimOutcome::Finished(run)
+        }
+        yielded => yielded,
     })
 }
 
-/// Like [`simulate_with_stats`], additionally extracting the run's final
-/// architectural state ([`FinalState`]).
-///
-/// Extraction happens after the workload's own output check passed and
-/// after every core and engine certified it was drained, so the snapshot
-/// is the settled architectural result of the run — the quantity the
-/// differential-test harness compares against the functional oracle.
-///
-/// # Errors
-///
-/// Fails if the run exceeds the configured cycle budget or the final
-/// memory image does not match the workload's reference.
-pub fn simulate_with_state(
-    kind: SystemKind,
-    workload: &Workload,
-    params: &SimParams,
-) -> Result<(RunResult, SkipStats, FinalState), String> {
-    run_system(kind, workload, params, true, None, None).map(|(out, _)| match out {
-        InnerOutcome::Finished {
-            result,
-            skip,
-            final_state,
-            ..
-        } => (
-            *result,
-            skip,
-            (*final_state).expect("state extraction requested"),
-        ),
-        InnerOutcome::Yielded(_) => unreachable!("no checkpoint callback"),
-    })
-}
-
-/// Like [`simulate_with_state`], with deterministic checkpoint/restore.
-///
-/// When `resume` is given, the run starts from that checkpoint instead of
-/// cycle 0 (the checkpoint must have been taken on the same system kind,
-/// simulation parameters, and workload — fingerprint-checked). When
-/// `params.checkpoint_every` is nonzero, `on_checkpoint` is invoked with a
-/// fresh [`SysState`] each time the uncore clock crosses a multiple of
-/// that cadence, always at a loop boundary. The contract (`DESIGN.md`
-/// §4.11, enforced by the `restore_equivalence` suite) is that resuming
-/// any such checkpoint reproduces the straight-through run's result,
-/// final state, and stats snapshot byte-identically.
-///
-/// # Errors
-///
-/// Fails if the run exceeds the configured cycle budget, the final memory
-/// image does not match the workload's reference, or `resume` holds a
-/// checkpoint that does not match this system/params/workload or fails to
-/// decode.
-pub fn simulate_resumable(
-    kind: SystemKind,
-    workload: &Workload,
-    params: &SimParams,
-    resume: Option<&SysState>,
-    on_checkpoint: &mut dyn FnMut(&SysState),
-) -> Result<(RunResult, SkipStats, FinalState), String> {
-    let mut cb = |s: &SysState| {
-        on_checkpoint(s);
-        CkptControl::Continue
-    };
-    run_system(kind, workload, params, true, resume, Some(&mut cb)).map(|(out, _)| match out {
-        InnerOutcome::Finished {
-            result,
-            skip,
-            final_state,
-            ..
-        } => (
-            *result,
-            skip,
-            (*final_state).expect("state extraction requested"),
-        ),
-        InnerOutcome::Yielded(_) => unreachable!("callback never yields"),
-    })
-}
-
-/// Like [`simulate_resumable`], but without final-state extraction — the
-/// sweep harness's entry point, where only the [`RunResult`] matters and
-/// capturing the memory image on every point would be pure overhead.
-///
-/// # Errors
-///
-/// Same failure modes as [`simulate_resumable`].
-pub fn simulate_with_stats_resumable(
-    kind: SystemKind,
-    workload: &Workload,
-    params: &SimParams,
-    resume: Option<&SysState>,
-    on_checkpoint: &mut dyn FnMut(&SysState),
-) -> Result<(RunResult, SkipStats), String> {
-    let mut cb = |s: &SysState| {
-        on_checkpoint(s);
-        CkptControl::Continue
-    };
-    run_system(kind, workload, params, false, resume, Some(&mut cb)).map(|(out, _)| match out {
-        InnerOutcome::Finished {
-            result,
-            skip,
-            skip_baseline,
-            ..
-        } => (*result, skip.since(&skip_baseline)),
-        InnerOutcome::Yielded(_) => unreachable!("callback never yields"),
-    })
-}
-
-/// The scheduler's verdict at a checkpoint boundary of a preemptible run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CkptControl {
-    /// Keep simulating.
-    Continue,
-    /// Stop here: the run returns [`SimOutcome::Yielded`] carrying this
-    /// very checkpoint, to be resumed later (possibly elsewhere).
-    Yield,
-}
-
-/// What a preemptible run produced: either it ran to completion, or it
-/// stopped at a checkpoint the scheduler asked it to yield at.
-#[derive(Debug)]
-pub enum SimOutcome {
-    /// The run completed (and its output check passed).
-    Finished {
-        /// The measured result (boxed: the yielded variant is small and
-        /// the enum should stay near its size).
-        result: Box<RunResult>,
-        /// Tick-skip counters for what *this call* processed (resume
-        /// baseline subtracted, like [`simulate_with_stats_resumable`]).
-        stats: SkipStats,
-    },
-    /// The scheduler ordered a yield; resume from `state` to continue.
-    Yielded {
-        /// The checkpoint at which the run yielded.
-        state: Box<SysState>,
-    },
-}
-
-/// Like [`simulate_with_stats_resumable`], but the checkpoint callback
-/// returns a [`CkptControl`]: answering [`CkptControl::Yield`] stops the
-/// run at that checkpoint and returns it as [`SimOutcome::Yielded`]. This
-/// is the sweep fabric's preemption primitive — the daemon evicts a
-/// long-running point at its latest checkpoint and resumes it on another
-/// worker, and the restore-equivalence contract (DESIGN.md §4.11)
-/// guarantees the migrated run's result is byte-identical.
-///
-/// # Errors
-///
-/// Same failure modes as [`simulate_resumable`].
-pub fn simulate_preemptible(
-    kind: SystemKind,
-    workload: &Workload,
-    params: &SimParams,
-    resume: Option<&SysState>,
-    on_checkpoint: &mut dyn FnMut(&SysState) -> CkptControl,
-) -> Result<SimOutcome, String> {
-    run_system(kind, workload, params, false, resume, Some(on_checkpoint)).map(|(out, _)| match out
-    {
-        InnerOutcome::Finished {
-            result,
-            skip,
-            skip_baseline,
-            ..
-        } => SimOutcome::Finished {
-            result,
-            stats: skip.since(&skip_baseline),
-        },
-        InnerOutcome::Yielded(state) => SimOutcome::Yielded {
-            state: Box::new(state),
-        },
-    })
-}
-
-/// What `run_system_inner` produced (before trace-log attachment).
-enum InnerOutcome {
-    /// Ran to completion.
-    Finished {
-        result: Box<RunResult>,
-        /// Cumulative skip counters (including any resumed baseline).
-        skip: SkipStats,
-        final_state: Box<Option<FinalState>>,
-        /// The skip counters the run started from (non-zero on resume).
-        skip_baseline: SkipStats,
-    },
-    /// The checkpoint callback ordered a yield.
-    Yielded(SysState),
-}
-
-/// Arms the thread-local trace sink around the actual run so the sink is
-/// disarmed (and drained) on every exit path, including errors.
 fn run_system(
     kind: SystemKind,
     workload: &Workload,
     params: &SimParams,
-    want_state: bool,
-    resume: Option<&SysState>,
-    on_checkpoint: Option<&mut dyn FnMut(&SysState) -> CkptControl>,
-) -> Result<(InnerOutcome, Option<TraceLog>), String> {
-    if params.trace {
-        trace::start(TRACE_CAPACITY);
-    }
-    let res = run_system_inner(kind, workload, params, want_state, resume, on_checkpoint);
-    let log = params.trace.then(trace::finish);
-    res.map(|out| (out, log))
-}
-
-fn run_system_inner(
-    kind: SystemKind,
-    workload: &Workload,
-    params: &SimParams,
-    want_state: bool,
-    resume: Option<&SysState>,
-    mut on_checkpoint: Option<&mut dyn FnMut(&SysState) -> CkptControl>,
-) -> Result<InnerOutcome, String> {
-    let mut sys = System::new(kind, workload, params)?;
+    hooks: Hooks<'_>,
+) -> Result<SimOutcome, SimError> {
+    let Hooks {
+        resume,
+        mut on_checkpoint,
+        want_state,
+    } = hooks;
+    let mut sys = System::new(kind, workload, params).map_err(SimError::Run)?;
     if let Some(state) = resume {
-        sys.restore_from(state)?;
+        sys.restore_from(state).map_err(SimError::Restore)?;
     }
-    // A restored checkpoint carries the interrupted run's cumulative skip
-    // counters in (so final totals match the straight-through run); this
-    // baseline lets `simulate_with_stats_resumable` also report what this
-    // call actually processed.
-    let skip_baseline = sys.skip_stats;
+    let skip_resumed = sys.skip_stats;
     // Checkpoints fire at loop boundaries when the uncore clock crosses a
     // multiple of the cadence. The next threshold is derived from the
     // current cycle, so a resumed run re-synchronizes onto the same grid
@@ -1290,22 +1103,42 @@ fn run_system_inner(
             if let Some(cb) = on_checkpoint.as_mut() {
                 let snap = sys.snapshot();
                 if cb(&snap) == CkptControl::Yield {
-                    return Ok(InnerOutcome::Yielded(snap));
+                    return Ok(SimOutcome::Yielded(snap));
                 }
             }
             next_ckpt = grid_after(sys.cyc_u);
         }
-        if sys.step()? {
+        if sys.step().map_err(SimError::Run)? {
             break;
         }
     }
-    sys.finish(want_state)
-        .map(|(r, s, f)| InnerOutcome::Finished {
-            result: Box::new(r),
-            skip: s,
-            final_state: Box::new(f),
-            skip_baseline,
-        })
+    let (result, final_state) = sys.finish(want_state).map_err(SimError::Run)?;
+    Ok(SimOutcome::Finished(Box::new(FinishedRun {
+        result,
+        skip: sys.skip_stats,
+        skip_resumed,
+        final_state,
+        trace: None,
+    })))
+}
+
+/// The attached engine, if it ticks on `domain`'s clock.
+fn engine_on(
+    engine: &mut Option<Box<dyn VectorEngine>>,
+    domain: ClockDomain,
+) -> Option<&mut (dyn VectorEngine + 'static)> {
+    engine.as_deref_mut().filter(|e| e.clock_domain() == domain)
+}
+
+/// The vector length the cores' functional machines are built with: the
+/// engine's, or 64 bits when no engine is attached.
+fn engine_vlen(engine: Option<&dyn VectorEngine>) -> u32 {
+    engine.map_or(64, |e| e.vlen_bits())
+}
+
+/// The checkpoint tag of the attached engine; 0 when there is none.
+fn engine_tag(engine: Option<&dyn VectorEngine>) -> u8 {
+    engine.map_or(0, |e| e.checkpoint_tag())
 }
 
 /// The cycle a worker's scheduling state machine next acts, if any.
@@ -1491,20 +1324,45 @@ mod tests {
         );
     }
 
+    /// A run with `hooks`, which must finish.
+    fn finish(kind: SystemKind, w: &Workload, params: &SimParams, hooks: Hooks<'_>) -> FinishedRun {
+        simulate_with(kind, w, params, hooks)
+            .unwrap_or_else(|e| panic!("{kind}: {e}"))
+            .finished()
+            .expect("no yield ordered")
+    }
+
     #[test]
     fn checkpointing_does_not_change_results() {
         let w = vvadd::build(Scale::tiny());
-        let base =
-            simulate_with_state(SystemKind::B4Vl, &w, &SimParams::default()).expect("base run");
+        let state = Hooks {
+            want_state: true,
+            ..Hooks::default()
+        };
+        let base = finish(SystemKind::B4Vl, &w, &SimParams::default(), state);
         let params = SimParams {
             checkpoint_every: 500,
             ..SimParams::default()
         };
         let mut taken = 0usize;
-        let ckpt = simulate_resumable(SystemKind::B4Vl, &w, &params, None, &mut |_| taken += 1)
-            .expect("checkpointed run");
+        let ckpt = finish(
+            SystemKind::B4Vl,
+            &w,
+            &params,
+            Hooks {
+                on_checkpoint: Some(&mut |_| {
+                    taken += 1;
+                    CkptControl::Continue
+                }),
+                want_state: true,
+                ..Hooks::default()
+            },
+        );
         assert!(taken > 0, "expected at least one checkpoint");
-        assert_eq!(base, ckpt);
+        assert_eq!(
+            (base.result, base.skip, base.final_state),
+            (ckpt.result, ckpt.skip, ckpt.final_state)
+        );
     }
 
     #[test]
@@ -1514,29 +1372,42 @@ mod tests {
             checkpoint_every: 500,
             ..SimParams::default()
         };
-        let mut first = None;
-        simulate_resumable(SystemKind::B4Vl, &w, &params, None, &mut |s| {
-            first.get_or_insert_with(|| s.clone());
-        })
-        .expect("checkpointed run");
-        let state = first.expect("one checkpoint");
+        let first = match simulate_with(
+            SystemKind::B4Vl,
+            &w,
+            &params,
+            Hooks {
+                on_checkpoint: Some(&mut |_| CkptControl::Yield),
+                ..Hooks::default()
+            },
+        ) {
+            Ok(SimOutcome::Yielded(state)) => state,
+            other => panic!("expected a yield, got {other:?}"),
+        };
+        let resume = |kind, w, params| {
+            let hooks = Hooks {
+                resume: Some(&first),
+                ..Hooks::default()
+            };
+            match simulate_with(kind, w, params, hooks) {
+                Err(SimError::Restore(e)) => e,
+                other => panic!("expected a restore error, got {other:?}"),
+            }
+        };
 
         // Wrong system kind.
-        let err = simulate_resumable(SystemKind::BDv, &w, &params, Some(&state), &mut |_| {})
-            .expect_err("kind mismatch");
+        let err = resume(SystemKind::BDv, &w, &params);
         assert!(err.contains("taken on"), "unexpected error: {err}");
 
         // Behaviorally different parameters.
         let mut other = params.clone();
         other.no_skip = true;
-        let err = simulate_resumable(SystemKind::B4Vl, &w, &other, Some(&state), &mut |_| {})
-            .expect_err("params mismatch");
+        let err = resume(SystemKind::B4Vl, &w, &other);
         assert!(err.contains("parameters"), "unexpected error: {err}");
 
         // Different workload.
         let saxpy = saxpy::build(Scale::tiny());
-        let err = simulate_resumable(SystemKind::B4Vl, &saxpy, &params, Some(&state), &mut |_| {})
-            .expect_err("workload mismatch");
+        let err = resume(SystemKind::B4Vl, &saxpy, &params);
         assert!(err.contains("workload"), "unexpected error: {err}");
     }
 }

@@ -6,8 +6,13 @@
 //! *byte-identical* to the naive cycle-by-cycle loop (`no_skip`) — every
 //! cycle count, every stall-breakdown bucket, every cache counter, the
 //! exact `wall_ns` bits.
+//!
+//! Event tracing must be just as invisible: the cache key and the
+//! checkpoint fingerprint both ignore `SimParams::trace`, so a traced run
+//! has to reproduce the untraced run's result, skip counters and final
+//! state exactly.
 
-use bvl_sim::{simulate_with_state, FinalState, RunResult, SimParams, SkipStats, SystemKind};
+use bvl_sim::{simulate_with, FinalState, Hooks, RunResult, SimParams, SkipStats, SystemKind};
 use bvl_workloads::{graph, kernels, Scale, Workload};
 
 fn representative_workloads() -> Vec<Workload> {
@@ -23,13 +28,28 @@ fn representative_workloads() -> Vec<Workload> {
     ]
 }
 
-fn run(kind: SystemKind, w: &Workload, no_skip: bool) -> (RunResult, SkipStats, FinalState) {
+fn run(
+    kind: SystemKind,
+    w: &Workload,
+    no_skip: bool,
+    trace: bool,
+) -> (RunResult, SkipStats, FinalState) {
     let params = SimParams {
         no_skip,
+        trace,
         ..SimParams::default()
     };
-    simulate_with_state(kind, w, &params)
+    let hooks = Hooks {
+        want_state: true,
+        ..Hooks::default()
+    };
+    let run = simulate_with(kind, w, &params, hooks)
         .unwrap_or_else(|e| panic!("{} on {kind} (no_skip={no_skip}): {e}", w.name))
+        .finished()
+        .expect("no yield ordered");
+    assert_eq!(run.trace.is_some(), trace, "trace log presence on {kind}");
+    let state = run.final_state.expect("final state requested");
+    (run.result, run.skip, state)
 }
 
 #[test]
@@ -38,8 +58,9 @@ fn skip_matches_naive_on_every_system() {
     let mut total_skipped = 0u64;
     for kind in SystemKind::ALL {
         for w in &workloads {
-            let (naive, base_stats, naive_state) = run(kind, w, true);
-            let (skipped, skip_stats, skipped_state) = run(kind, w, false);
+            let (naive, base_stats, naive_state) = run(kind, w, true, false);
+            let (skipped, skip_stats, skipped_state) = run(kind, w, false, false);
+            let traced = run(kind, w, false, true);
             assert_eq!(
                 base_stats.edges_skipped, 0,
                 "no_skip run skipped edges on {kind}/{}",
@@ -78,6 +99,13 @@ fn skip_matches_naive_on_every_system() {
                 naive_state, skipped_state,
                 "final architectural state diverged between skip-on and \
                  naive on {kind}/{}",
+                w.name
+            );
+            assert_eq!(
+                traced,
+                (skipped.clone(), skip_stats, skipped_state),
+                "tracing changed the result, skip counters or final state \
+                 on {kind}/{}",
                 w.name
             );
             total_skipped += skip_stats.edges_skipped;

@@ -15,9 +15,9 @@
 //! the in-memory structure.
 
 use bvl_sim::{
-    plan_sampled, run_sample_window, simulate_preemptible, simulate_resumable, simulate_with_state,
-    simulate_with_stats, CkptControl, FinalState, PlannedWindow, RunResult, SamplingParams,
-    SimOutcome, SimParams, SkipStats, SysState, SystemKind,
+    plan_sampled, run_sample_window, simulate_with, simulate_with_stats, CkptControl, FinalState,
+    Hooks, PlannedWindow, RunResult, SamplingParams, SimError, SimOutcome, SimParams, SkipStats,
+    SysState, SystemKind,
 };
 use bvl_workloads::{kernels, Scale, Workload};
 use std::path::PathBuf;
@@ -51,6 +51,31 @@ fn params(no_skip: bool) -> SimParams {
     }
 }
 
+/// A run to completion with final-state extraction, from `resume` if
+/// given, handing every checkpoint to `on_checkpoint`.
+fn run_with_state(
+    kind: SystemKind,
+    w: &Workload,
+    p: &SimParams,
+    resume: Option<&SysState>,
+    on_checkpoint: &mut dyn FnMut(&SysState),
+) -> Result<(RunResult, SkipStats, FinalState), SimError> {
+    let mut cb = |s: &SysState| {
+        on_checkpoint(s);
+        CkptControl::Continue
+    };
+    let hooks = Hooks {
+        resume,
+        on_checkpoint: Some(&mut cb),
+        want_state: true,
+    };
+    let run = simulate_with(kind, w, p, hooks)?
+        .finished()
+        .expect("the callback never yields");
+    let state = run.final_state.expect("state requested");
+    Ok((run.result, run.skip, state))
+}
+
 /// Straight-through run, also collecting every checkpoint on the cadence.
 fn run_collecting(
     kind: SystemKind,
@@ -60,7 +85,7 @@ fn run_collecting(
     let mut p = params(no_skip);
     p.checkpoint_every = CADENCE;
     let mut ckpts = Vec::new();
-    let (r, s, f) = simulate_resumable(kind, w, &p, None, &mut |c| ckpts.push(c.clone()))
+    let (r, s, f) = run_with_state(kind, w, &p, None, &mut |c| ckpts.push(c.clone()))
         .unwrap_or_else(|e| panic!("{} on {kind} (no_skip={no_skip}): {e}", w.name));
     (r, s, f, ckpts)
 }
@@ -81,8 +106,9 @@ fn restore_matches_straight_through_on_every_system() {
         for w in &workloads {
             for no_skip in [false, true] {
                 // The baseline run takes no checkpoints at all.
-                let (base_r, base_s, base_f) = simulate_with_state(kind, w, &params(no_skip))
-                    .unwrap_or_else(|e| panic!("{} on {kind}: {e}", w.name));
+                let (base_r, base_s, base_f) =
+                    run_with_state(kind, w, &params(no_skip), None, &mut |_| {})
+                        .unwrap_or_else(|e| panic!("{} on {kind}: {e}", w.name));
                 let (ck_r, ck_s, ck_f, ckpts) = run_collecting(kind, w, no_skip);
 
                 // Merely taking checkpoints must not perturb anything.
@@ -106,7 +132,7 @@ fn restore_matches_straight_through_on_every_system() {
 
                     // Restore into a fresh system and run to completion.
                     let (r, s, f) =
-                        simulate_resumable(kind, w, &params(no_skip), Some(&decoded), &mut |_| {})
+                        run_with_state(kind, w, &params(no_skip), Some(&decoded), &mut |_| {})
                             .unwrap_or_else(|e| {
                                 panic!(
                                     "{} on {kind} resumed at cycle {} (no_skip={no_skip}): {e}",
@@ -189,19 +215,24 @@ fn preemption_chain_matches_straight_through() {
                 // Yield at the second checkpoint boundary of each leg, so
                 // every leg makes progress between evictions.
                 let mut boundaries = 0u32;
-                let out = simulate_preemptible(kind, w, &p, resume.as_ref(), &mut |_| {
-                    boundaries += 1;
-                    if boundaries == 2 {
-                        CkptControl::Yield
-                    } else {
-                        CkptControl::Continue
-                    }
-                })
-                .unwrap_or_else(|e| panic!("{} on {kind} leg {legs}: {e}", w.name));
+                let hooks = Hooks {
+                    resume: resume.as_ref(),
+                    on_checkpoint: Some(&mut |_| {
+                        boundaries += 1;
+                        if boundaries == 2 {
+                            CkptControl::Yield
+                        } else {
+                            CkptControl::Continue
+                        }
+                    }),
+                    want_state: false,
+                };
+                let out = simulate_with(kind, w, &p, hooks)
+                    .unwrap_or_else(|e| panic!("{} on {kind} leg {legs}: {e}", w.name));
                 legs += 1;
                 match out {
-                    SimOutcome::Finished { result, .. } => break *result,
-                    SimOutcome::Yielded { state } => {
+                    SimOutcome::Finished(run) => break run.result,
+                    SimOutcome::Yielded(state) => {
                         // Cross the wire form, as a migrated run would.
                         let blob = state.to_bytes();
                         resume = Some(SysState::from_bytes(&blob).unwrap_or_else(|e| {

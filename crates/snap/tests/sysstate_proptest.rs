@@ -13,7 +13,7 @@
 //!    silently restores the wrong state.
 
 use bvl_difftest::{difftest_workload, generate};
-use bvl_sim::{simulate_resumable, simulate_with_state, SimParams, SysState, SystemKind};
+use bvl_sim::{simulate_with, CkptControl, Hooks, SimParams, SysState, SystemKind};
 use proptest::prelude::*;
 
 /// Builds a checkpoint plus its straight-through reference by running a
@@ -31,10 +31,14 @@ fn checkpoint_for_seed(seed: u64, kind: SystemKind) -> Option<(SysState, bvl_wor
         ..SimParams::default()
     };
     let mut first = None;
-    simulate_resumable(kind, &workload, &params, None, &mut |s| {
-        first.get_or_insert_with(|| s.clone());
-    })
-    .ok()?;
+    let hooks = Hooks {
+        on_checkpoint: Some(&mut |s| {
+            first.get_or_insert_with(|| s.clone());
+            CkptControl::Continue
+        }),
+        ..Hooks::default()
+    };
+    simulate_with(kind, &workload, &params, hooks).ok()?;
     let state = first?;
     // Re-wrap the workload: `Workload` is not Clone (it owns a checker
     // closure), so rebuild it from the same program for the caller.
@@ -61,9 +65,15 @@ proptest! {
             max_uncore_cycles: 20_000_000,
             ..SimParams::default()
         };
-        let base = simulate_with_state(kind, &workload, &params).expect("straight run");
-        let resumed = simulate_resumable(kind, &workload, &params, Some(&decoded), &mut |_| {})
-            .expect("resumed run");
+        let run = |resume| {
+            let hooks = Hooks { resume, want_state: true, ..Hooks::default() };
+            let run = simulate_with(kind, &workload, &params, hooks)
+                .expect("run")
+                .finished()
+                .expect("no checkpoint callback to yield");
+            (run.result, run.skip, run.final_state)
+        };
+        let (base, resumed) = (run(None), run(Some(&decoded)));
         prop_assert_eq!(base, resumed, "resume diverged on seed {} / {}", seed, kind);
     }
 
@@ -106,9 +116,8 @@ proptest! {
                     max_uncore_cycles: 20_000_000,
                     ..SimParams::default()
                 };
-                let r = simulate_resumable(
-                    SystemKind::B1, &workload, &params, Some(&decoded), &mut |_| {},
-                );
+                let hooks = Hooks { resume: Some(&decoded), ..Hooks::default() };
+                let r = simulate_with(SystemKind::B1, &workload, &params, hooks);
                 prop_assert!(r.is_err(), "corrupted checkpoint restored silently");
             }
         }

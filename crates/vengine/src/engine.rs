@@ -11,8 +11,8 @@ use crate::regmap::RegMap;
 use crate::vcu::{expand, Expansion, Target, Vcu, VcuParams};
 use crate::vmu::{Vmu, VmuParams};
 use crate::vxu::{Vxu, VxuParams};
-use bvl_core::types::{CoreStats, Quiescence, VecCmd, VectorEngine};
-use bvl_mem::{IdMap, MemHierarchy};
+use bvl_core::types::{ClockDomain, CoreStats, Quiescence, VecCmd, VectorEngine};
+use bvl_mem::{IdMap, MemHierarchy, PortId, WarmTarget};
 use bvl_snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::VecDeque;
 
@@ -133,28 +133,6 @@ impl VLittleEngine {
         &self.params
     }
 
-    /// A lane's accumulated statistics (Figure 7 data).
-    pub fn lane_stats(&self, core: usize) -> &CoreStats {
-        self.lanes[core].stats()
-    }
-
-    /// Number of lanes.
-    pub fn num_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Certifies that no in-flight engine activity can still affect
-    /// architectural state: the VCU, every lane, the VMU, the VXU and all
-    /// pending events and scalar handoffs are drained.
-    ///
-    /// The engine is timing-only (architectural state lives in the big
-    /// core's golden machine), so this is the precondition under which a
-    /// final-state snapshot of that machine is well defined — the oracle
-    /// contract checked by the differential-test harness.
-    pub fn arch_drained(&self) -> bool {
-        VectorEngine::idle(self)
-    }
-
     /// VMU statistics.
     pub fn vmu_stats(&self) -> &crate::vmu::VmuStats {
         self.vmu.stats()
@@ -168,14 +146,6 @@ impl VLittleEngine {
     /// VXU statistics.
     pub fn vxu_stats(&self) -> &crate::vxu::VxuStats {
         self.vxu.stats()
-    }
-
-    /// Registers the engine's functional-unit counters under `scope`
-    /// (conventionally `sys.engine`): `vmu.*` and `vxu.*`. Lane stats are
-    /// registered by the simulator alongside the cores (`sys.lane{i}`).
-    pub fn register_stats(&self, scope: &mut bvl_obs::Scope<'_>) {
-        self.vmu.stats().register(&mut scope.scope("vmu"));
-        self.vxu.stats().register(&mut scope.scope("vxu"));
     }
 
     fn apply_event(&mut self, ev: LaneEvent, now: u64) {
@@ -269,175 +239,6 @@ impl VLittleEngine {
                 },
             );
         }
-    }
-
-    /// True while a scalar response awaits the big core's poll (the big
-    /// core's next tick consumes it, so its domain must keep stepping).
-    pub fn scalar_pending(&self) -> bool {
-        !self.scalar_done.is_empty()
-    }
-
-    /// The engine's self-assessment for the tick-skip engine.
-    ///
-    /// `Active` means a tick at `now` may change state. `Idle` means
-    /// every tick strictly before `until` — absent memory responses on
-    /// the engine's VMU ports and new dispatches from the big core — is a
-    /// no-op except for the constant per-lane stall accounting (and VMIU
-    /// backpressure counting) that [`VLittleEngine::skip_idle`] applies in
-    /// batch. The returned `account` is always `None`: per-lane
-    /// attribution does not fit one component-level kind.
-    pub fn quiescence(&self, now: u64) -> Quiescence {
-        let mut until: Option<u64> = None;
-        let mut fold = |t: u64| until = Some(until.map_or(t, |u| u.min(t)));
-
-        // The VMU acts on its own (VLU delivery, request issue, line
-        // generation)?
-        if self.vmu.quiescence().is_none() {
-            return Quiescence::Active;
-        }
-        // Command-bus / response-bus transfers complete?
-        for t in [self.vcu.bus_next_ready(), self.vcu.resp_next_ready()]
-            .into_iter()
-            .flatten()
-        {
-            if t <= now {
-                return Quiescence::Active;
-            }
-            fold(t);
-        }
-        // A broadcast would go out this cycle?
-        let can_broadcast = match self.vcu.head().map(|q| q.target) {
-            Some(Target::All) => self.lanes.iter().all(Lane::can_accept),
-            Some(Target::One(c)) => self.lanes[c as usize].can_accept(),
-            None => false,
-        };
-        if can_broadcast {
-            return Quiescence::Active;
-        }
-        // Matured (or maturing) lane events?
-        for e in &self.pending_events {
-            if e.at <= now {
-                return Quiescence::Active;
-            }
-            fold(e.at);
-        }
-        // A scalar-only ring transaction completing?
-        for (id, t) in self.vx_track.iter() {
-            if t.consumers == 0 && t.scalar_seq.is_some() {
-                match self.vxu.ready_at(id) {
-                    Some(r) if r <= now => return Quiescence::Active,
-                    Some(r) => fold(r),
-                    None => {}
-                }
-            }
-        }
-        // The lanes themselves.
-        let env = LaneEnv {
-            vmu: &self.vmu,
-            vxu: &self.vxu,
-            vcu_busy: self.vcu.busy(),
-        };
-        for lane in &self.lanes {
-            match lane.quiescence(now, &env) {
-                Quiescence::Active => return Quiescence::Active,
-                Quiescence::Idle { until: Some(t), .. } => {
-                    if t <= now {
-                        return Quiescence::Active;
-                    }
-                    fold(t);
-                }
-                Quiescence::Idle { until: None, .. } => {}
-            }
-        }
-        Quiescence::Idle {
-            until,
-            account: None,
-        }
-    }
-
-    /// Batch-applies the effects of `cycles` skipped quiescent engine
-    /// ticks starting at `now`: each lane records `cycles` of its current
-    /// stall kind, the VMIU's backpressure counter advances if it was
-    /// counting, and the engine clock moves so a later dispatch stamps
-    /// the command bus exactly as the naive loop would have.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics unless [`VLittleEngine::quiescence`] reports `Idle`
-    /// covering the window.
-    pub fn skip_idle(&mut self, now: u64, cycles: u64) {
-        debug_assert!(
-            match self.quiescence(now) {
-                Quiescence::Active => false,
-                Quiescence::Idle { until, .. } => until.is_none_or(|u| now + cycles <= u),
-            },
-            "skip_idle outside a quiescent window"
-        );
-        let backpressured = self
-            .vmu
-            .quiescence()
-            .expect("quiescent window implies a quiescent VMU");
-        self.vmu.skip_idle(cycles, backpressured);
-        let env = LaneEnv {
-            vmu: &self.vmu,
-            vxu: &self.vxu,
-            vcu_busy: self.vcu.busy(),
-        };
-        for lane in &mut self.lanes {
-            let kind = match lane.quiescence(now, &env) {
-                Quiescence::Idle {
-                    account: Some(k), ..
-                } => k,
-                q => unreachable!("lane not quiescent during engine skip: {q:?}"),
-            };
-            lane.skip_idle(cycles, kind);
-        }
-        self.now += cycles;
-    }
-
-    /// Appends the engine's mutable state (lanes, VCU, VMU, VXU, event
-    /// and transaction tracking) to a checkpoint. Configuration (`params`,
-    /// `line_bytes`) is not written — a restore target is built from the
-    /// same [`VLittleEngine::new`] arguments.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        for lane in &self.lanes {
-            lane.save_state(w);
-        }
-        self.vcu.save_state(w);
-        self.vmu.save_state(w);
-        self.vxu.save_state(w);
-        self.mem_track.save(w);
-        self.vx_track.save(w);
-        self.pending_events.save(w);
-        self.scalar_done.save(w);
-        self.next_mem_id.save(w);
-        self.next_vx_id.save(w);
-        self.now.save(w);
-        self.first_dispatch_done.save(w);
-    }
-
-    /// Restores state written by [`VLittleEngine::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails with a [`SnapError`] on malformed input or shapes not
-    /// matching this engine's configuration.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for lane in &mut self.lanes {
-            lane.restore_state(r)?;
-        }
-        self.vcu.restore_state(r)?;
-        self.vmu.restore_state(r)?;
-        self.vxu.restore_state(r)?;
-        self.mem_track = Snap::load(r)?;
-        self.vx_track = Snap::load(r)?;
-        self.pending_events = Snap::load(r)?;
-        self.scalar_done = Snap::load(r)?;
-        self.next_mem_id = Snap::load(r)?;
-        self.next_vx_id = Snap::load(r)?;
-        self.now = Snap::load(r)?;
-        self.first_dispatch_done = Snap::load(r)?;
-        Ok(())
     }
 }
 
@@ -574,6 +375,186 @@ impl VectorEngine for VLittleEngine {
 
     fn vlen_bits(&self) -> u32 {
         self.params.regmap.vlen_bits()
+    }
+
+    fn clock_domain(&self) -> ClockDomain {
+        ClockDomain::Little
+    }
+
+    /// Every VMU bank's responses return on port 0.
+    fn port(&self) -> PortId {
+        PortId::Vmu(0)
+    }
+
+    fn scalar_pending(&self) -> bool {
+        !self.scalar_done.is_empty()
+    }
+
+    /// Idle ticks account each lane's constant stall kind (and VMIU
+    /// backpressure); the returned `account` is always `None`, because
+    /// per-lane attribution does not fit one component-level kind.
+    fn quiescence(&self, now: u64) -> Quiescence {
+        let mut until: Option<u64> = None;
+        let mut fold = |t: u64| until = Some(until.map_or(t, |u| u.min(t)));
+
+        // The VMU acts on its own (VLU delivery, request issue, line
+        // generation)?
+        if self.vmu.quiescence().is_none() {
+            return Quiescence::Active;
+        }
+        // Command-bus / response-bus transfers complete?
+        for t in [self.vcu.bus_next_ready(), self.vcu.resp_next_ready()]
+            .into_iter()
+            .flatten()
+        {
+            if t <= now {
+                return Quiescence::Active;
+            }
+            fold(t);
+        }
+        // A broadcast would go out this cycle?
+        let can_broadcast = match self.vcu.head().map(|q| q.target) {
+            Some(Target::All) => self.lanes.iter().all(Lane::can_accept),
+            Some(Target::One(c)) => self.lanes[c as usize].can_accept(),
+            None => false,
+        };
+        if can_broadcast {
+            return Quiescence::Active;
+        }
+        // Matured (or maturing) lane events?
+        for e in &self.pending_events {
+            if e.at <= now {
+                return Quiescence::Active;
+            }
+            fold(e.at);
+        }
+        // A scalar-only ring transaction completing?
+        for (id, t) in self.vx_track.iter() {
+            if t.consumers == 0 && t.scalar_seq.is_some() {
+                match self.vxu.ready_at(id) {
+                    Some(r) if r <= now => return Quiescence::Active,
+                    Some(r) => fold(r),
+                    None => {}
+                }
+            }
+        }
+        // The lanes themselves.
+        let env = LaneEnv {
+            vmu: &self.vmu,
+            vxu: &self.vxu,
+            vcu_busy: self.vcu.busy(),
+        };
+        for lane in &self.lanes {
+            match lane.quiescence(now, &env) {
+                Quiescence::Active => return Quiescence::Active,
+                Quiescence::Idle { until: Some(t), .. } => {
+                    if t <= now {
+                        return Quiescence::Active;
+                    }
+                    fold(t);
+                }
+                Quiescence::Idle { until: None, .. } => {}
+            }
+        }
+        Quiescence::Idle {
+            until,
+            account: None,
+        }
+    }
+
+    /// Each lane records `cycles` of its current stall kind, the VMIU's
+    /// backpressure counter advances if it was counting, and the engine
+    /// clock moves so a later dispatch stamps the command bus exactly as
+    /// the naive loop would have. Debug-panics unless `quiescence`
+    /// reports `Idle` covering the window.
+    fn skip_idle(&mut self, now: u64, cycles: u64) {
+        debug_assert!(
+            match self.quiescence(now) {
+                Quiescence::Active => false,
+                Quiescence::Idle { until, .. } => until.is_none_or(|u| now + cycles <= u),
+            },
+            "skip_idle outside a quiescent window"
+        );
+        let backpressured = self
+            .vmu
+            .quiescence()
+            .expect("quiescent window implies a quiescent VMU");
+        self.vmu.skip_idle(cycles, backpressured);
+        let env = LaneEnv {
+            vmu: &self.vmu,
+            vxu: &self.vxu,
+            vcu_busy: self.vcu.busy(),
+        };
+        for lane in &mut self.lanes {
+            let kind = match lane.quiescence(now, &env) {
+                Quiescence::Idle {
+                    account: Some(k), ..
+                } => k,
+                q => unreachable!("lane not quiescent during engine skip: {q:?}"),
+            };
+            lane.skip_idle(cycles, kind);
+        }
+        self.now += cycles;
+    }
+
+    /// Lanes, VCU, VMU, VXU, then event and transaction tracking.
+    fn save_state(&self, w: &mut SnapWriter) {
+        for lane in &self.lanes {
+            lane.save_state(w);
+        }
+        self.vcu.save_state(w);
+        self.vmu.save_state(w);
+        self.vxu.save_state(w);
+        self.mem_track.save(w);
+        self.vx_track.save(w);
+        self.pending_events.save(w);
+        self.scalar_done.save(w);
+        self.next_mem_id.save(w);
+        self.next_vx_id.save(w);
+        self.now.save(w);
+        self.first_dispatch_done.save(w);
+    }
+
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        for lane in &mut self.lanes {
+            lane.restore_state(r)?;
+        }
+        self.vcu.restore_state(r)?;
+        self.vmu.restore_state(r)?;
+        self.vxu.restore_state(r)?;
+        self.mem_track = Snap::load(r)?;
+        self.vx_track = Snap::load(r)?;
+        self.pending_events = Snap::load(r)?;
+        self.scalar_done = Snap::load(r)?;
+        self.next_mem_id = Snap::load(r)?;
+        self.next_vx_id = Snap::load(r)?;
+        self.now = Snap::load(r)?;
+        self.first_dispatch_done = Snap::load(r)?;
+        Ok(())
+    }
+
+    fn checkpoint_tag(&self) -> u8 {
+        1
+    }
+
+    /// The little L1Ds are the vector banks.
+    fn warm_target(&self, line: u64, hier: &MemHierarchy) -> WarmTarget {
+        WarmTarget::LittleD(usize::from(hier.bank_of(line)))
+    }
+
+    /// Lanes register beside the cores (`sys.lane{i}`), the VMU and VXU
+    /// under `sys.engine`.
+    fn register_stats(&self, sys: &mut bvl_obs::Scope<'_>) {
+        for (c, lane) in self.lanes.iter().enumerate() {
+            lane.stats().register(&mut sys.scope(&format!("lane{c}")));
+        }
+        let mut engine = sys.scope("engine");
+        self.vmu.stats().register(&mut engine.scope("vmu"));
+        self.vxu.stats().register(&mut engine.scope("vxu"));
+    }
+
+    fn lane_stats(&self) -> Vec<CoreStats> {
+        self.lanes.iter().map(|l| *l.stats()).collect()
     }
 }
 
@@ -784,8 +765,6 @@ mod tests {
     /// VMIU backpressure cycle.
     #[test]
     fn quiescence_predicts_naive_ticks() {
-        use bvl_mem::PortId;
-
         let n = 32u64;
         let mut mem = SimMemory::new(1 << 22);
         let xs: Vec<f32> = (0..n).map(|i| i as f32).collect();
@@ -834,9 +813,7 @@ mod tests {
                     .vmu
                     .quiescence()
                     .expect("idle engine implies quiescent VMU");
-                let lanes_before: Vec<CoreStats> = (0..engine.num_lanes())
-                    .map(|c| *engine.lane_stats(c))
-                    .collect();
+                let lanes_before = engine.lane_stats();
                 Some((
                     kinds,
                     bp,
@@ -857,7 +834,7 @@ mod tests {
                 for (c, kind) in kinds.iter().enumerate() {
                     let mut want = lanes_before[c];
                     want.account(*kind);
-                    assert_eq!(*engine.lane_stats(c), want, "lane {c} accounting at t={t}");
+                    assert_eq!(engine.lane_stats()[c], want, "lane {c} accounting at t={t}");
                 }
                 let mut want_vmu = vmu_before;
                 if bp {
@@ -884,8 +861,7 @@ mod tests {
         let ya = mem.alloc_f32(&xs);
         let a = saxpy_vector_program(n, xa, ya);
         let (_, _, engine, _) = run_vlittle(&a, mem, EngineParams::paper_default());
-        for c in 0..engine.num_lanes() {
-            let s = engine.lane_stats(c);
+        for (c, s) in engine.lane_stats().iter().enumerate() {
             let total: u64 = s.breakdown.iter().sum();
             assert_eq!(total, s.cycles, "lane {c} breakdown incomplete");
             assert!(
