@@ -25,8 +25,8 @@
 //!   writes a whole-system checkpoint under `<cache_dir>/ckpt/` (deleted
 //!   when the point completes), and `--resume` restarts interrupted
 //!   points from their last checkpoint instead of cycle 0 — both through
-//!   [`bvl_serve::worker::run_exact_point`], the exact-point runner the
-//!   fabric's worker tiers use too. Resumed results are byte-identical
+//!   [`bvl_serve::worker::run_exact_point`], the exact-point runner
+//!   every fabric worker uses too. Resumed results are byte-identical
 //!   by the restore-equivalence contract but are deliberately *not*
 //!   persisted to the disk cache — only straight-through runs populate
 //!   it;
@@ -377,7 +377,7 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
     }
 
     // Fan the misses out: across this process's workers, or — when a
-    // fabric daemon is attached — across its worker tiers.
+    // fabric daemon is attached — across its workers.
     let misses: Vec<usize> = (0..unique.len())
         .filter(|&s| slot_results[s].is_none())
         .collect();
@@ -628,7 +628,7 @@ fn derive_spec(job: &SweepJob, opts: &ExpOpts) -> Option<WorkloadSpec> {
 
 /// The `--serve` twin of [`run_misses`]: sends every spec-able miss to
 /// the fabric daemon at `addr` (one pipelined batch; the daemon fans out
-/// across its worker tiers and dedupes against its own memo/store) and
+/// across its workers and dedupes against its own memo/store) and
 /// runs the rest — custom-built workloads with no wire spec — through
 /// the in-process pool. Results come back `(result, resumed)` per miss
 /// in miss order, exactly like `run_misses`, so the caller cannot tell

@@ -4,19 +4,19 @@
 //! bvl-serve --store DIR [--bind HOST:PORT] [--secret-file F]
 //!           [--threads N] [--procs N] [--checkpoint-every N]
 //!           [--max-queue N] [--resume-queue] [--stats-interval SECS]
-//!           [--no-persist] [--start-paused]
-//!           [--kill-daemon-on-progress N]
+//!           [--no-persist] [--kill-daemon-on-progress N]
 //! bvl-serve --worker --connect HOST:PORT --token N --store DIR
 //!           [--secret-file F]
 //! ```
 //!
-//! With `--worker` the binary runs the process-tier worker loop instead
-//! (this is what the daemon spawns when `--procs` > 0: itself — and
-//! what another host runs to join the fabric remotely, with the same
-//! `--secret-file` the daemon was started with). The daemon prints
-//! `listening on <addr>` and runs until a client sends a shutdown
-//! request (`bvl-client ADDR --shutdown`). Binding a non-loopback
-//! address requires `--secret-file`.
+//! With `--worker` the binary runs the worker loop instead (this is what
+//! the daemon spawns when `--procs` > 0: itself — and what another host
+//! runs to join the fabric remotely, with the same `--secret-file` the
+//! daemon was started with); `--threads N` runs the same loop on N
+//! threads inside the daemon. The daemon prints `listening on <addr>`
+//! and runs until a client sends a shutdown request (`bvl-client ADDR
+//! --shutdown`). Binding a non-loopback address requires
+//! `--secret-file`.
 
 use bvl_serve::{auth, worker_main, Daemon, DaemonConfig, FaultPlan, WorkerCmd};
 use std::io::Write;
@@ -29,8 +29,7 @@ fn usage() -> ! {
         "usage: bvl-serve --store DIR [--bind HOST:PORT] [--secret-file F]\n\
          \x20                [--threads N] [--procs N] [--checkpoint-every N]\n\
          \x20                [--max-queue N] [--resume-queue] [--stats-interval SECS]\n\
-         \x20                [--no-persist] [--start-paused]\n\
-         \x20                [--kill-daemon-on-progress N]\n\
+         \x20                [--no-persist] [--kill-daemon-on-progress N]\n\
          \x20      bvl-serve --worker --connect HOST:PORT --token N --store DIR\n\
          \x20                [--secret-file F]"
     );
@@ -52,7 +51,6 @@ fn main() -> ExitCode {
     let mut max_queue = 0usize;
     let mut resume_queue = false;
     let mut stats_interval: Option<Duration> = None;
-    let mut start_paused = false;
     let mut kill_daemon_on_progress: Option<u64> = None;
 
     let mut it = args.iter();
@@ -75,7 +73,6 @@ fn main() -> ExitCode {
                 let secs: f64 = val().parse().unwrap_or_else(|_| usage());
                 stats_interval = Some(Duration::from_secs_f64(secs));
             }
-            "--start-paused" => start_paused = true,
             "--kill-daemon-on-progress" => {
                 kill_daemon_on_progress = Some(val().parse().unwrap_or_else(|_| usage()));
             }
@@ -105,7 +102,7 @@ fn main() -> ExitCode {
         };
     }
 
-    // Default the thread tier only when neither tier was requested
+    // Default to in-process workers only when neither kind was requested
     // explicitly — `--threads 0 --procs 0` means "no local workers"
     // (a daemon fed exclusively by remote `--worker` processes).
     let threads = match threads {
@@ -133,8 +130,6 @@ fn main() -> ExitCode {
         max_queue,
         resume_queue,
         stats_interval,
-        start_paused,
-        ..DaemonConfig::default()
     }) {
         Ok(d) => d,
         Err(e) => {

@@ -8,8 +8,8 @@
 //! --serve` needs; it also transparently retries submissions the
 //! daemon's bounded admission queue shed with [`Msg::Busy`].
 
-use crate::daemon::FabricReport;
 use crate::proto::{self, Msg, Priority, ProtoError};
+use crate::sched::FabricReport;
 use crate::spec::PointSpec;
 use bvl_sim::RunResult;
 use std::collections::HashMap;
@@ -217,16 +217,6 @@ impl Client {
                 return Ok(report);
             }
         }
-    }
-
-    /// Releases a daemon started with `--start-paused`
-    /// (deterministic-scheduling tests).
-    ///
-    /// # Errors
-    ///
-    /// Socket write failures.
-    pub fn resume_scheduler(&mut self) -> io::Result<()> {
-        proto::write_msg(&mut self.writer, &Msg::Resume)
     }
 
     /// Asks the daemon to shut down and waits for the acknowledgement.

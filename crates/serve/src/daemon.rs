@@ -1,35 +1,27 @@
-//! The sweep-fabric daemon: scheduler, worker tiers, fault injection.
+//! The sweep-fabric daemon: sockets, authentication, workers and fault
+//! injection around the scheduler core.
 //!
-//! One [`Daemon`] owns a listener and two tiers of workers: in-process
-//! scheduler *threads* and spawned worker *processes* (which connect
-//! back and speak the [`crate::proto`] protocol — possibly from another
-//! host, behind the shared-secret handshake in [`crate::auth`]). Clients
-//! submit [`PointSpec`]s; the daemon
+//! One [`Daemon`] owns a listener and the [`crate::sched::Sched`] that
+//! makes every scheduling decision — dedupe, priority and fair share,
+//! backpressure, the queue journal, memo and disk hits (see that module).
+//! The daemon turns socket traffic into calls on the core, under one
+//! mutex, and sends the replies the core returns.
 //!
-//! - **dedupes** in-flight identical points by their params-hash cache
-//!   key (second submitter waits on the first execution; priority is not
-//!   part of the key, but a higher-priority coalescer upgrades a still
-//!   queued job's class),
-//! - **schedules** with three strict priority classes and, within a
-//!   class, unit-quantum round-robin across clients — no client starves
-//!   another at equal priority (DESIGN.md §4.14),
-//! - **sheds load** when the admission queue is bounded
-//!   ([`DaemonConfig::max_queue`]): an admission that would overflow is
-//!   answered with [`Msg::Busy`] instead of growing without bound,
-//! - **journals** every admission through the snap codec
-//!   ([`crate::journal`]) so a SIGKILLed daemon restarted with
-//!   `--resume-queue` re-admits its whole backlog and resumes in-flight
-//!   points from their persisted checkpoints,
-//! - **memoizes** completed results in-process and, when persistence is
-//!   on, in the content-addressed [`ResultStore`] shared with the
-//!   serverless sweep,
+//! Every worker speaks the [`crate::proto`] protocol over a main and a
+//! control connection, behind the shared-secret handshake in
+//! [`crate::auth`] when the daemon has a secret: the daemon's own
+//! in-process workers ([`worker_main`] on a thread), the worker processes
+//! it spawns, and workers joining from other hosts. One dispatcher
+//! thread per worker feeds it assignments, and one control byte evicts
+//! its point at the next checkpoint, so the daemon
+//!
 //! - **preempts** long-running points at their last checkpoint
 //!   ([`Daemon::evict`]) and resumes them on whichever worker next picks
 //!   them up, and
-//! - **survives worker death**: a killed worker process loses at most
-//!   one checkpoint interval — the point is requeued and resumed from
-//!   its last persisted blob, and (for daemon-spawned workers only) a
-//!   replacement is spawned. Remote workers that vanish are simply
+//! - **survives worker death**: a dead worker loses at most one
+//!   checkpoint interval — the point is requeued and resumed from its
+//!   last persisted blob, and (for daemon-spawned processes only) a
+//!   replacement is spawned. Other workers that vanish are simply
 //!   deregistered.
 //!
 //! A [`FaultPlan`] makes all of that deterministic under test: kill or
@@ -37,14 +29,11 @@
 //! progress report.
 
 use crate::auth;
-use crate::journal::{AdmitRec, QueueJournal};
-use crate::proto::{self, Msg, Priority, ProtoError, EVICT_BYTE};
+use crate::proto::{self, Msg, ProtoError, EVICT_BYTE};
+use crate::sched::{FabricReport, FabricStats, Replies, Sched};
 use crate::spec::PointSpec;
-use crate::store::ResultStore;
-use crate::worker::{run_one_point, PointOutcome, PointRun};
-use bvl_sim::RunResult;
-use bvl_snap::{Snap, SnapError, SnapReader, SnapWriter};
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::worker::worker_main;
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -53,9 +42,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Suggested client backoff after a [`Msg::Busy`] rejection.
-const BUSY_RETRY_MS: u64 = 25;
 
 /// How long a fresh connection gets to finish the handshake/first frame
 /// before the daemon gives up on it (secured daemons only — an
@@ -74,13 +60,14 @@ pub struct WorkerCmd {
     pub args: Vec<String>,
 }
 
-/// Deterministic fault injection, keyed by worker token (tokens are
-/// assigned sequentially from 1 at spawn time; respawned replacements
-/// get fresh tokens, so a consumed fault never re-fires).
+/// Deterministic fault injection, keyed by worker token. Tokens are
+/// assigned sequentially from 1, to the in-process workers first and
+/// then to each spawned process; respawned replacements get fresh
+/// tokens, so a consumed fault never re-fires.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// `(token, nth)`: SIGKILL worker `token` when its `nth` progress
-    /// report (1-based) arrives. Fires once.
+    /// `(token, nth)`: SIGKILL worker process `token` when its `nth`
+    /// progress report (1-based) arrives. Fires once.
     pub kill_on_progress: Vec<(u64, u64)>,
     /// `(token, nth)`: order an eviction of whatever point worker
     /// `token` is running when its `nth` progress report arrives
@@ -88,17 +75,18 @@ pub struct FaultPlan {
     pub evict_on_progress: Vec<(u64, u64)>,
     /// Abort the whole daemon process (no cleanup — the moral
     /// equivalent of SIGKILL) when the `nth` progress report, counted
-    /// globally across both worker tiers, arrives. The daemon-crash
-    /// recovery suite restarts it with `--resume-queue` afterwards.
+    /// globally across all workers, arrives. The daemon-crash recovery
+    /// suite restarts it with `--resume-queue` afterwards.
     pub kill_daemon_on_progress: Option<u64>,
 }
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// In-process scheduler threads (tier 1).
+    /// In-process workers: threads running [`worker_main`] against this
+    /// daemon's own listener.
     pub threads: usize,
-    /// Worker processes to spawn (tier 2); requires `worker_cmd`.
+    /// Worker processes to spawn; requires `worker_cmd`.
     pub procs: usize,
     /// How to launch a worker process.
     pub worker_cmd: Option<WorkerCmd>,
@@ -132,13 +120,6 @@ pub struct DaemonConfig {
     pub resume_queue: bool,
     /// Log a [`FabricReport::utilization_line`] to stderr this often.
     pub stats_interval: Option<Duration>,
-    /// Start with dispatch paused until [`Daemon::resume`] (or a
-    /// client's [`Msg::Resume`]). Deterministic-scheduling tests use
-    /// this to stage a known queue before any worker moves.
-    pub start_paused: bool,
-    /// Record every dispatch in order ([`Daemon::dispatch_log`]) —
-    /// scheduling-order tests only.
-    pub record_dispatch: bool,
 }
 
 impl Default for DaemonConfig {
@@ -156,15 +137,13 @@ impl Default for DaemonConfig {
             max_queue: 0,
             resume_queue: false,
             stats_interval: None,
-            start_paused: false,
-            record_dispatch: false,
         }
     }
 }
 
 impl DaemonConfig {
-    /// A thread-tier-only daemon over `store_dir` — the common test
-    /// configuration.
+    /// A daemon with `threads` in-process workers and no worker
+    /// processes over `store_dir` — the common test configuration.
     pub fn threads_only(threads: usize, store_dir: impl Into<PathBuf>) -> Self {
         DaemonConfig {
             threads,
@@ -174,334 +153,27 @@ impl DaemonConfig {
     }
 }
 
-/// Scheduler counters, all monotonic (except `max_queue_depth`, a
-/// high-water mark). The fault-injection suite asserts recovery paths
-/// through these.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FabricStats {
-    /// `Submit` messages received.
-    pub submitted: u64,
-    /// Points that ran to completion on a worker.
-    pub executed: u64,
-    /// Submissions coalesced onto an already-queued/in-flight point.
-    pub coalesced: u64,
-    /// Submissions answered from the in-process memo.
-    pub memo_hits: u64,
-    /// Submissions answered from the disk store.
-    pub disk_hits: u64,
-    /// Worker processes that died (or lost their connection) mid-point.
-    pub worker_deaths: u64,
-    /// Points preempted at a checkpoint and requeued.
-    pub evictions: u64,
-    /// Completed executions that resumed from a checkpoint blob.
-    pub resumed: u64,
-    /// Executions that found an unusable checkpoint blob and restarted
-    /// from cycle 0.
-    pub restarts_from_zero: u64,
-    /// Points whose simulation failed.
-    pub failed: u64,
-    /// Submissions shed by the bounded admission queue ([`Msg::Busy`]).
-    pub busy_rejections: u64,
-    /// Backlog points re-admitted from the queue journal at startup.
-    pub requeued_from_journal: u64,
-    /// Connections rejected by the shared-secret handshake.
-    pub auth_failures: u64,
-    /// High-water mark of the admission queue.
-    pub max_queue_depth: u64,
-}
+/// Where a client's replies go.
+type Reply = Arc<Mutex<TcpStream>>;
 
-impl Snap for FabricStats {
-    fn save(&self, w: &mut SnapWriter) {
-        for v in [
-            self.submitted,
-            self.executed,
-            self.coalesced,
-            self.memo_hits,
-            self.disk_hits,
-            self.worker_deaths,
-            self.evictions,
-            self.resumed,
-            self.restarts_from_zero,
-            self.failed,
-            self.busy_rejections,
-            self.requeued_from_journal,
-            self.auth_failures,
-            self.max_queue_depth,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FabricStats {
-            submitted: r.u64()?,
-            executed: r.u64()?,
-            coalesced: r.u64()?,
-            memo_hits: r.u64()?,
-            disk_hits: r.u64()?,
-            worker_deaths: r.u64()?,
-            evictions: r.u64()?,
-            resumed: r.u64()?,
-            restarts_from_zero: r.u64()?,
-            failed: r.u64()?,
-            busy_rejections: r.u64()?,
-            requeued_from_journal: r.u64()?,
-            auth_failures: r.u64()?,
-            max_queue_depth: r.u64()?,
-        })
-    }
-}
-
-/// A point-in-time scheduler snapshot, served over [`Msg::QueryStats`]
-/// and logged periodically as [`FabricReport::utilization_line`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FabricReport {
-    /// The monotonic counters.
-    pub stats: FabricStats,
-    /// Points queued (admitted, not yet dispatched).
-    pub queue_depth: u64,
-    /// Queue depth per priority class (high/normal/low).
-    pub queue_by_class: [u64; 3],
-    /// Workers currently running a point.
-    pub busy_workers: u64,
-    /// Scheduler threads plus registered worker processes (local and
-    /// remote).
-    pub total_workers: u64,
-    /// `(client, points dispatched)` per client, ascending by client.
-    /// Client 0 is the journal-recovery synthetic client.
-    pub shares: Vec<(u64, u64)>,
-}
-
-impl Snap for FabricReport {
-    fn save(&self, w: &mut SnapWriter) {
-        self.stats.save(w);
-        w.u64(self.queue_depth);
-        for c in self.queue_by_class {
-            w.u64(c);
-        }
-        w.u64(self.busy_workers);
-        w.u64(self.total_workers);
-        w.u64(self.shares.len() as u64);
-        for (client, share) in &self.shares {
-            w.u64(*client);
-            w.u64(*share);
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let stats = FabricStats::load(r)?;
-        let queue_depth = r.u64()?;
-        let queue_by_class = [r.u64()?, r.u64()?, r.u64()?];
-        let busy_workers = r.u64()?;
-        let total_workers = r.u64()?;
-        let n = r.len(16)?;
-        let mut shares = Vec::with_capacity(n);
-        for _ in 0..n {
-            shares.push((r.u64()?, r.u64()?));
-        }
-        Ok(FabricReport {
-            stats,
-            queue_depth,
-            queue_by_class,
-            busy_workers,
-            total_workers,
-            shares,
-        })
-    }
-}
-
-impl FabricReport {
-    /// The one-line utilization summary the daemon logs periodically.
-    pub fn utilization_line(&self) -> String {
-        let shares = self
-            .shares
-            .iter()
-            .map(|(c, n)| format!("{c}:{n}"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        let s = &self.stats;
-        format!(
-            "fabric: queue {} (hi {} norm {} low {}, peak {}) | workers {}/{} busy | \
-             executed {} failed {} | dedupe memo {} disk {} coalesced {} | \
-             resumed {} restarts0 {} deaths {} evictions {} | \
-             busy-shed {} journal-requeued {} auth-rejects {} | shares [{shares}]",
-            self.queue_depth,
-            self.queue_by_class[0],
-            self.queue_by_class[1],
-            self.queue_by_class[2],
-            s.max_queue_depth,
-            self.busy_workers,
-            self.total_workers,
-            s.executed,
-            s.failed,
-            s.memo_hits,
-            s.disk_hits,
-            s.coalesced,
-            s.resumed,
-            s.restarts_from_zero,
-            s.worker_deaths,
-            s.evictions,
-            s.busy_rejections,
-            s.requeued_from_journal,
-            s.auth_failures,
-        )
-    }
-}
-
-/// One dispatch, as recorded by [`DaemonConfig::record_dispatch`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dispatch {
-    /// The client whose queue supplied the point (0 = journal
-    /// recovery).
-    pub client: u64,
-    /// The class it was dispatched from.
-    pub priority: Priority,
-    /// The point's cache key.
-    pub key: String,
-}
-
-/// Where a scheduled point currently runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunningOn {
-    Thread(usize),
-    Proc(u64),
-}
-
-/// A client waiting on a point: reply stream + its request id, and
-/// whether it coalesced onto an execution someone else started (those
-/// replies carry `cache_hit: true` so client-side throughput accounting
-/// counts each execution exactly once).
-struct Waiter {
-    stream: Arc<Mutex<TcpStream>>,
-    id: u64,
-    coalesced: bool,
-}
-
-/// What the memo keeps per completed key — enough to replay a `Done`.
-#[derive(Clone)]
-struct Memo {
-    result: RunResult,
-}
-
-struct Job {
-    spec: PointSpec,
-    waiters: Vec<Waiter>,
-    running_on: Option<RunningOn>,
-    priority: Priority,
-    client: u64,
-}
-
-/// One priority class: a FIFO per client, drained unit-quantum
-/// round-robin. The `rr` ring holds exactly the clients with non-empty
-/// queues, each once, in service order.
-#[derive(Default)]
-struct ClassQueue {
-    per_client: HashMap<u64, VecDeque<String>>,
-    rr: VecDeque<u64>,
-}
-
-impl ClassQueue {
-    fn push_back(&mut self, client: u64, key: String) {
-        let q = self.per_client.entry(client).or_default();
-        if q.is_empty() {
-            self.rr.push_back(client);
-        }
-        q.push_back(key);
-    }
-
-    /// Front-of-line insertion: the client also moves to the head of
-    /// the ring, so a requeued (evicted / orphaned) point resumes
-    /// before fresh work.
-    fn push_front(&mut self, client: u64, key: String) {
-        let q = self.per_client.entry(client).or_default();
-        if q.is_empty() {
-            self.rr.push_front(client);
-        } else if let Some(pos) = self.rr.iter().position(|c| *c == client) {
-            self.rr.remove(pos);
-            self.rr.push_front(client);
-        }
-        q.push_front(key);
-    }
-
-    fn pop(&mut self) -> Option<(u64, String)> {
-        let client = self.rr.pop_front()?;
-        let q = self
-            .per_client
-            .get_mut(&client)
-            .expect("rr client has a queue");
-        let key = q.pop_front().expect("rr client queue is non-empty");
-        if q.is_empty() {
-            self.per_client.remove(&client);
-        } else {
-            self.rr.push_back(client);
-        }
-        Some((client, key))
-    }
-
-    /// Removes a specific queued key (priority-upgrade path). Returns
-    /// whether it was present.
-    fn remove(&mut self, client: u64, key: &str) -> bool {
-        let Some(q) = self.per_client.get_mut(&client) else {
-            return false;
-        };
-        let Some(pos) = q.iter().position(|k| k == key) else {
-            return false;
-        };
-        q.remove(pos);
-        if q.is_empty() {
-            self.per_client.remove(&client);
-            if let Some(rpos) = self.rr.iter().position(|c| *c == client) {
-                self.rr.remove(rpos);
-            }
-        }
-        true
-    }
-
-    fn len(&self) -> u64 {
-        self.per_client.values().map(|q| q.len() as u64).sum()
-    }
-}
-
-#[derive(Default)]
-struct Sched {
-    /// One [`ClassQueue`] per priority class, indexed by
-    /// [`Priority::class`]; drained strictly in class order.
-    classes: [ClassQueue; 3],
-    /// Total queued (admitted, undispatched) points across all classes
-    /// — the quantity `max_queue` bounds.
-    queued: usize,
-    jobs: HashMap<String, Job>,
-    memo: HashMap<String, Memo>,
-    /// Thread-tier eviction orders, checked in the checkpoint callback.
-    evict_requests: HashSet<String>,
-    /// Control streams handed over by `ControlHello`, awaiting their
-    /// dispatcher.
-    pending_controls: HashMap<u64, TcpStream>,
-    /// Registered control streams, for proc-tier eviction.
+/// Everything the daemon's threads share, behind its one mutex.
+struct State {
+    sched: Sched<Reply>,
+    /// Worker control streams by token, for eviction orders.
     controls: HashMap<u64, TcpStream>,
-    /// Points dispatched per client, for the fair-share report.
-    shares: HashMap<u64, u64>,
-    /// Every dispatch in order (only when `record_dispatch`).
-    dispatch_log: Vec<Dispatch>,
     next_token: u64,
-    next_client: u64,
-    busy_workers: u64,
-    paused: bool,
     shutdown: bool,
 }
 
 struct Shared {
     cfg: DaemonConfig,
     addr: SocketAddr,
-    store: ResultStore,
     secret: Option<Vec<u8>>,
-    state: Mutex<Sched>,
+    state: Mutex<State>,
     cv: Condvar,
-    stats: Mutex<FabricStats>,
-    journal: Mutex<QueueJournal>,
     children: Mutex<HashMap<u64, Child>>,
     dispatchers: Mutex<Vec<JoinHandle<()>>>,
-    /// Global progress-report counter across both tiers, for
+    /// Global progress-report counter across all workers, for
     /// [`FaultPlan::kill_daemon_on_progress`].
     progress: AtomicU64,
 }
@@ -518,7 +190,8 @@ pub struct Daemon {
 
 impl Daemon {
     /// Binds the configured listener, recovers the queue journal when
-    /// asked, starts both worker tiers, and returns the running daemon.
+    /// asked, starts the in-process workers and spawns the worker
+    /// processes, and returns the running daemon.
     ///
     /// # Errors
     ///
@@ -538,58 +211,41 @@ impl Daemon {
                 format!("refusing to bind {addr} without --secret-file"),
             ));
         }
-        let store = ResultStore::new(&cfg.store_dir);
-        let (journal, backlog) = if cfg.resume_queue {
-            QueueJournal::recover(store.journal_path())
-        } else {
-            (QueueJournal::fresh(store.journal_path()), Vec::new())
+        let state = State {
+            sched: Sched::new(&cfg),
+            controls: HashMap::new(),
+            next_token: 1,
+            shutdown: false,
         };
-        let procs = cfg.procs;
-        let threads = cfg.threads;
-        let stats_interval = cfg.stats_interval;
-        let paused = cfg.start_paused;
         let shared = Arc::new(Shared {
             cfg,
             addr,
-            store,
             secret,
-            state: Mutex::new(Sched {
-                next_token: 1,
-                // Client 0 is reserved for journal-recovered backlog.
-                next_client: 1,
-                paused,
-                ..Sched::default()
-            }),
+            state: Mutex::new(state),
             cv: Condvar::new(),
-            stats: Mutex::new(FabricStats::default()),
-            journal: Mutex::new(journal),
             children: Mutex::new(HashMap::new()),
             dispatchers: Mutex::new(Vec::new()),
             progress: AtomicU64::new(0),
         });
-        shared.recover_backlog(backlog);
 
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&shared, &listener))
         };
-        let thread_handles = (0..threads)
-            .map(|idx| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || thread_worker(&shared, idx))
-            })
+        let threads = (0..shared.cfg.threads)
+            .map(|_| shared.spawn_thread_worker())
             .collect();
-        for _ in 0..procs {
+        for _ in 0..shared.cfg.procs {
             shared.spawn_worker()?;
         }
-        let stats_logger = stats_interval.map(|interval| {
+        let stats_logger = shared.cfg.stats_interval.map(|interval| {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || stats_logger(&shared, interval))
         });
         Ok(Daemon {
             shared,
             accept: Some(accept),
-            threads: thread_handles,
+            threads,
             stats_logger,
         })
     }
@@ -601,24 +257,12 @@ impl Daemon {
 
     /// A snapshot of the scheduler counters.
     pub fn stats(&self) -> FabricStats {
-        *self.shared.stats.lock().unwrap()
+        self.report().stats
     }
 
     /// A full utilization snapshot (counters + queue/worker occupancy).
     pub fn report(&self) -> FabricReport {
-        self.shared.report()
-    }
-
-    /// Releases a scheduler started with
-    /// [`DaemonConfig::start_paused`].
-    pub fn resume(&self) {
-        self.shared.resume();
-    }
-
-    /// The recorded dispatch order (empty unless
-    /// [`DaemonConfig::record_dispatch`]).
-    pub fn dispatch_log(&self) -> Vec<Dispatch> {
-        self.shared.state.lock().unwrap().dispatch_log.clone()
+        self.shared.state().sched.report()
     }
 
     /// Orders the point with cache key `key` to be preempted at its
@@ -632,19 +276,19 @@ impl Daemon {
     /// everything. Used by the standalone `bvl-serve` binary.
     pub fn wait(mut self) {
         {
-            let mut s = self.shared.state.lock().unwrap();
+            let mut s = self.shared.state();
             while !s.shutdown {
-                s = self.shared.cv.wait(s).unwrap();
+                s = self.shared.wait(s);
             }
         }
         self.finish();
     }
 
-    /// Initiates and completes an orderly shutdown: drains the queue's
-    /// already-running points, tells workers to exit, joins all threads
-    /// and reaps all worker processes.
+    /// Initiates and completes an orderly shutdown: drains the queue,
+    /// tells workers to exit, joins all threads and reaps all worker
+    /// processes.
     pub fn shutdown(mut self) {
-        self.shared.begin_shutdown();
+        self.shared.update(|s| s.shutdown = true);
         self.finish();
     }
 
@@ -673,70 +317,52 @@ impl Daemon {
 }
 
 impl Shared {
-    fn begin_shutdown(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.shutdown = true;
-        self.cv.notify_all();
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .expect("a daemon thread panicked holding the scheduler lock")
     }
 
-    fn resume(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.paused = false;
-        self.cv.notify_all();
+    fn wait<'a>(&self, guard: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        self.cv
+            .wait(guard)
+            .expect("a daemon thread panicked holding the scheduler lock")
     }
 
-    /// Re-admits the journal-recovered backlog under synthetic client
-    /// 0. Points whose result reached the disk store before the old
-    /// daemon died (the store-write happens *before* the journal
-    /// settle, so a crash can leave a stored-but-unsettled admit) are
-    /// settled from the store instead of re-simulated.
-    fn recover_backlog(&self, backlog: Vec<AdmitRec>) {
-        if backlog.is_empty() {
-            return;
-        }
-        let mut s = self.state.lock().unwrap();
-        let mut journal = self.journal.lock().unwrap();
-        let mut requeued = 0u64;
-        for rec in backlog {
-            if self.cfg.persist {
-                if let Some(result) = self.store.load(&rec.key) {
-                    s.memo.insert(rec.key.clone(), Memo { result });
-                    journal.settle(&rec.key);
-                    continue;
-                }
+    /// Applies one event to the shared state and wakes every thread
+    /// waiting on it (dispatchers for work, `wait` for shutdown).
+    fn update<T>(&self, event: impl FnOnce(&mut State) -> T) -> T {
+        let out = event(&mut self.state());
+        self.cv.notify_all();
+        out
+    }
+
+    fn next_token(&self) -> u64 {
+        self.update(|s| {
+            s.next_token += 1;
+            s.next_token - 1
+        })
+    }
+
+    /// Starts an in-process worker: [`worker_main`] on a thread, joining
+    /// through this daemon's own listener like any worker process.
+    fn spawn_thread_worker(&self) -> JoinHandle<()> {
+        let token = self.next_token();
+        let addr = self.addr.to_string();
+        let store_dir = self.cfg.store_dir.clone();
+        let secret = self.secret.clone();
+        std::thread::spawn(move || {
+            if let Err(e) = worker_main(&addr, token, store_dir, secret.as_deref()) {
+                eprintln!("bvl-serve: worker {token}: {e}");
             }
-            s.jobs.insert(
-                rec.key.clone(),
-                Job {
-                    spec: rec.spec,
-                    waiters: Vec::new(),
-                    running_on: None,
-                    priority: rec.priority,
-                    client: 0,
-                },
-            );
-            s.classes[rec.priority.class()].push_back(0, rec.key);
-            s.queued += 1;
-            requeued += 1;
-        }
-        drop(journal);
-        let depth = s.queued as u64;
-        drop(s);
-        let mut st = self.stats.lock().unwrap();
-        st.requeued_from_journal += requeued;
-        st.max_queue_depth = st.max_queue_depth.max(depth);
+        })
     }
 
     fn spawn_worker(&self) -> io::Result<()> {
         let cmd = self.cfg.worker_cmd.as_ref().ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, "procs > 0 but no worker_cmd")
         })?;
-        let token = {
-            let mut s = self.state.lock().unwrap();
-            let t = s.next_token;
-            s.next_token += 1;
-            t
-        };
+        let token = self.next_token();
         let mut command = Command::new(&cmd.program);
         command
             .args(&cmd.args)
@@ -754,254 +380,56 @@ impl Shared {
         Ok(())
     }
 
-    /// Registers a submission under the scheduler lock and routes it:
-    /// memo hit, coalesce onto an in-flight job (upgrading its class if
-    /// the new submission outranks it and it is still queued), disk
-    /// hit, Busy rejection past the admission bound, or journal +
-    /// enqueue a fresh job.
-    fn submit(
-        &self,
-        id: u64,
-        priority: Priority,
-        mut spec: PointSpec,
-        client: u64,
-        stream: &Arc<Mutex<TcpStream>>,
-    ) {
-        let key = spec.key();
-        self.stats.lock().unwrap().submitted += 1;
-        if spec.params.checkpoint_every == 0 {
-            // Observability-only knob, normalized out of the cache key
-            // and proven result-neutral by the restore-equivalence
-            // suite — safe to overlay the fabric's preemption cadence.
-            spec.params.checkpoint_every = self.cfg.checkpoint_every;
-        }
-
-        let mut s = self.state.lock().unwrap();
-        if let Some(memo) = s.memo.get(&key) {
-            let result = memo.result.clone();
-            self.stats.lock().unwrap().memo_hits += 1;
-            drop(s);
-            send_done(stream, id, &result, 0, 0, 0.0, true, false);
-            return;
-        }
-        if let Some(job) = s.jobs.get_mut(&key) {
-            job.waiters.push(Waiter {
-                stream: Arc::clone(stream),
-                id,
-                coalesced: true,
-            });
-            let (owner, old) = (job.client, job.priority);
-            let still_queued = job.running_on.is_none();
-            if priority < old && still_queued && s.classes[old.class()].remove(owner, &key) {
-                s.jobs.get_mut(&key).expect("job still present").priority = priority;
-                s.classes[priority.class()].push_back(owner, key);
-                self.cv.notify_all();
+    /// Waits for worker `token`'s control connection, then registers
+    /// the worker. Returns `false` when shutdown comes first.
+    fn register(&self, token: u64) -> bool {
+        let mut s = self.state();
+        while !s.controls.contains_key(&token) {
+            if s.shutdown {
+                return false;
             }
-            self.stats.lock().unwrap().coalesced += 1;
-            return;
+            s = self.wait(s);
         }
-        if self.cfg.persist {
-            if let Some(result) = self.store.load(&key) {
-                s.memo.insert(
-                    key,
-                    Memo {
-                        result: result.clone(),
-                    },
-                );
-                self.stats.lock().unwrap().disk_hits += 1;
-                drop(s);
-                send_done(stream, id, &result, 0, 0, 0.0, true, false);
-                return;
-            }
-        }
-        if self.cfg.max_queue > 0 && s.queued >= self.cfg.max_queue {
-            drop(s);
-            self.stats.lock().unwrap().busy_rejections += 1;
-            let msg = Msg::Busy {
-                id,
-                retry_after_ms: BUSY_RETRY_MS,
-            };
-            let mut stream = stream.lock().unwrap();
-            let _ = proto::write_msg(&mut *stream, &msg);
-            return;
-        }
-        // Journal before the job becomes visible (state → journal lock
-        // order): a daemon death after this line re-admits the point on
-        // --resume-queue; one before it leaves the client to resubmit.
-        self.journal.lock().unwrap().admit(&key, &spec, priority);
-        s.jobs.insert(
-            key.clone(),
-            Job {
-                spec,
-                waiters: vec![Waiter {
-                    stream: Arc::clone(stream),
-                    id,
-                    coalesced: false,
-                }],
-                running_on: None,
-                priority,
-                client,
-            },
-        );
-        s.classes[priority.class()].push_back(client, key);
-        s.queued += 1;
-        let depth = s.queued as u64;
-        drop(s);
-        let mut st = self.stats.lock().unwrap();
-        st.max_queue_depth = st.max_queue_depth.max(depth);
-        drop(st);
-        self.cv.notify_all();
+        s.sched.join();
+        true
     }
 
-    /// Blocks until a point is available (returning its key and spec,
-    /// marked running on `who`) or shutdown is ordered with an empty
-    /// queue (returning `None`). Dispatch order: strictly by class,
-    /// round-robin across clients within a class.
-    fn next_job(&self, who: RunningOn) -> Option<(String, PointSpec)> {
-        let mut s = self.state.lock().unwrap();
+    /// Blocks until a point is available for worker `token` (returning
+    /// its key and spec) or shutdown is ordered with an empty queue
+    /// (returning `None`).
+    fn next_job(&self, token: u64) -> Option<(String, PointSpec)> {
+        let mut s = self.state();
         loop {
-            if !s.paused {
-                if let Some((client, key)) = s.classes.iter_mut().find_map(ClassQueue::pop) {
-                    s.queued -= 1;
-                    s.busy_workers += 1;
-                    *s.shares.entry(client).or_insert(0) += 1;
-                    let job = s.jobs.get_mut(&key).expect("queued key has a job");
-                    job.running_on = Some(who);
-                    let spec = job.spec.clone();
-                    if self.cfg.record_dispatch {
-                        let priority = job.priority;
-                        s.dispatch_log.push(Dispatch {
-                            client,
-                            priority,
-                            key: key.clone(),
-                        });
-                    }
-                    return Some((key, spec));
-                }
+            if let Some(job) = s.sched.dispatch(token) {
+                return Some(job);
             }
             if s.shutdown {
                 return None;
             }
-            s = self.cv.wait(s).unwrap();
+            s = self.wait(s);
         }
     }
 
-    fn complete(&self, key: &str, out: PointOutcome) {
-        let waiters = {
-            let mut s = self.state.lock().unwrap();
-            s.evict_requests.remove(key);
-            s.busy_workers = s.busy_workers.saturating_sub(1);
-            let job = s.jobs.remove(key).expect("completed key has a job");
-            s.memo.insert(
-                key.to_string(),
-                Memo {
-                    result: out.result.clone(),
-                },
-            );
-            job.waiters
-        };
-        if self.cfg.persist && !out.resumed {
-            self.store.store(key, &out.result);
-        }
-        // Settle strictly *after* the store write: a crash in between
-        // leaves a stored result plus an outstanding admit, which
-        // recovery resolves from the store — never the other way
-        // around, which would silently drop a point.
-        self.journal.lock().unwrap().settle(key);
-        {
-            let mut st = self.stats.lock().unwrap();
-            st.executed += 1;
-            st.resumed += u64::from(out.resumed);
-            st.restarts_from_zero += u64::from(out.restarted_from_zero);
-        }
-        for w in &waiters {
-            send_done(
-                &w.stream,
-                w.id,
-                &out.result,
-                out.edges_run,
-                out.edges_skipped,
-                out.host_secs,
-                w.coalesced,
-                out.resumed,
-            );
-        }
-    }
-
-    /// Fails a job: *every* waiter (original submitter and coalescers
-    /// alike) receives the failure, and the key is fully retired — no
-    /// memo entry, checkpoint blob removed, journal settled — so a
-    /// resubmission re-runs it from scratch rather than hitting a
-    /// negative cache or a poisoned checkpoint.
-    fn fail(&self, key: &str, error: &str) {
-        let waiters = {
-            let mut s = self.state.lock().unwrap();
-            s.evict_requests.remove(key);
-            s.busy_workers = s.busy_workers.saturating_sub(1);
-            let job = s.jobs.remove(key).expect("failed key has a job");
-            job.waiters
-        };
-        self.store.remove_checkpoint(key);
-        self.journal.lock().unwrap().settle(key);
-        self.stats.lock().unwrap().failed += 1;
-        for w in &waiters {
-            let msg = Msg::Failed {
-                id: w.id,
-                error: error.to_string(),
-            };
-            let mut stream = w.stream.lock().unwrap();
-            let _ = proto::write_msg(&mut *stream, &msg);
-        }
-    }
-
-    /// Returns a yielded (or dead-worker) point to the *front* of its
-    /// owner's class queue so it resumes promptly from its persisted
-    /// checkpoint. No journal traffic: the point is still outstanding.
-    fn requeue(&self, key: &str, s: &mut MutexGuard<'_, Sched>) {
-        s.evict_requests.remove(key);
-        s.busy_workers = s.busy_workers.saturating_sub(1);
-        let owner = if let Some(job) = s.jobs.get_mut(key) {
-            job.running_on = None;
-            Some((job.client, job.priority.class()))
-        } else {
-            None
-        };
-        if let Some((client, class)) = owner {
-            s.classes[class].push_front(client, key.to_string());
-            s.queued += 1;
-            self.cv.notify_all();
-        }
-    }
-
-    fn on_yielded(&self, key: &str) {
-        let mut s = self.state.lock().unwrap();
-        self.requeue(key, &mut s);
-        drop(s);
-        self.stats.lock().unwrap().evictions += 1;
-    }
-
-    fn on_worker_death(&self, token: u64, running_key: Option<&str>) {
-        {
-            let mut s = self.state.lock().unwrap();
+    fn on_worker_death(&self, token: u64, key: &str) {
+        let shutdown = self.update(|s| {
             s.controls.remove(&token);
-            if let Some(key) = running_key {
-                self.requeue(key, &mut s);
-            }
-        }
-        self.stats.lock().unwrap().worker_deaths += 1;
-        // Only daemon-spawned children are reaped and replaced; a
-        // vanished *remote* worker (never in `children`) is simply
-        // deregistered — its host owns its lifecycle.
-        let was_child = match self.children.lock().unwrap().remove(&token) {
-            Some(mut child) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                true
-            }
-            None => false,
+            s.sched.worker_died(key);
+            s.shutdown
+        });
+        // Only daemon-spawned processes are reaped and replaced; any
+        // other worker that vanished is simply deregistered — whoever
+        // started it owns its lifecycle.
+        let child = self
+            .children
+            .lock()
+            .expect("a daemon thread panicked holding the worker-process table")
+            .remove(&token);
+        let Some(mut child) = child else {
+            return;
         };
-        let respawn = was_child && !self.state.lock().unwrap().shutdown;
-        if respawn {
+        let _ = child.kill();
+        let _ = child.wait();
+        if !shutdown {
             if let Err(e) = self.spawn_worker() {
                 eprintln!("bvl-serve: failed to respawn worker: {e}");
             }
@@ -1009,24 +437,16 @@ impl Shared {
     }
 
     fn evict(&self, key: &str) -> bool {
-        let mut s = self.state.lock().unwrap();
-        match s.jobs.get(key).and_then(|j| j.running_on) {
-            Some(RunningOn::Thread(_)) => {
-                s.evict_requests.insert(key.to_string());
-                true
-            }
-            Some(RunningOn::Proc(token)) => {
-                if let Some(control) = s.controls.get_mut(&token) {
-                    control.write_all(&[EVICT_BYTE]).is_ok()
-                } else {
-                    false
-                }
-            }
-            None => false,
-        }
+        let mut s = self.state();
+        let Some(token) = s.sched.running_on(key) else {
+            return false;
+        };
+        s.controls
+            .get_mut(&token)
+            .is_some_and(|control| control.write_all(&[EVICT_BYTE]).is_ok())
     }
 
-    /// Kills worker `token` with SIGKILL (fault injection). The
+    /// Kills worker process `token` with SIGKILL (fault injection). The
     /// dispatcher observes the death through its broken connection.
     fn kill_worker(&self, token: u64) {
         if let Some(child) = self.children.lock().unwrap().get_mut(&token) {
@@ -1034,10 +454,10 @@ impl Shared {
         }
     }
 
-    /// One progress report arrived (either tier). Fires the
-    /// kill-the-daemon fault when the global count reaches the plan's
-    /// threshold — `abort()`, the in-process stand-in for SIGKILL: no
-    /// destructors, no journal compaction, nothing orderly.
+    /// One progress report arrived. Fires the kill-the-daemon fault
+    /// when the global count reaches the plan's threshold — `abort()`,
+    /// the in-process stand-in for SIGKILL: no destructors, no journal
+    /// compaction, nothing orderly.
     fn on_progress(&self) {
         let n = self.progress.fetch_add(1, Ordering::SeqCst) + 1;
         if self.cfg.fault_plan.kill_daemon_on_progress == Some(n) {
@@ -1045,77 +465,28 @@ impl Shared {
             std::process::abort();
         }
     }
-
-    fn report(&self) -> FabricReport {
-        let s = self.state.lock().unwrap();
-        let queue_by_class = [s.classes[0].len(), s.classes[1].len(), s.classes[2].len()];
-        let mut shares: Vec<(u64, u64)> = s.shares.iter().map(|(c, n)| (*c, *n)).collect();
-        shares.sort_unstable();
-        let report = FabricReport {
-            stats: FabricStats::default(), // filled below, after s drops
-            queue_depth: s.queued as u64,
-            queue_by_class,
-            busy_workers: s.busy_workers,
-            total_workers: self.cfg.threads as u64 + s.controls.len() as u64,
-            shares,
-        };
-        drop(s);
-        FabricReport {
-            stats: *self.stats.lock().unwrap(),
-            ..report
-        }
-    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn send_done(
-    stream: &Arc<Mutex<TcpStream>>,
-    id: u64,
-    result: &RunResult,
-    edges_run: u64,
-    edges_skipped: u64,
-    host_secs: f64,
-    cache_hit: bool,
-    resumed: bool,
-) {
-    let msg = Msg::Done {
-        id,
-        result: result.clone(),
-        edges_run,
-        edges_skipped,
-        host_secs,
-        cache_hit,
-        resumed,
-    };
-    let mut stream = stream.lock().unwrap();
-    let _ = proto::write_msg(&mut *stream, &msg);
+fn send(to: &Reply, msg: &Msg) {
+    let mut stream = to
+        .lock()
+        .expect("a daemon thread panicked writing to this client");
+    let _ = proto::write_msg(&mut *stream, msg);
 }
 
-/// Tier-1 worker: picks points off the queue and runs them in-process.
-/// The checkpoint callback polls the eviction set under the scheduler
-/// lock (held only for the lookup — checkpoint cadence, not cycle
-/// cadence).
-fn thread_worker(shared: &Arc<Shared>, idx: usize) {
-    while let Some((key, spec)) = shared.next_job(RunningOn::Thread(idx)) {
-        let mut cb = |_cycle: u64| {
-            shared.on_progress();
-            shared.state.lock().unwrap().evict_requests.contains(&key)
-        };
-        match run_one_point(&spec, &shared.store, &mut cb) {
-            Ok(PointRun::Finished(out)) => shared.complete(&key, *out),
-            Ok(PointRun::Yielded { .. }) => shared.on_yielded(&key),
-            Err(e) => shared.fail(&key, &e),
-        }
+fn send_all(replies: Replies<Reply>) {
+    for (to, msg) in replies {
+        send(&to, &msg);
     }
 }
 
 /// Periodic utilization logging: an `Instant`-based deadline loop (a
 /// plain `wait_timeout` would reset on every scheduler notify and could
 /// starve under churn).
-fn stats_logger(shared: &Arc<Shared>, interval: Duration) {
+fn stats_logger(shared: &Shared, interval: Duration) {
     let mut next = Instant::now() + interval;
     loop {
-        let mut s = shared.state.lock().unwrap();
+        let mut s = shared.state();
         loop {
             if s.shutdown {
                 return;
@@ -1127,15 +498,16 @@ fn stats_logger(shared: &Arc<Shared>, interval: Duration) {
             let (guard, _) = shared.cv.wait_timeout(s, next - now).unwrap();
             s = guard;
         }
+        let report = s.sched.report();
         drop(s);
-        eprintln!("{}", shared.report().utilization_line());
+        eprintln!("{}", report.utilization_line());
         next += interval;
     }
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     for conn in listener.incoming() {
-        if shared.state.lock().unwrap().shutdown {
+        if shared.state().shutdown {
             return;
         }
         let Ok(stream) = conn else { continue };
@@ -1143,7 +515,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         let shared = Arc::clone(shared);
         let handle = std::thread::spawn(move || route_connection(&shared, stream));
         // Dispatcher/client threads are joined via the dispatchers list
-        // only when they are proc dispatchers; route_connection moves
+        // only when they are worker dispatchers; route_connection moves
         // client handlers to detached completion.
         drop(handle);
     }
@@ -1195,7 +567,7 @@ fn authenticate(shared: &Shared, stream: &mut TcpStream) -> Option<Msg> {
 }
 
 fn reject(shared: &Shared, stream: &mut TcpStream, reason: &str) -> Option<Msg> {
-    shared.stats.lock().unwrap().auth_failures += 1;
+    shared.update(|s| s.sched.count_auth_failure());
     let _ = proto::write_msg(
         stream,
         &Msg::AuthReject {
@@ -1215,54 +587,42 @@ fn route_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         Msg::WorkerHello { token } => {
             let handle = {
                 let shared = Arc::clone(shared);
-                std::thread::spawn(move || proc_dispatcher(&shared, token, stream))
+                std::thread::spawn(move || dispatcher(&shared, token, stream))
             };
             shared.dispatchers.lock().unwrap().push(handle);
         }
         Msg::ControlHello { token } => {
-            let mut s = shared.state.lock().unwrap();
-            s.pending_controls.insert(token, stream);
-            shared.cv.notify_all();
+            shared.update(|s| s.controls.insert(token, stream));
         }
         other => client_loop(shared, stream, other),
     }
 }
 
-fn client_loop(shared: &Arc<Shared>, stream: TcpStream, first: Msg) {
-    let Ok(reader) = stream.try_clone() else {
+fn client_loop(shared: &Shared, stream: TcpStream, first: Msg) {
+    let Ok(mut reader) = stream.try_clone() else {
         return;
     };
     // Each connection is one client for fair-share purposes.
-    let client = {
-        let mut s = shared.state.lock().unwrap();
-        let c = s.next_client;
-        s.next_client += 1;
-        c
-    };
+    let client = shared.update(|s| s.sched.connect());
     let writer = Arc::new(Mutex::new(stream));
-    let mut reader = reader;
     let mut msg = first;
     loop {
         match msg {
             Msg::Submit { id, priority, spec } => {
-                shared.submit(id, priority, spec, client, &writer);
+                let to = Arc::clone(&writer);
+                send_all(shared.update(|s| s.sched.submit(client, to, id, priority, spec)));
             }
             Msg::QueryStats => {
-                let report = shared.report();
-                let mut w = writer.lock().unwrap();
-                let _ = proto::write_msg(&mut *w, &Msg::Stats { report });
+                let report = shared.state().sched.report();
+                send(&writer, &Msg::Stats { report });
             }
-            Msg::Resume => shared.resume(),
             Msg::Shutdown => {
                 // Ack *before* flipping the shutdown flag: client
                 // handlers are detached threads, and in the standalone
                 // binary the main thread exits the process as soon as
                 // the flag is up — an ack written after that is lost.
-                {
-                    let mut w = writer.lock().unwrap();
-                    let _ = proto::write_msg(&mut *w, &Msg::ShutdownAck);
-                }
-                shared.begin_shutdown();
+                send(&writer, &Msg::ShutdownAck);
+                shared.update(|s| s.shutdown = true);
                 return;
             }
             other => {
@@ -1277,35 +637,24 @@ fn client_loop(shared: &Arc<Shared>, stream: TcpStream, first: Msg) {
     }
 }
 
-/// Tier-2 dispatcher: one thread per worker process, feeding it
-/// assignments and interpreting its progress/completion stream. Worker
-/// death (connection loss) requeues the in-flight point and — for
-/// daemon-spawned workers — spawns a replacement.
-fn proc_dispatcher(shared: &Arc<Shared>, token: u64, mut main: TcpStream) {
+/// One thread per worker, in-process or not: feeds it assignments and
+/// interprets its progress/completion stream. Worker death (connection
+/// loss) requeues the in-flight point and — for daemon-spawned
+/// processes — spawns a replacement.
+fn dispatcher(shared: &Arc<Shared>, token: u64, mut main: TcpStream) {
     // Pair up with the control connection before scheduling work, so
     // eviction is possible from the first assignment on.
-    {
-        let mut s = shared.state.lock().unwrap();
-        loop {
-            if let Some(control) = s.pending_controls.remove(&token) {
-                s.controls.insert(token, control);
-                break;
-            }
-            if s.shutdown {
-                return;
-            }
-            s = shared.cv.wait(s).unwrap();
-        }
+    if !shared.register(token) {
+        return;
     }
-
     // One-shot: a consumed fault is disarmed, so a requeued point does
     // not re-trigger it when the same worker picks the point up again.
     let mut kill_at = plan_lookup(&shared.cfg.fault_plan.kill_on_progress, token);
     let mut evict_at = plan_lookup(&shared.cfg.fault_plan.evict_on_progress, token);
 
-    while let Some((key, spec)) = shared.next_job(RunningOn::Proc(token)) {
+    while let Some((key, spec)) = shared.next_job(token) {
         if proto::write_msg(&mut main, &Msg::Assign { spec }).is_err() {
-            shared.on_worker_death(token, Some(&key));
+            shared.on_worker_death(token, &key);
             return;
         }
         let mut progress = 0u64;
@@ -1323,50 +672,25 @@ fn proc_dispatcher(shared: &Arc<Shared>, token: u64, mut main: TcpStream) {
                         shared.evict(&key);
                     }
                 }
-                Ok(Msg::WorkerDone {
-                    result,
-                    edges_run,
-                    edges_skipped,
-                    host_secs,
-                    resumed,
-                }) => {
-                    shared.complete(
-                        &key,
-                        PointOutcome {
-                            result,
-                            edges_run,
-                            edges_skipped,
-                            host_secs,
-                            resumed,
-                            // A process worker restarting from zero after
-                            // a corrupt blob surfaces as `resumed: false`
-                            // on a requeued point; the counter only
-                            // tracks thread-tier restarts exactly.
-                            restarted_from_zero: false,
-                        },
-                    );
+                Ok(Msg::WorkerDone { outcome }) => {
+                    send_all(shared.update(|s| s.sched.complete(&key, outcome)));
                     break;
                 }
                 Ok(Msg::WorkerYielded { cycle: _ }) => {
-                    shared.on_yielded(&key);
+                    shared.update(|s| s.sched.yielded(&key));
                     break;
                 }
                 Ok(Msg::WorkerFailed { error }) => {
-                    shared.fail(&key, &error);
+                    send_all(shared.update(|s| s.sched.fail(&key, &error)));
                     break;
                 }
-                Ok(other) => {
-                    eprintln!("bvl-serve: unexpected worker message {other:?}");
-                    shared.on_worker_death(token, Some(&key));
+                Err(ProtoError::Io(_) | ProtoError::Truncated) => {
+                    shared.on_worker_death(token, &key);
                     return;
                 }
-                Err(ProtoError::Io(_)) | Err(ProtoError::Truncated) => {
-                    shared.on_worker_death(token, Some(&key));
-                    return;
-                }
-                Err(e) => {
-                    eprintln!("bvl-serve: worker {token} protocol error: {e}");
-                    shared.on_worker_death(token, Some(&key));
+                other => {
+                    eprintln!("bvl-serve: worker {token}: unexpected {other:?}");
+                    shared.on_worker_death(token, &key);
                     return;
                 }
             }

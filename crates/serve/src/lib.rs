@@ -3,10 +3,11 @@
 //!
 //! A daemon ([`Daemon`]) that accepts experiment-point requests over a
 //! length-prefixed protocol on a localhost socket, schedules them across
-//! an in-process worker pool plus a second tier of spawned worker
-//! *processes*, dedupes in-flight identical points by their params-hash
-//! cache key, and serves completed results from a content-addressed
-//! store layered on the sweep's disk cache.
+//! workers — in-process worker threads, spawned worker processes and
+//! workers on other hosts, all speaking the same protocol — dedupes
+//! in-flight identical points by their params-hash cache key, and serves
+//! completed results from a content-addressed store layered on the
+//! sweep's disk cache.
 //!
 //! The PR-5 checkpoint machinery is the fabric's preemption/migration
 //! primitive: a long-running point can be evicted at its last checkpoint
@@ -23,10 +24,13 @@
 //! - [`spec`] — wire-transportable point specs ([`spec::PointSpec`])
 //! - [`store`] — content-addressed result + checkpoint store
 //! - [`journal`] — the persistent admission-queue journal
-//! - [`worker`] — point execution shared by both worker tiers and the
-//!   in-process sweep
-//! - [`daemon`] — the scheduler: priority + fair-share dispatch,
-//!   dedupe, memo, backpressure, preemption, fault plans
+//! - [`worker`] — point execution shared by every fabric worker and the
+//!   in-process sweep, and the worker loop
+//! - [`sched`] — the scheduler core, with no sockets, threads, locks or
+//!   clocks: priority + fair-share dispatch, dedupe, memo and disk hits,
+//!   backpressure, requeues, journaling, counters
+//! - [`daemon`] — sockets, authentication, workers, preemption and
+//!   fault plans around the core
 //! - [`client`] — the submit/collect client library
 //!
 //! Binaries: `bvl-serve` (standalone daemon) and `bvl-client` (submit
@@ -38,14 +42,16 @@ pub mod client;
 pub mod daemon;
 pub mod journal;
 pub mod proto;
+pub mod sched;
 pub mod spec;
 pub mod store;
 pub mod worker;
 
 pub use client::{Client, ServedResult};
-pub use daemon::{Daemon, DaemonConfig, Dispatch, FabricReport, FabricStats, FaultPlan, WorkerCmd};
+pub use daemon::{Daemon, DaemonConfig, FaultPlan, WorkerCmd};
 pub use journal::QueueJournal;
 pub use proto::{Msg, Priority, ProtoError, EVICT_BYTE, MAX_FRAME};
+pub use sched::{FabricReport, FabricStats, Sched};
 pub use spec::{PointSpec, WorkloadSpec};
 pub use store::{cache_key_for, ResultStore};
 pub use worker::{run_exact_point, run_one_point, worker_main, PointOutcome, PointRun};

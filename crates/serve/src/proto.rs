@@ -15,8 +15,9 @@
 //! a *typed* [`ProtoError`], never a panic or an unbounded allocation.
 //! The proptest suite (`tests/proto_props.rs`) enforces exactly that.
 
-use crate::daemon::FabricReport;
+use crate::sched::FabricReport;
 use crate::spec::PointSpec;
+use crate::worker::PointOutcome;
 use bvl_sim::RunResult;
 use bvl_snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::io::{self, Read, Write};
@@ -204,16 +205,8 @@ pub enum Msg {
     },
     /// worker → daemon: the assigned point finished.
     WorkerDone {
-        /// The (checked) simulation result.
-        result: RunResult,
-        /// Clock-domain edges processed cycle-by-cycle.
-        edges_run: u64,
-        /// Clock-domain edges batch-skipped.
-        edges_skipped: u64,
-        /// Host seconds this worker spent simulating.
-        host_secs: f64,
-        /// True when the run resumed from a persisted checkpoint.
-        resumed: bool,
+        /// The result and how the worker got it.
+        outcome: PointOutcome,
     },
     /// worker → daemon: the assigned point failed to simulate.
     WorkerFailed {
@@ -269,9 +262,6 @@ pub enum Msg {
         /// Queue depths, worker occupancy, per-client shares, counters.
         report: FabricReport,
     },
-    /// client → daemon: release a scheduler started paused
-    /// (`DaemonConfig::start_paused` — deterministic-dispatch tests).
-    Resume,
 }
 
 /// The single raw byte the daemon writes on a worker's control
@@ -326,19 +316,9 @@ impl Snap for Msg {
                 w.u8(6);
                 w.u64(*cycle);
             }
-            Msg::WorkerDone {
-                result,
-                edges_run,
-                edges_skipped,
-                host_secs,
-                resumed,
-            } => {
+            Msg::WorkerDone { outcome } => {
                 w.u8(7);
-                result.save(w);
-                w.u64(*edges_run);
-                w.u64(*edges_skipped);
-                w.f64(*host_secs);
-                w.bool(*resumed);
+                outcome.save(w);
             }
             Msg::WorkerFailed { error } => {
                 w.u8(8);
@@ -375,7 +355,6 @@ impl Snap for Msg {
                 w.u8(19);
                 report.save(w);
             }
-            Msg::Resume => w.u8(20),
         }
     }
 
@@ -406,11 +385,7 @@ impl Snap for Msg {
             },
             6 => Msg::Progress { cycle: r.u64()? },
             7 => Msg::WorkerDone {
-                result: RunResult::load(r)?,
-                edges_run: r.u64()?,
-                edges_skipped: r.u64()?,
-                host_secs: r.f64()?,
-                resumed: r.bool()?,
+                outcome: PointOutcome::load(r)?,
             },
             8 => Msg::WorkerFailed { error: r.str()? },
             9 => Msg::WorkerYielded { cycle: r.u64()? },
@@ -432,7 +407,6 @@ impl Snap for Msg {
             19 => Msg::Stats {
                 report: FabricReport::load(r)?,
             },
-            20 => Msg::Resume,
             tag => {
                 return Err(SnapError::BadTag {
                     ty: "Msg",
@@ -547,11 +521,14 @@ mod tests {
             },
             Msg::Progress { cycle: 4096 },
             Msg::WorkerDone {
-                result: RunResult::default(),
-                edges_run: 1,
-                edges_skipped: 2,
-                host_secs: 1.5,
-                resumed: true,
+                outcome: PointOutcome {
+                    result: RunResult::default(),
+                    edges_run: 1,
+                    edges_skipped: 2,
+                    host_secs: 1.5,
+                    resumed: true,
+                    restarted_from_zero: true,
+                },
             },
             Msg::WorkerFailed { error: "no".into() },
             Msg::WorkerYielded { cycle: 8192 },
@@ -579,14 +556,13 @@ mod tests {
                     busy_workers: 2,
                     total_workers: 4,
                     shares: vec![(1, 10), (2, 7)],
-                    stats: crate::daemon::FabricStats {
+                    stats: crate::sched::FabricStats {
                         submitted: 17,
                         busy_rejections: 2,
                         ..Default::default()
                     },
                 },
             },
-            Msg::Resume,
         ];
         for msg in msgs {
             let wire = encode_frame(&msg);

@@ -1,19 +1,20 @@
-//! Point execution, shared by both worker tiers and the in-process sweep.
+//! Point execution, shared by every fabric worker and the in-process
+//! sweep.
 //!
 //! [`run_exact_point`] is the single code path that executes one exact
 //! experiment point: it resumes from a persisted checkpoint when asked,
 //! writes a fresh blob at every checkpoint boundary, and can yield mid-run
-//! when the scheduler asks. [`run_one_point`] is what a fabric worker —
-//! an in-daemon thread or a spawned worker process — runs: it always
-//! resumes (that is what makes worker death and eviction cheap: whoever
-//! picks the point up next continues from the last blob). The in-process
-//! sweep calls [`run_exact_point`] directly and resumes only under
-//! `--resume`.
+//! when the scheduler asks. [`run_one_point`] is what a fabric worker
+//! runs: it always resumes (that is what makes worker death and eviction
+//! cheap: whoever picks the point up next continues from the last blob).
+//! The in-process sweep calls [`run_exact_point`] directly and resumes
+//! only under `--resume`.
 //!
-//! [`worker_main`] is the process-tier entry: connect back to the
-//! daemon, say hello on a main and a control connection, then loop
-//! executing [`Msg::Assign`]ments until told to shut down (or the daemon
-//! goes away).
+//! [`worker_main`] is every fabric worker's loop — a daemon's in-process
+//! worker thread, a worker process it spawned, or one joining from
+//! another host: connect to the daemon, say hello on a main and a control
+//! connection, then loop executing [`Msg::Assign`]ments until told to
+//! shut down (or the daemon goes away).
 
 use crate::proto::{self, Msg, ProtoError, EVICT_BYTE};
 use crate::spec::PointSpec;
@@ -22,9 +23,11 @@ use bvl_sim::{
     simulate_sampled, simulate_with, CkptControl, Hooks, RunResult, SimError, SimOutcome,
     SimParams, SysState, SystemKind,
 };
+use bvl_snap::snap_struct;
 use bvl_workloads::Workload;
 use std::io::{self, Read};
 use std::net::TcpStream;
+use std::path::Path;
 use std::time::Instant;
 
 /// What one completed point reports back.
@@ -44,6 +47,15 @@ pub struct PointOutcome {
     /// or fingerprint-mismatched), so the point restarted from cycle 0.
     pub restarted_from_zero: bool,
 }
+
+snap_struct!(PointOutcome {
+    result,
+    edges_run,
+    edges_skipped,
+    host_secs,
+    resumed,
+    restarted_from_zero,
+});
 
 /// How one [`run_one_point`] call ended.
 #[derive(Debug)]
@@ -196,9 +208,9 @@ fn control_says_evict(control: &mut TcpStream) -> bool {
     }
 }
 
-/// The process-tier worker loop: connect to the daemon at `addr`
-/// (possibly on another host), identify with `token`, and execute
-/// assignments against the store at `store_dir` until shut down.
+/// The worker loop: connect to the daemon at `addr` (possibly on another
+/// host), identify with `token`, and execute assignments against the
+/// store at `store_dir` until shut down.
 /// When `secret` is given, both connections run the [`crate::auth`]
 /// handshake before their hello — which also interoperates with an
 /// open loopback daemon (it acks the hello without a challenge).
@@ -213,10 +225,10 @@ fn control_says_evict(control: &mut TcpStream) -> bool {
 pub fn worker_main(
     addr: &str,
     token: u64,
-    store_dir: &str,
+    store_dir: impl AsRef<Path>,
     secret: Option<&[u8]>,
 ) -> Result<(), String> {
-    let store = ResultStore::new(store_dir);
+    let store = ResultStore::new(store_dir.as_ref());
     let mut main = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     main.set_nodelay(true).ok();
     if let Some(secret) = secret {
@@ -254,13 +266,7 @@ pub fn worker_main(
                     control_says_evict(&mut control)
                 };
                 let reply = match run_one_point(&spec, &store, &mut cb) {
-                    Ok(PointRun::Finished(out)) => Msg::WorkerDone {
-                        result: out.result,
-                        edges_run: out.edges_run,
-                        edges_skipped: out.edges_skipped,
-                        host_secs: out.host_secs,
-                        resumed: out.resumed,
-                    },
+                    Ok(PointRun::Finished(outcome)) => Msg::WorkerDone { outcome: *outcome },
                     Ok(PointRun::Yielded { cycle }) => Msg::WorkerYielded { cycle },
                     Err(error) => Msg::WorkerFailed { error },
                 };

@@ -48,7 +48,7 @@ fn spawn_daemon(store: &Path, extra: &[&str]) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_bvl-serve"))
         .arg("--store")
         .arg(store)
-        .args(["--threads", "1", "--checkpoint-every", "100"])
+        .args(["--checkpoint-every", "100"])
         .args(extra)
         .stdout(Stdio::piped())
         .spawn()
@@ -109,14 +109,14 @@ fn sigkilled_daemon_resumes_its_queue_byte_identically_with_zero_resimulation() 
         }
     }
 
-    // Daemon #1: paused single-thread daemon armed to abort at the 3rd
+    // Daemon #1: no workers of its own, armed to abort at the 3rd
     // progress report — i.e. mid-mmult, after its 3rd checkpoint blob
     // hit the disk.
     let (mut child, addr) = spawn_daemon(
         &store_dir,
-        &["--start-paused", "--kill-daemon-on-progress", "3"],
+        &["--threads", "0", "--kill-daemon-on-progress", "3"],
     );
-    {
+    let mut worker = {
         let mut client = Client::connect(&addr).expect("connect");
         // mmult at High so the single worker picks it first; the other
         // two queue behind it and die with the daemon.
@@ -127,20 +127,27 @@ fn sigkilled_daemon_resumes_its_queue_byte_identically_with_zero_resimulation() 
         client.submit(&spec("saxpy")).expect("submit saxpy");
         let report = client.stats().expect("admission barrier");
         assert_eq!(report.queue_depth, 3, "{report:?}");
-        client.resume_scheduler().expect("resume");
+        // The one worker, a `bvl-serve --worker` process, joins now.
+        let worker = Command::new(env!("CARGO_BIN_EXE_bvl-serve"))
+            .args(["--worker", "--connect", &addr, "--token", "1", "--store"])
+            .arg(&store_dir)
+            .spawn()
+            .expect("spawn bvl-serve --worker");
         // The daemon aborts mid-mmult; the connection dies with it.
         loop {
             if client.recv().is_err() {
                 break;
             }
         }
-    }
+        worker
+    };
     let status = child.wait().expect("wait for aborted daemon");
     assert!(!status.success(), "the fault plan must abort the daemon");
+    worker.wait().expect("the worker exits with its daemon");
 
     // Daemon #2: same store, --resume-queue. The journaled backlog runs
     // to completion with no client resubmitting anything.
-    let (mut child2, addr2) = spawn_daemon(&store_dir, &["--resume-queue"]);
+    let (mut child2, addr2) = spawn_daemon(&store_dir, &["--threads", "1", "--resume-queue"]);
     let mut client = Client::connect(&addr2).expect("connect restarted daemon");
     let deadline = Instant::now() + Duration::from_secs(120);
     let report = loop {

@@ -12,7 +12,8 @@
 //! exact result was requested would be silent corruption).
 
 use bvl_serve::{
-    cache_key_for, Client, Daemon, DaemonConfig, Msg, PointSpec, ResultStore, WorkloadSpec,
+    cache_key_for, worker_main, Client, Daemon, DaemonConfig, Msg, PointSpec, ResultStore,
+    WorkloadSpec,
 };
 use bvl_sim::{SamplingParams, SimParams, SystemKind};
 use bvl_workloads::Scale;
@@ -178,8 +179,7 @@ fn a_coalesced_failure_reaches_every_waiter_and_is_not_negatively_cached() {
     let store_dir = dir.join("cache");
     let daemon = Daemon::start(DaemonConfig {
         persist: false,
-        start_paused: true,
-        ..DaemonConfig::threads_only(1, store_dir.clone())
+        ..DaemonConfig::threads_only(0, store_dir.clone())
     })
     .expect("daemon");
     let addr = daemon.addr();
@@ -202,8 +202,9 @@ fn a_coalesced_failure_reaches_every_waiter_and_is_not_negatively_cached() {
     fs::create_dir_all(store.ckpt_path(&key).parent().unwrap()).unwrap();
     fs::write(store.ckpt_path(&key), b"stale blob").unwrap();
 
-    // Paused daemon: c1's submission queues, c2's coalesces onto it, and
-    // only then does the execution (and its failure) happen.
+    // No worker yet: c1's submission queues, c2's coalesces onto it, and
+    // only once a worker joins does the execution (and its failure)
+    // happen.
     let mut c1 = Client::connect(addr).expect("c1");
     let id1 = c1.submit(&bad).expect("submit");
     c1.stats().expect("admission barrier");
@@ -212,7 +213,10 @@ fn a_coalesced_failure_reaches_every_waiter_and_is_not_negatively_cached() {
     let report = c2.stats().expect("coalesce barrier");
     assert_eq!(report.stats.coalesced, 1, "{report:?}");
 
-    daemon.resume();
+    let worker = {
+        let addr = addr.to_string();
+        std::thread::spawn(move || worker_main(&addr, 1, store_dir, None))
+    };
     for (client, id) in [(&mut c1, id1), (&mut c2, id2)] {
         match client.recv().expect("failure reply") {
             Msg::Failed { id: got, error } => {
@@ -246,5 +250,9 @@ fn a_coalesced_failure_reaches_every_waiter_and_is_not_negatively_cached() {
     assert_eq!(s.memo_hits, 0, "a failure must never be memoized: {s:?}");
 
     daemon.shutdown();
+    worker
+        .join()
+        .expect("worker thread")
+        .expect("worker exits cleanly");
     let _ = fs::remove_dir_all(&dir);
 }

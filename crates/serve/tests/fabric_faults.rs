@@ -13,6 +13,10 @@
 //!   `SnapError` path): the point silently restarts from cycle 0;
 //! * a decodable blob for the wrong parameters is rejected by the
 //!   fingerprint check and counted as a restart-from-zero.
+//!
+//! Eviction and the restart count run once on an in-process worker and
+//! once on a `bvl-serve --worker` process: both kinds of worker take the
+//! same path through the daemon.
 
 use bvl_serve::{
     run_one_point, Client, Daemon, DaemonConfig, FaultPlan, PointRun, PointSpec, ResultStore,
@@ -56,12 +60,21 @@ fn reference(spec: &PointSpec, dir: &std::path::Path) -> RunResult {
     }
 }
 
-/// A proc-tier daemon config over `dir`, spawning `bvl-serve --worker`
-/// processes. `persist: false` forces every submission to execute.
-fn proc_config(dir: &std::path::Path, procs: usize, fault_plan: FaultPlan) -> DaemonConfig {
+/// Where a daemon's one worker runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Worker {
+    InProcess,
+    Process,
+}
+
+/// A one-worker daemon config over `dir`; a process worker is a spawned
+/// `bvl-serve --worker`. Either way the worker holds token 1.
+/// `persist: false` forces every submission to execute.
+fn one_worker(dir: &std::path::Path, worker: Worker, fault_plan: FaultPlan) -> DaemonConfig {
+    let process = worker == Worker::Process;
     DaemonConfig {
-        threads: 0,
-        procs,
+        threads: usize::from(!process),
+        procs: usize::from(process),
         worker_cmd: Some(WorkerCmd {
             program: PathBuf::from(env!("CARGO_BIN_EXE_bvl-serve")),
             args: vec!["--worker".into()],
@@ -84,9 +97,9 @@ fn sigkilled_worker_loses_at_most_one_interval_and_the_point_completes_byte_iden
     // report — i.e. right after its first checkpoint blob hits the disk.
     // The daemon must requeue the point, spawn a replacement (token 2),
     // and the replacement must finish the run from that blob.
-    let daemon = Daemon::start(proc_config(
+    let daemon = Daemon::start(one_worker(
         &dir,
-        1,
+        Worker::Process,
         FaultPlan {
             kill_on_progress: vec![(1, 1)],
             ..FaultPlan::default()
@@ -124,35 +137,39 @@ fn evicted_point_yields_at_a_checkpoint_and_resumes_byte_identically() {
     let spec = the_point();
     let expected = reference(&spec, &dir);
 
-    // One worker, ordered to evict its point at the first progress
-    // report. The point yields at that checkpoint, is requeued, and the
-    // same worker resumes it on the next assignment (the fault is
-    // one-shot, so it does not re-fire).
-    let daemon = Daemon::start(proc_config(
-        &dir,
-        1,
-        FaultPlan {
-            evict_on_progress: vec![(1, 1)],
-            ..FaultPlan::default()
-        },
-    ))
-    .expect("daemon");
+    for worker in [Worker::InProcess, Worker::Process] {
+        // One worker, ordered to evict its point at the first progress
+        // report. The point yields at that checkpoint, is requeued, and
+        // the same worker resumes it on the next assignment (the fault
+        // is one-shot, so it does not re-fire).
+        let daemon = Daemon::start(one_worker(
+            &dir,
+            worker,
+            FaultPlan {
+                evict_on_progress: vec![(1, 1)],
+                ..FaultPlan::default()
+            },
+        ))
+        .expect("daemon");
 
-    let mut client = Client::connect(daemon.addr()).expect("connect");
-    let results = client.run_points(&[spec]).expect("served point");
-    assert_eq!(
-        results[0].result, expected,
-        "result after an eviction diverged from the straight-through run"
-    );
-    assert!(results[0].resumed);
+        let mut client = Client::connect(daemon.addr()).expect("connect");
+        let results = client
+            .run_points(std::slice::from_ref(&spec))
+            .expect("served point");
+        assert_eq!(
+            results[0].result, expected,
+            "{worker:?}: result after an eviction diverged from the straight-through run"
+        );
+        assert!(results[0].resumed, "{worker:?}");
 
-    let s = daemon.stats();
-    assert_eq!(s.evictions, 1, "{s:?}");
-    assert_eq!(s.executed, 1, "{s:?}");
-    assert_eq!(s.resumed, 1, "{s:?}");
-    assert_eq!(s.worker_deaths, 0, "{s:?}");
+        let s = daemon.stats();
+        assert_eq!(s.evictions, 1, "{worker:?}: {s:?}");
+        assert_eq!(s.executed, 1, "{worker:?}: {s:?}");
+        assert_eq!(s.resumed, 1, "{worker:?}: {s:?}");
+        assert_eq!(s.worker_deaths, 0, "{worker:?}: {s:?}");
 
-    daemon.shutdown();
+        daemon.shutdown();
+    }
     fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -255,29 +272,27 @@ fn wrong_params_checkpoint_is_rejected_and_counted_as_a_restart_from_zero() {
     simulate_with(spec.system, &workload, &mismatched, hooks).expect("capture run");
     let planted = planted.expect("run crossed no checkpoint — lower the cadence");
 
-    let store_dir = dir.join("cache");
-    let store = ResultStore::new(&store_dir);
+    let store = ResultStore::new(dir.join("cache"));
     let key = spec.key();
-    store.store_checkpoint(&key, &planted);
+    for worker in [Worker::InProcess, Worker::Process] {
+        store.store_checkpoint(&key, &planted);
+        let daemon = Daemon::start(one_worker(&dir, worker, FaultPlan::default())).expect("daemon");
+        let mut client = Client::connect(daemon.addr()).expect("connect");
+        let results = client
+            .run_points(std::slice::from_ref(&spec))
+            .expect("served point");
+        assert_eq!(
+            results[0].result, expected,
+            "{worker:?}: restart-from-0 after a rejected checkpoint diverged"
+        );
+        assert!(!results[0].resumed, "{worker:?}");
 
-    let cfg = DaemonConfig {
-        persist: false,
-        ..DaemonConfig::threads_only(1, &store_dir)
-    };
-    let daemon = Daemon::start(cfg).expect("daemon");
-    let mut client = Client::connect(daemon.addr()).expect("connect");
-    let results = client.run_points(&[spec]).expect("served point");
-    assert_eq!(
-        results[0].result, expected,
-        "restart-from-0 after a rejected checkpoint diverged"
-    );
-    assert!(!results[0].resumed);
+        let s = daemon.stats();
+        assert_eq!(s.restarts_from_zero, 1, "{worker:?}: {s:?}");
+        assert_eq!(s.executed, 1, "{worker:?}: {s:?}");
+        assert_eq!(s.failed, 0, "{worker:?}: {s:?}");
 
-    let s = daemon.stats();
-    assert_eq!(s.restarts_from_zero, 1, "{s:?}");
-    assert_eq!(s.executed, 1, "{s:?}");
-    assert_eq!(s.failed, 0, "{s:?}");
-
-    daemon.shutdown();
+        daemon.shutdown();
+    }
     fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -18,8 +18,8 @@
 
 use bvl_serve::proto::{encode_frame, read_msg, write_msg};
 use bvl_serve::{
-    auth, Client, Daemon, DaemonConfig, FabricReport, FabricStats, Msg, PointSpec, Priority,
-    ProtoError, WorkloadSpec, MAX_FRAME,
+    auth, Client, Daemon, DaemonConfig, FabricReport, FabricStats, Msg, PointOutcome, PointSpec,
+    Priority, ProtoError, WorkloadSpec, MAX_FRAME,
 };
 use bvl_sim::{RunResult, SamplingParams, SimParams, SystemKind};
 use bvl_workloads::Scale;
@@ -151,15 +151,27 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
         any::<u64>().prop_map(|token| Msg::ControlHello { token }),
         spec_strategy().prop_map(|spec| Msg::Assign { spec }),
         any::<u64>().prop_map(|cycle| Msg::Progress { cycle }),
-        (any::<u64>(), any::<u64>(), secs_strategy(), any::<bool>()).prop_map(
-            |(edges_run, edges_skipped, host_secs, resumed)| Msg::WorkerDone {
-                result: RunResult::default(),
-                edges_run,
-                edges_skipped,
-                host_secs,
-                resumed,
-            }
-        ),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            secs_strategy(),
+            any::<bool>(),
+            any::<bool>()
+        )
+            .prop_map(
+                |(edges_run, edges_skipped, host_secs, resumed, restarted_from_zero)| {
+                    Msg::WorkerDone {
+                        outcome: PointOutcome {
+                            result: RunResult::default(),
+                            edges_run,
+                            edges_skipped,
+                            host_secs,
+                            resumed,
+                            restarted_from_zero,
+                        },
+                    }
+                }
+            ),
         any::<u64>().prop_map(|e| Msg::WorkerFailed {
             error: format!("worker error {e:x}"),
         }),
@@ -178,7 +190,6 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
         }),
         Just(Msg::QueryStats),
         report_strategy().prop_map(|report| Msg::Stats { report }),
-        Just(Msg::Resume),
     ]
 }
 

@@ -1,21 +1,15 @@
-//! Scheduling and backpressure contracts for the multi-client fabric.
+//! The bounded admission queue under load, over real sockets.
 //!
-//! Three pins:
-//!
-//! 1. **Deterministic dispatch order**: with the scheduler paused until
-//!    every submission is admitted, dispatch is strictly by priority
-//!    class and unit-quantum round-robin across clients within a class
-//!    — asserted against the recorded dispatch log, not timing.
-//! 2. **Coalesce upgrades**: a High submission landing on a queued Low
-//!    twin re-classes the queued job instead of executing twice.
-//! 3. **Soak**: 4 clients × 400 mixed-priority submissions over 16
-//!    unique points against a 2-worker daemon with an 8-deep admission
-//!    bound. Every submission completes with the right result, each
-//!    unique point executes exactly once, every `Busy` rejection is
-//!    retried to completion, and the queue's high-water mark respects
-//!    the bound (the memory guarantee: queued state is capped).
+//! 4 clients × 400 mixed-priority submissions over 16 unique points
+//! against a daemon with an 8-deep admission bound and two workers that
+//! join only once the bound has shed a submission. Every submission
+//! completes with the right result, each unique point executes exactly
+//! once, every `Busy` rejection is retried to completion, and the queue's
+//! high-water mark respects the bound (the memory guarantee: queued state
+//! is capped). Dispatch order itself is pinned against the scheduler core
+//! in `sched_core.rs`.
 
-use bvl_serve::{Client, Daemon, DaemonConfig, Msg, PointSpec, Priority, WorkloadSpec};
+use bvl_serve::{worker_main, Client, Daemon, DaemonConfig, PointSpec, Priority, WorkloadSpec};
 use bvl_sim::{RunResult, SimParams, SystemKind};
 use bvl_workloads::Scale;
 use std::collections::HashMap;
@@ -43,165 +37,6 @@ fn point(tag: u64) -> PointSpec {
     }
 }
 
-fn paused_daemon(dir: &std::path::Path, threads: usize, max_queue: usize) -> Daemon {
-    Daemon::start(DaemonConfig {
-        persist: false,
-        start_paused: true,
-        record_dispatch: true,
-        max_queue,
-        ..DaemonConfig::threads_only(threads, dir.join("cache"))
-    })
-    .expect("daemon")
-}
-
-/// Reads exactly `n` `Done` ids off one client connection, in arrival
-/// order.
-fn collect_dones(client: &mut Client, n: usize) -> Vec<u64> {
-    let mut ids = Vec::with_capacity(n);
-    while ids.len() < n {
-        match client.recv().expect("recv") {
-            Msg::Done { id, .. } => ids.push(id),
-            other => panic!("unexpected message while draining: {other:?}"),
-        }
-    }
-    ids
-}
-
-#[test]
-fn dispatch_is_strict_priority_then_round_robin_across_clients() {
-    let dir = scratch("fair");
-    let daemon = paused_daemon(&dir, 1, 0);
-    let addr = daemon.addr();
-
-    // Client 1: two Normal points; client 2: two Normal; client 3: one
-    // High and one Low; client 4: two Normal. The `stats()` call after
-    // each client's submissions is a barrier: the daemon has processed
-    // them (and assigned the connection its client id) before the next
-    // client connects, so admission order — and therefore the
-    // round-robin ring order — is deterministic.
-    let a = [point(0), point(1)];
-    let b = [point(2), point(3)];
-    let high = point(4);
-    let low = point(5);
-    let c = [point(6), point(7)];
-
-    let mut c1 = Client::connect(addr).expect("c1");
-    for s in &a {
-        c1.submit(s).expect("submit");
-    }
-    c1.stats().expect("barrier");
-    let mut c2 = Client::connect(addr).expect("c2");
-    for s in &b {
-        c2.submit(s).expect("submit");
-    }
-    c2.stats().expect("barrier");
-    let mut c3 = Client::connect(addr).expect("c3");
-    c3.set_priority(Priority::High);
-    c3.submit(&high).expect("submit");
-    c3.set_priority(Priority::Low);
-    c3.submit(&low).expect("submit");
-    c3.stats().expect("barrier");
-    let mut c4 = Client::connect(addr).expect("c4");
-    for s in &c {
-        c4.submit(s).expect("submit");
-    }
-    let report = c4.stats().expect("barrier");
-    assert_eq!(
-        report.queue_depth, 8,
-        "all submissions admitted: {report:?}"
-    );
-    assert_eq!(report.queue_by_class, [1, 6, 1], "{report:?}");
-
-    daemon.resume();
-    collect_dones(&mut c1, 2);
-    collect_dones(&mut c2, 2);
-    collect_dones(&mut c3, 2);
-    collect_dones(&mut c4, 2);
-
-    let log = daemon.dispatch_log();
-    let keys: Vec<String> = log.iter().map(|d| d.key.clone()).collect();
-    let expected = vec![
-        high.key(), // the one High point, before any Normal work
-        a[0].key(), // Normal: one point per client per round...
-        b[0].key(),
-        c[0].key(),
-        a[1].key(), // ...then each client's second point
-        b[1].key(),
-        c[1].key(),
-        low.key(), // the one Low point, after everything else
-    ];
-    assert_eq!(keys, expected, "dispatch order diverged: {log:?}");
-    assert_eq!(log[0].priority, Priority::High);
-    assert_eq!(log[0].client, 3);
-    assert_eq!(log[7].priority, Priority::Low);
-    assert_eq!(log[7].client, 3);
-    assert!(log[1..7].iter().all(|d| d.priority == Priority::Normal));
-
-    // Fair share: every client got exactly its own two points.
-    assert_eq!(
-        daemon.report().shares,
-        vec![(1, 2), (2, 2), (3, 2), (4, 2)],
-        "dispatch shares must be even across clients"
-    );
-
-    daemon.shutdown();
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn a_high_submission_upgrades_its_queued_low_twin() {
-    let dir = scratch("upgrade");
-    let daemon = paused_daemon(&dir, 1, 0);
-    let addr = daemon.addr();
-
-    let x = point(10);
-    let y = point(11);
-
-    let mut c1 = Client::connect(addr).expect("c1");
-    c1.set_priority(Priority::Low);
-    c1.submit(&x).expect("submit x");
-    c1.submit(&y).expect("submit y");
-    c1.stats().expect("barrier");
-
-    // Client 2 submits the same point `y` at High while it is still
-    // queued at Low: the queued job must be re-classed (not run twice),
-    // and the coalesced waiter must still get its reply.
-    let mut c2 = Client::connect(addr).expect("c2");
-    c2.set_priority(Priority::High);
-    c2.submit(&y).expect("submit y twin");
-    let report = c2.stats().expect("barrier");
-    assert_eq!(report.stats.coalesced, 1, "{report:?}");
-    assert_eq!(
-        report.queue_by_class,
-        [1, 0, 1],
-        "y must have moved Low → High: {report:?}"
-    );
-
-    daemon.resume();
-    collect_dones(&mut c1, 2);
-    collect_dones(&mut c2, 1);
-
-    let log = daemon.dispatch_log();
-    let keys: Vec<String> = log.iter().map(|d| d.key.clone()).collect();
-    assert_eq!(
-        keys,
-        vec![y.key(), x.key()],
-        "the upgraded twin must dispatch first: {log:?}"
-    );
-    assert_eq!(log[0].priority, Priority::High);
-    assert_eq!(
-        log[0].client, 1,
-        "the upgraded job still belongs to its original submitter"
-    );
-
-    let s = daemon.stats();
-    assert_eq!(s.executed, 2, "{s:?}");
-    assert_eq!(s.coalesced, 1, "{s:?}");
-
-    daemon.shutdown();
-    let _ = fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn soak_mixed_priorities_against_a_bounded_queue_complete_exactly_once() {
     const CLIENTS: usize = 4;
@@ -211,12 +46,18 @@ fn soak_mixed_priorities_against_a_bounded_queue_complete_exactly_once() {
     const MAX_QUEUE: usize = 8;
 
     let dir = scratch("soak");
-    let daemon = paused_daemon(&dir, 2, MAX_QUEUE);
+    let store = dir.join("cache");
+    let daemon = Daemon::start(DaemonConfig {
+        persist: false,
+        max_queue: MAX_QUEUE,
+        ..DaemonConfig::threads_only(0, &store)
+    })
+    .expect("daemon");
     let addr = daemon.addr();
 
-    // While the scheduler is paused nothing drains, so the first chunk
-    // (16 unique keys against an 8-deep bound) deterministically draws
-    // `Busy` rejections; the clients must ride them out.
+    // With no worker yet nothing drains, so the first chunk (16 unique
+    // keys against an 8-deep bound) deterministically draws `Busy`
+    // rejections; the clients must ride them out.
     let handles: Vec<_> = (0..CLIENTS)
         .map(|ci| {
             std::thread::spawn(move || {
@@ -244,9 +85,17 @@ fn soak_mixed_priorities_against_a_bounded_queue_complete_exactly_once() {
         })
         .collect();
 
-    // Let the clients pile into the bounded queue before releasing it.
-    std::thread::sleep(Duration::from_millis(200));
-    daemon.resume();
+    // Let the clients pile into the bounded queue until it sheds, then
+    // attach the workers.
+    while daemon.stats().busy_rejections == 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let workers: Vec<_> = (1..=2)
+        .map(|token| {
+            let (addr, store) = (addr.to_string(), store.clone());
+            std::thread::spawn(move || worker_main(&addr, token, store, None))
+        })
+        .collect();
 
     let mut total_retries = 0u64;
     let mut per_client: Vec<HashMap<String, RunResult>> = Vec::new();
@@ -287,14 +136,24 @@ fn soak_mixed_priorities_against_a_bounded_queue_complete_exactly_once() {
     );
     assert_eq!(report.queue_depth, 0, "{report:?}");
     assert_eq!(report.busy_workers, 0, "{report:?}");
-
-    let log = daemon.dispatch_log();
-    assert_eq!(log.len(), UNIQUE as usize, "no point dispatched twice");
-    let mut keys: Vec<&str> = log.iter().map(|d| d.key.as_str()).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    assert_eq!(keys.len(), UNIQUE as usize);
+    assert!(
+        report
+            .shares
+            .iter()
+            .all(|(client, _)| (1..=4).contains(client)),
+        "only the four clients were served: {report:?}"
+    );
+    assert_eq!(
+        report.shares.iter().map(|(_, n)| n).sum::<u64>(),
+        UNIQUE,
+        "no point dispatched twice: {report:?}"
+    );
 
     daemon.shutdown();
+    for w in workers {
+        w.join()
+            .expect("worker thread")
+            .expect("worker exits cleanly");
+    }
     let _ = fs::remove_dir_all(&dir);
 }

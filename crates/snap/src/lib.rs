@@ -457,6 +457,14 @@ impl<T: Snap> Snap for Option<T> {
     }
 }
 
+/// How many `T`s to reserve for a decoded length of `n`: no more than the
+/// bytes left in `r` could fill, so a hostile length costs at most an
+/// allocation the size of the input. A vector whose elements decode to
+/// more memory than they encode to grows past it as they arrive.
+fn capacity_for<T>(n: usize, r: &SnapReader<'_>) -> usize {
+    n.min(r.remaining() / std::mem::size_of::<T>().max(1))
+}
+
 impl<T: Snap> Snap for Vec<T> {
     fn save(&self, w: &mut SnapWriter) {
         w.usize(self.len());
@@ -466,7 +474,7 @@ impl<T: Snap> Snap for Vec<T> {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.len(1)?;
-        let mut v = Vec::with_capacity(n);
+        let mut v = Vec::with_capacity(capacity_for::<T>(n, r));
         for _ in 0..n {
             v.push(T::load(r)?);
         }
@@ -483,7 +491,7 @@ impl<T: Snap> Snap for VecDeque<T> {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.len(1)?;
-        let mut v = VecDeque::with_capacity(n);
+        let mut v = VecDeque::with_capacity(capacity_for::<T>(n, r));
         for _ in 0..n {
             v.push_back(T::load(r)?);
         }
