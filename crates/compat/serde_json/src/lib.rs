@@ -47,15 +47,21 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// How many arrays and objects may nest: upstream `serde_json`'s default
+/// recursion limit. The parser recurses once per level, so without a cap
+/// a file of `[`s would overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Value`] tree.
 ///
 /// # Errors
 ///
-/// Fails on malformed JSON, with a byte-offset diagnostic.
+/// Fails on malformed JSON, or on arrays and objects nested more than
+/// 128 deep, with a byte-offset diagnostic.
 pub fn from_str(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error(format!("trailing data at byte {pos}")));
@@ -173,8 +179,14 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses one value whose enclosing containers are `depth` deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(Error(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}"
+        )));
+    }
     match b.get(*pos) {
         None => Err(Error("unexpected end of input".into())),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
@@ -190,7 +202,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Seq(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -218,7 +230,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
                     return Err(Error(format!("expected : at byte {pos}")));
                 }
                 *pos += 1;
-                entries.push((key, parse_value(b, pos)?));
+                entries.push((key, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -367,5 +379,13 @@ mod tests {
         assert!(from_str("{").is_err());
         assert!(from_str("[1,]").is_err());
         assert!(from_str("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(from_str(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 }

@@ -16,7 +16,10 @@
 //! in flight, a periodic whole-system checkpoint) under `<out>/cache/`;
 //! re-running with `--resume` replays completed points from disk with 0
 //! simulate calls and restarts interrupted points from their last
-//! checkpoint instead of cycle 0.
+//! checkpoint instead of cycle 0. The same command recovers a `--serve`
+//! run whose embedded daemon died with it: `--serve --resume` resubmits
+//! only the points the disk cache lacks, and the fabric's workers resume
+//! each one from its leftover checkpoint.
 //!
 //! The summary reports, per artifact: host wall seconds, simulate calls
 //! executed (cache hits excluded), simulated clock-domain cycles,
@@ -166,7 +169,6 @@ fn main() {
             },
             fault_plan: FaultPlan::default(),
             secret_file: opts.secret_file.clone(),
-            resume_queue: opts.resume_queue,
             max_queue: 4096,
             ..DaemonConfig::default()
         })

@@ -114,6 +114,8 @@ pub struct ExpOpts {
     /// replay from the persisted cache (0 simulate calls), and points
     /// with a leftover checkpoint under `<cache_dir>/ckpt/` restart from
     /// it instead of cycle 0. Implies `use_cache` and `persist_cache`.
+    /// Under `--serve` this is also how a sweep recovers from a crashed
+    /// daemon: fabric workers always resume from a leftover blob.
     pub resume: bool,
     /// Run every sweep point with *sampled* simulation (`--sampled`):
     /// functionally fast-forward between detailed windows and estimate
@@ -150,11 +152,6 @@ pub struct ExpOpts {
     /// Scheduling class stamped on every served submission
     /// (`--priority high|normal|low`).
     pub priority: bvl_serve::Priority,
-    /// Recover the embedded daemon's persistent admission queue from a
-    /// previous (killed) `run_all --serve` invocation
-    /// (`--resume-queue`; implies `--resume` semantics for the fabric
-    /// layer).
-    pub resume_queue: bool,
     /// Where to write a Chrome `trace_event` JSON of one traced run
     /// (`--trace-out PATH`): the first sweep through this `ExpOpts`
     /// re-runs its first point with event tracing on and writes the log
@@ -204,7 +201,6 @@ impl ExpOpts {
             serve_addr: None,
             secret_file: None,
             priority: bvl_serve::Priority::Normal,
-            resume_queue: false,
             trace_out: Arc::new(Mutex::new(None)),
             cache: SweepCache::new(),
             throughput: sweep::ThroughputTracker::new(),
@@ -245,7 +241,7 @@ impl ExpOpts {
     /// `--persist-cache`, `--cache-dir`, `--no-skip`,
     /// `--checkpoint-every`, `--resume`, `--sampled`, `--sample-period`,
     /// `--sample-window`, `--serve`, `--serve-addr`, `--secret-file`,
-    /// `--priority`, `--resume-queue` and `--trace-out` from
+    /// `--priority` and `--trace-out` from
     /// `std::env::args`.
     ///
     /// When the process was launched as a fabric worker (first argument
@@ -276,7 +272,6 @@ impl ExpOpts {
         let mut serve_addr = None;
         let mut secret_file = None;
         let mut priority = bvl_serve::Priority::Normal;
-        let mut resume_queue = false;
         let mut trace_out = None;
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
@@ -341,7 +336,6 @@ impl ExpOpts {
                     priority = bvl_serve::Priority::parse(&v)
                         .expect("--priority needs high, normal or low");
                 }
-                "--resume-queue" => resume_queue = true,
                 "--cache-dir" => {
                     cache_dir = Some(PathBuf::from(
                         args.next().expect("--cache-dir needs a value"),
@@ -357,7 +351,7 @@ impl ExpOpts {
                      --jobs N, --no-cache, --persist-cache, --cache-dir DIR, --no-skip, \
                      --checkpoint-every N, --resume, --sampled, --sample-period N, \
                      --sample-window N, --serve, --serve-addr HOST:PORT, --secret-file F, \
-                     --priority high|normal|low, --resume-queue, --trace-out PATH)"
+                     --priority high|normal|low, --trace-out PATH)"
                 ),
             }
         }
@@ -375,14 +369,6 @@ impl ExpOpts {
         opts.serve_addr = serve_addr;
         opts.secret_file = secret_file;
         opts.priority = priority;
-        opts.resume_queue = resume_queue;
-        if opts.resume_queue {
-            // The re-admitted backlog persists its results through the
-            // same disk-cache layers an interrupted serverless resume
-            // uses.
-            opts.use_cache = true;
-            opts.persist_cache = true;
-        }
         if opts.resume {
             // Resuming is meaningless without the persisted cache layers.
             opts.use_cache = true;

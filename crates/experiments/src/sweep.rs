@@ -394,7 +394,9 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
             // runs only — the conservative half of that contract. The
             // point simulates in full on the next cold invocation.
             if opts.persist_cache && !resumed {
-                store.store(key, &result);
+                if let Err(e) = store.store(key, &result) {
+                    eprintln!("{key}: result not stored in the disk cache: {e}");
+                }
             }
         }
         slot_results[slot] = Some(result);
@@ -594,7 +596,7 @@ fn run_misses(
         )
         .unwrap_or_else(|e| panic!("{} on {}: {e}", job.workload_key, job.system.label()));
         opts.throughput.record(skip, plan_secs + window_secs[mi]);
-        report_sampling(&keys[ji], plan.windows.len(), result.sampling.as_ref());
+        report_sampling(&keys[ji], result.sampling.as_ref());
         finished[mi] = Some((result, false));
     }
     finished
@@ -701,13 +703,7 @@ fn run_misses_served(
                 },
                 r.host_secs,
             );
-            if let Some(meta) = r.result.sampling.as_ref() {
-                report_sampling(
-                    &keys[unique[misses[mi]]],
-                    meta.windows_measured as usize + meta.windows_truncated as usize,
-                    Some(meta),
-                );
-            }
+            report_sampling(&keys[unique[misses[mi]]], r.result.sampling.as_ref());
         }
         out[mi] = Some((r.result, r.resumed));
     }
@@ -720,12 +716,13 @@ fn run_misses_served(
 /// stands on fewer or shorter windows than planned, the run summary says
 /// exactly how many were dropped or truncated — a short program (or final
 /// stratum) quietly shrinking the sample would otherwise read as full
-/// coverage.
-fn report_sampling(key: &str, planned: usize, meta: Option<&SamplingMeta>) {
+/// coverage. The line is built from the estimate's own metadata, so a
+/// point prints the same line whether it ran here or on the fabric.
+fn report_sampling(key: &str, meta: Option<&SamplingMeta>) {
     let Some(meta) = meta else { return };
     if meta.windows_truncated > 0 {
         eprintln!(
-            "{key}: sampled estimate from {}/{planned} windows; {} truncated or empty \
+            "{key}: sampled estimate from {} measured windows; {} truncated or empty \
              (program or final stratum shorter than the {}-instr window); \
              wall ±{:.0} ns (95% CI)",
             meta.windows_measured, meta.windows_truncated, meta.window_instrs, meta.ci_halfwidth_ns

@@ -3,7 +3,7 @@
 //! ```text
 //! bvl-serve --store DIR [--bind HOST:PORT] [--secret-file F]
 //!           [--threads N] [--procs N] [--checkpoint-every N]
-//!           [--max-queue N] [--resume-queue] [--stats-interval SECS]
+//!           [--max-queue N] [--stats-interval SECS]
 //!           [--no-persist] [--kill-daemon-on-progress N]
 //! bvl-serve --worker --connect HOST:PORT --token N --store DIR
 //!           [--secret-file F]
@@ -17,6 +17,11 @@
 //! and runs until a client sends a shutdown request (`bvl-client ADDR
 //! --shutdown`). Binding a non-loopback address requires
 //! `--secret-file`.
+//!
+//! The daemon keeps no queue on disk. After it crashes, start it again on
+//! the same store and resubmit (`run_all --serve --resume`, or the same
+//! `--serve-addr` sweep): finished points are served from the store and
+//! a point that was in flight resumes from its checkpoint blob.
 
 use bvl_serve::{auth, worker_main, Daemon, DaemonConfig, FaultPlan, WorkerCmd};
 use std::io::Write;
@@ -28,7 +33,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: bvl-serve --store DIR [--bind HOST:PORT] [--secret-file F]\n\
          \x20                [--threads N] [--procs N] [--checkpoint-every N]\n\
-         \x20                [--max-queue N] [--resume-queue] [--stats-interval SECS]\n\
+         \x20                [--max-queue N] [--stats-interval SECS]\n\
          \x20                [--no-persist] [--kill-daemon-on-progress N]\n\
          \x20      bvl-serve --worker --connect HOST:PORT --token N --store DIR\n\
          \x20                [--secret-file F]"
@@ -49,7 +54,6 @@ fn main() -> ExitCode {
     let mut bind = "127.0.0.1:0".to_string();
     let mut secret_file: Option<PathBuf> = None;
     let mut max_queue = 0usize;
-    let mut resume_queue = false;
     let mut stats_interval: Option<Duration> = None;
     let mut kill_daemon_on_progress: Option<u64> = None;
 
@@ -68,7 +72,6 @@ fn main() -> ExitCode {
             "--bind" => bind = val(),
             "--secret-file" => secret_file = Some(PathBuf::from(val())),
             "--max-queue" => max_queue = val().parse().unwrap_or_else(|_| usage()),
-            "--resume-queue" => resume_queue = true,
             "--stats-interval" => {
                 let secs: f64 = val().parse().unwrap_or_else(|_| usage());
                 stats_interval = Some(Duration::from_secs_f64(secs));
@@ -128,7 +131,6 @@ fn main() -> ExitCode {
         bind,
         secret_file,
         max_queue,
-        resume_queue,
         stats_interval,
     }) {
         Ok(d) => d,

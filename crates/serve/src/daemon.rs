@@ -3,7 +3,7 @@
 //!
 //! One [`Daemon`] owns a listener and the [`crate::sched::Sched`] that
 //! makes every scheduling decision — dedupe, priority and fair share,
-//! backpressure, the queue journal, memo and disk hits (see that module).
+//! backpressure, memo and disk hits (see that module).
 //! The daemon turns socket traffic into calls on the core, under one
 //! mutex, and sends the replies the core returns.
 //!
@@ -76,7 +76,8 @@ pub struct FaultPlan {
     /// Abort the whole daemon process (no cleanup — the moral
     /// equivalent of SIGKILL) when the `nth` progress report, counted
     /// globally across all workers, arrives. The daemon-crash recovery
-    /// suite restarts it with `--resume-queue` afterwards.
+    /// suite then starts a second daemon on the same store and
+    /// resubmits.
     pub kill_daemon_on_progress: Option<u64>,
 }
 
@@ -115,9 +116,6 @@ pub struct DaemonConfig {
     /// 0 means unbounded. Dedupe/memo/disk hits and requeues are
     /// exempt — they add no queue memory.
     pub max_queue: usize,
-    /// Recover the persistent queue journal left by a dead daemon and
-    /// re-admit its backlog before accepting connections.
-    pub resume_queue: bool,
     /// Log a [`FabricReport::utilization_line`] to stderr this often.
     pub stats_interval: Option<Duration>,
 }
@@ -135,7 +133,6 @@ impl Default for DaemonConfig {
             bind: "127.0.0.1:0".into(),
             secret_file: None,
             max_queue: 0,
-            resume_queue: false,
             stats_interval: None,
         }
     }
@@ -189,9 +186,8 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Binds the configured listener, recovers the queue journal when
-    /// asked, starts the in-process workers and spawns the worker
-    /// processes, and returns the running daemon.
+    /// Binds the configured listener, starts the in-process workers and
+    /// spawns the worker processes, and returns the running daemon.
     ///
     /// # Errors
     ///
@@ -456,8 +452,8 @@ impl Shared {
 
     /// One progress report arrived. Fires the kill-the-daemon fault
     /// when the global count reaches the plan's threshold — `abort()`,
-    /// the in-process stand-in for SIGKILL: no destructors, no journal
-    /// compaction, nothing orderly.
+    /// the in-process stand-in for SIGKILL: no destructors, nothing
+    /// orderly.
     fn on_progress(&self) {
         let n = self.progress.fetch_add(1, Ordering::SeqCst) + 1;
         if self.cfg.fault_plan.kill_daemon_on_progress == Some(n) {

@@ -12,10 +12,12 @@
 //! The PR-5 checkpoint machinery is the fabric's preemption/migration
 //! primitive: a long-running point can be evicted at its last checkpoint
 //! and resumed on another worker, and a killed worker process loses at
-//! most one checkpoint interval of simulated work. The restore-
-//! equivalence contract (checkpoint → restore → byte-identical results)
-//! is what lets the fabric promise that a served sweep's artifacts are
-//! byte-identical to an in-process run's.
+//! most one checkpoint interval of simulated work. A killed daemon keeps
+//! no queue to recover: its clients resubmit, finished points come back
+//! from the store and a point that was in flight resumes from its blob.
+//! The restore-equivalence contract (checkpoint → restore →
+//! byte-identical results) is what lets the fabric promise that a served
+//! sweep's artifacts are byte-identical to an in-process run's.
 //!
 //! Layering:
 //!
@@ -23,12 +25,11 @@
 //! - [`auth`] — the shared-secret handshake for non-loopback binds
 //! - [`spec`] — wire-transportable point specs ([`spec::PointSpec`])
 //! - [`store`] — content-addressed result + checkpoint store
-//! - [`journal`] — the persistent admission-queue journal
 //! - [`worker`] — point execution shared by every fabric worker and the
 //!   in-process sweep, and the worker loop
 //! - [`sched`] — the scheduler core, with no sockets, threads, locks or
 //!   clocks: priority + fair-share dispatch, dedupe, memo and disk hits,
-//!   backpressure, requeues, journaling, counters
+//!   backpressure, requeues, counters
 //! - [`daemon`] — sockets, authentication, workers, preemption and
 //!   fault plans around the core
 //! - [`client`] — the submit/collect client library
@@ -40,7 +41,6 @@
 pub mod auth;
 pub mod client;
 pub mod daemon;
-pub mod journal;
 pub mod proto;
 pub mod sched;
 pub mod spec;
@@ -49,7 +49,6 @@ pub mod worker;
 
 pub use client::{Client, ServedResult};
 pub use daemon::{Daemon, DaemonConfig, FaultPlan, WorkerCmd};
-pub use journal::QueueJournal;
 pub use proto::{Msg, Priority, ProtoError, EVICT_BYTE, MAX_FRAME};
 pub use sched::{FabricReport, FabricStats, Sched};
 pub use spec::{PointSpec, WorkloadSpec};

@@ -9,21 +9,24 @@
 //!   the disk store, coalesces onto a queued or running twin (priority is
 //!   not part of the cache key, but a higher-priority coalescer upgrades a
 //!   still-queued twin's class), is shed with [`Msg::Busy`] past the
-//!   admission bound, or is journaled and queued as a fresh job;
+//!   admission bound, or is queued as a fresh job;
 //! - **dispatch**: three strict priority classes and, within a class,
 //!   unit-quantum round-robin across clients, so no client starves
 //!   another at equal priority (DESIGN.md §4.14);
 //! - **settlement**: a finished point is stored (when it ran
-//!   straight-through and results persist), then settled in the journal,
-//!   memoized, and answered to every waiter; a failed point reaches every
-//!   waiter and leaves no memo entry and no checkpoint blob behind;
+//!   straight-through and results persist), memoized, and answered to
+//!   every waiter; a failed point reaches every waiter and leaves no memo
+//!   entry and no checkpoint blob behind;
 //! - **requeues**: a point that yielded at a checkpoint, or whose worker
 //!   died, returns to the front of its class and resumes from its blob;
-//! - **recovery**: the journal of a dead daemon is replayed at start-up;
 //! - the [`FabricStats`] counters and the [`FabricReport`] snapshot.
+//!
+//! The core keeps no record of its queue on disk. When the daemon dies,
+//! its clients lose their connections and resubmit to the next one:
+//! finished points are disk hits, and a point that was in flight resumes
+//! from its checkpoint blob (DESIGN.md §4.14).
 
 use crate::daemon::DaemonConfig;
-use crate::journal::{AdmitRec, QueueJournal};
 use crate::proto::{Msg, Priority};
 use crate::spec::PointSpec;
 use crate::store::ResultStore;
@@ -34,9 +37,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Suggested client backoff after a [`Msg::Busy`] rejection.
 const BUSY_RETRY_MS: u64 = 25;
-
-/// The client the journal's recovered backlog is dispatched for.
-const JOURNAL_CLIENT: u64 = 0;
 
 /// Scheduler counters, all monotonic (except `max_queue_depth`, a
 /// high-water mark). The fault-injection suite asserts recovery paths
@@ -66,8 +66,6 @@ pub struct FabricStats {
     pub failed: u64,
     /// Submissions shed by the bounded admission queue ([`Msg::Busy`]).
     pub busy_rejections: u64,
-    /// Backlog points re-admitted from the queue journal at startup.
-    pub requeued_from_journal: u64,
     /// Connections rejected by the shared-secret handshake.
     pub auth_failures: u64,
     /// High-water mark of the admission queue.
@@ -86,7 +84,6 @@ snap_struct!(FabricStats {
     restarts_from_zero,
     failed,
     busy_rejections,
-    requeued_from_journal,
     auth_failures,
     max_queue_depth,
 });
@@ -107,7 +104,6 @@ pub struct FabricReport {
     /// processes, local and remote, that have connected and not died.
     pub total_workers: u64,
     /// `(client, points dispatched)` per client, ascending by client.
-    /// Client 0 is the journal-recovery synthetic client.
     pub shares: Vec<(u64, u64)>,
 }
 
@@ -134,7 +130,7 @@ impl FabricReport {
             "fabric: queue {} (hi {} norm {} low {}, peak {}) | workers {}/{} busy | \
              executed {} failed {} | dedupe memo {} disk {} coalesced {} | \
              resumed {} restarts0 {} deaths {} evictions {} | \
-             busy-shed {} journal-requeued {} auth-rejects {} | shares [{shares}]",
+             busy-shed {} auth-rejects {} | shares [{shares}]",
             self.queue_depth,
             self.queue_by_class[0],
             self.queue_by_class[1],
@@ -152,7 +148,6 @@ impl FabricReport {
             s.worker_deaths,
             s.evictions,
             s.busy_rejections,
-            s.requeued_from_journal,
             s.auth_failures,
         )
     }
@@ -258,7 +253,6 @@ pub struct Sched<R> {
     persist: bool,
     checkpoint_every: u64,
     max_queue: usize,
-    journal: QueueJournal,
     /// One [`ClassQueue`] per priority class, indexed by
     /// [`Priority::class`]; drained strictly in class order.
     classes: [ClassQueue; 3],
@@ -274,50 +268,25 @@ pub struct Sched<R> {
 }
 
 impl<R> Sched<R> {
-    /// A core over `cfg`'s store, admission bound and checkpoint
-    /// cadence. With `cfg.resume_queue` it replays the journal a dead
-    /// daemon left: admits whose result reached the store are settled
-    /// and memoized (the store write precedes the settle, so a crash can
-    /// leave a stored-but-unsettled admit), the rest are queued again
-    /// for the journal's client 0. Otherwise a stale journal is dropped.
+    /// An empty core over `cfg`'s store, admission bound and checkpoint
+    /// cadence.
     pub fn new(cfg: &DaemonConfig) -> Sched<R> {
-        let store = ResultStore::new(&cfg.store_dir);
-        let (journal, backlog) = if cfg.resume_queue {
-            QueueJournal::recover(store.journal_path())
-        } else {
-            (QueueJournal::fresh(store.journal_path()), Vec::new())
-        };
-        let mut sched = Sched {
-            store,
+        Sched {
+            store: ResultStore::new(&cfg.store_dir),
             persist: cfg.persist,
             checkpoint_every: cfg.checkpoint_every,
             max_queue: cfg.max_queue,
-            journal,
             classes: Default::default(),
             jobs: HashMap::new(),
             memo: HashMap::new(),
             shares: BTreeMap::new(),
             stats: FabricStats::default(),
             workers: 0,
-            next_client: JOURNAL_CLIENT + 1,
-        };
-        sched.recover(backlog);
-        sched
-    }
-
-    fn recover(&mut self, backlog: Vec<AdmitRec>) {
-        for rec in backlog {
-            if let Some(result) = self.stored(&rec.key) {
-                self.journal.settle(&rec.key);
-                self.memo.insert(rec.key, result);
-                continue;
-            }
-            self.stats.requeued_from_journal += 1;
-            self.enqueue(rec.key, rec.spec, rec.priority, JOURNAL_CLIENT, Vec::new());
+            next_client: 1,
         }
     }
 
-    /// A client connected: its id, for fair share.
+    /// A client connected: its id, counting from 1, for fair share.
     pub fn connect(&mut self) -> u64 {
         self.next_client += 1;
         self.next_client - 1
@@ -383,37 +352,21 @@ impl<R> Sched<R> {
             };
             return vec![(to, busy)];
         }
-        // Journal before the job becomes visible: a daemon death after
-        // this line re-admits the point on --resume-queue; one before it
-        // leaves the client to resubmit.
-        self.journal.admit(&key, &spec, priority);
-        let waiter = Waiter {
-            to,
-            id,
-            coalesced: false,
-        };
-        self.enqueue(key, spec, priority, client, vec![waiter]);
-        Vec::new()
-    }
-
-    fn enqueue(
-        &mut self,
-        key: String,
-        spec: PointSpec,
-        priority: Priority,
-        client: u64,
-        waiters: Vec<Waiter<R>>,
-    ) {
         self.classes[priority.class()].push_back(client, key.clone());
         let job = Job {
             spec,
-            waiters,
+            waiters: vec![Waiter {
+                to,
+                id,
+                coalesced: false,
+            }],
             priority,
             client,
             worker: None,
         };
         self.jobs.insert(key, job);
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queued() as u64);
+        Vec::new()
     }
 
     /// `worker` is free: the next point to run, with its cache key, or
@@ -428,16 +381,15 @@ impl<R> Sched<R> {
     }
 
     /// The point `key` ran to completion: every waiter gets the result.
+    /// A result that cannot be stored is reported and served from the
+    /// memo all the same.
     pub fn complete(&mut self, key: &str, out: PointOutcome) -> Replies<R> {
         let job = self.jobs.remove(key).expect("a completed key has a job");
         if self.persist && !out.resumed {
-            self.store.store(key, &out.result);
+            if let Err(e) = self.store.store(key, &out.result) {
+                eprintln!("bvl-serve: {key}: result not stored: {e}");
+            }
         }
-        // Settle strictly *after* the store write: a crash in between
-        // leaves a stored result plus an outstanding admit, which
-        // recovery resolves from the store — never the other way
-        // around, which would silently drop a point.
-        self.journal.settle(key);
         self.stats.executed += 1;
         self.stats.resumed += u64::from(out.resumed);
         self.stats.restarts_from_zero += u64::from(out.restarted_from_zero);
@@ -463,13 +415,12 @@ impl<R> Sched<R> {
 
     /// The point `key` failed: *every* waiter (original submitter and
     /// coalescers alike) receives the failure, and the key is fully
-    /// retired — no memo entry, checkpoint blob removed, journal
-    /// settled — so a resubmission re-runs it from scratch rather than
-    /// hitting a negative cache or a poisoned checkpoint.
+    /// retired — no memo entry, checkpoint blob removed — so a
+    /// resubmission re-runs it from scratch rather than hitting a
+    /// negative cache or a poisoned checkpoint.
     pub fn fail(&mut self, key: &str, error: &str) -> Replies<R> {
         let job = self.jobs.remove(key).expect("a failed key has a job");
         self.store.remove_checkpoint(key);
-        self.journal.settle(key);
         self.stats.failed += 1;
         job.waiters
             .into_iter()
@@ -497,8 +448,7 @@ impl<R> Sched<R> {
     }
 
     /// Returns a point to the *front* of its owner's class so it resumes
-    /// promptly from its persisted checkpoint. No journal traffic: the
-    /// point is still outstanding.
+    /// promptly from its persisted checkpoint.
     fn requeue(&mut self, key: &str) {
         let job = self.jobs.get_mut(key).expect("a running key has a job");
         job.worker = None;

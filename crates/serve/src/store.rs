@@ -20,7 +20,8 @@
 //!   a daemon) share one store directory, so a plain `fs::write` could
 //!   expose a torn half-written entry to a concurrent reader; the rename
 //!   keeps every visible file complete, and last-writer-wins is safe
-//!   because entries for one key are byte-identical by determinism.
+//!   because entries for one key are byte-identical by determinism. A
+//!   write that fails is an `io::Error` naming the path, never a panic.
 //! * **Checkpoints.** `<dir>/ckpt/<key>.snap` blobs — the fabric's
 //!   preemption/migration currency. Same unique-temp discipline; an
 //!   undecodable blob is a miss (restart from cycle 0), reusing the PR-5
@@ -33,6 +34,7 @@ use bvl_runtime::RuntimeStats;
 use bvl_sim::{params_fingerprint, RunResult, SamplingMeta, SimParams, SysState, SystemKind};
 use serde_json::Value;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// The cache key for a (system, workload-instance, params) point.
@@ -74,13 +76,6 @@ impl ResultStore {
         self.dir.join(format!("{key}.json"))
     }
 
-    /// Where the daemon's persistent admission-queue journal lives
-    /// (`crate::journal`) — under the store so `--resume-queue` finds
-    /// the backlog next to the results it was producing.
-    pub fn journal_path(&self) -> PathBuf {
-        self.dir.join("queue.journal")
-    }
-
     /// Where `key`'s in-flight checkpoint blob lives. Kept in a
     /// subdirectory so result JSONs and checkpoint blobs cannot collide,
     /// and so resumption can tell "completed" (JSON present) from
@@ -97,11 +92,13 @@ impl ResultStore {
     }
 
     /// Persists `key`'s result atomically (unique temp file + rename).
-    pub fn store(&self, key: &str, result: &RunResult) {
-        fs::create_dir_all(&self.dir).expect("create cache dir");
-        let path = self.result_path(key);
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure, naming the path it happened at.
+    pub fn store(&self, key: &str, result: &RunResult) -> io::Result<()> {
         let text = serde_json::to_string_pretty(&run_result_to_value(result)).expect("encode");
-        write_atomic(&path, text.as_bytes());
+        write_atomic(&self.result_path(key), text.as_bytes())
     }
 
     /// Persists a checkpoint blob for `key` atomically, so an interrupt
@@ -109,11 +106,12 @@ impl ResultStore {
     /// torn blob. (A torn blob would still be rejected by the frame
     /// checksum — the rename keeps the window empty, not merely
     /// survivable.)
-    pub fn store_checkpoint(&self, key: &str, state: &SysState) {
-        let path = self.ckpt_path(key);
-        let dir = path.parent().expect("checkpoint path has a parent");
-        fs::create_dir_all(dir).expect("create checkpoint dir");
-        write_atomic(&path, &state.to_bytes());
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure, naming the path it happened at.
+    pub fn store_checkpoint(&self, key: &str, state: &SysState) -> io::Result<()> {
+        write_atomic(&self.ckpt_path(key), &state.to_bytes())
     }
 
     /// Loads `key`'s checkpoint blob if present and decodable; anything
@@ -138,18 +136,24 @@ impl ResultStore {
     }
 }
 
-/// Unique-temp-file + rename. The temp name carries the writer's pid so
-/// concurrent fabric processes writing the same key never clobber each
-/// other's in-progress temp files.
-fn write_atomic(path: &Path, bytes: &[u8]) {
+/// Creates `path`'s directory, then writes a unique temp file and renames
+/// it over `path`. The temp name carries the writer's pid so concurrent
+/// fabric processes writing the same key never clobber each other's
+/// in-progress temp files.
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let at = |step: &str, p: &Path, e: io::Error| {
+        io::Error::new(e.kind(), format!("{step} {}: {e}", p.display()))
+    };
+    let dir = path.parent().expect("store path has a parent");
+    fs::create_dir_all(dir).map_err(|e| at("create", dir, e))?;
     let mut name = path
         .file_name()
         .expect("store path has a file name")
         .to_os_string();
     name.push(format!(".{}.tmp", std::process::id()));
     let tmp = path.with_file_name(name);
-    fs::write(&tmp, bytes).unwrap_or_else(|e| panic!("write {}: {e}", tmp.display()));
-    fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {}: {e}", path.display()));
+    fs::write(&tmp, bytes).map_err(|e| at("write", &tmp, e))?;
+    fs::rename(&tmp, path).map_err(|e| at("rename", path, e))
 }
 
 // --- the JSON entry codec -------------------------------------------------

@@ -82,7 +82,8 @@ pub enum PointRun {
 /// # Errors
 ///
 /// Simulation failures (budget exceeded, output check failed, unknown
-/// workload name) — *not* checkpoint problems, which self-heal.
+/// workload name) and checkpoint blobs that cannot be written. An
+/// unusable blob is not an error: the point restarts from cycle 0.
 pub fn run_one_point(
     spec: &PointSpec,
     store: &ResultStore,
@@ -129,8 +130,9 @@ pub fn run_one_point(
 ///
 /// # Errors
 ///
-/// Simulation failures: the cycle budget ran out or the output check
-/// failed.
+/// Simulation failures (the cycle budget ran out or the output check
+/// failed), and a checkpoint blob that cannot be written: the run stops
+/// at that checkpoint and the error names `key`.
 pub fn run_exact_point(
     system: SystemKind,
     workload: &Workload,
@@ -141,8 +143,12 @@ pub fn run_exact_point(
     on_checkpoint: &mut dyn FnMut(u64) -> bool,
 ) -> Result<PointRun, String> {
     let start = Instant::now();
+    let mut write_error = None;
     let mut save = |state: &SysState| {
-        store.store_checkpoint(key, state);
+        if let Err(e) = store.store_checkpoint(key, state) {
+            write_error = Some(e);
+            return CkptControl::Yield;
+        }
         if on_checkpoint(state.uncore_cycle()) {
             CkptControl::Yield
         } else {
@@ -176,6 +182,9 @@ pub fn run_exact_point(
         });
     let resumed = resumed_out.is_some();
     let out = resumed_out.unwrap_or_else(|| run_from(None));
+    if let Some(e) = write_error {
+        return Err(format!("{key}: checkpoint not written: {e}"));
+    }
     match out.map_err(|e| e.to_string())? {
         SimOutcome::Finished(run) => {
             store.remove_checkpoint(key);
@@ -321,7 +330,9 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("bvl-worker-budget-{}", std::process::id()));
         let store = ResultStore::new(&dir);
-        store.store_checkpoint(&spec.key(), &planted);
+        store
+            .store_checkpoint(&spec.key(), &planted)
+            .expect("plant checkpoint");
         let mut reported = Vec::new();
         let err = run_one_point(&spec, &store, &mut |cycle| {
             reported.push(cycle);

@@ -1,18 +1,18 @@
-//! Daemon-crash recovery: the persistent queue journal survives a
-//! SIGKILLed daemon.
+//! Daemon-crash recovery by resubmission: a SIGKILLed daemon leaves
+//! only its store behind, and that is enough.
 //!
 //! A real `bvl-serve` process is killed mid-sweep via the
-//! `--kill-daemon-on-progress` fault (an `abort()` — no destructors, no
-//! journal compaction, exactly what SIGKILL leaves behind). A second
-//! process started with `--resume-queue` must:
+//! `--kill-daemon-on-progress` fault (an `abort()` — no destructors,
+//! exactly what SIGKILL leaves behind). A second process on the same
+//! store, started with no recovery flag, gets the same three points
+//! resubmitted by its client and must:
 //!
-//! * re-admit the whole journaled backlog (`requeued_from_journal`),
-//! * resume the in-flight point from its last persisted checkpoint
-//!   rather than cycle 0 (`resumed`, `restarts_from_zero == 0` — the
-//!   never-started points are not "lost intervals"),
+//! * resume the point that was in flight from its last persisted
+//!   checkpoint rather than cycle 0 (`resumed`, `restarts_from_zero ==
+//!   0` — the never-started points are not "lost intervals"),
 //! * produce result artifacts byte-identical to a serverless reference,
-//! * and answer resubmissions of everything from the memo with zero
-//!   re-simulation.
+//! * and answer a second resubmission of everything from the memo with
+//!   zero re-simulation.
 
 use bvl_serve::{run_one_point, Client, PointRun, PointSpec, Priority, ResultStore, WorkloadSpec};
 use bvl_sim::{simulate_with, CkptControl, Hooks, RunResult, SimParams, SysState, SystemKind};
@@ -22,7 +22,6 @@ use std::fs;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bvl-crash-{tag}-{}", std::process::id()));
@@ -67,8 +66,8 @@ fn spawn_daemon(store: &Path, extra: &[&str]) -> (Child, String) {
 }
 
 #[test]
-fn sigkilled_daemon_resumes_its_queue_byte_identically_with_zero_resimulation() {
-    let dir = scratch("resume-queue");
+fn sigkilled_daemon_recovers_by_resubmission_byte_identically_with_zero_resimulation() {
+    let dir = scratch("resubmit");
     let store_dir = dir.join("cache");
     let names = ["mmult", "vvadd", "saxpy"];
 
@@ -102,7 +101,9 @@ fn sigkilled_daemon_resumes_its_queue_byte_identically_with_zero_resimulation() 
         let s = spec(name);
         match run_one_point(&s, &ref_store, &mut |_| false).expect("reference run") {
             PointRun::Finished(out) => {
-                ref_store.store(&s.key(), &out.result);
+                ref_store
+                    .store(&s.key(), &out.result)
+                    .expect("store reference");
                 expected.insert(name, out.result);
             }
             PointRun::Yielded { .. } => unreachable!("nothing orders a yield"),
@@ -145,28 +146,22 @@ fn sigkilled_daemon_resumes_its_queue_byte_identically_with_zero_resimulation() 
     assert!(!status.success(), "the fault plan must abort the daemon");
     worker.wait().expect("the worker exits with its daemon");
 
-    // Daemon #2: same store, --resume-queue. The journaled backlog runs
-    // to completion with no client resubmitting anything.
-    let (mut child2, addr2) = spawn_daemon(&store_dir, &["--threads", "1", "--resume-queue"]);
+    // Daemon #2: same store, no recovery flag. The client resubmits the
+    // three points, as `run_all --serve --resume` would.
+    let (mut child2, addr2) = spawn_daemon(&store_dir, &["--threads", "1"]);
     let mut client = Client::connect(&addr2).expect("connect restarted daemon");
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let report = loop {
-        let report = client.stats().expect("stats");
-        if report.stats.executed == 3 && report.queue_depth == 0 && report.busy_workers == 0 {
-            break report;
-        }
-        assert_eq!(report.stats.failed, 0, "{report:?}");
-        assert!(
-            Instant::now() < deadline,
-            "backlog never drained: {report:?}"
+    let recovered = client
+        .run_points(&names.map(spec))
+        .expect("resubmitted sweep");
+    for (name, r) in names.iter().zip(&recovered) {
+        assert_eq!(
+            &r.result, &expected[name],
+            "{name}: recovered result diverged"
         );
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    let s = report.stats;
-    assert_eq!(
-        s.requeued_from_journal, 3,
-        "all three admits were outstanding: {s:?}"
-    );
+        assert_eq!(r.resumed, *name == "mmult", "{name}: {r:?}");
+    }
+    let s = client.stats().expect("stats").stats;
+    assert_eq!(s.executed, 3, "{s:?}");
     assert_eq!(
         s.resumed, 1,
         "the in-flight mmult must resume from its checkpoint: {s:?}"
@@ -176,11 +171,6 @@ fn sigkilled_daemon_resumes_its_queue_byte_identically_with_zero_resimulation() 
         "never-started points are not lost intervals: {s:?}"
     );
     assert_eq!(s.failed, 0, "{s:?}");
-    assert_eq!(
-        report.shares,
-        vec![(0, 3)],
-        "recovered work is attributed to the synthetic journal client 0: {report:?}"
-    );
 
     // Byte-identity: the two never-started points restarted from zero
     // and persisted artifacts identical to the serverless reference.
@@ -199,6 +189,10 @@ fn sigkilled_daemon_resumes_its_queue_byte_identically_with_zero_resimulation() 
     assert!(
         !store.result_path(&mmult_key).exists(),
         "a resumed completion must not be persisted to the disk store"
+    );
+    assert!(
+        !store.ckpt_path(&mmult_key).exists(),
+        "a finished point's checkpoint blob is deleted"
     );
 
     // ...but the memo serves it, byte-equal to the reference, with zero

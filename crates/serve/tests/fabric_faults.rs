@@ -12,20 +12,26 @@
 //! * a garbage/truncated checkpoint blob is a *miss* (the PR-5
 //!   `SnapError` path): the point silently restarts from cycle 0;
 //! * a decodable blob for the wrong parameters is rejected by the
-//!   fingerprint check and counted as a restart-from-zero.
+//!   fingerprint check and counted as a restart-from-zero;
+//! * a checkpoint that cannot be written fails its point with an error
+//!   naming the key — it does not kill the worker;
+//! * a result that cannot be stored is still served, and the daemon
+//!   keeps answering.
 //!
-//! Eviction and the restart count run once on an in-process worker and
-//! once on a `bvl-serve --worker` process: both kinds of worker take the
-//! same path through the daemon.
+//! Eviction, the restart count and the unwritable checkpoint run once on
+//! an in-process worker and once on a `bvl-serve --worker` process: both
+//! kinds of worker take the same path through the daemon.
 
 use bvl_serve::{
-    run_one_point, Client, Daemon, DaemonConfig, FaultPlan, PointRun, PointSpec, ResultStore,
+    run_one_point, Client, Daemon, DaemonConfig, FaultPlan, Msg, PointRun, PointSpec, ResultStore,
     WorkerCmd, WorkloadSpec,
 };
 use bvl_sim::{simulate_with, CkptControl, Hooks, RunResult, SimParams, SysState, SystemKind};
 use bvl_workloads::Scale;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 /// Fresh per-test scratch dir (removed on entry so reruns start cold).
 fn scratch(tag: &str) -> PathBuf {
@@ -58,6 +64,24 @@ fn reference(spec: &PointSpec, dir: &std::path::Path) -> RunResult {
         }
         PointRun::Yielded { .. } => unreachable!("nothing orders a yield"),
     }
+}
+
+/// Runs `f` on a thread of its own and fails the test if it has not
+/// returned within two minutes: a wedged daemon must fail the test, not
+/// hang it.
+fn within_deadline<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = mpsc::channel::<()>();
+    let handle = std::thread::spawn(move || {
+        // Dropped when `f` returns or panics, which ends the wait below.
+        let _done = done;
+        f()
+    });
+    if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(120)) {
+        panic!("{what}: no answer within the deadline");
+    }
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 /// Where a daemon's one worker runs.
@@ -275,7 +299,7 @@ fn wrong_params_checkpoint_is_rejected_and_counted_as_a_restart_from_zero() {
     let store = ResultStore::new(dir.join("cache"));
     let key = spec.key();
     for worker in [Worker::InProcess, Worker::Process] {
-        store.store_checkpoint(&key, &planted);
+        store.store_checkpoint(&key, &planted).expect("plant blob");
         let daemon = Daemon::start(one_worker(&dir, worker, FaultPlan::default())).expect("daemon");
         let mut client = Client::connect(daemon.addr()).expect("connect");
         let results = client
@@ -294,5 +318,74 @@ fn wrong_params_checkpoint_is_rejected_and_counted_as_a_restart_from_zero() {
 
         daemon.shutdown();
     }
+    fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn an_unwritable_checkpoint_fails_the_point_naming_its_key_and_the_worker_lives() {
+    let dir = scratch("ckpt-unwritable");
+    let spec = the_point();
+    let key = spec.key();
+
+    for worker in [Worker::InProcess, Worker::Process] {
+        // `ckpt` is a regular file, so no blob can be written under it.
+        let cfg = one_worker(&dir, worker, FaultPlan::default());
+        fs::create_dir_all(&cfg.store_dir).unwrap();
+        fs::write(cfg.store_dir.join("ckpt"), b"not a directory").unwrap();
+        let daemon = Daemon::start(cfg).expect("daemon");
+        let addr = daemon.addr();
+        let point = spec.clone();
+        let reply = within_deadline("submission with an unwritable checkpoint", move || {
+            let mut client = Client::connect(addr).expect("connect");
+            client.submit(&point).expect("submit");
+            client.recv().expect("reply")
+        });
+        match reply {
+            Msg::Failed { error, .. } => {
+                assert!(
+                    error.contains(&key),
+                    "{worker:?}: error names no key: {error}"
+                )
+            }
+            other => panic!("{worker:?}: expected Failed, got {other:?}"),
+        }
+
+        let s = daemon.stats();
+        assert_eq!(s.failed, 1, "{worker:?}: {s:?}");
+        assert_eq!(s.executed, 0, "{worker:?}: {s:?}");
+        assert_eq!(s.worker_deaths, 0, "{worker:?}: {s:?}");
+        daemon.shutdown();
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+}
+
+#[test]
+fn an_unwritable_result_is_still_served_and_the_daemon_keeps_answering() {
+    let dir = scratch("store-unwritable");
+    let spec = the_point();
+    let expected = reference(&spec, &dir);
+
+    // The store directory is a regular file: no result can be stored.
+    let store_file = dir.join("store");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(&store_file, b"not a directory").unwrap();
+    let daemon = Daemon::start(DaemonConfig {
+        checkpoint_every: 0,
+        ..DaemonConfig::threads_only(1, &store_file)
+    })
+    .expect("daemon");
+    let (served, report) = within_deadline("submission with an unwritable store", move || {
+        let mut client = Client::connect(daemon.addr()).expect("connect");
+        let served = client.run_points(&[spec]).expect("served point");
+        let report = client.stats().expect("stats");
+        client.shutdown().expect("shutdown");
+        daemon.wait();
+        (served, report)
+    });
+    assert_eq!(served[0].result, expected);
+    assert!(!served[0].cache_hit);
+    let s = report.stats;
+    assert_eq!(s.executed, 1, "{s:?}");
+    assert_eq!(s.failed, 0, "{s:?}");
     fs::remove_dir_all(&dir).expect("cleanup");
 }

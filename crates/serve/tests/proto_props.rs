@@ -78,7 +78,7 @@ fn priority_strategy() -> impl Strategy<Value = Priority> {
 
 /// A stats snapshot with arbitrary counter values.
 fn stats_strategy() -> impl Strategy<Value = FabricStats> {
-    proptest::collection::vec(any::<u64>(), 14..15).prop_map(|v| FabricStats {
+    proptest::collection::vec(any::<u64>(), 13..14).prop_map(|v| FabricStats {
         submitted: v[0],
         executed: v[1],
         coalesced: v[2],
@@ -90,9 +90,8 @@ fn stats_strategy() -> impl Strategy<Value = FabricStats> {
         restarts_from_zero: v[8],
         failed: v[9],
         busy_rejections: v[10],
-        requeued_from_journal: v[11],
-        auth_failures: v[12],
-        max_queue_depth: v[13],
+        auth_failures: v[11],
+        max_queue_depth: v[12],
     })
 }
 

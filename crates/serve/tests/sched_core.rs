@@ -12,10 +12,7 @@
 //!    coalesces and requeues are exempt, and the high-water mark holds.
 //! 5. **Requeue**: a yielded point, or a dead worker's, resumes before
 //!    fresh work of its class.
-//! 6. **Journal recovery**: a dead daemon's journal re-admits its
-//!    backlog under client 0 and settles what already reached the store.
 
-use bvl_serve::journal::QueueJournal;
 use bvl_serve::{
     DaemonConfig, Msg, PointOutcome, PointSpec, Priority, ResultStore, Sched, WorkloadSpec,
 };
@@ -102,7 +99,7 @@ fn dispatch_is_strict_priority_then_round_robin_across_clients() {
     let dir = scratch("fair");
     let mut s = core(&dir, 0);
     let clients: Vec<u64> = (0..4).map(|_| s.connect()).collect();
-    assert_eq!(clients, [1, 2, 3, 4], "client 0 belongs to the journal");
+    assert_eq!(clients, [1, 2, 3, 4], "client ids count from 1");
 
     // Client 1: two Normal points; client 2: two Normal; client 3: one
     // High and one Low; client 4: two Normal.
@@ -339,67 +336,5 @@ fn a_requeued_point_goes_to_the_front_of_its_class() {
         vec![(c1, 4), (c2, 1)],
         "every dispatch counts, requeued ones included"
     );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn journal_recovery_settles_stored_results_and_readmits_the_rest_under_client_0() {
-    let dir = scratch("recover");
-    let store = ResultStore::new(&dir);
-    let (a, b, c, d) = (point(50), point(51), point(52), point(53));
-
-    // What a dead daemon left: four admits, `d` settled, and `b` whose
-    // result reached the store before the daemon died unsettled.
-    let mut journal = QueueJournal::fresh(store.journal_path());
-    journal.admit(&a.key(), &a, Priority::Low);
-    journal.admit(&b.key(), &b, Priority::Normal);
-    journal.admit(&c.key(), &c, Priority::High);
-    journal.admit(&d.key(), &d, Priority::Normal);
-    journal.settle(&d.key());
-    drop(journal);
-    let stored = RunResult {
-        uncore_cycles: 1234,
-        ..RunResult::default()
-    };
-    store.store(&b.key(), &stored);
-
-    let mut s: Sched<u64> = Sched::new(&DaemonConfig {
-        resume_queue: true,
-        ..DaemonConfig::threads_only(0, &dir)
-    });
-    let report = s.report();
-    assert_eq!(
-        report.stats.requeued_from_journal, 2,
-        "a and c were outstanding: {report:?}"
-    );
-    assert_eq!(report.queue_by_class, [1, 0, 1], "{report:?}");
-    assert_eq!(report.stats.max_queue_depth, 2, "{report:?}");
-
-    // The stored point is memoized, not re-run.
-    let client = s.connect();
-    match &s.submit(client, client, 1, Priority::Normal, b.clone())[..] {
-        [(
-            _,
-            Msg::Done {
-                result, cache_hit, ..
-            },
-        )] => {
-            assert!(*cache_hit);
-            assert_eq!(*result, stored);
-        }
-        other => panic!("expected a cached Done, got {other:?}"),
-    }
-    assert_eq!(s.report().stats.memo_hits, 1);
-
-    let order: Vec<_> = std::iter::from_fn(|| dispatch(&mut s)).collect();
-    assert_eq!(keys(&order), [c.key(), a.key()], "{order:?}");
-    assert!(order.iter().all(|d| d.1 == 0), "{order:?}");
-    assert_eq!(s.report().shares, vec![(0, 2)]);
-    drop(s);
-
-    // Recovery settled `b` in the journal: only a and c are outstanding.
-    let (_, backlog) = QueueJournal::recover(store.journal_path());
-    let outstanding: Vec<String> = backlog.into_iter().map(|rec| rec.key).collect();
-    assert_eq!(outstanding, [a.key(), c.key()]);
     let _ = fs::remove_dir_all(&dir);
 }

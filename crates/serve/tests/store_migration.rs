@@ -11,6 +11,8 @@
 //! * entries with duplicate stats paths (disk corruption; would panic
 //!   `StatsSnapshot::from_entries` if forwarded) → miss;
 //! * unparseable bytes → miss;
+//! * nesting deeper than the JSON parser's limit (would overflow the
+//!   stack if parsed without one) → miss;
 //! * and the fabric daemon re-simulates over such an entry instead of
 //!   failing the submission or serving garbage.
 
@@ -119,9 +121,18 @@ fn legacy_and_corrupt_entries_decode_as_misses_not_errors() {
     // And a fresh write-back round-trips, proving the store itself is
     // healthy after all that.
     let result = RunResult::default();
-    store.store(key, &result);
+    store.store(key, &result).expect("store");
     assert_eq!(store.load(key), Some(result));
 
+    fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn a_deeply_nested_entry_is_a_miss_not_a_stack_overflow() {
+    let dir = scratch("nested");
+    let store = ResultStore::new(&dir);
+    plant(&store, "probe", &"[".repeat(100_000));
+    assert!(store.load("probe").is_none());
     fs::remove_dir_all(&dir).expect("cleanup");
 }
 
