@@ -129,10 +129,17 @@ pub struct BigCore {
     line_bytes: u64,
     fetch: FetchUnit,
     rob: VecDeque<RobEntry>,
+    /// Seqs of the ROB's `Waiting` entries, oldest first: all that
+    /// `issue` visits. Derived from the ROB, like `executing`: kept in
+    /// step wherever an entry changes state, rebuilt by `restore_state`
+    /// and never written to a checkpoint.
+    waiting: Vec<u64>,
+    /// Seqs of the ROB's `Executing` entries, oldest first: all that
+    /// `sweep_executing` visits.
+    executing: Vec<u64>,
     next_seq: u64,
     /// Latest in-flight producer of each register (`seq + 1`; 0 = none) —
-    /// the rename map. Encoded as plain integers so the operand table in
-    /// [`source_ready_times`] can be reused to collect dependencies.
+    /// the rename map, from which dispatch records each entry's `deps`.
     x_producer: [u64; NUM_REGS],
     f_producer: [u64; NUM_REGS],
     muldiv_busy_until: u64,
@@ -173,6 +180,8 @@ impl BigCore {
             program,
             fetch: FetchUnit::new(PortId::BigFetch, text_base, line_bytes),
             rob: VecDeque::new(),
+            waiting: Vec::new(),
+            executing: Vec::new(),
             next_seq: 0,
             x_producer: [0; NUM_REGS],
             f_producer: [0; NUM_REGS],
@@ -244,7 +253,7 @@ impl BigCore {
         self.drain_memory(now, hier);
         if let Some(e) = engine.as_deref_mut() {
             while let Some(seq) = e.pop_scalar_done() {
-                if let Some(entry) = self.rob.iter_mut().find(|en| en.seq == seq) {
+                if let Some(entry) = self.entry_mut(seq) {
                     debug_assert_eq!(entry.state, EState::WaitVectorResult);
                     entry.state = EState::Done;
                 }
@@ -291,13 +300,33 @@ impl BigCore {
     }
 
     fn sweep_executing(&mut self, now: u64) {
-        for entry in &mut self.rob {
-            if let EState::Executing(done) = entry.state {
-                if done <= now {
+        let Some(front) = self.rob.front().map(|head| head.seq) else {
+            return;
+        };
+        let rob = &mut self.rob;
+        self.executing.retain(|&seq| {
+            let entry = &mut rob[(seq - front) as usize];
+            match entry.state {
+                EState::Executing(done) if done <= now => {
                     entry.state = EState::Done;
+                    false
                 }
+                _ => true,
             }
-        }
+        });
+    }
+
+    /// ROB index of the in-flight entry `seq` (ROB seqs are contiguous).
+    fn rob_index(&self, seq: u64) -> usize {
+        let front = self.rob.front().expect("an in-flight entry").seq;
+        (seq - front) as usize
+    }
+
+    /// The entry `seq`, if it is still in the ROB.
+    fn entry_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
+        let front = self.rob.front()?.seq;
+        let i = usize::try_from(seq.checked_sub(front)?).ok()?;
+        self.rob.get_mut(i)
     }
 
     /// True once producer `seq` has its result available (committed, or in
@@ -307,8 +336,7 @@ impl BigCore {
             None => true,
             Some(front) if seq < front.seq => true, // already committed
             _ => {
-                let base = self.rob.front().expect("non-empty").seq;
-                let idx = (seq - base) as usize;
+                let idx = self.rob_index(seq);
                 debug_assert_eq!(self.rob[idx].seq, seq, "ROB seqs are contiguous");
                 self.rob[idx].state == EState::Done
             }
@@ -399,62 +427,56 @@ impl BigCore {
         committed
     }
 
+    /// Issues ready `Waiting` entries, oldest first, up to the issue width
+    /// and the free FU slots.
     fn issue(&mut self, now: u64, hier: &mut MemHierarchy) {
         let mut alu = self.params.fu_alu;
         let mut fpu = self.params.fu_fpu;
         let mut mem = self.params.fu_mem;
         let mut issued = 0;
-        // Collect older-store lines once for store->load ordering.
         let line_mask = !(hier.line_bytes() - 1);
-        for i in 0..self.rob.len() {
+        let mut waiting = std::mem::take(&mut self.waiting);
+        // `true` keeps an entry waiting; `false` means it left the state.
+        waiting.retain(|&seq| {
             if issued >= self.params.issue_width {
-                break;
+                return true;
             }
-            if self.rob[i].state != EState::Waiting {
-                continue;
-            }
-            let im = *self.pre.at(self.rob[i].info.pc);
-            if im.is_vector {
-                // Vector instructions wait for the ROB head.
-                continue;
-            }
+            let i = self.rob_index(seq);
             // Sources ready? (All producer seqs completed.)
             let hazard = self.rob[i].deps.iter().any(|d| !self.dep_completed(d));
             if hazard {
-                continue;
+                return true;
             }
-            let meta = im.meta;
+            let meta = self.pre.at(self.rob[i].info.pc).meta;
+            let done_at = now + u64::from(meta.latency);
             match meta.fu {
                 FuClass::Alu | FuClass::Branch | FuClass::None => {
                     if alu == 0 {
-                        continue;
+                        return true;
                     }
                     alu -= 1;
-                    self.rob[i].state = EState::Executing(now + u64::from(meta.latency));
                 }
                 FuClass::MulDiv => {
                     if self.muldiv_busy_until > now {
-                        continue;
+                        return true;
                     }
-                    self.muldiv_busy_until = now + u64::from(meta.latency);
-                    self.rob[i].state = EState::Executing(now + u64::from(meta.latency));
+                    self.muldiv_busy_until = done_at;
                 }
                 FuClass::Fpu => {
                     if fpu == 0 {
-                        continue;
+                        return true;
                     }
                     fpu -= 1;
-                    self.rob[i].state = EState::Executing(now + u64::from(meta.latency));
                 }
                 FuClass::Mem => {
                     if self.rob[i].is_store {
                         // Stores "execute" by having their sources ready;
                         // the request goes out at commit.
                         self.rob[i].state = EState::Done;
-                        continue;
+                        return false;
                     }
                     if mem == 0 || self.outstanding_loads >= self.params.load_queue {
-                        continue;
+                        return true;
                     }
                     let addr_line = self.rob[i].info.mem[0].addr & line_mask;
                     // Store->load ordering at line granularity.
@@ -464,7 +486,7 @@ impl BigCore {
                             && e.info.mem[0].addr & line_mask == addr_line
                     });
                     if blocked {
-                        continue;
+                        return true;
                     }
                     let acc = self.rob[i].info.mem[0];
                     self.next_mem_id += 1;
@@ -478,16 +500,23 @@ impl BigCore {
                     };
                     if !hier.request(req) {
                         mem = 0; // port saturated this cycle
-                        continue;
+                        return true;
                     }
                     mem -= 1;
                     self.outstanding_loads += 1;
                     self.rob[i].state = EState::WaitMem(self.next_mem_id);
+                    issued += 1;
+                    return false;
                 }
-                FuClass::Vector => unreachable!("vector handled above"),
+                FuClass::Vector => unreachable!("vector entries wait in WaitVector"),
             }
+            self.rob[i].state = EState::Executing(done_at);
+            let at = self.executing.partition_point(|&s| s < seq);
+            self.executing.insert(at, seq);
             issued += 1;
-        }
+            false
+        });
+        self.waiting = waiting;
     }
 
     fn dispatch<E: VectorEngine + ?Sized>(
@@ -552,9 +581,11 @@ impl BigCore {
                 DestReg::X(r) => self.x_producer[r as usize] = self.next_seq + 1,
                 DestReg::F(r) => self.f_producer[r as usize] = self.next_seq + 1,
             }
+            // Vector instructions wait for the ROB head, never in `waiting`.
             let state = if is_vector {
                 EState::WaitVector
             } else {
+                self.waiting.push(self.next_seq);
                 EState::Waiting
             };
             self.rob.push_back(RobEntry {
@@ -626,54 +657,50 @@ impl BigCore {
         }
 
         // Issue side: Executing completions are exact internal deadlines;
-        // a Waiting entry with complete deps may act this cycle.
+        // a Waiting entry with complete deps may act this cycle. The answer
+        // does not depend on the order the entries are visited in.
+        for &seq in &self.executing {
+            if let EState::Executing(done) = self.rob[self.rob_index(seq)].state {
+                if done <= now {
+                    return Quiescence::Active;
+                }
+                fold(&mut until, done);
+            }
+        }
         let line_mask = !(self.line_bytes - 1);
-        for (i, e) in self.rob.iter().enumerate() {
-            match e.state {
-                EState::Executing(done) => {
-                    if done <= now {
+        for &seq in &self.waiting {
+            let i = self.rob_index(seq);
+            let e = &self.rob[i];
+            if e.deps.iter().any(|d| !self.dep_completed(d)) {
+                continue; // wakes on a producer's event, folded above
+            }
+            match self.pre.at(e.info.pc).meta.fu {
+                FuClass::MulDiv => {
+                    if self.muldiv_busy_until <= now {
                         return Quiescence::Active;
                     }
-                    fold(&mut until, done);
+                    fold(&mut until, self.muldiv_busy_until);
                 }
-                EState::Waiting => {
-                    let im = self.pre.at(e.info.pc);
-                    if im.is_vector {
-                        continue; // dispatched from the head (commit side)
+                FuClass::Mem => {
+                    if e.is_store {
+                        return Quiescence::Active; // marks itself Done
                     }
-                    if e.deps.iter().any(|d| !self.dep_completed(d)) {
-                        continue; // wakes on a producer's event, folded above
+                    if self.outstanding_loads >= self.params.load_queue {
+                        continue; // frees on an external response
                     }
-                    match im.meta.fu {
-                        FuClass::MulDiv => {
-                            if self.muldiv_busy_until <= now {
-                                return Quiescence::Active;
-                            }
-                            fold(&mut until, self.muldiv_busy_until);
-                        }
-                        FuClass::Mem => {
-                            if e.is_store {
-                                return Quiescence::Active; // marks itself Done
-                            }
-                            if self.outstanding_loads >= self.params.load_queue {
-                                continue; // frees on an external response
-                            }
-                            let addr_line = e.info.mem[0].addr & line_mask;
-                            let blocked = self.rob.iter().take(i).any(|o| {
-                                o.is_store
-                                    && !o.info.mem.is_empty()
-                                    && o.info.mem[0].addr & line_mask == addr_line
-                            });
-                            if blocked {
-                                continue; // clears at commit (head-driven)
-                            }
-                            return Quiescence::Active; // would request the L1D
-                        }
-                        // ALU/branch/FP slots refresh every cycle.
-                        _ => return Quiescence::Active,
+                    let addr_line = e.info.mem[0].addr & line_mask;
+                    let blocked = self.rob.iter().take(i).any(|o| {
+                        o.is_store
+                            && !o.info.mem.is_empty()
+                            && o.info.mem[0].addr & line_mask == addr_line
+                    });
+                    if blocked {
+                        continue; // clears at commit (head-driven)
                     }
+                    return Quiescence::Active; // would request the L1D
                 }
-                _ => {}
+                // ALU/branch/FP slots refresh every cycle.
+                _ => return Quiescence::Active,
             }
         }
 
@@ -739,6 +766,20 @@ impl BigCore {
         self.stall_dispatch_until.save(w);
     }
 
+    /// The `waiting` and `executing` lists as a scan of the ROB gives
+    /// them.
+    fn derived_lists(&self) -> (Vec<u64>, Vec<u64>) {
+        let (mut waiting, mut executing) = (Vec::new(), Vec::new());
+        for e in &self.rob {
+            match e.state {
+                EState::Waiting => waiting.push(e.seq),
+                EState::Executing(_) => executing.push(e.seq),
+                _ => {}
+            }
+        }
+        (waiting, executing)
+    }
+
     /// Restores state written by [`BigCore::save_state`].
     ///
     /// # Errors
@@ -759,6 +800,7 @@ impl BigCore {
             });
         }
         self.rob = rob;
+        (self.waiting, self.executing) = self.derived_lists();
         self.next_seq = Snap::load(r)?;
         self.x_producer = Snap::load(r)?;
         self.f_producer = Snap::load(r)?;
@@ -822,29 +864,45 @@ snap_struct!(RobEntry {
 });
 
 #[cfg(test)]
+impl BigCore {
+    /// Panics unless `waiting` and `executing` equal a fresh scan of the
+    /// ROB.
+    fn assert_lists_derived(&self) {
+        let lists = (self.waiting.clone(), self.executing.clone());
+        assert_eq!(lists, self.derived_lists(), "(waiting, executing)");
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::fetch::TEXT_BASE;
     use bvl_isa::asm::Assembler;
-    use bvl_isa::reg::XReg;
+    use bvl_isa::reg::{FReg, XReg};
     use bvl_mem::{HierConfig, SimMemory};
 
     fn x(i: u8) -> XReg {
         XReg::new(i)
     }
 
-    fn run_big(a: &Assembler) -> (BigCore, u64) {
-        let prog = Arc::new(a.assemble().unwrap());
+    /// An idle big core with its own memory and hierarchy.
+    fn fresh(prog: &Arc<Program>) -> (BigCore, MemHierarchy, SharedMem) {
         let shared = SharedMem::new(SimMemory::new(1 << 20));
-        let mut hier = MemHierarchy::new(HierConfig::with_little(0));
-        let mut core = BigCore::new(
-            shared,
-            prog,
+        let hier = MemHierarchy::new(HierConfig::with_little(0));
+        let core = BigCore::new(
+            shared.clone(),
+            Arc::clone(prog),
             TEXT_BASE,
             hier.line_bytes(),
             64,
             BigParams::default(),
         );
+        (core, hier, shared)
+    }
+
+    fn run_big(a: &Assembler) -> (BigCore, u64) {
+        let prog = Arc::new(a.assemble().unwrap());
+        let (mut core, mut hier, _) = fresh(&prog);
         core.assign(0);
         for t in 0..2_000_000 {
             hier.tick(t);
@@ -991,17 +1049,7 @@ mod tests {
         a.div(x(7), x(6), x(5)); // serialized divides: muldiv windows
         a.sw(x(7), x(1), 8);
         a.halt();
-        let prog = Arc::new(a.assemble().unwrap());
-        let shared = SharedMem::new(SimMemory::new(1 << 20));
-        let mut hier = MemHierarchy::new(HierConfig::with_little(0));
-        let mut core = BigCore::new(
-            shared,
-            prog,
-            TEXT_BASE,
-            hier.line_bytes(),
-            64,
-            BigParams::default(),
-        );
+        let (mut core, mut hier, _) = fresh(&Arc::new(a.assemble().unwrap()));
         core.assign(0);
         let mut checked = 0u64;
         for t in 0..2_000_000u64 {
@@ -1030,6 +1078,89 @@ mod tests {
             }
         }
         panic!("core did not finish");
+    }
+
+    /// `waiting` and `executing` equal a scan of the ROB after every tick
+    /// of a scalar mix: a serialized `div` chain, FP ops, a load behind
+    /// same-line stores and a loop whose exit mispredicts. A core restored
+    /// mid-run rebuilds both lists and runs the rest tick for tick like
+    /// the original.
+    #[test]
+    fn derived_lists_track_the_rob_and_survive_restore() {
+        let f = FReg::new;
+        let mut a = Assembler::new();
+        a.li(x(1), 0x2000);
+        a.li(x(4), 900_000);
+        a.li(x(5), 3);
+        a.fcvt_s_w(f(1), x(5));
+        a.div(x(6), x(4), x(5));
+        a.div(x(7), x(6), x(5));
+        a.addi(x(13), x(6), 1); // issues while the younger fsqrt executes
+        a.fsqrt_s(f(2), f(1));
+        a.div(x(8), x(7), x(5));
+        a.fmul_s(f(3), f(2), f(1));
+        a.fsw(f(3), x(1), 0);
+        a.sw(x(8), x(1), 8);
+        a.lw(x(9), x(1), 12); // same line as both stores
+        a.li(x(10), 0);
+        a.li(x(11), 20);
+        a.label("loop");
+        a.add(x(12), x(12), x(9));
+        a.addi(x(10), x(10), 1);
+        a.bne(x(10), x(11), "loop");
+        a.halt();
+        let prog = Arc::new(a.assemble().unwrap());
+        let (mut core, mut hier, shared) = fresh(&prog);
+        core.assign(0);
+
+        // Run until both lists hold entries, then checkpoint.
+        let mut t = 0;
+        loop {
+            hier.tick(t);
+            core.tick(t, &mut hier, None);
+            core.assert_lists_derived();
+            if !core.waiting.is_empty() && !core.executing.is_empty() {
+                break;
+            }
+            t += 1;
+            assert!(t < 100_000, "both lists never held entries");
+        }
+        let mut w = SnapWriter::new();
+        shared.with(|m| m.save(&mut w));
+        hier.save_state(&mut w);
+        core.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let (mut twin, mut twin_hier, twin_shared) = fresh(&prog);
+        let mut r = SnapReader::new(&bytes);
+        let mem = SimMemory::load(&mut r).unwrap();
+        twin_shared.with_mut(|m| *m = mem);
+        twin_hier.restore_state(&mut r).unwrap();
+        twin.restore_state(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(
+            (&twin.waiting, &twin.executing),
+            (&core.waiting, &core.executing)
+        );
+
+        while !core.done() {
+            t += 1;
+            assert!(t < 200_000, "core did not finish");
+            for (c, h) in [(&mut core, &mut hier), (&mut twin, &mut twin_hier)] {
+                h.tick(t);
+                c.tick(t, h, None);
+                c.assert_lists_derived();
+            }
+            assert_eq!(twin.stats(), core.stats(), "t={t}");
+            assert_eq!(
+                (&twin.waiting, &twin.executing),
+                (&core.waiting, &core.executing),
+                "t={t}"
+            );
+        }
+        assert!(twin.done());
+        assert_eq!(twin.arch_snapshot(), core.arch_snapshot());
+        assert_eq!(core.machine().xreg(x(10)), 20);
+        assert_eq!(core.stats().mispredicts, 1);
     }
 
     #[test]
@@ -1181,6 +1312,7 @@ mod engine_protocol_tests {
         for t in 0..500u64 {
             hier.tick(t);
             core.tick(t, &mut hier, Some(&mut engine));
+            core.assert_lists_derived();
             if popc_seq.is_none() {
                 popc_seq = engine
                     .accepted
@@ -1195,6 +1327,7 @@ mod engine_protocol_tests {
         for t in 500..1000u64 {
             hier.tick(t);
             core.tick(t, &mut hier, Some(&mut engine));
+            core.assert_lists_derived();
             if core.done() {
                 return;
             }

@@ -2,9 +2,8 @@
 //!
 //! Components call [`emit`] unconditionally from their tick paths; the
 //! call is an `#[inline]` branch on a thread-local bool that costs
-//! nothing measurable while tracing is disabled (the common case — the
-//! `skip` Criterion bench guards the regression budget). When a run
-//! starts with `SimParams::trace` set, the simulator arms the
+//! nothing measurable while tracing is disabled (the common case). When
+//! a run starts with `SimParams::trace` set, the simulator arms the
 //! thread-local sink via [`start`]; [`finish`] disarms it and hands the
 //! collected [`TraceLog`] back.
 //!

@@ -455,8 +455,8 @@ pub fn plan_sampled(
 ///
 /// # Errors
 ///
-/// Fails when the checkpoint does not restore or the window exceeds the
-/// cycle budget.
+/// Fails when the checkpoint does not restore, the window exceeds the
+/// cycle budget or breaks the skip law.
 pub fn run_sample_window(
     kind: SystemKind,
     workload: &Workload,
@@ -485,6 +485,7 @@ pub fn run_sample_window(
             break;
         }
     }
+    sys.check_skip_law()?;
     Ok(WindowMeasurement {
         instrs: sys.retired_total(),
         completed,

@@ -646,11 +646,14 @@ impl<'w> System<'w> {
     ///
     /// # Errors
     ///
-    /// Fails if the final memory image does not match the workload's
-    /// reference.
-    fn finish(&self, want_state: bool) -> Result<(RunResult, Option<FinalState>), String> {
+    /// [`SimError::Run`] if the final memory image does not match the
+    /// workload's reference or the run broke the skip law.
+    fn finish(&self, want_state: bool) -> Result<(RunResult, Option<FinalState>), SimError> {
         // ---- verification
-        self.shared.with(|m| (self.workload.check)(m))?;
+        self.shared
+            .with(|m| (self.workload.check)(m))
+            .and_then(|()| self.check_skip_law())
+            .map_err(SimError::Run)?;
 
         // ---- final-state extraction. The completion condition already
         // required every core done and the engine idle, so the state is
@@ -691,6 +694,38 @@ impl<'w> System<'w> {
         self.engine.as_ref().is_none_or(|e| e.idle())
     }
 
+    /// The skip law: every clock edge was either processed naively or
+    /// batch-skipped, so `edges_run + edges_skipped` equals the cycles of
+    /// the live domains. (`SkipStats` is deliberately not part of the
+    /// result, so skip-on and skip-off results stay byte-identical. A
+    /// restored run satisfies the law because the checkpoint carries the
+    /// counters alongside the cycle state.) Checked in every build: it is
+    /// O(1), and `sim.mcycles_per_s` counts edges by it.
+    ///
+    /// # Errors
+    ///
+    /// Names the law and both of its sides when they differ.
+    pub(crate) fn check_skip_law(&self) -> Result<(), String> {
+        let SkipStats {
+            edges_run,
+            edges_skipped,
+            ..
+        } = self.skip_stats;
+        let cycles = self.cyc_u
+            + if self.big_active { self.cyc_b } else { 0 }
+            + if self.little_active { self.cyc_l } else { 0 };
+        if edges_run + edges_skipped == cycles {
+            return Ok(());
+        }
+        Err(format!(
+            "skip law violated for {} on {}: edges_run + edges_skipped = {edges_run} + \
+             {edges_skipped} = {}, but the clock domains ran {cycles} cycles",
+            self.workload.name,
+            self.kind.label(),
+            edges_run + edges_skipped
+        ))
+    }
+
     /// Assembles the run's measured results from the current state —
     /// shared by [`finish`](Self::finish) (end of an exact run) and the
     /// sampled-window runner (which stops at an instruction boundary and
@@ -713,19 +748,6 @@ impl<'w> System<'w> {
         .into_iter()
         .max()
         .expect("non-empty");
-
-        // Every clock edge was either processed naively or batch-skipped —
-        // the skip-mode conservation law. (`SkipStats` is deliberately not
-        // part of the result, so skip-on and skip-off results stay
-        // byte-identical. A restored run satisfies the law because the
-        // checkpoint carries the counters alongside the cycle state.)
-        debug_assert_eq!(
-            self.skip_stats.edges_run + self.skip_stats.edges_skipped,
-            self.cyc_u
-                + if self.big_active { self.cyc_b } else { 0 }
-                + if self.little_active { self.cyc_l } else { 0 },
-            "skip conservation: edges_run + edges_skipped != Σ domain cycles"
-        );
 
         let fetch_groups = self.big.as_ref().map_or(0, |b| b.fetch_groups())
             + self.littles.iter().map(|l| l.fetch_groups()).sum::<u64>();
@@ -1112,7 +1134,7 @@ fn run_system(
             break;
         }
     }
-    let (result, final_state) = sys.finish(want_state).map_err(SimError::Run)?;
+    let (result, final_state) = sys.finish(want_state)?;
     Ok(SimOutcome::Finished(Box::new(FinishedRun {
         result,
         skip: sys.skip_stats,
@@ -1363,6 +1385,36 @@ mod tests {
             (base.result, base.skip, base.final_state),
             (ckpt.result, ckpt.skip, ckpt.final_state)
         );
+    }
+
+    /// The skip law is checked in every build: a run whose edge counters
+    /// do not add up to its domain cycles ends in `SimError::Run`, naming
+    /// the law and both sides.
+    #[test]
+    fn a_broken_skip_law_is_a_run_error() {
+        let w = vvadd::build(Scale::tiny());
+        let mut sys = System::new(SystemKind::B4Vl, &w, &SimParams::default()).expect("build");
+        while !sys.step().expect("step") {}
+        assert!(sys.finish(false).is_ok());
+        let SkipStats {
+            edges_run,
+            edges_skipped,
+            ..
+        } = sys.skip_stats;
+        let cycles = edges_run + edges_skipped;
+        sys.skip_stats.edges_run += 1;
+        match sys.finish(false) {
+            Err(SimError::Run(e)) => {
+                let sides = format!(
+                    "{} + {edges_skipped} = {}, but the clock domains ran {cycles} cycles",
+                    edges_run + 1,
+                    cycles + 1
+                );
+                assert!(e.contains("skip law violated"), "{e}");
+                assert!(e.contains(&sides), "{e}");
+            }
+            other => panic!("expected SimError::Run, got {other:?}"),
+        }
     }
 
     #[test]
