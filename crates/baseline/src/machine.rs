@@ -7,7 +7,7 @@
 //! number of parallel 32-bit operations per cycle; long-latency operations
 //! are pipelined at the same rate with their latency added on top.
 
-use bvl_core::types::{ClockDomain, Quiescence, VecCmd, VectorEngine};
+use bvl_core::types::{ClockDomain, Quiescence, RegList, VecCmd, VectorEngine};
 use bvl_isa::instr::{Instr, VMemMode};
 use bvl_isa::meta::{vector_op_latency, LAT_ALU};
 use bvl_mem::{AccessKind, IdMap, MemHierarchy, MemReq, PortId, WarmTarget};
@@ -267,9 +267,10 @@ impl SimpleVecMachine {
                 if !is_store && self.pending_store_lines.contains(&line) {
                     break; // RAW through memory: wait for the store
                 }
-                self.next_req_id += 1;
+                // Spend the id only if the hierarchy takes the request.
+                let req_id = self.next_req_id + 1;
                 let req = MemReq {
-                    id: self.next_req_id,
+                    id: req_id,
                     addr: line,
                     size: self.line_bytes,
                     is_store,
@@ -280,10 +281,11 @@ impl SimpleVecMachine {
                     budget = 0;
                     break;
                 }
+                self.next_req_id = req_id;
                 tx.to_issue.pop_front();
                 tx.outstanding += 1;
                 self.stats.line_reqs += 1;
-                self.req_to_tx.insert(self.next_req_id, tx_id);
+                self.req_to_tx.insert(req_id, tx_id);
                 self.inflight_lines += 1;
                 budget -= 1;
                 if is_store {
@@ -332,35 +334,39 @@ impl SimpleVecMachine {
         }
     }
 
-    fn compute_srcs(&self, cmd: &VecCmd) -> Vec<u8> {
+    fn compute_srcs(&self, cmd: &VecCmd) -> RegList {
         use Instr::*;
+        let r = |v: bvl_isa::reg::VReg| v.index() as u8;
         match cmd.instr {
             VArith {
                 src1, vs2, vd, op, ..
             } => {
-                let mut v = vec![vs2.index() as u8];
-                if let bvl_isa::instr::VSrc::V(r) = src1 {
-                    v.push(r.index() as u8);
+                let mut v = RegList::of(&[r(vs2)]);
+                if let bvl_isa::instr::VSrc::V(s) = src1 {
+                    v.push(r(s));
                 }
                 if op == bvl_isa::instr::VArithOp::FMacc {
-                    v.push(vd.index() as u8);
+                    v.push(r(vd));
                 }
                 v
             }
             VCmp { vs2, src1, .. } => {
-                let mut v = vec![vs2.index() as u8];
-                if let bvl_isa::instr::VSrc::V(r) = src1 {
-                    v.push(r.index() as u8);
+                let mut v = RegList::of(&[r(vs2)]);
+                if let bvl_isa::instr::VSrc::V(s) = src1 {
+                    v.push(r(s));
                 }
                 v
             }
-            VRed { vs2, vs1, .. } => vec![vs2.index() as u8, vs1.index() as u8],
-            VMask { vs1, vs2, .. } => vec![vs1.index() as u8, vs2.index() as u8],
-            VRgather { vs2, vs1, .. } => vec![vs2.index() as u8, vs1.index() as u8],
-            VSlideUp { vs2, .. } | VSlideDown { vs2, .. } => vec![vs2.index() as u8],
-            VMvVV { vs2, .. } | VMvXS { vs2, .. } | VFMvFS { vs2, .. } => vec![vs2.index() as u8],
-            VPopc { vs2, .. } | VFirst { vs2, .. } => vec![vs2.index() as u8],
-            _ => Vec::new(),
+            VRed { vs2, vs1, .. } | VRgather { vs2, vs1, .. } => RegList::of(&[r(vs2), r(vs1)]),
+            VMask { vs1, vs2, .. } => RegList::of(&[r(vs1), r(vs2)]),
+            VSlideUp { vs2, .. }
+            | VSlideDown { vs2, .. }
+            | VMvVV { vs2, .. }
+            | VMvXS { vs2, .. }
+            | VFMvFS { vs2, .. }
+            | VPopc { vs2, .. }
+            | VFirst { vs2, .. } => RegList::of(&[r(vs2)]),
+            _ => RegList::default(),
         }
     }
 
@@ -443,7 +449,11 @@ impl VectorEngine for SimpleVecMachine {
                     return;
                 }
                 let srcs = self.compute_srcs(cmd);
-                if srcs.iter().any(|&s| self.vreg_ready[s as usize] > now) {
+                if srcs
+                    .as_slice()
+                    .iter()
+                    .any(|&s| self.vreg_ready[s as usize] > now)
+                {
                     return;
                 }
                 let (occ, lat) = self.compute_cost(cmd);
@@ -551,7 +561,7 @@ impl VectorEngine for SimpleVecMachine {
                 _ => {
                     let mut at = self.compute_busy_until;
                     let mut load_fed = false;
-                    for &s in &self.compute_srcs(cmd) {
+                    for &s in self.compute_srcs(cmd).as_slice() {
                         let r = self.vreg_ready[s as usize];
                         if r == u64::MAX {
                             load_fed = true;

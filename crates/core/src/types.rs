@@ -5,7 +5,7 @@ use bvl_isa::exec::MemAccess;
 use bvl_isa::instr::Instr;
 use bvl_isa::vcfg::Sew;
 use bvl_mem::{MemHierarchy, PortId, WarmTarget};
-use bvl_snap::{snap_struct, SnapError, SnapReader, SnapWriter};
+use bvl_snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
 /// Why a core could not retire useful work in a given cycle.
 ///
@@ -191,6 +191,78 @@ snap_struct!(VecCmd {
     needs_scalar_response,
 });
 
+/// A short list of vector-register indices held inline: the registers a
+/// vector micro-op or command reads (at most two operands plus an
+/// accumulator). It is `Copy`, so the engines check and pass sources every
+/// cycle without touching the heap.
+///
+/// Its checkpoint encoding is that of a `Vec<u8>` holding the same
+/// registers: a `u64` length, then one byte per register.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RegList {
+    /// Slots past `len` stay zero, so derived equality compares lists.
+    regs: [u8; RegList::CAPACITY],
+    len: u8,
+}
+
+impl RegList {
+    /// The most registers a list holds.
+    pub const CAPACITY: usize = 3;
+
+    /// A list of `regs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `regs` holds more than [`RegList::CAPACITY`] registers.
+    pub fn of(regs: &[u8]) -> Self {
+        let mut l = RegList::default();
+        for &r in regs {
+            l.push(r);
+        }
+        l
+    }
+
+    /// Appends `reg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list is full.
+    pub fn push(&mut self, reg: u8) {
+        self.regs[usize::from(self.len)] = reg;
+        self.len += 1;
+    }
+
+    /// The registers, in push order.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl Snap for RegList {
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.as_slice().len());
+        for &r in self.as_slice() {
+            w.u8(r);
+        }
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let n = r.len(1)?;
+        if n > RegList::CAPACITY {
+            return Err(SnapError::Corrupt {
+                what: format!(
+                    "register list of {n} entries, at most {} fit",
+                    RegList::CAPACITY
+                ),
+            });
+        }
+        let mut l = RegList::default();
+        for _ in 0..n {
+            l.push(r.u8()?);
+        }
+        Ok(l)
+    }
+}
+
 /// The cluster clock a vector engine ticks on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ClockDomain {
@@ -317,6 +389,29 @@ mod tests {
             labels,
             vec!["busy", "simd", "raw_mem", "raw_llfu", "struct", "xelem", "misc"]
         );
+    }
+
+    #[test]
+    fn reg_list_encodes_like_a_byte_vec() {
+        for regs in [&[][..], &[7], &[1, 2], &[3, 4, 5]] {
+            let list = RegList::of(regs);
+            assert_eq!(list.as_slice(), regs);
+            let mut a = SnapWriter::new();
+            list.save(&mut a);
+            let mut b = SnapWriter::new();
+            regs.to_vec().save(&mut b);
+            let bytes = a.into_bytes();
+            assert_eq!(bytes, b.into_bytes());
+            let back = RegList::load(&mut SnapReader::new(&bytes)).expect("decodes");
+            assert_eq!(back, list);
+        }
+        let mut w = SnapWriter::new();
+        vec![1u8, 2, 3, 4].save(&mut w);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            RegList::load(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -78,6 +78,31 @@ fn run_serve_worker() -> ! {
     }
 }
 
+/// Every flag [`ExpOpts::from_args`] takes, printed after the program
+/// name on a command-line error.
+const USAGE: &str = "[--scale tiny|default|large] [--out DIR] [--jobs N] \
+[--no-cache] [--persist-cache] [--cache-dir DIR] [--no-skip] [--checkpoint-every N] [--resume] \
+[--sampled] [--sample-period N] [--sample-window N] [--serve] [--serve-addr HOST:PORT] \
+[--secret-file F] [--priority high|normal|low] [--trace-out PATH]";
+
+/// A command-line argument [`ExpOpts::parse_args`] rejects: the flag at
+/// fault (or the unknown argument itself) and why.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CliError {
+    /// The flag, or the unknown argument, as given.
+    pub flag: String,
+    /// What is wrong with it.
+    pub reason: String,
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.flag, self.reason)
+    }
+}
+
+impl std::error::Error for CliError {}
+
 /// Command-line options shared by all experiment binaries.
 #[derive(Clone)]
 pub struct ExpOpts {
@@ -174,14 +199,11 @@ impl ExpOpts {
     ///
     /// # Panics
     ///
-    /// Panics on an unknown scale name.
+    /// Panics on an unknown scale name (command lines are checked by
+    /// [`ExpOpts::parse_args`] first).
     pub fn for_scale(scale_name: &str, out_dir: PathBuf) -> Self {
-        let scale = match scale_name {
-            "tiny" => Scale::tiny(),
-            "default" => Scale::default_eval(),
-            "large" => Scale::large(),
-            other => panic!("unknown scale `{other}`"),
-        };
+        let scale =
+            Scale::by_name(scale_name).unwrap_or_else(|| panic!("unknown scale `{scale_name}`"));
         let cache_dir = out_dir.join("cache");
         ExpOpts {
             scale,
@@ -241,20 +263,43 @@ impl ExpOpts {
     /// `--persist-cache`, `--cache-dir`, `--no-skip`,
     /// `--checkpoint-every`, `--resume`, `--sampled`, `--sample-period`,
     /// `--sample-window`, `--serve`, `--serve-addr`, `--secret-file`,
-    /// `--priority` and `--trace-out` from
-    /// `std::env::args`.
+    /// `--priority` and `--trace-out` from `std::env::args`
+    /// (see [`ExpOpts::parse_args`]).
     ///
     /// When the process was launched as a fabric worker (first argument
     /// `__bvl-serve-worker`, which is how `run_all --serve` re-executes
     /// itself), this never returns: it runs the worker loop against the
     /// daemon named on the command line and exits.
     ///
-    /// # Panics
-    ///
-    /// Panics (with usage help) on unknown arguments.
+    /// On a bad argument it prints `error: <flag>: <reason>` and a usage
+    /// line listing every flag to stderr, then exits with code 2.
     pub fn from_args() -> Self {
         if std::env::args().nth(1).as_deref() == Some(SERVE_WORKER_SENTINEL) {
             run_serve_worker();
+        }
+        ExpOpts::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            let argv0 = std::env::args().next().unwrap_or_default();
+            let program = argv0.rsplit(std::path::MAIN_SEPARATOR).next().unwrap_or("");
+            eprintln!("error: {e}");
+            eprintln!("usage: {program} {USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses the flags [`ExpOpts::from_args`] takes from `args` (without
+    /// the program name).
+    ///
+    /// # Errors
+    ///
+    /// A [`CliError`] naming the flag on an unknown argument, a flag
+    /// missing its value, a value that does not parse, or an unknown
+    /// `--scale`.
+    pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
+        fn number<T: std::str::FromStr>(flag: &str, v: String, what: &str) -> Result<T, CliError> {
+            v.parse().map_err(|_| CliError {
+                flag: flag.into(),
+                reason: format!("needs {what}, got `{v}`"),
+            })
         }
         let mut scale_name = "default".to_string();
         let mut out_dir = PathBuf::from("results");
@@ -273,32 +318,36 @@ impl ExpOpts {
         let mut secret_file = None;
         let mut priority = bvl_serve::Priority::Normal;
         let mut trace_out = None;
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let flag = flag.as_str();
+            let mut value = || {
+                args.next().ok_or_else(|| CliError {
+                    flag: flag.into(),
+                    reason: "needs a value".into(),
+                })
+            };
+            match flag {
                 "--scale" => {
-                    scale_name = args.next().expect("--scale needs a value");
+                    scale_name = value()?;
+                    if Scale::by_name(&scale_name).is_none() {
+                        return Err(CliError {
+                            flag: flag.into(),
+                            reason: format!(
+                                "unknown scale `{scale_name}` (use tiny, default or large)"
+                            ),
+                        });
+                    }
                 }
-                "--out" => {
-                    out_dir = PathBuf::from(args.next().expect("--out needs a value"));
-                }
+                "--out" => out_dir = PathBuf::from(value()?),
                 "--jobs" => {
-                    jobs = args
-                        .next()
-                        .expect("--jobs needs a value")
-                        .parse::<usize>()
-                        .expect("--jobs needs a positive integer")
-                        .max(1);
+                    jobs = number::<usize>(flag, value()?, "a positive integer")?.max(1);
                 }
                 "--no-cache" => use_cache = false,
                 "--persist-cache" => persist_cache = true,
                 "--no-skip" => no_skip = true,
                 "--checkpoint-every" => {
-                    checkpoint_every = args
-                        .next()
-                        .expect("--checkpoint-every needs a value")
-                        .parse::<u64>()
-                        .expect("--checkpoint-every needs an uncore-cycle count");
+                    checkpoint_every = number(flag, value()?, "an uncore-cycle count")?;
                 }
                 "--resume" => resume = true,
                 "--sampled" => sampled = true,
@@ -306,53 +355,30 @@ impl ExpOpts {
                     // An explicit period means sampling is wanted even
                     // without a bare `--sampled`.
                     sampled = true;
-                    sample_period = Some(
-                        args.next()
-                            .expect("--sample-period needs a value")
-                            .parse::<u64>()
-                            .expect("--sample-period needs an instruction count"),
-                    );
+                    sample_period = Some(number(flag, value()?, "an instruction count")?);
                 }
                 "--sample-window" => {
                     sampled = true;
-                    sample_window = Some(
-                        args.next()
-                            .expect("--sample-window needs a value")
-                            .parse::<u64>()
-                            .expect("--sample-window needs an instruction count"),
-                    );
+                    sample_window = Some(number(flag, value()?, "an instruction count")?);
                 }
                 "--serve" => serve = true,
-                "--serve-addr" => {
-                    serve_addr = Some(args.next().expect("--serve-addr needs a value"));
-                }
-                "--secret-file" => {
-                    secret_file = Some(PathBuf::from(
-                        args.next().expect("--secret-file needs a value"),
-                    ));
-                }
+                "--serve-addr" => serve_addr = Some(value()?),
+                "--secret-file" => secret_file = Some(PathBuf::from(value()?)),
                 "--priority" => {
-                    let v = args.next().expect("--priority needs a value");
-                    priority = bvl_serve::Priority::parse(&v)
-                        .expect("--priority needs high, normal or low");
+                    let v = value()?;
+                    priority = bvl_serve::Priority::parse(&v).ok_or_else(|| CliError {
+                        flag: flag.into(),
+                        reason: format!("needs high, normal or low, got `{v}`"),
+                    })?;
                 }
-                "--cache-dir" => {
-                    cache_dir = Some(PathBuf::from(
-                        args.next().expect("--cache-dir needs a value"),
-                    ));
+                "--cache-dir" => cache_dir = Some(PathBuf::from(value()?)),
+                "--trace-out" => trace_out = Some(PathBuf::from(value()?)),
+                other => {
+                    return Err(CliError {
+                        flag: other.into(),
+                        reason: "unknown argument".into(),
+                    })
                 }
-                "--trace-out" => {
-                    trace_out = Some(PathBuf::from(
-                        args.next().expect("--trace-out needs a value"),
-                    ));
-                }
-                other => panic!(
-                    "unknown argument `{other}` (use --scale tiny|default|large, --out DIR, \
-                     --jobs N, --no-cache, --persist-cache, --cache-dir DIR, --no-skip, \
-                     --checkpoint-every N, --resume, --sampled, --sample-period N, \
-                     --sample-window N, --serve, --serve-addr HOST:PORT, --secret-file F, \
-                     --priority high|normal|low, --trace-out PATH)"
-                ),
             }
         }
         let mut opts = ExpOpts::for_scale(&scale_name, out_dir);
@@ -378,7 +404,7 @@ impl ExpOpts {
             opts.cache_dir = dir;
         }
         *opts.trace_out.lock().expect("trace_out lock") = trace_out;
-        opts
+        Ok(opts)
     }
 
     /// Writes `value` as pretty JSON to `<out>/<name>.<scale>.json`.
@@ -487,6 +513,124 @@ impl Measurement {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<ExpOpts, CliError> {
+        ExpOpts::parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    fn rejects(args: &[&str], flag: &str, reason: &str) {
+        let err = parse(args)
+            .err()
+            .unwrap_or_else(|| panic!("{args:?} parsed"));
+        assert_eq!(err.flag, flag, "{args:?}");
+        assert!(
+            err.reason.contains(reason),
+            "{args:?}: `{}` lacks `{reason}`",
+            err.reason
+        );
+    }
+
+    #[test]
+    fn parse_args_reads_every_flag() {
+        let o = parse(&[
+            "--scale",
+            "tiny",
+            "--out",
+            "o",
+            "--jobs",
+            "0",
+            "--no-cache",
+            "--no-skip",
+            "--checkpoint-every",
+            "200",
+            "--sample-period",
+            "4096",
+            "--sample-window",
+            "512",
+            "--serve-addr",
+            "127.0.0.1:9",
+            "--secret-file",
+            "s",
+            "--priority",
+            "low",
+            "--cache-dir",
+            "c",
+            "--trace-out",
+            "t.json",
+            "--resume",
+        ])
+        .expect("valid arguments");
+        assert_eq!(o.scale_name, "tiny");
+        assert_eq!(o.scale, Scale::tiny());
+        assert_eq!(o.out_dir, PathBuf::from("o"));
+        assert_eq!(o.jobs, 1, "--jobs 0 runs serially");
+        assert!(o.no_skip && o.resume && o.sampled && o.serve);
+        // --resume turns the cache layers back on.
+        assert!(o.use_cache && o.persist_cache);
+        assert_eq!(o.checkpoint_every, 200);
+        assert_eq!((o.sample_period, o.sample_window), (Some(4096), Some(512)));
+        assert_eq!(o.serve_addr.as_deref(), Some("127.0.0.1:9"));
+        assert_eq!(o.secret_file, Some(PathBuf::from("s")));
+        assert_eq!(o.priority, bvl_serve::Priority::Low);
+        assert_eq!(o.cache_dir, PathBuf::from("c"));
+        assert_eq!(o.take_trace_out(), Some(PathBuf::from("t.json")));
+
+        let o = parse(&[]).expect("no arguments");
+        assert_eq!(o.scale_name, "default");
+        assert_eq!(o.out_dir, PathBuf::from("results"));
+        assert_eq!(o.cache_dir, PathBuf::from("results/cache"));
+        assert!(!o.sampled && !o.serve && o.use_cache && !o.persist_cache);
+    }
+
+    #[test]
+    fn parse_args_names_the_flag_at_fault() {
+        rejects(&["--bogus"], "--bogus", "unknown argument");
+        rejects(&["--scale", "tiny", "extra"], "extra", "unknown argument");
+        rejects(&["--scale", "huge"], "--scale", "unknown scale `huge`");
+        for flag in [
+            "--scale",
+            "--out",
+            "--jobs",
+            "--checkpoint-every",
+            "--sample-period",
+            "--sample-window",
+            "--serve-addr",
+            "--secret-file",
+            "--priority",
+            "--cache-dir",
+            "--trace-out",
+        ] {
+            rejects(&[flag], flag, "needs a value");
+        }
+        rejects(
+            &["--jobs", "two"],
+            "--jobs",
+            "a positive integer, got `two`",
+        );
+        rejects(&["--jobs", "-1"], "--jobs", "a positive integer");
+        rejects(
+            &["--checkpoint-every", "1e3"],
+            "--checkpoint-every",
+            "cycle count",
+        );
+        rejects(
+            &["--sample-period", "x"],
+            "--sample-period",
+            "instruction count",
+        );
+        rejects(
+            &["--sample-window", ""],
+            "--sample-window",
+            "instruction count",
+        );
+        rejects(
+            &["--priority", "urgent"],
+            "--priority",
+            "high, normal or low",
+        );
+        let e = parse(&["--jobs", "x"]).err().expect("rejected");
+        assert_eq!(e.to_string(), "--jobs: needs a positive integer, got `x`");
+    }
 
     #[test]
     fn geomean_of_identity() {

@@ -154,6 +154,26 @@ impl<T> IdMap<T> {
         old
     }
 
+    /// Retires `id` without it ever having been live: the owning counter
+    /// allocated it for an entry kept elsewhere. A vacant slot would pin
+    /// the window open for the rest of the run. Does nothing to an id
+    /// that is live, or below the window.
+    pub fn retire(&mut self, id: u64) {
+        let Some(idx) = self.index(id) else {
+            return;
+        };
+        while self.slots.len() <= idx {
+            self.slots.push_back(Slot::Vacant);
+        }
+        if let Slot::Vacant = self.slots[idx] {
+            self.slots[idx] = Slot::Retired;
+        }
+        while let Some(Slot::Retired) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+
     /// Iterates live `(id, value)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
         self.slots
@@ -358,6 +378,29 @@ mod tests {
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "iter must be sorted");
         assert_eq!(m.len(), ids.len());
         assert!(m.iter().all(|(id, v)| *v == id * 2));
+    }
+
+    #[test]
+    fn retiring_an_id_never_inserted_lets_the_window_close() {
+        let bytes = |m: &IdMap<u8>| {
+            let mut w = SnapWriter::new();
+            m.save(&mut w);
+            w.into_bytes()
+        };
+        let mut m = IdMap::starting_at(1);
+        m.insert(1, 10);
+        // Id 2 went to an entry kept elsewhere; id 4 lies past the window.
+        m.retire(2);
+        m.insert(3, 30);
+        m.retire(4);
+        // A live id, or one below the window, is left alone.
+        m.retire(3);
+        m.retire(0);
+        assert_eq!(m.get(3), Some(&30));
+        m.remove(1);
+        m.remove(3);
+        assert!(m.is_empty());
+        assert_eq!(bytes(&m), bytes(&IdMap::starting_at(5)));
     }
 
     #[test]

@@ -138,11 +138,6 @@ impl VLittleEngine {
         self.vmu.stats()
     }
 
-    /// Debug dump (temporary).
-    pub fn debug_dump(&self) -> String {
-        self.vmu.debug_dump()
-    }
-
     /// VXU statistics.
     pub fn vxu_stats(&self) -> &crate::vxu::VxuStats {
         self.vxu.stats()
@@ -199,16 +194,6 @@ impl VLittleEngine {
             let mem_id = mb.mem_id;
             let indexed = mc.indexed;
             let is_store = mc.is_store;
-            if !is_store && mb.loadwb_events == 0 {
-                // vl = 0 load: zero chimes means no lane writeback
-                // micro-op will ever consume a result, and a zero-length
-                // access has no lines to fetch — there is nothing to
-                // time. Handing it to the VMU would wedge the engine:
-                // loads only retire via their consumers' LoadWbDone
-                // events, which would never fire.
-                debug_assert!(mc.lines.is_empty(), "vl=0 load with line traffic");
-                return;
-            }
             bvl_obs::trace::emit(now, "vmu", 0, "mem_cmd", mem_id);
             self.vmu.push_cmd(mc);
             if indexed && mb.idx_events == 0 {
@@ -226,6 +211,10 @@ impl VLittleEngine {
                         loadwb_events: mb.loadwb_events,
                     },
                 );
+            } else {
+                // A vl = 0 store: no lane reports on it, and its id is the
+                // VMU's alone.
+                self.mem_track.retire(mem_id);
             }
         }
         if let Some(vx) = ex.vx {
@@ -339,7 +328,7 @@ impl VectorEngine for VLittleEngine {
         let vmu_ok = self.vmu.can_accept();
         let vxu_free = !self.vxu.busy();
         let (next_mem, next_vx) = (&mut self.next_mem_id, &mut self.next_vx_id);
-        let ex = self.vcu.pop_cmd_if(now, |cmd| {
+        let ex = self.vcu.pop_cmd_if(now, &regmap, |cmd| {
             if cmd.instr.is_vector_mem() && !vmu_ok {
                 return None;
             }
@@ -365,7 +354,7 @@ impl VectorEngine for VLittleEngine {
             match q.target {
                 Target::All => {
                     for lane in &mut self.lanes {
-                        lane.receive(q.uop.clone());
+                        lane.receive(q.uop);
                     }
                 }
                 Target::One(c) => self.lanes[c as usize].receive(q.uop),
@@ -671,6 +660,50 @@ mod tests {
         let (_, _, engine, _) =
             run_vlittle(&a, SimMemory::new(1 << 20), EngineParams::paper_default());
         assert!(engine.idle(), "engine wedged on a vl=0 load");
+    }
+
+    /// Ids are spent only on entries that will be inserted, so once the
+    /// engine drains its id windows are empty, and its checkpoint is as
+    /// long as a fresh engine's. The run issues a load and a store at
+    /// vl = 0, fills the UopQ in front of memory instructions, and has
+    /// the banks refuse line requests.
+    #[test]
+    fn a_drained_engine_checkpoints_like_a_fresh_one() {
+        let params = EngineParams::paper_default();
+        let mut a = Assembler::new();
+        // At the power-on vl of 0: a load and a store with no elements.
+        a.li(x(21), 0x2000);
+        a.vle(v(5), x(21));
+        a.vse(v(5), x(21));
+        a.vsetivli(x(1), 16, Sew::E32);
+        a.vid(v(1));
+        a.vid(v(2));
+        // A chain of divides backs the lanes up and fills the UopQ.
+        for _ in 0..24 {
+            a.vfdiv_vv(v(2), v(2), v(1));
+        }
+        // Strided loads put one line per element on a single bank,
+        // more misses than its MSHRs take.
+        a.li(x(3), 4096);
+        for k in 0..8 {
+            a.li(x(22), 0x10_0000 + k * 64);
+            a.vlse(v(3 + k as u8), x(22), x(3));
+        }
+        a.vse(v(2), x(21));
+        a.vmfence();
+        a.halt();
+        let (_, _, engine, _) = run_vlittle(&a, SimMemory::new(1 << 24), params);
+        assert!(engine.idle());
+        let len = |e: &VLittleEngine| {
+            let mut w = SnapWriter::new();
+            e.save_state(&mut w);
+            w.len()
+        };
+        assert_eq!(
+            len(&engine),
+            len(&VLittleEngine::new(params, 64)),
+            "a drained engine's id windows are still open"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::vmu::Vmu;
 use crate::vxu::Vxu;
 use bvl_core::types::{CoreStats, Quiescence, StallKind};
 use bvl_isa::instr::VArithOp;
-use bvl_isa::meta::{reduction_step_latency, vector_op_latency, LAT_ALU, LAT_DIV};
+use bvl_isa::meta::{reduction_step_latency, vector_op_latency, LAT_ALU};
 use bvl_snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::VecDeque;
 
@@ -237,7 +237,7 @@ impl Lane {
     /// ready (the first not-ready source in operand order decides both).
     fn srcs_ready(&self, uop: &Uop, now: u64) -> Result<(), (StallKind, u64)> {
         let k = Self::chime_idx(uop.chime);
-        for src in uop.sources() {
+        for &src in uop.sources().as_slice() {
             let r = self.ready[k][src as usize];
             if r > now {
                 let kind = match self.pend[k][src as usize] {
@@ -264,7 +264,7 @@ impl Lane {
             self.stats.account(StallKind::Busy);
             return;
         }
-        let Some(uop) = self.inq.front() else {
+        let Some(&uop) = self.inq.front() else {
             self.stats.account(if env.vcu_busy {
                 StallKind::Simd
             } else {
@@ -274,14 +274,14 @@ impl Lane {
         };
 
         // RAW hazards on this lane's register slice.
-        if let Err((kind, _)) = self.srcs_ready(uop, now) {
+        if let Err((kind, _)) = self.srcs_ready(&uop, now) {
             self.stats.account(kind);
             return;
         }
 
         let elems = self.regmap.elems_on(self.core, uop.chime, uop.vl, uop.sew);
 
-        match uop.kind.clone() {
+        match uop.kind {
             UopKind::Arith { op, dst, .. } => {
                 let (occ, lat) = self.arith_cost(op, elems);
                 if op == VArithOp::Div || op == VArithOp::Divu || op == VArithOp::Rem {
@@ -457,11 +457,6 @@ impl Lane {
         self.stats.account_many(kind, cycles);
     }
 
-    /// Worst-case divide latency exposure (used by tests).
-    pub fn div_busy_until(&self) -> u64 {
-        self.div_busy_until
-    }
-
     /// Appends the lane's mutable state to a checkpoint. Configuration
     /// (`core`, `regmap`, `inq_depth`) is not written.
     pub fn save_state(&self, w: &mut SnapWriter) {
@@ -498,9 +493,6 @@ impl Lane {
         self.stats = Snap::load(r)?;
         Ok(())
     }
-
-    /// The divide-unit latency constant (re-exported for tests).
-    pub const DIV_LATENCY: u32 = LAT_DIV;
 }
 
 #[cfg(test)]
@@ -508,6 +500,7 @@ mod tests {
     use super::*;
     use crate::vmu::VmuParams;
     use crate::vxu::VxuParams;
+    use bvl_core::RegList;
     use bvl_isa::vcfg::Sew;
 
     fn env<'a>(vmu: &'a Vmu, vxu: &'a Vxu, busy: bool) -> LaneEnv<'a> {
@@ -529,12 +522,12 @@ mod tests {
         }
     }
 
-    fn add_uop(chime: u8, dst: u8, srcs: Vec<u8>) -> Uop {
+    fn add_uop(chime: u8, dst: u8, srcs: &[u8]) -> Uop {
         uop(
             chime,
             UopKind::Arith {
                 op: VArithOp::Add,
-                srcs,
+                srcs: RegList::of(srcs),
                 dst,
             },
         )
@@ -561,8 +554,8 @@ mod tests {
     fn simple_add_is_single_cycle() {
         let (vmu, vxu) = fixtures();
         let mut lane = Lane::new(0, RegMap::paper_default(), 2);
-        lane.receive(add_uop(0, 3, vec![1, 2]));
-        lane.receive(add_uop(0, 4, vec![1, 2]));
+        lane.receive(add_uop(0, 3, &[1, 2]));
+        lane.receive(add_uop(0, 4, &[1, 2]));
         lane.tick(0, &env(&vmu, &vxu, true), &mut Vec::new());
         lane.tick(1, &env(&vmu, &vxu, true), &mut Vec::new());
         assert_eq!(lane.stats().retired, 2);
@@ -577,11 +570,11 @@ mod tests {
             0,
             UopKind::Arith {
                 op: VArithOp::FMul,
-                srcs: vec![1, 2],
+                srcs: RegList::of(&[1, 2]),
                 dst: 3,
             },
         ));
-        lane.receive(add_uop(0, 4, vec![3, 1])); // reads v3
+        lane.receive(add_uop(0, 4, &[3, 1])); // reads v3
         let mut t = 0;
         while lane.stats().retired < 2 {
             lane.tick(t, &env(&vmu, &vxu, true), &mut Vec::new());
@@ -604,11 +597,11 @@ mod tests {
             0,
             UopKind::Arith {
                 op: VArithOp::FMul,
-                srcs: vec![1, 2],
+                srcs: RegList::of(&[1, 2]),
                 dst: 3,
             },
         ));
-        lane.receive(add_uop(0, 5, vec![1, 2]));
+        lane.receive(add_uop(0, 5, &[1, 2]));
         lane.tick(0, &env(&vmu, &vxu, true), &mut Vec::new()); // FMul issues, occ 2
         lane.tick(1, &env(&vmu, &vxu, true), &mut Vec::new()); // busy (occupied)
         assert_eq!(lane.stats().retired, 1);

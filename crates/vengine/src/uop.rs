@@ -8,20 +8,27 @@
 //! length and element width in effect, and identifiers linking it to VMU
 //! or VXU transactions.
 
+use bvl_core::RegList;
 use bvl_isa::instr::{VArithOp, VRedOp};
 use bvl_isa::vcfg::Sew;
 use bvl_snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
+/// The most source operands an [`UopKind::Arith`] micro-op names. An
+/// `FMacc` also reads its destination, so [`Uop::sources`] can return one
+/// more.
+pub const MAX_ARITH_SRCS: usize = 2;
+
 /// What a lane does with a micro-op.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum UopKind {
     /// Element-wise compute (arithmetic, compares, mask ops, splats,
     /// copies, `vid`): sources must be ready, occupies the lane's FU.
     Arith {
         /// Latency/serialization class.
         op: VArithOp,
-        /// Source vector registers read (same chime).
-        srcs: Vec<u8>,
+        /// Source vector registers read (same chime), at most
+        /// [`MAX_ARITH_SRCS`].
+        srcs: RegList,
         /// Destination vector register.
         dst: u8,
     },
@@ -78,7 +85,7 @@ pub enum UopKind {
 }
 
 /// One micro-op as received by a lane.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Uop {
     /// Originating instruction's big-core sequence number.
     pub seq: u64,
@@ -107,27 +114,26 @@ impl Uop {
         }
     }
 
-    /// The source vector registers this micro-op reads.
-    pub fn sources(&self) -> Vec<u8> {
-        match &self.kind {
-            UopKind::Arith { srcs, dst, op } => {
-                let mut s = srcs.clone();
+    /// The source vector registers this micro-op reads, in operand order.
+    pub fn sources(&self) -> RegList {
+        match self.kind {
+            UopKind::Arith { mut srcs, dst, op } => {
                 // FMacc also reads its destination (accumulator).
-                if *op == VArithOp::FMacc {
-                    s.push(*dst);
+                if op == VArithOp::FMacc {
+                    srcs.push(dst);
                 }
-                s
+                srcs
             }
             UopKind::StoreRd { src, idx, .. } => {
-                let mut s = vec![*src];
+                let mut s = RegList::of(&[src]);
                 if let Some(i) = idx {
-                    s.push(*i);
+                    s.push(i);
                 }
                 s
             }
-            UopKind::IdxRd { src, .. } | UopKind::VxRead { src, .. } => vec![*src],
-            UopKind::VxReduce { dst, .. } => vec![*dst],
-            _ => Vec::new(),
+            UopKind::IdxRd { src, .. } | UopKind::VxRead { src, .. } => RegList::of(&[src]),
+            UopKind::VxReduce { dst, .. } => RegList::of(&[dst]),
+            _ => RegList::default(),
         }
     }
 }
@@ -177,11 +183,23 @@ impl Snap for UopKind {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(match r.u8()? {
-            0 => UopKind::Arith {
-                op: Snap::load(r)?,
-                srcs: Snap::load(r)?,
-                dst: Snap::load(r)?,
-            },
+            0 => {
+                let op = Snap::load(r)?;
+                let srcs: RegList = Snap::load(r)?;
+                if srcs.as_slice().len() > MAX_ARITH_SRCS {
+                    return Err(SnapError::Corrupt {
+                        what: format!(
+                            "arithmetic micro-op names {} sources, at most {MAX_ARITH_SRCS} fit",
+                            srcs.as_slice().len()
+                        ),
+                    });
+                }
+                UopKind::Arith {
+                    op,
+                    srcs,
+                    dst: Snap::load(r)?,
+                }
+            }
             1 => UopKind::LoadWb {
                 mem_id: Snap::load(r)?,
                 dst: Snap::load(r)?,
@@ -246,10 +264,10 @@ mod tests {
     fn fmacc_reads_its_destination() {
         let u = uop(UopKind::Arith {
             op: VArithOp::FMacc,
-            srcs: vec![2, 3],
+            srcs: RegList::of(&[2, 3]),
             dst: 4,
         });
-        assert_eq!(u.sources(), vec![2, 3, 4]);
+        assert_eq!(u.sources().as_slice(), [2, 3, 4]);
         assert_eq!(u.dest(), Some(4));
     }
 
@@ -260,14 +278,42 @@ mod tests {
             src: 5,
             idx: Some(6),
         });
-        assert_eq!(u.sources(), vec![5, 6]);
+        assert_eq!(u.sources().as_slice(), [5, 6]);
         assert_eq!(u.dest(), None);
+    }
+
+    #[test]
+    fn arith_decoding_rejects_more_than_two_sources() {
+        let encode = |srcs: Vec<u8>| {
+            let mut w = SnapWriter::new();
+            w.u8(0);
+            VArithOp::Add.save(&mut w);
+            srcs.save(&mut w);
+            9u8.save(&mut w);
+            w.into_bytes()
+        };
+        let two = encode(vec![1, 2]);
+        assert_eq!(
+            UopKind::load(&mut SnapReader::new(&two)).expect("two sources decode"),
+            UopKind::Arith {
+                op: VArithOp::Add,
+                srcs: RegList::of(&[1, 2]),
+                dst: 9,
+            }
+        );
+        for srcs in [vec![1, 2, 3], vec![1, 2, 3, 4], vec![0; 40]] {
+            let bytes = encode(srcs);
+            assert!(matches!(
+                UopKind::load(&mut SnapReader::new(&bytes)),
+                Err(SnapError::Corrupt { .. })
+            ));
+        }
     }
 
     #[test]
     fn load_writeback_writes_only() {
         let u = uop(UopKind::LoadWb { mem_id: 1, dst: 9 });
-        assert!(u.sources().is_empty());
+        assert!(u.sources().as_slice().is_empty());
         assert_eq!(u.dest(), Some(9));
     }
 }

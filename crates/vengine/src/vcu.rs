@@ -15,6 +15,7 @@ use crate::regmap::RegMap;
 use crate::uop::{Uop, UopKind};
 use crate::vmu::MemCmd;
 use bvl_core::types::VecCmd;
+use bvl_core::RegList;
 use bvl_isa::instr::{Instr, VArithOp, VMemMode, VSrc};
 use bvl_mem::queue::DelayQueue;
 use bvl_snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
@@ -63,7 +64,7 @@ pub enum Target {
 }
 
 /// A micro-op waiting in the UopQ.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct QueuedUop {
     /// The micro-op.
     pub uop: Uop,
@@ -148,11 +149,51 @@ pub struct Expansion {
     pub uses_data_slot: bool,
 }
 
+/// The element groups an instruction's micro-ops cover.
+fn chimes_of(cmd: &VecCmd, regmap: &RegMap) -> u8 {
+    regmap.chimes_for(cmd.vl, cmd.sew).max(
+        // Scalar-writing cross-element reads must produce a response even
+        // at vl == 0; give them one (empty) chime pass.
+        u8::from(cmd.instr.vector_writes_scalar()),
+    )
+}
+
+/// How many micro-ops [`expand`] makes of `cmd`, found without expanding
+/// it. The VCU checks UopQ room with this count, so an instruction that
+/// has to wait costs a count each cycle, not an expansion, and spends no
+/// ids.
+pub fn uop_count(cmd: &VecCmd, regmap: &RegMap) -> usize {
+    let chimes = usize::from(chimes_of(cmd, regmap));
+    match cmd.instr {
+        Instr::VSetVl { .. } | Instr::VmFence => 0,
+        Instr::VArith { .. }
+        | Instr::VCmp { .. }
+        | Instr::VMask { .. }
+        | Instr::VId { .. }
+        | Instr::VMvVX { .. }
+        | Instr::VFMvVF { .. }
+        | Instr::VMvVV { .. }
+        | Instr::VStore { .. } => chimes,
+        Instr::VMvSX { .. } | Instr::VMvXS { .. } | Instr::VFMvFS { .. } => 1,
+        // Indexed loads read their indices once per chime, too.
+        Instr::VLoad { mode, .. } => chimes * (1 + usize::from(mode.is_indexed())),
+        Instr::VRed { .. } => chimes + 1,
+        Instr::VRgather { .. } | Instr::VSlideUp { .. } | Instr::VSlideDown { .. } => 2 * chimes,
+        Instr::VPopc { .. } | Instr::VFirst { .. } => chimes.max(1),
+        ref other => unreachable!("not a vector instruction: {other:?}"),
+    }
+}
+
 /// Expands one vector instruction into micro-ops and unit commands.
 ///
 /// `lanes` is the cluster size (for expected event counts); `line_bytes`
 /// and `coalesce` shape the memory command; `next_mem_id`/`next_vx_id`
-/// are allocation counters advanced as needed.
+/// are allocation counters, advanced only for an id the engine will
+/// track. A load at vl = 0 gets no memory command and no id: no lane
+/// writeback micro-op would ever consume its result, and a zero-length
+/// access has no lines to fetch, so there is nothing to time. (Handing it
+/// to the VMU would wedge the engine: loads retire only through their
+/// consumers' `LoadWbDone` events.)
 pub fn expand(
     cmd: &VecCmd,
     regmap: &RegMap,
@@ -166,11 +207,7 @@ pub fn expand(
         uses_data_slot: cmd.instr.vector_scalar_source().is_some(),
         ..Expansion::default()
     };
-    let chimes = regmap.chimes_for(cmd.vl, cmd.sew).max(
-        // Scalar-writing cross-element reads must produce a response even
-        // at vl == 0; give them one (empty) chime pass.
-        u8::from(cmd.instr.vector_writes_scalar()),
-    );
+    let chimes = chimes_of(cmd, regmap);
     let mk = |chime: u8, kind: UopKind, vl: u32| Uop {
         seq: cmd.seq,
         chime,
@@ -195,7 +232,7 @@ pub fn expand(
         Instr::VArith {
             op, vd, src1, vs2, ..
         } => {
-            let mut srcs = vec![vs2.index() as u8];
+            let mut srcs = RegList::of(&[vs2.index() as u8]);
             if let VSrc::V(v) = src1 {
                 srcs.push(v.index() as u8);
             }
@@ -206,7 +243,7 @@ pub fn expand(
                         k,
                         UopKind::Arith {
                             op,
-                            srcs: srcs.clone(),
+                            srcs,
                             dst: vd.index() as u8,
                         },
                         cmd.vl,
@@ -215,7 +252,7 @@ pub fn expand(
             }
         }
         Instr::VCmp { vd, vs2, src1, .. } => {
-            let mut srcs = vec![vs2.index() as u8];
+            let mut srcs = RegList::of(&[vs2.index() as u8]);
             if let VSrc::V(v) = src1 {
                 srcs.push(v.index() as u8);
             }
@@ -228,7 +265,7 @@ pub fn expand(
                         k,
                         UopKind::Arith {
                             op: VArithOp::And,
-                            srcs: srcs.clone(),
+                            srcs,
                             dst: vd.index() as u8,
                         },
                         cmd.vl,
@@ -244,7 +281,7 @@ pub fn expand(
                         k,
                         UopKind::Arith {
                             op: VArithOp::And,
-                            srcs: vec![vs1.index() as u8, vs2.index() as u8],
+                            srcs: RegList::of(&[vs1.index() as u8, vs2.index() as u8]),
                             dst: vd.index() as u8,
                         },
                         cmd.vl,
@@ -260,7 +297,7 @@ pub fn expand(
                         k,
                         UopKind::Arith {
                             op: VArithOp::And,
-                            srcs: vec![],
+                            srcs: RegList::default(),
                             dst: vd.index() as u8,
                         },
                         cmd.vl,
@@ -276,7 +313,7 @@ pub fn expand(
                         k,
                         UopKind::Arith {
                             op: VArithOp::And,
-                            srcs: vec![],
+                            srcs: RegList::default(),
                             dst: vd.index() as u8,
                         },
                         cmd.vl,
@@ -292,7 +329,7 @@ pub fn expand(
                         k,
                         UopKind::Arith {
                             op: VArithOp::And,
-                            srcs: vec![vs2.index() as u8],
+                            srcs: RegList::of(&[vs2.index() as u8]),
                             dst: vd.index() as u8,
                         },
                         cmd.vl,
@@ -308,7 +345,7 @@ pub fn expand(
                     0,
                     UopKind::Arith {
                         op: VArithOp::And,
-                        srcs: vec![],
+                        srcs: RegList::default(),
                         dst: vd.index() as u8,
                     },
                     1,
@@ -316,6 +353,7 @@ pub fn expand(
             );
         }
 
+        Instr::VLoad { .. } if chimes == 0 => {}
         Instr::VLoad { vd, mode, .. } => {
             *next_mem_id += 1;
             let mem_id = *next_mem_id;
@@ -608,11 +646,15 @@ impl Vcu {
         self.bus.push_with_extra(now, extra, cmd);
     }
 
-    /// Pops the next instruction off the bus if its transfer completed and
-    /// the UopQ/DataQ can absorb its expansion of `uops` micro-ops.
+    /// Pops the next instruction off the bus if its transfer completed
+    /// and the DataQ and UopQ have room for it: a slot for its scalar
+    /// operand and room for its [`uop_count`] micro-ops under `regmap`.
+    /// Only then does `admit` check the units the instruction needs and
+    /// expand it; a refusal leaves the instruction on the bus.
     pub fn pop_cmd_if(
         &mut self,
         now: u64,
+        regmap: &RegMap,
         admit: impl FnOnce(&VecCmd) -> Option<Expansion>,
     ) -> Option<Expansion> {
         let cmd = self.bus.peek_ready(now)?;
@@ -620,10 +662,12 @@ impl Vcu {
         if needs_data && self.dataq_used >= self.params.dataq_depth {
             return None;
         }
-        let ex = admit(cmd)?;
-        if self.uopq.len() + ex.uops.len() > self.params.uopq_depth {
+        let uops = uop_count(cmd, regmap);
+        if self.uopq.len() + uops > self.params.uopq_depth {
             return None;
         }
+        let ex = admit(cmd)?;
+        debug_assert_eq!(ex.uops.len(), uops, "uop_count disagrees with expand");
         let cmd = self.bus.pop_ready(now).expect("peeked ready");
         if cmd.instr.is_vector_mem() {
             self.mem_on_bus -= 1;
@@ -634,9 +678,7 @@ impl Vcu {
         if ex.uses_data_slot && !ex.uops.is_empty() {
             self.dataq_used += 1;
         }
-        for q in &ex.uops {
-            self.uopq.push_back(q.clone());
-        }
+        self.uopq.extend(&ex.uops);
         Some(ex)
     }
 
@@ -732,7 +774,8 @@ impl Vcu {
 mod tests {
     use super::*;
     use bvl_isa::exec::MemAccess;
-    use bvl_isa::reg::{VReg, XReg};
+    use bvl_isa::instr::{AvlSrc, VCmpOp, VMaskOp, VRedOp};
+    use bvl_isa::reg::{FReg, VReg, XReg};
     use bvl_isa::vcfg::Sew;
 
     fn vcmd(instr: Instr, vl: u32) -> VecCmd {
@@ -894,10 +937,172 @@ mod tests {
             let (mut m, mut v) = (0, 0);
             Some(expand(c, &map, 4, 64, 4, &mut m, &mut v))
         };
-        assert!(vcu.pop_cmd_if(0, admit).is_some());
+        assert!(vcu.pop_cmd_if(0, &map, admit).is_some());
         // DataQ slot held until the splat's last uop is broadcast.
-        assert!(vcu.pop_cmd_if(0, admit).is_none());
+        assert!(vcu.pop_cmd_if(0, &map, admit).is_none());
         while vcu.pop_head().is_some() {}
-        assert!(vcu.pop_cmd_if(0, admit).is_some());
+        assert!(vcu.pop_cmd_if(0, &map, admit).is_some());
+    }
+
+    /// One instruction of every vector shape `expand` handles.
+    fn vector_shapes() -> Vec<Instr> {
+        let (v1, v2, v3) = (VReg::new(1), VReg::new(2), VReg::new(3));
+        let x = XReg::new(5);
+        let f = FReg::new(1);
+        let modes = [VMemMode::Unit, VMemMode::Strided(x), VMemMode::Indexed(v3)];
+        let mut shapes = vec![
+            Instr::VSetVl {
+                rd: x,
+                avl: AvlSrc::Imm(8),
+                sew: Sew::E32,
+            },
+            Instr::VmFence,
+        ];
+        for mode in modes {
+            for masked in [false, true] {
+                shapes.push(Instr::VLoad {
+                    vd: v1,
+                    base: x,
+                    mode,
+                    masked,
+                });
+                shapes.push(Instr::VStore {
+                    vs3: v1,
+                    base: x,
+                    mode,
+                    masked,
+                });
+            }
+        }
+        for src1 in [VSrc::V(v1), VSrc::X(x), VSrc::F(f), VSrc::I(3)] {
+            for op in [VArithOp::Add, VArithOp::FMacc, VArithOp::Div] {
+                shapes.push(Instr::VArith {
+                    op,
+                    vd: v3,
+                    src1,
+                    vs2: v2,
+                    masked: false,
+                });
+            }
+            shapes.push(Instr::VCmp {
+                op: VCmpOp::Lt,
+                vd: VReg::MASK,
+                vs2: v2,
+                src1,
+                masked: true,
+            });
+        }
+        shapes.extend([
+            Instr::VRed {
+                op: VRedOp::Sum,
+                vd: v3,
+                vs2: v2,
+                vs1: v1,
+                masked: false,
+            },
+            Instr::VPopc { rd: x, vs2: v1 },
+            Instr::VFirst { rd: x, vs2: v1 },
+            Instr::VMask {
+                op: VMaskOp::And,
+                vd: v3,
+                vs1: v1,
+                vs2: v2,
+            },
+            Instr::VRgather {
+                vd: v3,
+                vs2: v2,
+                vs1: v1,
+            },
+            Instr::VSlideUp {
+                vd: v3,
+                vs2: v2,
+                amt: x,
+            },
+            Instr::VSlideDown {
+                vd: v3,
+                vs2: v2,
+                amt: x,
+            },
+            Instr::VMvVX { vd: v3, rs1: x },
+            Instr::VFMvVF { vd: v3, fs1: f },
+            Instr::VMvVV { vd: v3, vs2: v2 },
+            Instr::VMvXS { rd: x, vs2: v2 },
+            Instr::VFMvFS { rd: f, vs2: v2 },
+            Instr::VMvSX { vd: v3, rs1: x },
+            Instr::VId {
+                vd: v3,
+                masked: false,
+            },
+        ]);
+        shapes
+    }
+
+    #[test]
+    fn uop_count_matches_expand_for_every_shape() {
+        let packed = RegMap::paper_default();
+        let single = RegMap {
+            cores: 4,
+            chimes: 1,
+            packed: false,
+        };
+        for map in [packed, single] {
+            let chime = map.elems_per_chime(Sew::E32);
+            for instr in vector_shapes() {
+                for vl in [0, 1, chime, 2 * chime] {
+                    let cmd = vcmd(instr, vl);
+                    let (mut m, mut v) = (0, 0);
+                    let ex = expand(&cmd, &map, 4, 64, 4, &mut m, &mut v);
+                    assert_eq!(
+                        uop_count(&cmd, &map),
+                        ex.uops.len(),
+                        "{instr:?} at vl {vl} on {map:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_uopq_leaves_the_instruction_unexpanded() {
+        let mut vcu = Vcu::new(VcuParams {
+            busq_depth: 8,
+            uopq_depth: 3,
+            dataq_depth: 8,
+            cmd_bus_latency: 0,
+        });
+        let map = RegMap::paper_default();
+        let add = Instr::VArith {
+            op: VArithOp::Add,
+            vd: VReg::new(3),
+            src1: VSrc::V(VReg::new(1)),
+            vs2: VReg::new(2),
+            masked: false,
+        };
+        let load = Instr::VLoad {
+            vd: VReg::new(4),
+            base: XReg::new(5),
+            mode: VMemMode::Unit,
+            masked: false,
+        };
+        vcu.dispatch(0, vcmd(add, 16));
+        vcu.dispatch(0, vcmd(load, 16));
+        let (mut mem_ids, mut expansions) = (0, 0);
+        let mut pop = |vcu: &mut Vcu, now: u64, expansions: &mut u32| {
+            vcu.pop_cmd_if(now, &map, |c| {
+                *expansions += 1;
+                Some(expand(c, &map, 4, 64, 4, &mut mem_ids, &mut 0))
+            })
+            .is_some()
+        };
+        assert!(pop(&mut vcu, 0, &mut expansions));
+        // Two queued uops leave one slot; the load needs two.
+        for now in 1..5 {
+            assert!(!pop(&mut vcu, now, &mut expansions));
+        }
+        assert_eq!(expansions, 1, "a blocked instruction was expanded");
+        vcu.pop_head();
+        assert!(pop(&mut vcu, 5, &mut expansions));
+        assert_eq!(expansions, 2);
+        assert_eq!(mem_ids, 1, "the load spent one mem id");
     }
 }
