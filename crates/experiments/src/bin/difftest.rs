@@ -17,7 +17,8 @@
 //!   `seed_<seed>.s` (corpus curation)
 //!
 //! Exit status: 0 = all passed, 1 = divergence found, 2 = a generated
-//! program was invalid (generator bug).
+//! program was invalid (generator bug) or a bad flag, which prints
+//! `error: <flag>: <reason>` and the usage line.
 
 use bvl_difftest::{
     check_program, generate, mix_seed, replay_divergence_tail, shrink, DiffResult, ReplayCache,
@@ -26,6 +27,20 @@ use bvl_experiments::sweep::{default_jobs, run_parallel};
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
+
+const USAGE: &str = "usage: difftest [--runs N] [--seed S] [--jobs J] [--emit DIR]";
+
+/// Prints `error: <flag>: <reason>` and the usage line, then exits 2.
+fn fail(flag: &str, reason: &str) -> ! {
+    eprintln!("error: {flag}: {reason}\n{USAGE}");
+    std::process::exit(2)
+}
+
+fn number<T: FromStr>(flag: &str, v: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| fail(flag, &format!("needs a non-negative integer, got `{v}`")))
+}
 
 fn main() -> ExitCode {
     let mut runs: u64 = 100;
@@ -35,20 +50,14 @@ fn main() -> ExitCode {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--runs" => runs = value("--runs").parse().expect("--runs N"),
-            "--seed" => seed = value("--seed").parse().expect("--seed S"),
-            "--jobs" => jobs = value("--jobs").parse().expect("--jobs J"),
-            "--emit" => emit = Some(PathBuf::from(value("--emit"))),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                eprintln!("usage: difftest [--runs N] [--seed S] [--jobs J] [--emit DIR]");
-                return ExitCode::from(2);
-            }
+        let flag = arg.as_str();
+        let mut value = || args.next().unwrap_or_else(|| fail(flag, "needs a value"));
+        match flag {
+            "--runs" => runs = number(flag, &value()),
+            "--seed" => seed = number(flag, &value()),
+            "--jobs" => jobs = number(flag, &value()),
+            "--emit" => emit = Some(PathBuf::from(value())),
+            _ => fail(flag, "unknown argument"),
         }
     }
 

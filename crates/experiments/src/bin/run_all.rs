@@ -1,6 +1,8 @@
 //! Regenerates every figure, table and ablation with one command,
 //! printing a per-artifact timing/throughput summary at the end and
-//! persisting it as JSON next to the results.
+//! persisting it as JSON next to the results, one file per mode:
+//! `run_all_timing.<scale>.exact.json` or
+//! `run_all_timing.<scale>.sampled.json`.
 //!
 //! All artifacts run in-process through one shared
 //! [`bvl_experiments::sweep::SweepCache`], so simulation points common to
@@ -28,15 +30,15 @@
 //!
 //! Under `--sampled` every artifact runs in sampled mode (DESIGN.md
 //! §4.12) and the summary grows a *speedup-vs-exact* column: each
-//! artifact's host seconds compared against the most recent **exact**
-//! `run_all_timing.<scale>.json` of the same scale (read before this
-//! run overwrites it). Without an exact baseline on disk the column is
-//! empty (`-` / JSON `null`), never fabricated.
+//! artifact's host seconds compared against the exact summary of the
+//! same scale. Without an exact summary on disk the column is empty
+//! (`-` / JSON `null`), never fabricated.
 
 use bvl_experiments::sweep::Throughput;
 use bvl_experiments::{print_table, ExpOpts, ARTIFACTS, SERVE_WORKER_SENTINEL};
 use bvl_serve::{Daemon, DaemonConfig, FaultPlan, WorkerCmd};
 use serde::Serialize;
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// One artifact's timing/throughput record (JSON row).
@@ -98,36 +100,32 @@ impl ArtifactTiming {
     }
 }
 
-/// The whole summary, persisted as `run_all_timing.<scale>.json`.
+/// The whole summary, persisted at [`summary_path`].
 #[derive(Serialize)]
 struct TimingSummary {
     scale: String,
     jobs: usize,
     no_skip: bool,
-    /// True when this summary came from a `--sampled` invocation — such a
-    /// summary is never used as the exact baseline for speedup columns.
+    /// True when this summary came from a `--sampled` invocation.
     sampled: bool,
     artifacts: Vec<ArtifactTiming>,
     total: ArtifactTiming,
     memoized_points: usize,
 }
 
-/// The prior run's per-artifact (and `TOTAL`) host seconds, loaded from
-/// `run_all_timing.<scale>.json` — but only if that summary was an
-/// *exact* run (its `sampled` field absent or false). A sampled run must
-/// not become the baseline its successors are compared against.
+/// `<out>/run_all_timing.<scale>.<exact|sampled>.json`: one summary per
+/// mode, so a sampled run's baseline is always an exact run.
+fn summary_path(opts: &ExpOpts, sampled: bool) -> PathBuf {
+    let mode = if sampled { "sampled" } else { "exact" };
+    opts.out_dir
+        .join(format!("run_all_timing.{}.{mode}.json", opts.scale_name))
+}
+
+/// The exact run's per-artifact (and `TOTAL`) host seconds, loaded from
+/// its summary.
 fn load_exact_baseline(opts: &ExpOpts) -> Option<Vec<(String, f64)>> {
-    let path = opts
-        .out_dir
-        .join(format!("run_all_timing.{}.json", opts.scale_name));
-    let v: serde_json::Value = serde_json::from_str(&std::fs::read_to_string(&path).ok()?).ok()?;
-    if v.get("sampled").and_then(|s| s.as_bool()).unwrap_or(false) {
-        eprintln!(
-            "{}: prior summary is itself sampled; no exact baseline for speedup columns",
-            path.display()
-        );
-        return None;
-    }
+    let text = std::fs::read_to_string(summary_path(opts, false)).ok()?;
+    let v: serde_json::Value = serde_json::from_str(&text).ok()?;
     let mut secs: Vec<(String, f64)> = v
         .get("artifacts")?
         .as_array()?
@@ -168,7 +166,6 @@ fn main() {
                 4096
             },
             fault_plan: FaultPlan::default(),
-            secret_file: opts.secret_file.clone(),
             max_queue: 4096,
             ..DaemonConfig::default()
         })
@@ -183,7 +180,6 @@ fn main() {
     } else {
         None
     };
-    // Read the prior summary *before* this run overwrites it at the end.
     let baseline = if opts.sampled {
         load_exact_baseline(&opts)
     } else {
@@ -264,7 +260,13 @@ fn main() {
         total,
         memoized_points: opts.cache.len(),
     };
-    opts.save_json("run_all_timing", &summary);
+    let path = summary_path(&opts, opts.sampled);
+    std::fs::write(
+        &path,
+        serde_json::to_string_pretty(&summary).expect("serialize"),
+    )
+    .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    eprintln!("wrote {}", path.display());
 
     if let Some(daemon) = daemon {
         println!("\n{}", daemon.report().utilization_line());

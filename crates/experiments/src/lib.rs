@@ -42,13 +42,12 @@ use sweep::SweepCache;
 pub const SERVE_WORKER_SENTINEL: &str = "__bvl-serve-worker";
 
 /// Runs the fabric worker loop named by `--connect ADDR --token N
-/// --store DIR [--secret-file F]` (the arguments a daemon appends when
-/// spawning), then exits the process.
+/// --store DIR` (the arguments a daemon appends when spawning), then
+/// exits the process.
 fn run_serve_worker() -> ! {
     let mut connect = None;
     let mut token = 0u64;
     let mut store = None;
-    let mut secret_file: Option<PathBuf> = None;
     let mut args = std::env::args().skip(2);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -60,16 +59,12 @@ fn run_serve_worker() -> ! {
                     .expect("--token needs an integer");
             }
             "--store" => store = args.next(),
-            "--secret-file" => secret_file = args.next().map(PathBuf::from),
             other => panic!("unknown worker argument `{other}`"),
         }
     }
     let addr = connect.expect("worker needs --connect ADDR");
     let store = store.expect("worker needs --store DIR");
-    let secret = secret_file.map(|p| {
-        bvl_serve::auth::read_secret_file(&p).unwrap_or_else(|e| panic!("fabric worker: {e}"))
-    });
-    match bvl_serve::worker_main(&addr, token, &store, secret.as_deref()) {
+    match bvl_serve::worker_main(&addr, token, &store) {
         Ok(()) => std::process::exit(0),
         Err(e) => {
             eprintln!("fabric worker: {e}");
@@ -83,7 +78,7 @@ fn run_serve_worker() -> ! {
 const USAGE: &str = "[--scale tiny|default|large] [--out DIR] [--jobs N] \
 [--no-cache] [--persist-cache] [--cache-dir DIR] [--no-skip] [--checkpoint-every N] [--resume] \
 [--sampled] [--sample-period N] [--sample-window N] [--serve] [--serve-addr HOST:PORT] \
-[--secret-file F] [--priority high|normal|low] [--trace-out PATH]";
+[--priority high|normal|low] [--trace-out PATH]";
 
 /// A command-line argument [`ExpOpts::parse_args`] rejects: the flag at
 /// fault (or the unknown argument itself) and why.
@@ -165,15 +160,11 @@ pub struct ExpOpts {
     /// instead of running in this process. Artifacts are byte-identical
     /// either way — that is the fabric's acceptance contract.
     pub serve: bool,
-    /// Address of a running sweep-fabric daemon (`--serve-addr
-    /// HOST:PORT`, or filled in by `run_all --serve` once its embedded
-    /// daemon is listening). `None` means all simulation is in-process.
+    /// Address of a running sweep-fabric daemon on this host
+    /// (`--serve-addr HOST:PORT`, or filled in by `run_all --serve` once
+    /// its embedded daemon is listening). `None` means all simulation is
+    /// in-process.
     pub serve_addr: Option<String>,
-    /// Shared-secret file for the fabric handshake (`--secret-file F`)
-    /// — required when `--serve-addr` names a secured (non-loopback)
-    /// daemon, and passed through to spawned workers by `run_all
-    /// --serve`.
-    pub secret_file: Option<PathBuf>,
     /// Scheduling class stamped on every served submission
     /// (`--priority high|normal|low`).
     pub priority: bvl_serve::Priority,
@@ -221,7 +212,6 @@ impl ExpOpts {
             sample_window: None,
             serve: false,
             serve_addr: None,
-            secret_file: None,
             priority: bvl_serve::Priority::Normal,
             trace_out: Arc::new(Mutex::new(None)),
             cache: SweepCache::new(),
@@ -262,8 +252,8 @@ impl ExpOpts {
     /// Parses `--scale`, `--out`, `--jobs`, `--no-cache`,
     /// `--persist-cache`, `--cache-dir`, `--no-skip`,
     /// `--checkpoint-every`, `--resume`, `--sampled`, `--sample-period`,
-    /// `--sample-window`, `--serve`, `--serve-addr`, `--secret-file`,
-    /// `--priority` and `--trace-out` from `std::env::args`
+    /// `--sample-window`, `--serve`, `--serve-addr`, `--priority` and
+    /// `--trace-out` from `std::env::args`
     /// (see [`ExpOpts::parse_args`]).
     ///
     /// When the process was launched as a fabric worker (first argument
@@ -315,7 +305,6 @@ impl ExpOpts {
         let mut sample_window = None;
         let mut serve = false;
         let mut serve_addr = None;
-        let mut secret_file = None;
         let mut priority = bvl_serve::Priority::Normal;
         let mut trace_out = None;
         let mut args = args.into_iter();
@@ -363,7 +352,6 @@ impl ExpOpts {
                 }
                 "--serve" => serve = true,
                 "--serve-addr" => serve_addr = Some(value()?),
-                "--secret-file" => secret_file = Some(PathBuf::from(value()?)),
                 "--priority" => {
                     let v = value()?;
                     priority = bvl_serve::Priority::parse(&v).ok_or_else(|| CliError {
@@ -393,7 +381,6 @@ impl ExpOpts {
         opts.sample_window = sample_window;
         opts.serve = serve || serve_addr.is_some();
         opts.serve_addr = serve_addr;
-        opts.secret_file = secret_file;
         opts.priority = priority;
         if opts.resume {
             // Resuming is meaningless without the persisted cache layers.
@@ -549,8 +536,6 @@ mod tests {
             "512",
             "--serve-addr",
             "127.0.0.1:9",
-            "--secret-file",
-            "s",
             "--priority",
             "low",
             "--cache-dir",
@@ -570,7 +555,6 @@ mod tests {
         assert_eq!(o.checkpoint_every, 200);
         assert_eq!((o.sample_period, o.sample_window), (Some(4096), Some(512)));
         assert_eq!(o.serve_addr.as_deref(), Some("127.0.0.1:9"));
-        assert_eq!(o.secret_file, Some(PathBuf::from("s")));
         assert_eq!(o.priority, bvl_serve::Priority::Low);
         assert_eq!(o.cache_dir, PathBuf::from("c"));
         assert_eq!(o.take_trace_out(), Some(PathBuf::from("t.json")));
@@ -595,7 +579,6 @@ mod tests {
             "--sample-period",
             "--sample-window",
             "--serve-addr",
-            "--secret-file",
             "--priority",
             "--cache-dir",
             "--trace-out",

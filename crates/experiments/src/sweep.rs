@@ -673,11 +673,7 @@ fn run_misses_served(
     let fabric_results = if specs.is_empty() {
         Vec::new()
     } else {
-        let secret = opts.secret_file.as_deref().map(|p| {
-            bvl_serve::auth::read_secret_file(p)
-                .unwrap_or_else(|e| panic!("--serve: --secret-file: {e}"))
-        });
-        let mut client = Client::connect_with_secret(addr, secret.as_deref())
+        let mut client = Client::connect(addr)
             .unwrap_or_else(|e| panic!("--serve: connect to fabric at {addr}: {e}"));
         client.set_priority(opts.priority);
         client

@@ -1,7 +1,7 @@
 //! A bad command line ends in a typed error and exit code 2, never in a
 //! panic: `run_all` (like every experiment binary, through
-//! `ExpOpts::from_args`) names the flag at fault and prints its usage
-//! line before it does any work.
+//! `ExpOpts::from_args`) and `difftest` name the flag at fault and print
+//! their usage line before they do any work.
 
 use std::process::Command;
 
@@ -18,6 +18,10 @@ fn a_bad_flag_exits_2_naming_the_flag() {
             "error: --jobs: needs a positive integer",
         ),
         (&["--bogus"][..], "error: --bogus: unknown argument"),
+        (
+            &["--secret-file", "s"][..],
+            "error: --secret-file: unknown argument",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
             .args(args)
@@ -28,6 +32,40 @@ fn a_bad_flag_exits_2_naming_the_flag() {
         assert!(stderr.contains(want), "{args:?}: {stderr}");
         assert!(
             stderr.contains("usage: run_all [--scale"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn difftest_names_the_flag_at_fault() {
+    for (args, want) in [
+        (&["--runs"][..], "error: --runs: needs a value"),
+        (
+            &["--runs", "many"][..],
+            "error: --runs: needs a non-negative integer, got `many`",
+        ),
+        (&["--seed"][..], "error: --seed: needs a value"),
+        (
+            &["--seed", "0x1"][..],
+            "error: --seed: needs a non-negative integer, got `0x1`",
+        ),
+        (&["--jobs"][..], "error: --jobs: needs a value"),
+        (
+            &["--jobs", "-2"][..],
+            "error: --jobs: needs a non-negative integer, got `-2`",
+        ),
+        (&["--bogus"][..], "error: --bogus: unknown argument"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_difftest"))
+            .args(args)
+            .output()
+            .expect("run difftest");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: difftest [--runs"),
             "{args:?}: {stderr}"
         );
     }

@@ -3,80 +3,139 @@
 //! ```text
 //! bvl-client ADDR --system KEY --workload NAME --scale NAME
 //!            [--gather-locality N] [--sampled] [--no-skip]
-//!            [--secret-file F] [--priority high|normal|low]
-//! bvl-client ADDR --stats [--secret-file F]
-//! bvl-client ADDR --shutdown [--secret-file F]
+//!            [--priority high|normal|low]
+//! bvl-client ADDR --stats
+//! bvl-client ADDR --shutdown
 //! ```
 //!
 //! The result prints as the same JSON object the disk cache stores, so
 //! `bvl-client | jq` composes with the sweep's artifacts. `--stats`
-//! prints the daemon's utilization line.
+//! prints the daemon's utilization line. A bad flag prints `error:
+//! <flag>: <reason>` and the usage line, and exits 2.
 
 use bvl_serve::store::run_result_to_value;
-use bvl_serve::{auth, Client, PointSpec, Priority, WorkloadSpec};
+use bvl_serve::{Client, PointSpec, Priority, WorkloadSpec};
 use bvl_sim::{SamplingParams, SimParams, SystemKind};
 use bvl_workloads::Scale;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: bvl-client ADDR --system KEY --workload NAME --scale NAME\n\
-         \x20                   [--gather-locality N] [--sampled] [--no-skip]\n\
-         \x20                   [--secret-file F] [--priority high|normal|low]\n\
-         \x20      bvl-client ADDR --stats [--secret-file F]\n\
-         \x20      bvl-client ADDR --shutdown [--secret-file F]"
-    );
-    std::process::exit(2);
+const USAGE: &str = "usage: bvl-client ADDR --system KEY --workload NAME --scale NAME
+                  [--gather-locality N] [--sampled] [--no-skip]
+                  [--priority high|normal|low]
+       bvl-client ADDR --stats
+       bvl-client ADDR --shutdown";
+
+/// Prints `error: <flag>: <reason>` and the usage line, then exits 2.
+fn fail(flag: &str, reason: &str) -> ! {
+    eprintln!("error: {flag}: {reason}\n{USAGE}");
+    std::process::exit(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(addr) = args.first().cloned() else {
-        usage()
+    let addr = match args.first() {
+        Some(a) if !a.starts_with("--") => a.clone(),
+        _ => fail("ADDR", "the daemon's address comes first"),
     };
-    let mut system: Option<String> = None;
+    let mut system: Option<SystemKind> = None;
     let mut workload: Option<String> = None;
     let mut scale_name = "default".to_string();
+    let mut scale = Scale::default_eval();
     let mut gather_locality: Option<u64> = None;
     let mut sampled = false;
     let mut no_skip = false;
     let mut shutdown = false;
     let mut stats = false;
-    let mut secret_file: Option<PathBuf> = None;
     let mut priority = Priority::Normal;
 
     let mut it = args.iter().skip(1);
     while let Some(arg) = it.next() {
-        let mut val = || it.next().cloned().unwrap_or_else(|| usage());
-        match arg.as_str() {
-            "--system" => system = Some(val()),
+        let flag = arg.as_str();
+        let mut val = || {
+            it.next()
+                .cloned()
+                .unwrap_or_else(|| fail(flag, "needs a value"))
+        };
+        match flag {
+            "--system" => {
+                let v = val();
+                let kind = SystemKind::ALL.into_iter().find(|k| k.label() == v);
+                system = Some(kind.unwrap_or_else(|| {
+                    fail(
+                        flag,
+                        &format!(
+                            "unknown system `{v}` (one of: 1L 1b 1bIV 1b-4L 1bIV-4L 1bDV 1b-4VL)"
+                        ),
+                    )
+                }));
+            }
             "--workload" => workload = Some(val()),
-            "--scale" => scale_name = val(),
+            "--scale" => {
+                scale_name = val();
+                scale = Scale::by_name(&scale_name).unwrap_or_else(|| {
+                    fail(
+                        flag,
+                        &format!("unknown scale `{scale_name}` (use tiny, default or large)"),
+                    )
+                });
+            }
             "--gather-locality" => {
-                gather_locality = Some(val().parse().unwrap_or_else(|_| usage()));
+                let v = val();
+                let n = v.parse().unwrap_or_else(|_| {
+                    fail(flag, &format!("needs a non-negative integer, got `{v}`"))
+                });
+                gather_locality = Some(n);
             }
             "--sampled" => sampled = true,
             "--no-skip" => no_skip = true,
             "--shutdown" => shutdown = true,
             "--stats" => stats = true,
-            "--secret-file" => secret_file = Some(PathBuf::from(val())),
-            "--priority" => priority = Priority::parse(&val()).unwrap_or_else(|| usage()),
-            _ => usage(),
+            "--priority" => {
+                let v = val();
+                priority = Priority::parse(&v).unwrap_or_else(|| {
+                    fail(flag, &format!("needs high, normal or low, got `{v}`"))
+                });
+            }
+            _ => fail(flag, "unknown argument"),
         }
     }
 
-    let secret = match &secret_file {
-        Some(path) => match auth::read_secret_file(path) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("bvl-client: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let mut client = match Client::connect_with_secret(&addr, secret.as_deref()) {
+    // A point needs a system and a workload; `--stats` and `--shutdown`
+    // do not.
+    let spec = (!stats && !shutdown).then(|| {
+        let Some(kind) = system else {
+            fail("--system", "is required to submit a point")
+        };
+        let Some(workload) = workload else {
+            fail("--workload", "is required to submit a point")
+        };
+        let (spec_workload, workload_key) = match gather_locality {
+            Some(locality) => (
+                WorkloadSpec::Gather { locality, scale },
+                format!("gather-loc{locality}@{scale_name}"),
+            ),
+            None => (
+                WorkloadSpec::Named {
+                    name: workload.clone(),
+                    scale,
+                },
+                format!("{workload}@{scale_name}"),
+            ),
+        };
+        let params = SimParams {
+            no_skip,
+            sampling: sampled.then(SamplingParams::default),
+            ..SimParams::default()
+        };
+        PointSpec {
+            system: kind,
+            workload_key,
+            workload: spec_workload,
+            params,
+        }
+    });
+
+    let mut client = match Client::connect(&addr) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("bvl-client: connect {addr}: {e}");
@@ -108,47 +167,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let (Some(system), Some(workload)) = (system, workload) else {
-        usage()
-    };
-    let Some(kind) = SystemKind::ALL
-        .iter()
-        .copied()
-        .find(|k| k.label() == system)
-    else {
-        eprintln!(
-            "bvl-client: unknown system `{system}` (one of: 1L 1b 1bIV 1b-4L 1bIV-4L 1bDV 1b-4VL)"
-        );
-        return ExitCode::FAILURE;
-    };
-    let Some(scale) = Scale::by_name(&scale_name) else {
-        eprintln!("bvl-client: unknown scale `{scale_name}` (tiny/default/large)");
-        return ExitCode::FAILURE;
-    };
-    let (spec_workload, workload_key) = match gather_locality {
-        Some(locality) => (
-            WorkloadSpec::Gather { locality, scale },
-            format!("gather-loc{locality}@{scale_name}"),
-        ),
-        None => (
-            WorkloadSpec::Named {
-                name: workload.clone(),
-                scale,
-            },
-            format!("{workload}@{scale_name}"),
-        ),
-    };
-    let params = SimParams {
-        no_skip,
-        sampling: sampled.then(SamplingParams::default),
-        ..SimParams::default()
-    };
-    let spec = PointSpec {
-        system: kind,
-        workload_key,
-        workload: spec_workload,
-        params,
-    };
+    let spec = spec.expect("built unless --stats or --shutdown");
     match client.run_points(std::slice::from_ref(&spec)) {
         Ok(results) => {
             let r = &results[0];

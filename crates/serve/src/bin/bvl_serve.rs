@@ -1,44 +1,49 @@
 //! Standalone sweep-fabric daemon.
 //!
 //! ```text
-//! bvl-serve --store DIR [--bind HOST:PORT] [--secret-file F]
+//! bvl-serve --store DIR [--bind HOST:PORT]
 //!           [--threads N] [--procs N] [--checkpoint-every N]
 //!           [--max-queue N] [--stats-interval SECS]
 //!           [--no-persist] [--kill-daemon-on-progress N]
 //! bvl-serve --worker --connect HOST:PORT --token N --store DIR
-//!           [--secret-file F]
 //! ```
 //!
 //! With `--worker` the binary runs the worker loop instead (this is what
-//! the daemon spawns when `--procs` > 0: itself — and what another host
-//! runs to join the fabric remotely, with the same `--secret-file` the
-//! daemon was started with); `--threads N` runs the same loop on N
-//! threads inside the daemon. The daemon prints `listening on <addr>`
-//! and runs until a client sends a shutdown request (`bvl-client ADDR
-//! --shutdown`). Binding a non-loopback address requires
-//! `--secret-file`.
+//! the daemon spawns when `--procs` > 0: itself — and what joins a
+//! running daemon by hand on the same host); `--threads N` runs the same
+//! loop on N threads inside the daemon. The daemon prints `listening on
+//! <addr>` and runs until a client sends a shutdown request (`bvl-client
+//! ADDR --shutdown`). It binds loopback only: a `--bind` address that
+//! is not loopback is refused. A bad flag prints `error: <flag>:
+//! <reason>` and the usage line, and exits 2.
 //!
 //! The daemon keeps no queue on disk. After it crashes, start it again on
 //! the same store and resubmit (`run_all --serve --resume`, or the same
 //! `--serve-addr` sweep): finished points are served from the store and
 //! a point that was in flight resumes from its checkpoint blob.
 
-use bvl_serve::{auth, worker_main, Daemon, DaemonConfig, FaultPlan, WorkerCmd};
+use bvl_serve::{worker_main, Daemon, DaemonConfig, FaultPlan, WorkerCmd};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: bvl-serve --store DIR [--bind HOST:PORT] [--secret-file F]\n\
-         \x20                [--threads N] [--procs N] [--checkpoint-every N]\n\
-         \x20                [--max-queue N] [--stats-interval SECS]\n\
-         \x20                [--no-persist] [--kill-daemon-on-progress N]\n\
-         \x20      bvl-serve --worker --connect HOST:PORT --token N --store DIR\n\
-         \x20                [--secret-file F]"
-    );
-    std::process::exit(2);
+const USAGE: &str = "usage: bvl-serve --store DIR [--bind HOST:PORT]
+                 [--threads N] [--procs N] [--checkpoint-every N]
+                 [--max-queue N] [--stats-interval SECS]
+                 [--no-persist] [--kill-daemon-on-progress N]
+       bvl-serve --worker --connect HOST:PORT --token N --store DIR";
+
+/// Prints `error: <flag>: <reason>` and the usage line, then exits 2.
+fn fail(flag: &str, reason: &str) -> ! {
+    eprintln!("error: {flag}: {reason}\n{USAGE}");
+    std::process::exit(2)
+}
+
+fn number<T: FromStr>(flag: &str, v: &str, what: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| fail(flag, &format!("needs {what}, got `{v}`")))
 }
 
 fn main() -> ExitCode {
@@ -52,51 +57,55 @@ fn main() -> ExitCode {
     let mut connect: Option<String> = None;
     let mut token = 0u64;
     let mut bind = "127.0.0.1:0".to_string();
-    let mut secret_file: Option<PathBuf> = None;
     let mut max_queue = 0usize;
     let mut stats_interval: Option<Duration> = None;
     let mut kill_daemon_on_progress: Option<u64> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut val = || it.next().cloned().unwrap_or_else(|| usage());
-        match arg.as_str() {
+        let flag = arg.as_str();
+        let mut val = || {
+            it.next()
+                .cloned()
+                .unwrap_or_else(|| fail(flag, "needs a value"))
+        };
+        let count = "a non-negative integer";
+        match flag {
             "--store" => store = Some(val()),
-            "--threads" => threads = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--procs" => procs = val().parse().unwrap_or_else(|_| usage()),
-            "--checkpoint-every" => checkpoint_every = val().parse().unwrap_or_else(|_| usage()),
+            "--threads" => threads = Some(number(flag, &val(), count)),
+            "--procs" => procs = number(flag, &val(), count),
+            "--checkpoint-every" => checkpoint_every = number(flag, &val(), count),
             "--no-persist" => persist = false,
             "--worker" => worker = true,
             "--connect" => connect = Some(val()),
-            "--token" => token = val().parse().unwrap_or_else(|_| usage()),
+            "--token" => token = number(flag, &val(), count),
             "--bind" => bind = val(),
-            "--secret-file" => secret_file = Some(PathBuf::from(val())),
-            "--max-queue" => max_queue = val().parse().unwrap_or_else(|_| usage()),
+            "--max-queue" => max_queue = number(flag, &val(), count),
             "--stats-interval" => {
-                let secs: f64 = val().parse().unwrap_or_else(|_| usage());
-                stats_interval = Some(Duration::from_secs_f64(secs));
+                let v = val();
+                let secs = v
+                    .parse()
+                    .ok()
+                    .and_then(|s| Duration::try_from_secs_f64(s).ok());
+                stats_interval = Some(secs.unwrap_or_else(|| {
+                    fail(flag, &format!("needs a number of seconds, got `{v}`"))
+                }));
             }
             "--kill-daemon-on-progress" => {
-                kill_daemon_on_progress = Some(val().parse().unwrap_or_else(|_| usage()));
+                kill_daemon_on_progress = Some(number(flag, &val(), count));
             }
-            _ => usage(),
+            _ => fail(flag, "unknown argument"),
         }
     }
-    let Some(store) = store else { usage() };
+    let Some(store) = store else {
+        fail("--store", "is required")
+    };
 
     if worker {
-        let Some(addr) = connect else { usage() };
-        let secret = match &secret_file {
-            Some(path) => match auth::read_secret_file(path) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("bvl-serve worker: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
+        let Some(addr) = connect else {
+            fail("--connect", "is required with --worker")
         };
-        return match worker_main(&addr, token, &store, secret.as_deref()) {
+        return match worker_main(&addr, token, &store) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("bvl-serve worker: {e}");
@@ -106,8 +115,8 @@ fn main() -> ExitCode {
     }
 
     // Default to in-process workers only when neither kind was requested
-    // explicitly — `--threads 0 --procs 0` means "no local workers"
-    // (a daemon fed exclusively by remote `--worker` processes).
+    // explicitly — `--threads 0 --procs 0` means "no workers of its own"
+    // (a daemon fed only by `--worker` processes started by hand).
     let threads = match threads {
         Some(n) => n,
         None if procs == 0 => std::thread::available_parallelism().map_or(2, |n| n.get()),
@@ -129,7 +138,6 @@ fn main() -> ExitCode {
             ..FaultPlan::default()
         },
         bind,
-        secret_file,
         max_queue,
         stats_interval,
     }) {

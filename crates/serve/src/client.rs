@@ -6,7 +6,8 @@
 //! ids correlate them. [`Client::run_points`] does exactly that and
 //! hands back results in submission order, which is all `run_all
 //! --serve` needs; it also transparently retries submissions the
-//! daemon's bounded admission queue shed with [`Msg::Busy`].
+//! daemon's bounded admission queue shed with [`Msg::Busy`], and drops
+//! late replies to an earlier batch that ended in a failure.
 
 use crate::proto::{self, Msg, Priority, ProtoError};
 use crate::sched::FabricReport;
@@ -50,37 +51,15 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to an open daemon at `addr` (e.g. `"127.0.0.1:45123"`).
+    /// Connects to the daemon at `addr` (e.g. `"127.0.0.1:45123"`).
     ///
     /// # Errors
     ///
     /// Socket resolution/connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Client::connect_with_secret(addr, None).map_err(|e| match e {
-            ProtoError::Io(io) => io,
-            other => io::Error::other(other.to_string()),
-        })
-    }
-
-    /// Connects to a daemon at `addr`, running the shared-secret
-    /// handshake first when `secret` is given (required for a secured
-    /// daemon; harmless against an open one, which just acks the
-    /// hello).
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, or a typed [`ProtoError::Auth`] when the
-    /// daemon rejects the credentials.
-    pub fn connect_with_secret(
-        addr: impl ToSocketAddrs,
-        secret: Option<&[u8]>,
-    ) -> Result<Client, ProtoError> {
-        let mut writer = TcpStream::connect(addr).map_err(ProtoError::Io)?;
+        let writer = TcpStream::connect(addr)?;
         writer.set_nodelay(true).ok();
-        if let Some(secret) = secret {
-            crate::auth::client_handshake(&mut writer, secret)?;
-        }
-        let reader = writer.try_clone().map_err(ProtoError::Io)?;
+        let reader = writer.try_clone()?;
         Ok(Client {
             reader,
             writer,
@@ -140,23 +119,38 @@ impl Client {
     /// Submits all `specs` (pipelined), then collects every response,
     /// retrying any submission the daemon shed with [`Msg::Busy`] after
     /// the suggested backoff. Results come back in submission order
-    /// regardless of completion order.
+    /// regardless of completion order. Replies to an earlier batch on
+    /// this connection, left unread when that batch failed, are dropped.
     ///
     /// # Errors
     ///
     /// The first point failure (`Msg::Failed`) or protocol error, with
-    /// the offending point's key in the message.
+    /// the offending point's key in the message, and a reply to an id
+    /// this connection never issued.
     pub fn run_points(&mut self, specs: &[PointSpec]) -> Result<Vec<ServedResult>, String> {
-        let mut ids = Vec::with_capacity(specs.len());
+        // This batch's ids are `first..end`, in submission order; lower
+        // ids belong to earlier batches.
+        let first = self.next_id;
         for spec in specs {
-            let id = self
-                .submit(spec)
+            self.submit(spec)
                 .map_err(|e| format!("submit {}: {e}", spec.key()))?;
-            ids.push(id);
         }
+        let end = self.next_id;
         let mut by_id: HashMap<u64, ServedResult> = HashMap::with_capacity(specs.len());
         while by_id.len() < specs.len() {
-            match self.recv().map_err(|e| format!("fabric: {e}"))? {
+            let msg = self.recv().map_err(|e| format!("fabric: {e}"))?;
+            let (Msg::Done { id, .. } | Msg::Busy { id, .. } | Msg::Failed { id, .. }) = msg else {
+                return Err(format!("unexpected fabric message: {msg:?}"));
+            };
+            if id >= end {
+                return Err(format!(
+                    "fabric: reply to id {id}, never issued on this connection"
+                ));
+            }
+            let Some(idx) = id.checked_sub(first).map(|i| i as usize) else {
+                continue; // a late reply to an earlier batch
+            };
+            match msg {
                 Msg::Done {
                     id,
                     result,
@@ -179,26 +173,17 @@ impl Client {
                     );
                 }
                 Msg::Busy { id, retry_after_ms } => {
-                    let idx = ids
-                        .iter()
-                        .position(|i| *i == id)
-                        .ok_or_else(|| format!("fabric: Busy for unknown id {id}"))?;
                     self.busy_retries += 1;
                     std::thread::sleep(Duration::from_millis(retry_after_ms).min(MAX_BUSY_BACKOFF));
                     self.submit_as(id, &specs[idx])
                         .map_err(|e| format!("resubmit {}: {e}", specs[idx].key()))?;
                 }
-                Msg::Failed { id, error } => {
-                    let idx = ids.iter().position(|i| *i == id);
-                    let key = idx.map_or_else(|| "?".to_string(), |i| specs[i].key());
-                    return Err(format!("{key}: {error}"));
-                }
-                other => return Err(format!("unexpected fabric message: {other:?}")),
+                Msg::Failed { error, .. } => return Err(format!("{}: {error}", specs[idx].key())),
+                _ => unreachable!("only replies carry an id"),
             }
         }
-        Ok(ids
-            .iter()
-            .map(|id| by_id.remove(id).expect("collected every id"))
+        Ok((first..end)
+            .map(|id| by_id.remove(&id).expect("collected every id"))
             .collect())
     }
 

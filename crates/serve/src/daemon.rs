@@ -1,4 +1,4 @@
-//! The sweep-fabric daemon: sockets, authentication, workers and fault
+//! The sweep-fabric daemon: a loopback listener, workers and fault
 //! injection around the scheduler core.
 //!
 //! One [`Daemon`] owns a listener and the [`crate::sched::Sched`] that
@@ -7,35 +7,27 @@
 //! The daemon turns socket traffic into calls on the core, under one
 //! mutex, and sends the replies the core returns.
 //!
-//! Every worker speaks the [`crate::proto`] protocol over a main and a
-//! control connection, behind the shared-secret handshake in
-//! [`crate::auth`] when the daemon has a secret: the daemon's own
-//! in-process workers ([`worker_main`] on a thread), the worker processes
-//! it spawns, and workers joining from other hosts. One dispatcher
-//! thread per worker feeds it assignments, and one control byte evicts
-//! its point at the next checkpoint, so the daemon
+//! The daemon serves one host: it binds loopback only. Every worker
+//! speaks the [`crate::proto`] protocol over one connection: the
+//! daemon's own in-process workers ([`worker_main`] on a thread), the
+//! worker processes it spawns, and `bvl-serve --worker` processes
+//! started by hand. One dispatcher thread per worker feeds it
+//! assignments. Nothing preempts a running point, and the daemon
+//! **survives worker death**: a dead worker loses at most one
+//! checkpoint interval — the point is requeued and resumed from its last
+//! persisted blob, and (for daemon-spawned processes only) a replacement
+//! is spawned. Other workers that vanish are simply deregistered.
 //!
-//! - **preempts** long-running points at their last checkpoint
-//!   ([`Daemon::evict`]) and resumes them on whichever worker next picks
-//!   them up, and
-//! - **survives worker death**: a dead worker loses at most one
-//!   checkpoint interval — the point is requeued and resumed from its
-//!   last persisted blob, and (for daemon-spawned processes only) a
-//!   replacement is spawned. Other workers that vanish are simply
-//!   deregistered.
-//!
-//! A [`FaultPlan`] makes all of that deterministic under test: kill or
-//! evict a specific worker — or abort the daemon itself — on the *n*-th
-//! progress report.
+//! A [`FaultPlan`] makes that deterministic under test: kill a specific
+//! worker — or abort the daemon itself — on the *n*-th progress report.
 
-use crate::auth;
-use crate::proto::{self, Msg, ProtoError, EVICT_BYTE};
+use crate::proto::{self, Msg, ProtoError};
 use crate::sched::{FabricReport, FabricStats, Replies, Sched};
 use crate::spec::PointSpec;
 use crate::worker::worker_main;
 use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,14 +35,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a fresh connection gets to finish the handshake/first frame
-/// before the daemon gives up on it (secured daemons only — an
-/// unauthenticated peer must not pin a routing thread forever).
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long a fresh connection gets to send its first frame before the
+/// daemon gives up on it: an idle or hostile peer must not pin a routing
+/// thread forever.
+const FIRST_FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How to launch one worker process: a program plus leading arguments.
-/// The daemon appends `--connect <addr> --token <n> --store <dir>` (and
-/// `--secret-file <f>` when it is secured).
+/// The daemon appends `--connect <addr> --token <n> --store <dir>`.
 #[derive(Debug, Clone)]
 pub struct WorkerCmd {
     /// Program to execute (typically `std::env::current_exe()`).
@@ -69,10 +60,6 @@ pub struct FaultPlan {
     /// `(token, nth)`: SIGKILL worker process `token` when its `nth`
     /// progress report (1-based) arrives. Fires once.
     pub kill_on_progress: Vec<(u64, u64)>,
-    /// `(token, nth)`: order an eviction of whatever point worker
-    /// `token` is running when its `nth` progress report arrives
-    /// (`nth` counted per assignment). Fires once.
-    pub evict_on_progress: Vec<(u64, u64)>,
     /// Abort the whole daemon process (no cleanup — the moral
     /// equivalent of SIGKILL) when the `nth` progress report, counted
     /// globally across all workers, arrives. The daemon-crash recovery
@@ -95,22 +82,18 @@ pub struct DaemonConfig {
     pub store_dir: PathBuf,
     /// Serve results from / persist results to the disk store. Even
     /// when off, checkpoint blobs go through the store — they are the
-    /// preemption/migration primitive, not a cache.
+    /// recovery primitive, not a cache.
     pub persist: bool,
     /// Checkpoint cadence (uncore cycles) overlaid onto points that
-    /// don't request their own. 0 disables overlay (such points can
-    /// then neither be preempted nor survive worker death mid-run).
+    /// don't request their own. 0 disables overlay (such points then
+    /// cannot survive worker death mid-run).
     pub checkpoint_every: u64,
     /// Deterministic fault injection (tests only; empty in production).
     pub fault_plan: FaultPlan,
-    /// Listen address. Binding anything non-loopback requires
-    /// `secret_file` — the daemon refuses to expose an open scheduler
-    /// to the network.
+    /// Listen address. It must resolve to loopback addresses only: the
+    /// fabric serves one host, and the daemon refuses to expose its
+    /// scheduler to the network.
     pub bind: String,
-    /// Shared-secret file for the [`crate::auth`] handshake. When set,
-    /// every connection (clients and workers alike) must authenticate
-    /// before its first real frame.
-    pub secret_file: Option<PathBuf>,
     /// Admission-queue bound. A fresh admission past this many queued
     /// (not yet dispatched) points is answered with [`Msg::Busy`];
     /// 0 means unbounded. Dedupe/memo/disk hits and requeues are
@@ -131,7 +114,6 @@ impl Default for DaemonConfig {
             checkpoint_every: 4096,
             fault_plan: FaultPlan::default(),
             bind: "127.0.0.1:0".into(),
-            secret_file: None,
             max_queue: 0,
             stats_interval: None,
         }
@@ -156,8 +138,6 @@ type Reply = Arc<Mutex<TcpStream>>;
 /// Everything the daemon's threads share, behind its one mutex.
 struct State {
     sched: Sched<Reply>,
-    /// Worker control streams by token, for eviction orders.
-    controls: HashMap<u64, TcpStream>,
     next_token: u64,
     shutdown: bool,
 }
@@ -165,7 +145,6 @@ struct State {
 struct Shared {
     cfg: DaemonConfig,
     addr: SocketAddr,
-    secret: Option<Vec<u8>>,
     state: Mutex<State>,
     cv: Condvar,
     children: Mutex<HashMap<u64, Child>>,
@@ -191,32 +170,28 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// Socket binding or worker-process spawn failures, an unreadable
-    /// secret file, or a non-loopback bind without a secret (refused:
-    /// the scheduler must never be open on the network).
+    /// Socket binding or worker-process spawn failures, and an
+    /// `InvalidInput` error naming the address when `bind` resolves to
+    /// anything but loopback: the scheduler is never open on the
+    /// network.
     pub fn start(cfg: DaemonConfig) -> io::Result<Daemon> {
-        let secret = match &cfg.secret_file {
-            Some(path) => Some(auth::read_secret_file(path)?),
-            None => None,
-        };
-        let listener = TcpListener::bind(&cfg.bind)?;
-        let addr = listener.local_addr()?;
-        if !addr.ip().is_loopback() && secret.is_none() {
+        let addrs: Vec<SocketAddr> = cfg.bind.to_socket_addrs()?.collect();
+        if let Some(open) = addrs.iter().find(|a| !a.ip().is_loopback()) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("refusing to bind {addr} without --secret-file"),
+                format!("refusing to bind {open}: the fabric serves loopback only"),
             ));
         }
+        let listener = TcpListener::bind(&addrs[..])?;
+        let addr = listener.local_addr()?;
         let state = State {
             sched: Sched::new(&cfg),
-            controls: HashMap::new(),
             next_token: 1,
             shutdown: false,
         };
         let shared = Arc::new(Shared {
             cfg,
             addr,
-            secret,
             state: Mutex::new(state),
             cv: Condvar::new(),
             children: Mutex::new(HashMap::new()),
@@ -259,13 +234,6 @@ impl Daemon {
     /// A full utilization snapshot (counters + queue/worker occupancy).
     pub fn report(&self) -> FabricReport {
         self.shared.state().sched.report()
-    }
-
-    /// Orders the point with cache key `key` to be preempted at its
-    /// next checkpoint. Returns `true` when the point is currently
-    /// running on some worker (queued or unknown points are untouched).
-    pub fn evict(&self, key: &str) -> bool {
-        self.shared.evict(key)
     }
 
     /// Blocks until a client's `Shutdown` request arrives, then joins
@@ -346,9 +314,8 @@ impl Shared {
         let token = self.next_token();
         let addr = self.addr.to_string();
         let store_dir = self.cfg.store_dir.clone();
-        let secret = self.secret.clone();
         std::thread::spawn(move || {
-            if let Err(e) = worker_main(&addr, token, store_dir, secret.as_deref()) {
+            if let Err(e) = worker_main(&addr, token, store_dir) {
                 eprintln!("bvl-serve: worker {token}: {e}");
             }
         })
@@ -359,35 +326,18 @@ impl Shared {
             io::Error::new(io::ErrorKind::InvalidInput, "procs > 0 but no worker_cmd")
         })?;
         let token = self.next_token();
-        let mut command = Command::new(&cmd.program);
-        command
+        let child = Command::new(&cmd.program)
             .args(&cmd.args)
             .arg("--connect")
             .arg(self.addr.to_string())
             .arg("--token")
             .arg(token.to_string())
             .arg("--store")
-            .arg(&self.cfg.store_dir);
-        if let Some(secret_file) = &self.cfg.secret_file {
-            command.arg("--secret-file").arg(secret_file);
-        }
-        let child = command.stdin(Stdio::null()).spawn()?;
+            .arg(&self.cfg.store_dir)
+            .stdin(Stdio::null())
+            .spawn()?;
         self.children.lock().unwrap().insert(token, child);
         Ok(())
-    }
-
-    /// Waits for worker `token`'s control connection, then registers
-    /// the worker. Returns `false` when shutdown comes first.
-    fn register(&self, token: u64) -> bool {
-        let mut s = self.state();
-        while !s.controls.contains_key(&token) {
-            if s.shutdown {
-                return false;
-            }
-            s = self.wait(s);
-        }
-        s.sched.join();
-        true
     }
 
     /// Blocks until a point is available for worker `token` (returning
@@ -408,7 +358,6 @@ impl Shared {
 
     fn on_worker_death(&self, token: u64, key: &str) {
         let shutdown = self.update(|s| {
-            s.controls.remove(&token);
             s.sched.worker_died(key);
             s.shutdown
         });
@@ -430,16 +379,6 @@ impl Shared {
                 eprintln!("bvl-serve: failed to respawn worker: {e}");
             }
         }
-    }
-
-    fn evict(&self, key: &str) -> bool {
-        let mut s = self.state();
-        let Some(token) = s.sched.running_on(key) else {
-            return false;
-        };
-        s.controls
-            .get_mut(&token)
-            .is_some_and(|control| control.write_all(&[EVICT_BYTE]).is_ok())
     }
 
     /// Kills worker process `token` with SIGKILL (fault injection). The
@@ -517,68 +456,16 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
-/// Runs the server side of the connection-open protocol and returns the
-/// peer's first *post-auth* message, or `None` when the connection was
-/// rejected (reason already sent). On a secured daemon every peer must
-/// lead with [`Msg::AuthHello`] and answer the challenge; on an open
-/// daemon an `AuthHello` is acknowledged (so secret-configured peers
-/// can talk to open daemons) and anything else passes straight through.
-fn authenticate(shared: &Shared, stream: &mut TcpStream) -> Option<Msg> {
-    // The handshake (and first frame) must arrive promptly so an idle
-    // or hostile connection cannot pin this thread forever…
-    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok();
-    let first = proto::read_msg(stream).ok()?;
-    let next = match (&shared.secret, first) {
-        (None, Msg::AuthHello) => {
-            proto::write_msg(stream, &Msg::AuthOk).ok()?;
-            None
-        }
-        (None, msg) => Some(msg),
-        (Some(secret), Msg::AuthHello) => {
-            let nonce = auth::fresh_nonce();
-            proto::write_msg(stream, &Msg::Challenge { nonce }).ok()?;
-            match proto::read_msg(stream) {
-                Ok(Msg::AuthResponse { nonce: echoed, mac }) => {
-                    if echoed != nonce {
-                        return reject(shared, stream, "replayed or stale nonce");
-                    }
-                    if !auth::verify_tag(secret, nonce, &mac) {
-                        return reject(shared, stream, "bad credentials");
-                    }
-                    proto::write_msg(stream, &Msg::AuthOk).ok()?;
-                    None
-                }
-                _ => return reject(shared, stream, "malformed handshake"),
-            }
-        }
-        (Some(_), _) => return reject(shared, stream, "authentication required"),
-    };
-    // …but once authenticated, a client may legitimately sit idle
-    // between submissions.
-    stream.set_read_timeout(None).ok();
-    match next {
-        Some(msg) => Some(msg),
-        None => proto::read_msg(stream).ok(),
-    }
-}
-
-fn reject(shared: &Shared, stream: &mut TcpStream, reason: &str) -> Option<Msg> {
-    shared.update(|s| s.sched.count_auth_failure());
-    let _ = proto::write_msg(
-        stream,
-        &Msg::AuthReject {
-            reason: reason.to_string(),
-        },
-    );
-    None
-}
-
-/// Classifies a fresh connection by its first (post-handshake) frame:
-/// worker main stream, worker control stream, or client.
+/// Classifies a fresh connection by its first frame: a worker or a
+/// client. A connection whose first frame does not arrive in time or
+/// does not decode is closed.
 fn route_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    let Some(first) = authenticate(shared, &mut stream) else {
-        return; // rejected, hostile, or the shutdown-unblock throwaway
+    stream.set_read_timeout(Some(FIRST_FRAME_TIMEOUT)).ok();
+    let Ok(first) = proto::read_msg(&mut stream) else {
+        return; // hostile, or the shutdown-unblock throwaway
     };
+    // After its first frame, a client may sit idle between submissions.
+    stream.set_read_timeout(None).ok();
     match first {
         Msg::WorkerHello { token } => {
             let handle = {
@@ -586,9 +473,6 @@ fn route_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 std::thread::spawn(move || dispatcher(&shared, token, stream))
             };
             shared.dispatchers.lock().unwrap().push(handle);
-        }
-        Msg::ControlHello { token } => {
-            shared.update(|s| s.controls.insert(token, stream));
         }
         other => client_loop(shared, stream, other),
     }
@@ -637,25 +521,20 @@ fn client_loop(shared: &Shared, stream: TcpStream, first: Msg) {
 /// interprets its progress/completion stream. Worker death (connection
 /// loss) requeues the in-flight point and — for daemon-spawned
 /// processes — spawns a replacement.
-fn dispatcher(shared: &Arc<Shared>, token: u64, mut main: TcpStream) {
-    // Pair up with the control connection before scheduling work, so
-    // eviction is possible from the first assignment on.
-    if !shared.register(token) {
-        return;
-    }
+fn dispatcher(shared: &Arc<Shared>, token: u64, mut conn: TcpStream) {
+    shared.update(|s| s.sched.join());
     // One-shot: a consumed fault is disarmed, so a requeued point does
     // not re-trigger it when the same worker picks the point up again.
     let mut kill_at = plan_lookup(&shared.cfg.fault_plan.kill_on_progress, token);
-    let mut evict_at = plan_lookup(&shared.cfg.fault_plan.evict_on_progress, token);
 
     while let Some((key, spec)) = shared.next_job(token) {
-        if proto::write_msg(&mut main, &Msg::Assign { spec }).is_err() {
+        if proto::write_msg(&mut conn, &Msg::Assign { spec }).is_err() {
             shared.on_worker_death(token, &key);
             return;
         }
         let mut progress = 0u64;
         loop {
-            match proto::read_msg(&mut main) {
+            match proto::read_msg(&mut conn) {
                 Ok(Msg::Progress { cycle: _ }) => {
                     shared.on_progress();
                     progress += 1;
@@ -663,17 +542,9 @@ fn dispatcher(shared: &Arc<Shared>, token: u64, mut main: TcpStream) {
                         kill_at = None;
                         shared.kill_worker(token);
                     }
-                    if evict_at == Some(progress) {
-                        evict_at = None;
-                        shared.evict(&key);
-                    }
                 }
                 Ok(Msg::WorkerDone { outcome }) => {
                     send_all(shared.update(|s| s.sched.complete(&key, outcome)));
-                    break;
-                }
-                Ok(Msg::WorkerYielded { cycle: _ }) => {
-                    shared.update(|s| s.sched.yielded(&key));
                     break;
                 }
                 Ok(Msg::WorkerFailed { error }) => {
@@ -693,7 +564,7 @@ fn dispatcher(shared: &Arc<Shared>, token: u64, mut main: TcpStream) {
         }
     }
     // Orderly shutdown: tell the worker to exit and reap it.
-    let _ = proto::write_msg(&mut main, &Msg::Shutdown);
+    let _ = proto::write_msg(&mut conn, &Msg::Shutdown);
     if let Some(mut child) = shared.children.lock().unwrap().remove(&token) {
         let _ = child.wait();
     }

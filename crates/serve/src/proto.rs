@@ -1,5 +1,5 @@
 //! The fabric's wire protocol: length-prefixed, checksummed frames
-//! carrying snap-encoded [`Msg`] values over a localhost socket.
+//! carrying snap-encoded [`Msg`] values over a loopback socket.
 //!
 //! Layout of one frame on the wire:
 //!
@@ -41,9 +41,6 @@ pub enum ProtoError {
     Snap(SnapError),
     /// The message decoded but left unconsumed trailing bytes.
     TrailingBytes(usize),
-    /// The shared-secret handshake failed (wrong secret, replayed
-    /// nonce, missing credentials) — the daemon's stated reason.
-    Auth(String),
 }
 
 impl std::fmt::Display for ProtoError {
@@ -56,7 +53,6 @@ impl std::fmt::Display for ProtoError {
             }
             ProtoError::Snap(e) => write!(f, "frame failed validation: {e}"),
             ProtoError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
-            ProtoError::Auth(reason) => write!(f, "authentication rejected: {reason}"),
         }
     }
 }
@@ -178,19 +174,10 @@ pub enum Msg {
         /// Why.
         error: String,
     },
-    /// worker process → daemon, first message on the main connection.
+    /// worker → daemon, first message on the worker's one connection.
     WorkerHello {
-        /// The spawn token the daemon assigned this worker on its
-        /// command line.
-        token: u64,
-    },
-    /// worker process → daemon, first message on the *control*
-    /// connection. After this message the control connection leaves the
-    /// frame protocol: the daemon writes single raw bytes
-    /// ([`EVICT_BYTE`]) which the worker polls non-blockingly at
-    /// checkpoint boundaries.
-    ControlHello {
-        /// Same token as the paired [`Msg::WorkerHello`].
+        /// The token the daemon assigned this worker (on its command
+        /// line, for a worker process).
         token: u64,
     },
     /// daemon → worker: run this point.
@@ -213,12 +200,6 @@ pub enum Msg {
         /// Why.
         error: String,
     },
-    /// worker → daemon: the point yielded at a checkpoint after an
-    /// eviction order; its state is persisted in the checkpoint store.
-    WorkerYielded {
-        /// Uncore cycle of the yielded checkpoint.
-        cycle: u64,
-    },
     /// client → daemon: finish in-flight work and exit.
     Shutdown,
     /// daemon → client: shutdown acknowledged.
@@ -231,30 +212,6 @@ pub enum Msg {
         /// Suggested client backoff, milliseconds.
         retry_after_ms: u64,
     },
-    /// peer → daemon: first frame of the shared-secret handshake.
-    AuthHello,
-    /// daemon → peer: prove possession of the secret for this nonce.
-    Challenge {
-        /// Fresh per-connection challenge.
-        nonce: u64,
-    },
-    /// peer → daemon: the proof. The nonce is echoed so a response
-    /// replayed from another connection is typed as *stale*.
-    AuthResponse {
-        /// Echo of the challenged nonce.
-        nonce: u64,
-        /// HMAC-SHA256(secret, domain ‖ nonce), see [`crate::auth`].
-        mac: Vec<u8>,
-    },
-    /// daemon → peer: handshake accepted; the frame protocol proper
-    /// starts with the peer's next message.
-    AuthOk,
-    /// daemon → peer: handshake (or an unauthenticated first frame on a
-    /// secured daemon) rejected; the connection closes after this.
-    AuthReject {
-        /// Why.
-        reason: String,
-    },
     /// client → daemon: report scheduler/utilization counters.
     QueryStats,
     /// daemon → client: the [`FabricReport`] snapshot.
@@ -264,10 +221,8 @@ pub enum Msg {
     },
 }
 
-/// The single raw byte the daemon writes on a worker's control
-/// connection to order an eviction at the next checkpoint boundary.
-pub const EVICT_BYTE: u8 = b'E';
-
+// Tags 4, 9 and 13–17 belonged to messages that no longer exist. They
+// are not reused, so a peer that still sends one gets a typed `BadTag`.
 impl Snap for Msg {
     fn save(&self, w: &mut SnapWriter) {
         match self {
@@ -304,10 +259,6 @@ impl Snap for Msg {
                 w.u8(3);
                 w.u64(*token);
             }
-            Msg::ControlHello { token } => {
-                w.u8(4);
-                w.u64(*token);
-            }
             Msg::Assign { spec } => {
                 w.u8(5);
                 spec.save(w);
@@ -324,31 +275,12 @@ impl Snap for Msg {
                 w.u8(8);
                 w.str(error);
             }
-            Msg::WorkerYielded { cycle } => {
-                w.u8(9);
-                w.u64(*cycle);
-            }
             Msg::Shutdown => w.u8(10),
             Msg::ShutdownAck => w.u8(11),
             Msg::Busy { id, retry_after_ms } => {
                 w.u8(12);
                 w.u64(*id);
                 w.u64(*retry_after_ms);
-            }
-            Msg::AuthHello => w.u8(13),
-            Msg::Challenge { nonce } => {
-                w.u8(14);
-                w.u64(*nonce);
-            }
-            Msg::AuthResponse { nonce, mac } => {
-                w.u8(15);
-                w.u64(*nonce);
-                w.bytes(mac);
-            }
-            Msg::AuthOk => w.u8(16),
-            Msg::AuthReject { reason } => {
-                w.u8(17);
-                w.str(reason);
             }
             Msg::QueryStats => w.u8(18),
             Msg::Stats { report } => {
@@ -379,7 +311,6 @@ impl Snap for Msg {
                 error: r.str()?,
             },
             3 => Msg::WorkerHello { token: r.u64()? },
-            4 => Msg::ControlHello { token: r.u64()? },
             5 => Msg::Assign {
                 spec: PointSpec::load(r)?,
             },
@@ -388,21 +319,12 @@ impl Snap for Msg {
                 outcome: PointOutcome::load(r)?,
             },
             8 => Msg::WorkerFailed { error: r.str()? },
-            9 => Msg::WorkerYielded { cycle: r.u64()? },
             10 => Msg::Shutdown,
             11 => Msg::ShutdownAck,
             12 => Msg::Busy {
                 id: r.u64()?,
                 retry_after_ms: r.u64()?,
             },
-            13 => Msg::AuthHello,
-            14 => Msg::Challenge { nonce: r.u64()? },
-            15 => Msg::AuthResponse {
-                nonce: r.u64()?,
-                mac: r.bytes()?.to_vec(),
-            },
-            16 => Msg::AuthOk,
-            17 => Msg::AuthReject { reason: r.str()? },
             18 => Msg::QueryStats,
             19 => Msg::Stats {
                 report: FabricReport::load(r)?,
@@ -515,7 +437,6 @@ mod tests {
                 error: "boom".into(),
             },
             Msg::WorkerHello { token: 3 },
-            Msg::ControlHello { token: 3 },
             Msg::Assign {
                 spec: sample_spec(),
             },
@@ -531,22 +452,11 @@ mod tests {
                 },
             },
             Msg::WorkerFailed { error: "no".into() },
-            Msg::WorkerYielded { cycle: 8192 },
             Msg::Shutdown,
             Msg::ShutdownAck,
             Msg::Busy {
                 id: 4,
                 retry_after_ms: 25,
-            },
-            Msg::AuthHello,
-            Msg::Challenge { nonce: u64::MAX },
-            Msg::AuthResponse {
-                nonce: 77,
-                mac: vec![0xAB; 32],
-            },
-            Msg::AuthOk,
-            Msg::AuthReject {
-                reason: "bad credentials".into(),
             },
             Msg::QueryStats,
             Msg::Stats {

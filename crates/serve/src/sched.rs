@@ -17,8 +17,8 @@
 //!   straight-through and results persist), memoized, and answered to
 //!   every waiter; a failed point reaches every waiter and leaves no memo
 //!   entry and no checkpoint blob behind;
-//! - **requeues**: a point that yielded at a checkpoint, or whose worker
-//!   died, returns to the front of its class and resumes from its blob;
+//! - **requeues**: a point whose worker died returns to the front of its
+//!   class and resumes from its blob;
 //! - the [`FabricStats`] counters and the [`FabricReport`] snapshot.
 //!
 //! The core keeps no record of its queue on disk. When the daemon dies,
@@ -55,8 +55,6 @@ pub struct FabricStats {
     pub disk_hits: u64,
     /// Workers that died (or lost their connection) mid-point.
     pub worker_deaths: u64,
-    /// Points preempted at a checkpoint and requeued.
-    pub evictions: u64,
     /// Completed executions that resumed from a checkpoint blob.
     pub resumed: u64,
     /// Executions that found an unusable checkpoint blob and restarted
@@ -66,8 +64,6 @@ pub struct FabricStats {
     pub failed: u64,
     /// Submissions shed by the bounded admission queue ([`Msg::Busy`]).
     pub busy_rejections: u64,
-    /// Connections rejected by the shared-secret handshake.
-    pub auth_failures: u64,
     /// High-water mark of the admission queue.
     pub max_queue_depth: u64,
 }
@@ -79,12 +75,10 @@ snap_struct!(FabricStats {
     memo_hits,
     disk_hits,
     worker_deaths,
-    evictions,
     resumed,
     restarts_from_zero,
     failed,
     busy_rejections,
-    auth_failures,
     max_queue_depth,
 });
 
@@ -101,7 +95,7 @@ pub struct FabricReport {
     /// Workers currently running a point.
     pub busy_workers: u64,
     /// Registered workers: in-process worker threads and worker
-    /// processes, local and remote, that have connected and not died.
+    /// processes that have connected and not died.
     pub total_workers: u64,
     /// `(client, points dispatched)` per client, ascending by client.
     pub shares: Vec<(u64, u64)>,
@@ -129,8 +123,7 @@ impl FabricReport {
         format!(
             "fabric: queue {} (hi {} norm {} low {}, peak {}) | workers {}/{} busy | \
              executed {} failed {} | dedupe memo {} disk {} coalesced {} | \
-             resumed {} restarts0 {} deaths {} evictions {} | \
-             busy-shed {} auth-rejects {} | shares [{shares}]",
+             resumed {} restarts0 {} deaths {} | busy-shed {} | shares [{shares}]",
             self.queue_depth,
             self.queue_by_class[0],
             self.queue_by_class[1],
@@ -146,9 +139,7 @@ impl FabricReport {
             s.resumed,
             s.restarts_from_zero,
             s.worker_deaths,
-            s.evictions,
             s.busy_rejections,
-            s.auth_failures,
         )
     }
 }
@@ -194,8 +185,7 @@ impl ClassQueue {
     }
 
     /// Front-of-line insertion: the client also moves to the head of
-    /// the ring, so a requeued (evicted / orphaned) point resumes
-    /// before fresh work.
+    /// the ring, so an orphaned point resumes before fresh work.
     fn push_front(&mut self, client: u64, key: String) {
         let q = self.per_client.entry(client).or_default();
         if q.is_empty() {
@@ -300,8 +290,7 @@ impl<R> Sched<R> {
     /// Submission `id` from `client`, answered at `to`: a memo hit, a
     /// coalesce onto a twin, a disk hit, a [`Msg::Busy`] past the
     /// admission bound, or a fresh job. A spec without a checkpoint
-    /// cadence gets the daemon's, so that it can be preempted and
-    /// survive its worker.
+    /// cadence gets the daemon's, so that it survives its worker.
     pub fn submit(
         &mut self,
         client: u64,
@@ -315,7 +304,7 @@ impl<R> Sched<R> {
         if spec.params.checkpoint_every == 0 {
             // Observability-only knob, normalized out of the cache key
             // and proven result-neutral by the restore-equivalence
-            // suite — safe to overlay the fabric's preemption cadence.
+            // suite — safe to overlay the fabric's recovery cadence.
             spec.params.checkpoint_every = self.checkpoint_every;
         }
         if let Some(result) = self.memo.get(&key) {
@@ -434,35 +423,15 @@ impl<R> Sched<R> {
             .collect()
     }
 
-    /// The point `key` yielded at a checkpoint after an eviction order.
-    pub fn yielded(&mut self, key: &str) {
-        self.requeue(key);
-        self.stats.evictions += 1;
-    }
-
-    /// A registered worker died while running `key`.
+    /// A registered worker died while running `key`: the point returns
+    /// to the *front* of its owner's class, so it resumes promptly from
+    /// its persisted checkpoint.
     pub fn worker_died(&mut self, key: &str) {
-        self.requeue(key);
-        self.workers -= 1;
-        self.stats.worker_deaths += 1;
-    }
-
-    /// Returns a point to the *front* of its owner's class so it resumes
-    /// promptly from its persisted checkpoint.
-    fn requeue(&mut self, key: &str) {
         let job = self.jobs.get_mut(key).expect("a running key has a job");
         job.worker = None;
         self.classes[job.priority.class()].push_front(job.client, key.to_string());
-    }
-
-    /// The worker running `key`, if it is running.
-    pub fn running_on(&self, key: &str) -> Option<u64> {
-        self.jobs.get(key).and_then(|job| job.worker)
-    }
-
-    /// A connection failed the shared-secret handshake.
-    pub fn count_auth_failure(&mut self) {
-        self.stats.auth_failures += 1;
+        self.workers -= 1;
+        self.stats.worker_deaths += 1;
     }
 
     /// Counters plus queue and worker occupancy.

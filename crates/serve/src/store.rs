@@ -23,7 +23,7 @@
 //!   because entries for one key are byte-identical by determinism. A
 //!   write that fails is an `io::Error` naming the path, never a panic.
 //! * **Checkpoints.** `<dir>/ckpt/<key>.snap` blobs — the fabric's
-//!   preemption/migration currency. Same unique-temp discipline; an
+//!   recovery currency. Same unique-temp discipline; an
 //!   undecodable blob is a miss (restart from cycle 0), reusing the PR-5
 //!   `SnapError` paths.
 

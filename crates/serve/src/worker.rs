@@ -4,19 +4,19 @@
 //! [`run_exact_point`] is the single code path that executes one exact
 //! experiment point: it resumes from a persisted checkpoint when asked,
 //! writes a fresh blob at every checkpoint boundary, and can yield mid-run
-//! when the scheduler asks. [`run_one_point`] is what a fabric worker
-//! runs: it always resumes (that is what makes worker death and eviction
-//! cheap: whoever picks the point up next continues from the last blob).
-//! The in-process sweep calls [`run_exact_point`] directly and resumes
-//! only under `--resume`.
+//! when its caller asks. [`run_one_point`] is what a fabric worker runs:
+//! it always resumes (that is what makes worker death cheap: whoever
+//! picks the point up next continues from the last blob). The in-process
+//! sweep calls [`run_exact_point`] directly and resumes only under
+//! `--resume`.
 //!
 //! [`worker_main`] is every fabric worker's loop — a daemon's in-process
-//! worker thread, a worker process it spawned, or one joining from
-//! another host: connect to the daemon, say hello on a main and a control
-//! connection, then loop executing [`Msg::Assign`]ments until told to
-//! shut down (or the daemon goes away).
+//! worker thread, a worker process it spawned, or a `bvl-serve --worker`
+//! started by hand on the same host: connect to the daemon, say hello,
+//! then loop executing [`Msg::Assign`]ments over that one connection
+//! until told to shut down (or the daemon goes away).
 
-use crate::proto::{self, Msg, ProtoError, EVICT_BYTE};
+use crate::proto::{self, Msg, ProtoError};
 use crate::spec::PointSpec;
 use crate::store::ResultStore;
 use bvl_sim::{
@@ -25,7 +25,6 @@ use bvl_sim::{
 };
 use bvl_snap::snap_struct;
 use bvl_workloads::Workload;
-use std::io::{self, Read};
 use std::net::TcpStream;
 use std::path::Path;
 use std::time::Instant;
@@ -62,8 +61,8 @@ snap_struct!(PointOutcome {
 pub enum PointRun {
     /// Ran to completion.
     Finished(Box<PointOutcome>),
-    /// Yielded at a checkpoint (the blob is persisted in the store);
-    /// the point should be re-queued and resumed elsewhere.
+    /// Yielded at a checkpoint because the callback asked (the blob is
+    /// persisted in the store); a later run resumes from it.
     Yielded {
         /// Uncore cycle of the yielded checkpoint.
         cycle: u64,
@@ -204,59 +203,28 @@ pub fn run_exact_point(
     }
 }
 
-/// Polls a non-blocking control connection for an eviction order.
-/// Returns `true` when [`EVICT_BYTE`] (or EOF — a vanished daemon) is
-/// seen.
-fn control_says_evict(control: &mut TcpStream) -> bool {
-    let mut buf = [0u8; 16];
-    match control.read(&mut buf) {
-        Ok(0) => true, // daemon hung up; stop working promptly
-        Ok(n) => buf[..n].contains(&EVICT_BYTE),
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
-        Err(_) => true,
-    }
-}
-
-/// The worker loop: connect to the daemon at `addr` (possibly on another
-/// host), identify with `token`, and execute assignments against the
-/// store at `store_dir` until shut down.
-/// When `secret` is given, both connections run the [`crate::auth`]
-/// handshake before their hello — which also interoperates with an
-/// open loopback daemon (it acks the hello without a challenge).
-/// Returns when the daemon says [`Msg::Shutdown`] or closes the
-/// connection.
+/// The worker loop: connect to the daemon at `addr`, identify with
+/// `token`, and execute assignments against the store at `store_dir`
+/// until shut down. Returns when the daemon says [`Msg::Shutdown`] or
+/// goes away. A daemon that vanishes mid-point is noticed when a
+/// `Progress` write fails, at most two checkpoints later (one write may
+/// still succeed after the daemon's socket closed; it draws the reset
+/// that fails the next): the worker stops at that checkpoint and keeps
+/// its blob, so the next daemon on the same store resumes the point
+/// from it.
 ///
 /// # Errors
 ///
-/// Connection setup or handshake failures (a wrong secret is a typed
-/// rejection, surfaced here as an error string); once the loop is
-/// running, daemon disappearance is a clean return, not an error.
-pub fn worker_main(
-    addr: &str,
-    token: u64,
-    store_dir: impl AsRef<Path>,
-    secret: Option<&[u8]>,
-) -> Result<(), String> {
+/// Connection setup failures; once the loop is running, daemon
+/// disappearance is a clean return, not an error.
+pub fn worker_main(addr: &str, token: u64, store_dir: impl AsRef<Path>) -> Result<(), String> {
     let store = ResultStore::new(store_dir.as_ref());
-    let mut main = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    main.set_nodelay(true).ok();
-    if let Some(secret) = secret {
-        crate::auth::client_handshake(&mut main, secret).map_err(|e| format!("auth: {e}"))?;
-    }
-    proto::write_msg(&mut main, &Msg::WorkerHello { token }).map_err(|e| format!("hello: {e}"))?;
-    let mut control = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    if let Some(secret) = secret {
-        crate::auth::client_handshake(&mut control, secret)
-            .map_err(|e| format!("control auth: {e}"))?;
-    }
-    proto::write_msg(&mut control, &Msg::ControlHello { token })
-        .map_err(|e| format!("control hello: {e}"))?;
-    control
-        .set_nonblocking(true)
-        .map_err(|e| format!("control nonblocking: {e}"))?;
+    let mut conn = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    conn.set_nodelay(true).ok();
+    proto::write_msg(&mut conn, &Msg::WorkerHello { token }).map_err(|e| format!("hello: {e}"))?;
 
     loop {
-        let msg = match proto::read_msg(&mut main) {
+        let msg = match proto::read_msg(&mut conn) {
             Ok(m) => m,
             Err(e) if e.is_clean_eof() => return Ok(()),
             Err(ProtoError::Io(_)) | Err(ProtoError::Truncated) => return Ok(()),
@@ -264,22 +232,15 @@ pub fn worker_main(
         };
         match msg {
             Msg::Assign { spec } => {
-                // Drain any eviction byte left over from a previous
-                // assignment's race (evicted right as it finished). Only
-                // actual bytes are drained — EOF/errors are left for the
-                // in-run poll, which treats them as an eviction.
-                let mut drain = [0u8; 16];
-                while matches!(control.read(&mut drain), Ok(n) if n > 0) {}
-                let mut cb = |cycle: u64| {
-                    let _ = proto::write_msg(&mut main, &Msg::Progress { cycle });
-                    control_says_evict(&mut control)
-                };
+                let mut cb =
+                    |cycle: u64| proto::write_msg(&mut conn, &Msg::Progress { cycle }).is_err();
                 let reply = match run_one_point(&spec, &store, &mut cb) {
                     Ok(PointRun::Finished(outcome)) => Msg::WorkerDone { outcome: *outcome },
-                    Ok(PointRun::Yielded { cycle }) => Msg::WorkerYielded { cycle },
+                    // Only a vanished daemon stops a point at a checkpoint.
+                    Ok(PointRun::Yielded { .. }) => return Ok(()),
                     Err(error) => Msg::WorkerFailed { error },
                 };
-                if proto::write_msg(&mut main, &reply).is_err() {
+                if proto::write_msg(&mut conn, &reply).is_err() {
                     return Ok(()); // daemon vanished
                 }
             }

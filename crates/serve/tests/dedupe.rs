@@ -215,7 +215,7 @@ fn a_coalesced_failure_reaches_every_waiter_and_is_not_negatively_cached() {
 
     let worker = {
         let addr = addr.to_string();
-        std::thread::spawn(move || worker_main(&addr, 1, store_dir, None))
+        std::thread::spawn(move || worker_main(&addr, 1, store_dir))
     };
     for (client, id) in [(&mut c1, id1), (&mut c2, id2)] {
         match client.recv().expect("failure reply") {

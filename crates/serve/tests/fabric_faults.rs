@@ -7,8 +7,6 @@
 //! * a worker *process* SIGKILLed mid-point loses at most one checkpoint
 //!   interval — the point completes on the replacement worker, resumed
 //!   from the last persisted blob, with a byte-identical result;
-//! * an eviction order preempts the point at its next checkpoint and it
-//!   resumes (byte-identically) on the next assignment;
 //! * a garbage/truncated checkpoint blob is a *miss* (the PR-5
 //!   `SnapError` path): the point silently restarts from cycle 0;
 //! * a decodable blob for the wrong parameters is rejected by the
@@ -16,10 +14,12 @@
 //! * a checkpoint that cannot be written fails its point with an error
 //!   naming the key — it does not kill the worker;
 //! * a result that cannot be stored is still served, and the daemon
-//!   keeps answering.
+//!   keeps answering;
+//! * a client whose batch failed gets its next batch's own results, not
+//!   the failed batch's late replies.
 //!
-//! Eviction, the restart count and the unwritable checkpoint run once on
-//! an in-process worker and once on a `bvl-serve --worker` process: both
+//! The restart count and the unwritable checkpoint run once on an
+//! in-process worker and once on a `bvl-serve --worker` process: both
 //! kinds of worker take the same path through the daemon.
 
 use bvl_serve::{
@@ -152,48 +152,6 @@ fn sigkilled_worker_loses_at_most_one_interval_and_the_point_completes_byte_iden
     assert_eq!(s.failed, 0, "{s:?}");
 
     daemon.shutdown();
-    fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-#[test]
-fn evicted_point_yields_at_a_checkpoint_and_resumes_byte_identically() {
-    let dir = scratch("evict");
-    let spec = the_point();
-    let expected = reference(&spec, &dir);
-
-    for worker in [Worker::InProcess, Worker::Process] {
-        // One worker, ordered to evict its point at the first progress
-        // report. The point yields at that checkpoint, is requeued, and
-        // the same worker resumes it on the next assignment (the fault
-        // is one-shot, so it does not re-fire).
-        let daemon = Daemon::start(one_worker(
-            &dir,
-            worker,
-            FaultPlan {
-                evict_on_progress: vec![(1, 1)],
-                ..FaultPlan::default()
-            },
-        ))
-        .expect("daemon");
-
-        let mut client = Client::connect(daemon.addr()).expect("connect");
-        let results = client
-            .run_points(std::slice::from_ref(&spec))
-            .expect("served point");
-        assert_eq!(
-            results[0].result, expected,
-            "{worker:?}: result after an eviction diverged from the straight-through run"
-        );
-        assert!(results[0].resumed, "{worker:?}");
-
-        let s = daemon.stats();
-        assert_eq!(s.evictions, 1, "{worker:?}: {s:?}");
-        assert_eq!(s.executed, 1, "{worker:?}: {s:?}");
-        assert_eq!(s.resumed, 1, "{worker:?}: {s:?}");
-        assert_eq!(s.worker_deaths, 0, "{worker:?}: {s:?}");
-
-        daemon.shutdown();
-    }
     fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -387,5 +345,48 @@ fn an_unwritable_result_is_still_served_and_the_daemon_keeps_answering() {
     let s = report.stats;
     assert_eq!(s.executed, 1, "{s:?}");
     assert_eq!(s.failed, 0, "{s:?}");
+    fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn a_client_survives_a_failed_batch_and_gets_its_next_batch_s_own_results() {
+    let dir = scratch("failed-batch");
+    let named = |name: &str| PointSpec {
+        workload_key: format!("{name}@tiny"),
+        workload: WorkloadSpec::Named {
+            name: name.into(),
+            scale: Scale::tiny(),
+        },
+        ..the_point()
+    };
+    let doomed = PointSpec {
+        params: SimParams {
+            max_uncore_cycles: 1000,
+            ..SimParams::default()
+        },
+        ..the_point()
+    };
+    let doomed_key = doomed.key();
+    let (good, next) = (named("vvadd"), named("saxpy"));
+    let expected = reference(&next, &dir);
+
+    // One worker runs the first batch in order: the doomed point fails,
+    // and the good point's reply is still due when `run_points` returns.
+    let daemon = Daemon::start(DaemonConfig::threads_only(1, dir.join("cache"))).expect("daemon");
+    let addr = daemon.addr();
+    let (first, second) = within_deadline("two batches on one client", move || {
+        let mut client = Client::connect(addr).expect("connect");
+        let first = client.run_points(&[doomed, good]);
+        (first, client.run_points(&[next]))
+    });
+    let err = first.expect_err("a batch with a failing point fails");
+    assert!(err.contains(&doomed_key), "error names no key: {err}");
+    let served = second.expect("the next batch is served");
+    assert_eq!(served.len(), 1);
+    assert_eq!(
+        served[0].result, expected,
+        "the next batch got a reply meant for the failed one"
+    );
+    daemon.shutdown();
     fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -93,7 +93,7 @@ fn soak_mixed_priorities_against_a_bounded_queue_complete_exactly_once() {
     let workers: Vec<_> = (1..=2)
         .map(|token| {
             let (addr, store) = (addr.to_string(), store.clone());
-            std::thread::spawn(move || worker_main(&addr, token, store, None))
+            std::thread::spawn(move || worker_main(&addr, token, store))
         })
         .collect();
 
