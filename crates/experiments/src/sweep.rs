@@ -22,9 +22,10 @@
 //! * `--no-cache` forces a cold run: every unique point simulates fresh
 //!   and nothing is read from or written to either cache layer;
 //! * with `--checkpoint-every N`, every in-flight point periodically
-//!   writes a whole-system checkpoint under `<cache_dir>/ckpt/` (deleted
-//!   when the point completes), and `--resume` restarts interrupted
-//!   points from their last checkpoint instead of cycle 0 — both through
+//!   writes a whole-system checkpoint over the older of its two slot
+//!   files under `<cache_dir>/ckpt/` (both deleted when the point
+//!   completes), and `--resume` restarts interrupted points from their
+//!   newest slot that decodes instead of cycle 0 — both through
 //!   [`bvl_serve::worker::run_exact_point`], the exact-point runner
 //!   every fabric worker uses too. Resumed results are byte-identical
 //!   by the restore-equivalence contract but are deliberately *not*

@@ -17,7 +17,8 @@
 //!    (`busy + Σstalls == cycles`, `hits + misses + merges == accesses`,
 //!    L1→L2→DRAM flow, VMU→bank line delivery) checked over a snapshot
 //!    by [`check_conservation`]. `bvl_sim::verify_conservation` wraps it
-//!    for `RunResult`, and debug builds run it after every simulation.
+//!    for `RunResult`, and every build checks it at the end of every
+//!    exact run and sampled window.
 //!    The contracts each component promises are documented in
 //!    `DESIGN.md` §4.10.
 

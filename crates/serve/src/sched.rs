@@ -57,8 +57,9 @@ pub struct FabricStats {
     pub worker_deaths: u64,
     /// Completed executions that resumed from a checkpoint blob.
     pub resumed: u64,
-    /// Executions that found an unusable checkpoint blob and restarted
-    /// from cycle 0.
+    /// Executions whose newest decodable checkpoint blob did not restore,
+    /// so they restarted from cycle 0 (see
+    /// [`PointOutcome::restarted_from_zero`](crate::PointOutcome::restarted_from_zero)).
     pub restarts_from_zero: u64,
     /// Points whose simulation failed.
     pub failed: u64,

@@ -22,10 +22,16 @@
 //!   keeps every visible file complete, and last-writer-wins is safe
 //!   because entries for one key are byte-identical by determinism. A
 //!   write that fails is an `io::Error` naming the path, never a panic.
-//! * **Checkpoints.** `<dir>/ckpt/<key>.snap` blobs — the fabric's
-//!   recovery currency. Same unique-temp discipline; an
-//!   undecodable blob is a miss (restart from cycle 0), reusing the PR-5
-//!   `SnapError` paths.
+//! * **Checkpoints.** Two slot files per point, `<dir>/ckpt/<key>.snap`
+//!   and `<key>.1.snap` — the fabric's recovery currency. A checkpoint
+//!   overwrites, in place, the slot that does not hold the newest blob
+//!   ([`CkptSlots`]), so a writer killed mid-write leaves the previous
+//!   blob whole. No rename: replacing a file makes the filesystem
+//!   allocate the new file's blocks and free the old one's at every
+//!   checkpoint, while an overwrite reuses the blocks already there. A
+//!   resume takes the newest slot that decodes; a torn or undecodable
+//!   slot is skipped, reusing the `SnapError` paths, and with
+//!   neither usable the point restarts from cycle 0.
 
 use bvl_core::types::CoreStats;
 use bvl_mem::MemStats;
@@ -33,8 +39,8 @@ use bvl_obs::StatsSnapshot;
 use bvl_runtime::RuntimeStats;
 use bvl_sim::{params_fingerprint, RunResult, SamplingMeta, SimParams, SysState, SystemKind};
 use serde_json::Value;
-use std::fs;
-use std::io;
+use std::fs::{self, OpenOptions};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// The cache key for a (system, workload-instance, params) point.
@@ -76,12 +82,17 @@ impl ResultStore {
         self.dir.join(format!("{key}.json"))
     }
 
-    /// Where `key`'s in-flight checkpoint blob lives. Kept in a
-    /// subdirectory so result JSONs and checkpoint blobs cannot collide,
-    /// and so resumption can tell "completed" (JSON present) from
-    /// "interrupted" (blob present) at a glance.
-    pub fn ckpt_path(&self, key: &str) -> PathBuf {
-        self.dir.join("ckpt").join(format!("{key}.snap"))
+    /// Where `key`'s two checkpoint slots live. Kept in a subdirectory
+    /// so result JSONs and checkpoint blobs cannot collide, and so
+    /// resumption can tell "completed" (JSON present) from "interrupted"
+    /// (a slot present) at a glance. Slot 0 keeps the one-blob name of
+    /// earlier versions, so a blob one of them left behind still resumes.
+    pub fn ckpt_paths(&self, key: &str) -> [PathBuf; 2] {
+        let dir = self.dir.join("ckpt");
+        [
+            dir.join(format!("{key}.snap")),
+            dir.join(format!("{key}.1.snap")),
+        ]
     }
 
     /// Loads `key`'s result if present and decodable. Anything else —
@@ -101,39 +112,117 @@ impl ResultStore {
         write_atomic(&self.result_path(key), text.as_bytes())
     }
 
-    /// Persists a checkpoint blob for `key` atomically, so an interrupt
-    /// (or a concurrent reader in another fabric process) never sees a
-    /// torn blob. (A torn blob would still be rejected by the frame
-    /// checksum — the rename keeps the window empty, not merely
-    /// survivable.)
+    /// A writer of `key`'s checkpoint slots for one run. `resumed_from`
+    /// is the slot the run resumed from, whose blob the writer must not
+    /// overwrite first; a run that did not resume passes `None`, and the
+    /// writer clears both slots before its first write, so no blob of an
+    /// earlier run can outrank the new ones.
+    pub fn checkpoint_slots(&self, key: &str, resumed_from: Option<usize>) -> CkptSlots {
+        CkptSlots {
+            paths: self.ckpt_paths(key),
+            next: resumed_from.map_or(0, |slot| 1 - slot),
+            clear_first: resumed_from.is_none(),
+        }
+    }
+
+    /// Loads the newest blob of `key`'s two slots that decodes, with the
+    /// slot it came from. A missing slot is skipped, and so is one that
+    /// does not decode (torn by a killed writer, or from an older
+    /// simulator); with neither usable this is a miss, not an error, and
+    /// the point restarts from cycle 0.
+    pub fn load_checkpoint(&self, key: &str) -> Option<(usize, SysState)> {
+        self.ckpt_paths(key)
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, path)| {
+                let bytes = fs::read(path).ok()?;
+                match SysState::from_bytes(&bytes) {
+                    Ok(state) => Some((slot, state)),
+                    Err(e) => {
+                        eprintln!("{}: ignoring undecodable checkpoint ({e})", path.display());
+                        None
+                    }
+                }
+            })
+            .max_by_key(|(_, state)| state.uncore_cycle())
+    }
+
+    /// Removes both of `key`'s checkpoint slots (a completed or failed
+    /// point no longer counts as interrupted). Missing files are fine.
+    pub fn remove_checkpoint(&self, key: &str) {
+        for path in self.ckpt_paths(key) {
+            let _ = fs::remove_file(path);
+        }
+    }
+}
+
+/// The writer of one point's two checkpoint slots, made by
+/// [`ResultStore::checkpoint_slots`]. Each write overwrites, in place,
+/// the slot that does not hold the newest blob, so a writer killed
+/// mid-write leaves the previous blob whole (the torn slot fails its
+/// checksum on load). The writer remembers which slot is next: a
+/// checkpoint costs one encode and one write, with no temp file and no
+/// rename.
+#[derive(Debug)]
+pub struct CkptSlots {
+    paths: [PathBuf; 2],
+    next: usize,
+    clear_first: bool,
+}
+
+impl CkptSlots {
+    /// Writes `state` over the older slot.
     ///
     /// # Errors
     ///
     /// Any I/O failure, naming the path it happened at.
-    pub fn store_checkpoint(&self, key: &str, state: &SysState) -> io::Result<()> {
-        write_atomic(&self.ckpt_path(key), &state.to_bytes())
-    }
-
-    /// Loads `key`'s checkpoint blob if present and decodable; anything
-    /// else — no file, torn bytes, a version from an older simulator —
-    /// is a miss, not an error (the point just restarts from cycle 0).
-    pub fn load_checkpoint(&self, key: &str) -> Option<SysState> {
-        let path = self.ckpt_path(key);
-        let bytes = fs::read(&path).ok()?;
-        match SysState::from_bytes(&bytes) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("{}: ignoring undecodable checkpoint ({e})", path.display());
-                None
+    pub fn write(&mut self, state: &SysState) -> io::Result<()> {
+        if std::mem::take(&mut self.clear_first) {
+            for path in &self.paths {
+                match fs::remove_file(path) {
+                    Err(e) if e.kind() != io::ErrorKind::NotFound => {
+                        return Err(at("remove", path, e))
+                    }
+                    _ => {}
+                }
             }
         }
+        let slot = self.next;
+        overwrite(&self.paths[slot], &state.to_bytes())?;
+        self.next = 1 - slot;
+        Ok(())
     }
+}
 
-    /// Removes `key`'s checkpoint blob (a completed point no longer
-    /// counts as interrupted). Missing files are fine.
-    pub fn remove_checkpoint(&self, key: &str) {
-        let _ = fs::remove_file(self.ckpt_path(key));
+/// Replaces the contents of the file at `path` with `bytes` in place,
+/// creating the file, and its directory, when missing. The file is opened
+/// at every write, so a slot another process deleted meanwhile is
+/// created again rather than written through a handle to a deleted file.
+fn overwrite(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let open = || {
+        OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
+    };
+    let mut file = match open() {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            let dir = path.parent().expect("store path has a parent");
+            fs::create_dir_all(dir).map_err(|e| at("create", dir, e))?;
+            open()
+        }
+        opened => opened,
     }
+    .map_err(|e| at("open", path, e))?;
+    file.write_all(bytes)
+        .and_then(|()| file.set_len(bytes.len() as u64))
+        .map_err(|e| at("write", path, e))
+}
+
+/// `e`, with the step that failed and the path it failed at.
+fn at(step: &str, path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{step} {}: {e}", path.display()))
 }
 
 /// Creates `path`'s directory, then writes a unique temp file and renames
@@ -141,9 +230,6 @@ impl ResultStore {
 /// fabric processes writing the same key never clobber each other's
 /// in-progress temp files.
 fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let at = |step: &str, p: &Path, e: io::Error| {
-        io::Error::new(e.kind(), format!("{step} {}: {e}", p.display()))
-    };
     let dir = path.parent().expect("store path has a parent");
     fs::create_dir_all(dir).map_err(|e| at("create", dir, e))?;
     let mut name = path

@@ -42,8 +42,11 @@ pub struct PointOutcome {
     pub host_secs: f64,
     /// True when the run resumed from a persisted checkpoint.
     pub resumed: bool,
-    /// True when a checkpoint blob existed but was unusable (undecodable
-    /// or fingerprint-mismatched), so the point restarted from cycle 0.
+    /// True when a decodable checkpoint blob did not restore (its
+    /// fingerprints did not match this run, or its body did not fit the
+    /// rebuilt system), so the point restarted from cycle 0. A blob that
+    /// does not decode at all is skipped like a missing one and does not
+    /// count.
     pub restarted_from_zero: bool,
 }
 
@@ -69,8 +72,8 @@ pub enum PointRun {
     },
 }
 
-/// Executes one point against `store`, always resuming from an existing
-/// checkpoint blob for its key.
+/// Executes one point against `store`, always resuming from the newest
+/// decodable checkpoint blob of its key's two slots.
 ///
 /// `on_checkpoint(cycle)` fires after each checkpoint blob is persisted;
 /// returning `true` orders a yield at that very checkpoint. Sampled
@@ -115,17 +118,19 @@ pub fn run_one_point(
     )
 }
 
-/// Executes one exact point under cache key `key`, persisting a
-/// checkpoint blob in `store` at every boundary of the
-/// `params.checkpoint_every` cadence and deleting it once the point
-/// finishes. `on_checkpoint(cycle)` fires after each blob is persisted;
-/// returning `true` orders a yield at that very checkpoint.
+/// Executes one exact point under cache key `key`, writing a checkpoint
+/// blob into one of `key`'s two slots in `store` at every boundary of the
+/// `params.checkpoint_every` cadence and deleting both slots once the
+/// point finishes. `on_checkpoint(cycle)` fires after each blob is
+/// persisted; returning `true` orders a yield at that very checkpoint.
 ///
-/// With `resume`, an existing blob for `key` is resumed instead of
-/// starting at cycle 0. A blob that does not restore (its fingerprints do
-/// not match, or its body does not decode) is reported and the point
+/// With `resume`, the newest decodable blob for `key` is resumed instead
+/// of starting at cycle 0, and the run's first checkpoint goes to the
+/// other slot. A blob that does not restore (its fingerprints do not
+/// match, or its body does not decode) is reported and the point
 /// restarts from cycle 0; a resumed run that fails on its own fails like
-/// any other run, since starting over would fail the same way.
+/// any other run, since starting over would fail the same way. A run
+/// from cycle 0 clears both slots before its first checkpoint.
 ///
 /// # Errors
 ///
@@ -143,20 +148,21 @@ pub fn run_exact_point(
 ) -> Result<PointRun, String> {
     let start = Instant::now();
     let mut write_error = None;
-    let mut save = |state: &SysState| {
-        if let Err(e) = store.store_checkpoint(key, state) {
-            write_error = Some(e);
-            return CkptControl::Yield;
-        }
-        if on_checkpoint(state.uncore_cycle()) {
-            CkptControl::Yield
-        } else {
-            CkptControl::Continue
-        }
-    };
-    let mut run_from = |from: Option<&SysState>| {
+    let mut run_from = |from: Option<&(usize, SysState)>| {
+        let mut slots = store.checkpoint_slots(key, from.map(|&(slot, _)| slot));
+        let mut save = |state: &SysState| {
+            if let Err(e) = slots.write(state) {
+                write_error = Some(e);
+                return CkptControl::Yield;
+            }
+            if on_checkpoint(state.uncore_cycle()) {
+                CkptControl::Yield
+            } else {
+                CkptControl::Continue
+            }
+        };
         let hooks = Hooks {
-            resume: from,
+            resume: from.map(|(_, state)| state),
             on_checkpoint: Some(&mut save),
             want_state: false,
         };
@@ -167,12 +173,12 @@ pub fn run_exact_point(
     let mut restarted_from_zero = false;
     let resumed_out = saved
         .as_ref()
-        .and_then(|state| match run_from(Some(state)) {
+        .and_then(|saved| match run_from(Some(saved)) {
             Err(SimError::Restore(e)) => {
                 eprintln!(
                     "{key}: checkpoint at cycle {} not resumable ({e}); \
                  restarting from cycle 0",
-                    state.uncore_cycle()
+                    saved.1.uncore_cycle()
                 );
                 restarted_from_zero = true;
                 None
@@ -255,14 +261,11 @@ mod tests {
     use super::*;
     use crate::spec::WorkloadSpec;
     use bvl_workloads::Scale;
+    use std::fs;
 
-    /// A resumed run that fails on its own — here it exceeds the cycle
-    /// budget — reports that failure. Only a checkpoint that does not
-    /// restore sends the point back to cycle 0; restarting a run that
-    /// ran out of budget would fail the same way, only later.
-    #[test]
-    fn a_failing_resumed_run_is_not_restarted_from_zero() {
-        let spec = PointSpec {
+    /// `vvadd@tiny` on `1b-4VL`, checkpointed every 200 uncore cycles.
+    fn vvadd_point() -> PointSpec {
+        PointSpec {
             system: SystemKind::B4Vl,
             workload_key: "vvadd@tiny".into(),
             workload: WorkloadSpec::Named {
@@ -271,10 +274,245 @@ mod tests {
             },
             params: SimParams {
                 checkpoint_every: 200,
-                max_uncore_cycles: 1100,
                 ..SimParams::default()
             },
+        }
+    }
+
+    /// The result of a straight run of `spec` and every checkpoint it
+    /// takes.
+    fn straight_run(spec: &PointSpec) -> (RunResult, Vec<SysState>) {
+        let workload = spec.workload.build().expect("build the workload");
+        let mut checkpoints = Vec::new();
+        let hooks = Hooks {
+            on_checkpoint: Some(&mut |s: &SysState| {
+                checkpoints.push(s.clone());
+                CkptControl::Continue
+            }),
+            ..Hooks::default()
         };
+        let run = simulate_with(spec.system, &workload, &spec.params, hooks)
+            .expect("straight run")
+            .finished()
+            .expect("nothing orders a yield");
+        assert!(
+            checkpoints.len() > 4,
+            "too few checkpoints: lower the cadence"
+        );
+        (run.result, checkpoints)
+    }
+
+    /// A store in a fresh directory named after `tag`.
+    fn fresh_store(tag: &str) -> ResultStore {
+        let dir = std::env::temp_dir().join(format!("bvl-slots-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        ResultStore::new(dir)
+    }
+
+    /// Runs `spec` through [`run_one_point`], which always resumes, and
+    /// returns how it ended and the cycle of every checkpoint it wrote.
+    fn run_recorded(spec: &PointSpec, store: &ResultStore) -> (PointOutcome, Vec<u64>) {
+        let mut cycles = Vec::new();
+        let run = run_one_point(spec, store, &mut |cycle| {
+            cycles.push(cycle);
+            false
+        });
+        match run {
+            Ok(PointRun::Finished(out)) => (*out, cycles),
+            other => panic!("expected a finished point, got {other:?}"),
+        }
+    }
+
+    /// Writes `checkpoints`, oldest first, as a run from cycle 0 would.
+    fn plant(store: &ResultStore, key: &str, checkpoints: &[SysState]) {
+        let mut slots = store.checkpoint_slots(key, None);
+        for state in checkpoints {
+            slots.write(state).expect("plant a checkpoint");
+        }
+    }
+
+    #[test]
+    fn the_newest_decodable_slot_wins() {
+        let spec = vvadd_point();
+        let key = spec.key();
+        let (_, ckpts) = straight_run(&spec);
+        let store = fresh_store("newest");
+        plant(&store, &key, &ckpts[..2]);
+        assert_eq!(store.load_checkpoint(&key), Some((1, ckpts[1].clone())));
+
+        // A run that resumed slot 1 writes slot 0 next, which then holds
+        // the newest blob.
+        let mut slots = store.checkpoint_slots(&key, Some(1));
+        slots.write(&ckpts[2]).expect("write");
+        assert_eq!(store.load_checkpoint(&key), Some((0, ckpts[2].clone())));
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// Another process may delete both slots while a run still writes
+    /// them: a dead daemon's worker that completes the same point, or a
+    /// run from cycle 0 that clears them. The run's next checkpoint
+    /// lands in a file the store can read again, and so does the whole
+    /// `ckpt/` directory when that is gone too.
+    #[test]
+    fn a_slot_deleted_under_a_running_writer_is_written_again() {
+        let spec = vvadd_point();
+        let key = spec.key();
+        let (_, ckpts) = straight_run(&spec);
+        let store = fresh_store("deleted");
+        let mut slots = store.checkpoint_slots(&key, None);
+        slots.write(&ckpts[0]).expect("write");
+        slots.write(&ckpts[1]).expect("write");
+
+        store.remove_checkpoint(&key);
+        slots.write(&ckpts[2]).expect("write");
+        assert_eq!(store.load_checkpoint(&key), Some((0, ckpts[2].clone())));
+
+        fs::remove_dir_all(store.dir()).expect("remove the store");
+        slots.write(&ckpts[3]).expect("write");
+        assert_eq!(store.load_checkpoint(&key), Some((1, ckpts[3].clone())));
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// A writer killed mid-write leaves its slot torn: cut short, or with
+    /// bytes that fail the checksum. The point resumes from the older
+    /// slot, counts as resumed and not as a restart, finishes with the
+    /// straight run's result, and leaves neither slot behind.
+    #[test]
+    fn a_torn_newest_slot_falls_back_to_the_older_one() {
+        let spec = vvadd_point();
+        let key = spec.key();
+        let (expected, ckpts) = straight_run(&spec);
+        for what in ["truncated", "torn"] {
+            let store = fresh_store(what);
+            plant(&store, &key, &ckpts[..2]);
+            let newest = &store.ckpt_paths(&key)[1];
+            let mut blob = fs::read(newest).expect("read the newest slot");
+            let mid = blob.len() / 2;
+            if what == "truncated" {
+                blob.truncate(mid);
+            } else {
+                blob[mid] ^= 0x5a;
+            }
+            fs::write(newest, &blob).expect("tear the newest slot");
+
+            let (out, cycles) = run_recorded(&spec, &store);
+            assert!(out.resumed, "{what}: the point did not resume");
+            assert!(!out.restarted_from_zero, "{what}");
+            assert_eq!(out.result, expected, "{what}: resumed result diverged");
+            assert_eq!(
+                cycles.first(),
+                Some(&ckpts[1].uncore_cycle()),
+                "{what}: not resumed from the older slot's cycle {}",
+                ckpts[0].uncore_cycle()
+            );
+            assert!(
+                store.ckpt_paths(&key).iter().all(|path| !path.exists()),
+                "{what}: completion must delete both slots"
+            );
+            let _ = fs::remove_dir_all(store.dir());
+        }
+    }
+
+    /// Garbage in one slot and a truncated blob in the other: no blob to
+    /// resume, so the point starts from cycle 0 exactly as with one bad
+    /// blob, and that is not counted as a restart.
+    #[test]
+    fn with_both_slots_unusable_the_point_starts_from_cycle_zero() {
+        let spec = vvadd_point();
+        let key = spec.key();
+        let (expected, ckpts) = straight_run(&spec);
+        let store = fresh_store("unusable");
+        let [slot0, slot1] = store.ckpt_paths(&key);
+        fs::create_dir_all(slot0.parent().expect("a ckpt dir")).expect("ckpt dir");
+        fs::write(&slot0, b"BVLSnot-a-checkpoint").expect("plant garbage");
+        let blob = ckpts[3].to_bytes();
+        fs::write(&slot1, &blob[..blob.len() / 2]).expect("plant a cut blob");
+
+        let (out, cycles) = run_recorded(&spec, &store);
+        assert!(!out.resumed && !out.restarted_from_zero, "{out:?}");
+        assert_eq!(out.result, expected);
+        assert_eq!(cycles.first(), Some(&ckpts[0].uncore_cycle()));
+        assert!(!slot0.exists() && !slot1.exists());
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// Blobs an earlier run left at higher cycles would outrank a new
+    /// run's first checkpoint, so a run that does not resume clears both
+    /// slots before it writes.
+    #[test]
+    fn a_run_that_does_not_resume_leaves_no_stale_higher_slot() {
+        let spec = vvadd_point();
+        let key = spec.key();
+        let (_, ckpts) = straight_run(&spec);
+        let workload = spec.workload.build().expect("build vvadd");
+        let store = fresh_store("stale");
+        plant(&store, &key, &ckpts[ckpts.len() - 2..]);
+
+        let run = run_exact_point(
+            spec.system,
+            &workload,
+            &spec.params,
+            &key,
+            &store,
+            false,
+            &mut |_| true,
+        );
+        assert!(
+            matches!(run, Ok(PointRun::Yielded { cycle }) if cycle == ckpts[0].uncore_cycle()),
+            "{run:?}"
+        );
+        assert_eq!(store.load_checkpoint(&key), Some((0, ckpts[0].clone())));
+        assert!(!store.ckpt_paths(&key)[1].exists(), "a stale slot is left");
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// Resuming slot `s` leaves its blob whole until the run has written a
+    /// newer one into the other slot.
+    #[test]
+    fn the_first_checkpoint_after_a_resume_goes_to_the_other_slot() {
+        let spec = vvadd_point();
+        let key = spec.key();
+        let (_, ckpts) = straight_run(&spec);
+        let workload = spec.workload.build().expect("build vvadd");
+        for planted in [1, 2] {
+            let store = fresh_store(&format!("resume{planted}"));
+            plant(&store, &key, &ckpts[..planted]);
+            let from = planted - 1;
+            let path = &store.ckpt_paths(&key)[from];
+            let kept = fs::read(path).expect("read the resumed slot");
+
+            let run = run_exact_point(
+                spec.system,
+                &workload,
+                &spec.params,
+                &key,
+                &store,
+                true,
+                &mut |_| true,
+            );
+            let next = &ckpts[planted];
+            assert!(
+                matches!(run, Ok(PointRun::Yielded { cycle }) if cycle == next.uncore_cycle()),
+                "{run:?}"
+            );
+            assert_eq!(
+                fs::read(path).expect("reread"),
+                kept,
+                "slot {from} rewritten"
+            );
+            assert_eq!(store.load_checkpoint(&key), Some((1 - from, next.clone())));
+            let _ = fs::remove_dir_all(store.dir());
+        }
+    }
+
+    /// A resumed run that fails on its own — here it exceeds the cycle
+    /// budget — reports that failure. Only a checkpoint that does not
+    /// restore sends the point back to cycle 0; restarting a run that
+    /// ran out of budget would fail the same way, only later.
+    #[test]
+    fn a_failing_resumed_run_is_not_restarted_from_zero() {
+        let mut spec = vvadd_point();
+        spec.params.max_uncore_cycles = 1100;
         let workload = spec.workload.build().expect("build vvadd");
         let mut last = None;
         let hooks = Hooks {
@@ -292,7 +530,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bvl-worker-budget-{}", std::process::id()));
         let store = ResultStore::new(&dir);
         store
-            .store_checkpoint(&spec.key(), &planted)
+            .checkpoint_slots(&spec.key(), None)
+            .write(&planted)
             .expect("plant checkpoint");
         let mut reported = Vec::new();
         let err = run_one_point(&spec, &store, &mut |cycle| {

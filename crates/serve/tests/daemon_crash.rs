@@ -69,12 +69,17 @@ fn spawn_daemon(store: &Path, extra: &[&str]) -> (Child, String) {
 fn sigkilled_daemon_recovers_by_resubmission_byte_identically_with_zero_resimulation() {
     let dir = scratch("resubmit");
     let store_dir = dir.join("cache");
-    let names = ["mmult", "vvadd", "saxpy"];
+    let names = ["sw", "vvadd", "saxpy"];
 
-    // Precondition for the fault placement below: mmult@tiny must cross
-    // enough checkpoint boundaries at cadence 100 that killing the
-    // daemon at the 3rd progress report leaves real work outstanding.
-    let mmult_workload = spec("mmult").workload.build().expect("build mmult");
+    // Precondition for the fault placement below: the in-flight point
+    // must still be running when its worker notices the daemon is gone.
+    // The daemon aborts at the 3rd progress report, and the worker
+    // notices only when a later `Progress` write fails; a point that
+    // finishes first deletes its blob and has nothing to resume. A short
+    // point (mmult@tiny crosses 22 boundaries in a few ms) can finish
+    // before an aborting daemon's socket closes, so the point is sw@tiny,
+    // which crosses about a thousand.
+    let sw_workload = spec("sw").workload.build().expect("build sw");
     let cadenced = SimParams {
         checkpoint_every: 100,
         ..SimParams::default()
@@ -87,11 +92,11 @@ fn sigkilled_daemon_recovers_by_resubmission_byte_identically_with_zero_resimula
         }),
         ..Hooks::default()
     };
-    simulate_with(SystemKind::B4Vl, &mmult_workload, &cadenced, hooks).expect("cadence probe");
+    simulate_with(SystemKind::B4Vl, &sw_workload, &cadenced, hooks).expect("cadence probe");
     assert!(
-        boundaries >= 4,
-        "mmult@tiny crosses only {boundaries} checkpoints at cadence 100; \
-         lower the cadence in this test"
+        boundaries >= 100,
+        "sw@tiny crosses only {boundaries} checkpoints at cadence 100; \
+         pick a longer in-flight point for this test"
     );
 
     // Serverless reference: results + stored artifact files.
@@ -111,7 +116,7 @@ fn sigkilled_daemon_recovers_by_resubmission_byte_identically_with_zero_resimula
     }
 
     // Daemon #1: no workers of its own, armed to abort at the 3rd
-    // progress report — i.e. mid-mmult, after its 3rd checkpoint blob
+    // progress report — i.e. mid-sw, after its 3rd checkpoint blob
     // hit the disk.
     let (mut child, addr) = spawn_daemon(
         &store_dir,
@@ -119,10 +124,10 @@ fn sigkilled_daemon_recovers_by_resubmission_byte_identically_with_zero_resimula
     );
     let mut worker = {
         let mut client = Client::connect(&addr).expect("connect");
-        // mmult at High so the single worker picks it first; the other
+        // sw at High so the single worker picks it first; the other
         // two queue behind it and die with the daemon.
         client.set_priority(Priority::High);
-        client.submit(&spec("mmult")).expect("submit mmult");
+        client.submit(&spec("sw")).expect("submit sw");
         client.set_priority(Priority::Normal);
         client.submit(&spec("vvadd")).expect("submit vvadd");
         client.submit(&spec("saxpy")).expect("submit saxpy");
@@ -134,7 +139,7 @@ fn sigkilled_daemon_recovers_by_resubmission_byte_identically_with_zero_resimula
             .arg(&store_dir)
             .spawn()
             .expect("spawn bvl-serve --worker");
-        // The daemon aborts mid-mmult; the connection dies with it.
+        // The daemon aborts mid-sw; the connection dies with it.
         loop {
             if client.recv().is_err() {
                 break;
@@ -158,13 +163,13 @@ fn sigkilled_daemon_recovers_by_resubmission_byte_identically_with_zero_resimula
             &r.result, &expected[name],
             "{name}: recovered result diverged"
         );
-        assert_eq!(r.resumed, *name == "mmult", "{name}: {r:?}");
+        assert_eq!(r.resumed, *name == "sw", "{name}: {r:?}");
     }
     let s = client.stats().expect("stats").stats;
     assert_eq!(s.executed, 3, "{s:?}");
     assert_eq!(
         s.resumed, 1,
-        "the in-flight mmult must resume from its checkpoint: {s:?}"
+        "the in-flight sw must resume from its checkpoint: {s:?}"
     );
     assert_eq!(
         s.restarts_from_zero, 0,
@@ -182,23 +187,23 @@ fn sigkilled_daemon_recovers_by_resubmission_byte_identically_with_zero_resimula
         let reference = fs::read(ref_store.result_path(&key)).expect("reference file");
         assert_eq!(served, reference, "{name} artifact diverged after recovery");
     }
-    // The resumed mmult is PR-5-invariant territory: resumed completions
+    // The resumed sw falls under the resume invariant: resumed completions
     // are never persisted (their from-checkpoint stats are not those of
     // a from-zero run), so no result file may exist...
-    let mmult_key = spec("mmult").key();
+    let sw_key = spec("sw").key();
     assert!(
-        !store.result_path(&mmult_key).exists(),
+        !store.result_path(&sw_key).exists(),
         "a resumed completion must not be persisted to the disk store"
     );
     assert!(
-        !store.ckpt_path(&mmult_key).exists(),
-        "a finished point's checkpoint blob is deleted"
+        store.ckpt_paths(&sw_key).iter().all(|path| !path.exists()),
+        "a finished point's checkpoint slots are deleted"
     );
 
     // ...but the memo serves it, byte-equal to the reference, with zero
     // re-simulation — and the other two replay from memo/disk too.
     let served = client
-        .run_points(&[spec("mmult"), spec("vvadd"), spec("saxpy")])
+        .run_points(&[spec("sw"), spec("vvadd"), spec("saxpy")])
         .expect("resubmission sweep");
     for (name, r) in names.iter().zip(&served) {
         assert!(r.cache_hit, "{name}: resubmission must be a cache hit");

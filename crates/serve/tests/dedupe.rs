@@ -199,8 +199,10 @@ fn a_coalesced_failure_reaches_every_waiter_and_is_not_negatively_cached() {
     // Plant a stale checkpoint blob under the key: the failure path must
     // clear it, or a later resubmission would resume from poison.
     let store = ResultStore::new(&store_dir);
-    fs::create_dir_all(store.ckpt_path(&key).parent().unwrap()).unwrap();
-    fs::write(store.ckpt_path(&key), b"stale blob").unwrap();
+    for path in store.ckpt_paths(&key) {
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(path, b"stale blob").unwrap();
+    }
 
     // No worker yet: c1's submission queues, c2's coalesces onto it, and
     // only once a worker joins does the execution (and its failure)
@@ -231,8 +233,8 @@ fn a_coalesced_failure_reaches_every_waiter_and_is_not_negatively_cached() {
     assert_eq!(s.failed, 1, "one shared execution failed once: {s:?}");
     assert_eq!(s.executed, 0, "{s:?}");
     assert!(
-        !store.ckpt_path(&key).exists(),
-        "the failure must clear the checkpoint blob"
+        store.ckpt_paths(&key).iter().all(|path| !path.exists()),
+        "the failure must clear both checkpoint slots"
     );
 
     // No negative cache: the resubmission re-runs (and re-fails) rather

@@ -40,7 +40,8 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// The point all fault tests run: mmult@tiny on the paper system. Long
+/// The point the fault tests run, bar the worker kill's
+/// [`long_point`]: mmult@tiny on the paper system. Long
 /// enough to cross several checkpoint boundaries at the test cadence.
 fn the_point() -> PointSpec {
     PointSpec {
@@ -51,6 +52,22 @@ fn the_point() -> PointSpec {
             scale: Scale::tiny(),
         },
         params: SimParams::default(),
+    }
+}
+
+/// A point that runs long past its first checkpoint: sw@tiny crosses
+/// about a thousand boundaries at the test cadence. A worker killed at
+/// its first progress report must still be running its point when the
+/// kill lands, and mmult@tiny, done a few milliseconds later, can finish
+/// first and leave no blob to resume.
+fn long_point() -> PointSpec {
+    PointSpec {
+        workload_key: "sw@tiny".into(),
+        workload: WorkloadSpec::Named {
+            name: "sw".into(),
+            scale: Scale::tiny(),
+        },
+        ..the_point()
     }
 }
 
@@ -114,7 +131,7 @@ fn one_worker(dir: &std::path::Path, worker: Worker, fault_plan: FaultPlan) -> D
 #[test]
 fn sigkilled_worker_loses_at_most_one_interval_and_the_point_completes_byte_identically() {
     let dir = scratch("kill");
-    let spec = the_point();
+    let spec = long_point();
     let expected = reference(&spec, &dir);
 
     // One worker process (token 1), SIGKILLed on its first progress
@@ -168,8 +185,9 @@ fn garbage_checkpoint_blob_is_a_miss_and_the_point_restarts_cleanly() {
     let store_dir = dir.join("cache");
     let store = ResultStore::new(&store_dir);
     let key = spec.key();
-    fs::create_dir_all(store.ckpt_path(&key).parent().unwrap()).unwrap();
-    fs::write(store.ckpt_path(&key), b"BVLSnot-a-checkpoint").unwrap();
+    let [slot0, _] = store.ckpt_paths(&key);
+    fs::create_dir_all(slot0.parent().unwrap()).unwrap();
+    fs::write(&slot0, b"BVLSnot-a-checkpoint").unwrap();
 
     let cfg = DaemonConfig {
         persist: false,
@@ -210,7 +228,7 @@ fn garbage_checkpoint_blob_is_a_miss_and_the_point_restarts_cleanly() {
     simulate_with(spec.system, &workload, &cadenced, hooks).expect("capture run");
     let mut cut = blob.expect("run crossed no checkpoint — lower the cadence");
     cut.truncate(cut.len() / 2);
-    fs::write(store.ckpt_path(&key), &cut).unwrap();
+    fs::write(&slot0, &cut).unwrap();
 
     let cfg = DaemonConfig {
         persist: false,
@@ -257,7 +275,10 @@ fn wrong_params_checkpoint_is_rejected_and_counted_as_a_restart_from_zero() {
     let store = ResultStore::new(dir.join("cache"));
     let key = spec.key();
     for worker in [Worker::InProcess, Worker::Process] {
-        store.store_checkpoint(&key, &planted).expect("plant blob");
+        store
+            .checkpoint_slots(&key, None)
+            .write(&planted)
+            .expect("plant blob");
         let daemon = Daemon::start(one_worker(&dir, worker, FaultPlan::default())).expect("daemon");
         let mut client = Client::connect(daemon.addr()).expect("connect");
         let results = client

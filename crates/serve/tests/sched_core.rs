@@ -213,8 +213,10 @@ fn a_shared_failure_reaches_every_waiter_and_leaves_no_memo_entry_or_checkpoint(
     // A stale checkpoint blob under the key: the failure must clear it,
     // or a later resubmission would resume from poison.
     let store = ResultStore::new(&dir);
-    fs::create_dir_all(store.ckpt_path(&key).parent().unwrap()).unwrap();
-    fs::write(store.ckpt_path(&key), b"stale blob").unwrap();
+    for path in store.ckpt_paths(&key) {
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(path, b"stale blob").unwrap();
+    }
 
     let mut s = core(&dir, 0);
     let (c1, c2) = (s.connect(), s.connect());
@@ -240,8 +242,8 @@ fn a_shared_failure_reaches_every_waiter_and_leaves_no_memo_entry_or_checkpoint(
     );
     assert_eq!(stats.executed, 0, "{stats:?}");
     assert!(
-        !store.ckpt_path(&key).exists(),
-        "the failure must clear the checkpoint blob"
+        store.ckpt_paths(&key).iter().all(|path| !path.exists()),
+        "the failure must clear both checkpoint slots"
     );
 
     // No negative cache: the resubmission queues to run again rather

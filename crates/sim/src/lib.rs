@@ -44,9 +44,9 @@ pub use system::{
 };
 
 /// Checks every conservation law against a finished run's counter
-/// snapshot (see `bvl_obs::conservation` for the laws). Debug builds run
-/// this automatically at the end of every simulation; release callers
-/// (tests, experiment binaries) can invoke it explicitly.
+/// snapshot (see `bvl_obs::conservation` for the laws). Every build runs
+/// this at the end of every simulation and of every sampled window, and
+/// ends a run that breaks a law with [`SimError::Run`].
 pub fn verify_conservation(result: &RunResult) -> Vec<bvl_obs::Violation> {
     bvl_obs::check_conservation(&result.stats)
 }

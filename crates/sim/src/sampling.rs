@@ -456,7 +456,7 @@ pub fn plan_sampled(
 /// # Errors
 ///
 /// Fails when the checkpoint does not restore, the window exceeds the
-/// cycle budget or breaks the skip law.
+/// cycle budget or breaks the skip law or a conservation law.
 pub fn run_sample_window(
     kind: SystemKind,
     workload: &Workload,
@@ -486,11 +486,13 @@ pub fn run_sample_window(
         }
     }
     sys.check_skip_law()?;
+    let result = sys.collect_result();
+    sys.check_conservation(&result)?;
     Ok(WindowMeasurement {
         instrs: sys.retired_total(),
         completed,
         skip: sys.skip_stats,
-        result: sys.collect_result(),
+        result,
     })
 }
 

@@ -647,13 +647,16 @@ impl<'w> System<'w> {
     /// # Errors
     ///
     /// [`SimError::Run`] if the final memory image does not match the
-    /// workload's reference or the run broke the skip law.
+    /// workload's reference or the run broke the skip law or a
+    /// conservation law.
     fn finish(&self, want_state: bool) -> Result<(RunResult, Option<FinalState>), SimError> {
         // ---- verification
         self.shared
             .with(|m| (self.workload.check)(m))
             .and_then(|()| self.check_skip_law())
             .map_err(SimError::Run)?;
+        let result = self.collect_result();
+        self.check_conservation(&result).map_err(SimError::Run)?;
 
         // ---- final-state extraction. The completion condition already
         // required every core done and the engine idle, so the state is
@@ -666,7 +669,7 @@ impl<'w> System<'w> {
             mem: self.shared.with(MemImage::capture),
         });
 
-        Ok((self.collect_result(), final_state))
+        Ok((result, final_state))
     }
 
     /// Total instructions retired across every core so far — the
@@ -726,6 +729,30 @@ impl<'w> System<'w> {
         ))
     }
 
+    /// The conservation laws ([`crate::verify_conservation`], DESIGN.md
+    /// §4.10) over `result`'s stats snapshot. Checked in every build,
+    /// like the skip law: the artifacts come from release builds.
+    ///
+    /// # Errors
+    ///
+    /// Names every law the snapshot breaks, with both of its sides.
+    pub(crate) fn check_conservation(&self, result: &RunResult) -> Result<(), String> {
+        let violations = crate::verify_conservation(result);
+        if violations.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
+            "conservation laws violated for {} on {}:\n{}",
+            self.workload.name,
+            self.kind.label(),
+            violations
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join("\n")
+        ))
+    }
+
     /// Assembles the run's measured results from the current state —
     /// shared by [`finish`](Self::finish) (end of an exact run) and the
     /// sampled-window runner (which stops at an instruction boundary and
@@ -782,7 +809,7 @@ impl<'w> System<'w> {
             self.hier.register_stats(&mut sys);
         }
 
-        let result = RunResult {
+        RunResult {
             wall_ns: wall_fs as f64 / 1.0e6,
             uncore_cycles: self.cyc_u,
             big: self.big.as_ref().map(|b| *b.stats()),
@@ -796,28 +823,7 @@ impl<'w> System<'w> {
             runtime: self.runtime.as_ref().map(|r| *r.stats()),
             stats: reg.snapshot(),
             sampling: None,
-        };
-
-        // Debug builds audit every run against the conservation laws;
-        // release builds skip the sweep (it is pure verification, not
-        // measurement).
-        #[cfg(debug_assertions)]
-        {
-            let violations = bvl_obs::check_conservation(&result.stats);
-            assert!(
-                violations.is_empty(),
-                "conservation laws violated for {} on {}:\n{}",
-                self.workload.name,
-                self.kind.label(),
-                violations
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
         }
-
-        result
     }
 
     /// Serializes every field that evolves during a run, in a fixed order
@@ -1412,6 +1418,45 @@ mod tests {
                 );
                 assert!(e.contains("skip law violated"), "{e}");
                 assert!(e.contains(&sides), "{e}");
+            }
+            other => panic!("expected SimError::Run, got {other:?}"),
+        }
+    }
+
+    /// An engine wound back to an early cut of its run reports fewer VMU
+    /// line requests than the hierarchy accepted, which breaks the
+    /// `vmu-flow` law. A release build ends such a run with a run error
+    /// naming the law, as a debug build does.
+    #[test]
+    fn a_broken_conservation_law_is_a_run_error() {
+        let w = vvadd::build(Scale::tiny());
+        let mut sys = System::new(SystemKind::B4Vl, &w, &SimParams::default()).expect("build");
+        let mut early = SnapWriter::new();
+        for _ in 0..100 {
+            assert!(
+                !sys.step().expect("step"),
+                "vvadd finished within 100 steps"
+            );
+        }
+        sys.engine
+            .as_ref()
+            .expect("an engine")
+            .save_state(&mut early);
+        while !sys.step().expect("step") {}
+        assert!(sys.finish(false).is_ok());
+        let early = early.into_bytes();
+        sys.engine
+            .as_mut()
+            .expect("an engine")
+            .restore_state(&mut SnapReader::new(&early))
+            .expect("restore the early engine");
+        match sys.finish(false) {
+            Err(SimError::Run(e)) => {
+                assert!(
+                    e.starts_with("conservation laws violated for vvadd on 1b-4VL"),
+                    "{e}"
+                );
+                assert!(e.contains("[vmu-flow]"), "{e}");
             }
             other => panic!("expected SimError::Run, got {other:?}"),
         }

@@ -34,6 +34,14 @@ fn tick_loop_points() -> [PointSpec; 2] {
 /// A run of `spec` that takes a checkpoint every 100 uncore cycles and
 /// extracts its final state, and the middle one of its checkpoints.
 fn run_to_middle_checkpoint(spec: &PointSpec, workload: &Workload) -> (FinishedRun, SysState) {
+    let (run, mut checkpoints) = run_with_checkpoints(spec, workload);
+    let middle = checkpoints.swap_remove(checkpoints.len() / 2);
+    (run, middle)
+}
+
+/// A run of `spec` that takes a checkpoint every 100 uncore cycles and
+/// extracts its final state, and all of its checkpoints.
+fn run_with_checkpoints(spec: &PointSpec, workload: &Workload) -> (FinishedRun, Vec<SysState>) {
     let params = SimParams {
         checkpoint_every: 100,
         ..spec.params.clone()
@@ -52,12 +60,11 @@ fn run_to_middle_checkpoint(spec: &PointSpec, workload: &Workload) -> (FinishedR
         .finished()
         .expect("no yield ordered");
     assert!(
-        !checkpoints.is_empty(),
-        "{}: no checkpoint at cadence 100",
+        checkpoints.len() > 1,
+        "{}: too few checkpoints at cadence 100",
         spec.key()
     );
-    let middle = checkpoints.swap_remove(checkpoints.len() / 2);
-    (run, middle)
+    (run, checkpoints)
 }
 
 /// Skip equivalence: tick skipping changes no result. Each point gives an
@@ -163,6 +170,36 @@ fn served_points_equal_simulate_and_resubmissions_hit_the_memo() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Serves `spec`, whose store at `dir` holds planted checkpoint slots, on
+/// a daemon with one in-process worker. The point must resume, not
+/// restart, to the result `simulate` gives; the daemon must not persist
+/// the resumed completion, and must delete both slots.
+fn assert_resumes_on_a_daemon(dir: &std::path::Path, spec: &PointSpec, workload: &Workload) {
+    let key = spec.key();
+    let expected = simulate(spec.system, workload, &spec.params).expect("simulate");
+    let daemon = Daemon::start(DaemonConfig::threads_only(1, dir)).expect("daemon");
+    let mut client = Client::connect(daemon.addr()).expect("connect");
+    let served = client
+        .run_points(std::slice::from_ref(spec))
+        .expect("served point");
+    assert!(served[0].resumed, "{key}: the point did not resume");
+    assert_eq!(served[0].result, expected, "{key}: resumed result diverged");
+    let stats = daemon.stats();
+    assert_eq!(stats.resumed, 1, "{stats:?}");
+    assert_eq!(stats.restarts_from_zero, 0, "{stats:?}");
+    daemon.shutdown();
+
+    let store = ResultStore::new(dir);
+    assert!(
+        !store.result_path(&key).exists(),
+        "a resumed completion must not be persisted"
+    );
+    assert!(
+        store.ckpt_paths(&key).iter().all(|path| !path.exists()),
+        "both checkpoint slots must be deleted"
+    );
+}
+
 /// The one crash-recovery path: a point that was in flight when its
 /// daemon died resumes on the next daemon from the checkpoint blob the
 /// dead one left in the store. Here that blob is the middle cadence-100
@@ -174,32 +211,36 @@ fn a_dead_daemons_checkpoint_resumes_to_the_simulated_result() {
     let dir = std::env::temp_dir().join(format!("bvl-contracts-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = tiny_point(SystemKind::B4Vl, "mmult");
-    let key = spec.key();
     let workload = spec.workload.build().expect("build workload");
-    let expected = simulate(spec.system, &workload, &spec.params).expect("simulate");
-
     let (_, middle) = run_to_middle_checkpoint(&spec, &workload);
-    let store = ResultStore::new(&dir);
-    store
-        .store_checkpoint(&key, &middle)
+    ResultStore::new(&dir)
+        .checkpoint_slots(&spec.key(), None)
+        .write(&middle)
         .expect("plant checkpoint");
+    assert_resumes_on_a_daemon(&dir, &spec, &workload);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let daemon = Daemon::start(DaemonConfig::threads_only(1, &dir)).expect("daemon");
-    let mut client = Client::connect(daemon.addr()).expect("connect");
-    let served = client
-        .run_points(std::slice::from_ref(&spec))
-        .expect("served point");
-    assert!(served[0].resumed, "{key}: the point did not resume");
-    assert_eq!(served[0].result, expected, "{key}: resumed result diverged");
-    let stats = daemon.stats();
-    assert_eq!(stats.resumed, 1, "{stats:?}");
-    assert_eq!(stats.restarts_from_zero, 0, "{stats:?}");
-    daemon.shutdown();
-
-    assert!(
-        !store.result_path(&key).exists(),
-        "a resumed completion must not be persisted"
-    );
-    assert!(!store.ckpt_path(&key).exists(), "the blob must be deleted");
+/// A point keeps two checkpoint slots, and a writer killed mid-write
+/// leaves only the slot it was writing torn. Here the newer of two
+/// planted `mmult` blobs is cut short: the daemon resumes the point from
+/// the older blob, not from cycle 0.
+#[test]
+fn a_torn_newest_checkpoint_slot_resumes_from_the_older_one() {
+    let dir = std::env::temp_dir().join(format!("bvl-contracts-torn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = tiny_point(SystemKind::B4Vl, "mmult");
+    let workload = spec.workload.build().expect("build workload");
+    let (_, checkpoints) = run_with_checkpoints(&spec, &workload);
+    let middle = checkpoints.len() / 2;
+    let store = ResultStore::new(&dir);
+    let mut slots = store.checkpoint_slots(&spec.key(), None);
+    for state in &checkpoints[middle - 1..=middle] {
+        slots.write(state).expect("plant checkpoint");
+    }
+    let newest = &store.ckpt_paths(&spec.key())[1];
+    let blob = std::fs::read(newest).expect("read the newest slot");
+    std::fs::write(newest, &blob[..blob.len() / 2]).expect("tear the newest slot");
+    assert_resumes_on_a_daemon(&dir, &spec, &workload);
     let _ = std::fs::remove_dir_all(&dir);
 }
