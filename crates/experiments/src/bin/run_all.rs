@@ -1,42 +1,27 @@
-//! Regenerates every figure, table and ablation with one command,
-//! printing a per-artifact timing/throughput summary at the end and
-//! persisting it as JSON next to the results, one file per mode:
-//! `run_all_timing.<scale>.exact.json` or
-//! `run_all_timing.<scale>.sampled.json`.
-//!
-//! All artifacts run in-process through one shared
-//! [`bvl_experiments::sweep::SweepCache`], so simulation points common to
-//! several figures (fig04/05/06 share the `1L`/`1bIV-4L`/`1bDV`/`1b-4VL`
-//! default-parameter runs) simulate exactly once.
+//! Regenerates every figure, table and ablation with one command, then
+//! prints a per-artifact timing/throughput summary — host wall seconds,
+//! simulate calls executed (cache hits excluded), simulated clock-domain
+//! cycles, Mcycles/s and the % of cycles the quiescence engine skipped —
+//! and writes it next to the results, one file per mode:
+//! `run_all_timing.<scale>.exact.json` or `.sampled.json`. Under
+//! `--sampled` it adds a *speedup-vs-exact* column against the exact
+//! summary of the same scale, empty (`-` / JSON `null`) without one.
 //!
 //! ```sh
 //! cargo run --release -p bvl-experiments --bin run_all -- --scale tiny --jobs 8
 //! ```
 //!
-//! An interrupted invocation is resumable: `--persist-cache
-//! --checkpoint-every N` makes every point write its result (and, while
-//! in flight, a periodic whole-system checkpoint) under `<out>/cache/`;
-//! re-running with `--resume` replays completed points from disk with 0
-//! simulate calls and restarts interrupted points from their last
-//! checkpoint instead of cycle 0. The same command recovers a `--serve`
-//! run whose embedded daemon died with it: `--serve --resume` resubmits
-//! only the points the disk cache lacks, and the fabric's workers resume
-//! each one from its leftover checkpoint.
-//!
-//! The summary reports, per artifact: host wall seconds, simulate calls
-//! executed (cache hits excluded), simulated clock-domain cycles,
-//! aggregate Mcycles/s, and the fraction of cycles the quiescence engine
-//! batch-skipped (zero under `--no-skip`).
-//!
-//! Under `--sampled` every artifact runs in sampled mode (DESIGN.md
-//! §4.12) and the summary grows a *speedup-vs-exact* column: each
-//! artifact's host seconds compared against the exact summary of the
-//! same scale. Without an exact summary on disk the column is empty
-//! (`-` / JSON `null`), never fabricated.
+//! Every artifact submits its points to one scheduler core — the one all
+//! clones of the options share, or under `--serve` the embedded daemon's —
+//! so points common to several figures simulate once, and the run ends
+//! with that core's utilization line. An interrupted run resumes with
+//! `--resume` (after `--persist-cache --checkpoint-every N`; with
+//! `--serve` too, when the embedded daemon died with it): finished points
+//! replay from disk and interrupted ones restart from their checkpoint.
 
 use bvl_experiments::sweep::Throughput;
 use bvl_experiments::{print_table, ExpOpts, ARTIFACTS, SERVE_WORKER_SENTINEL};
-use bvl_serve::{Daemon, DaemonConfig, FaultPlan, WorkerCmd};
+use bvl_serve::{Client, Daemon, DaemonConfig, ProtoError, WorkerCmd};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -110,7 +95,7 @@ struct TimingSummary {
     sampled: bool,
     artifacts: Vec<ArtifactTiming>,
     total: ArtifactTiming,
-    memoized_points: usize,
+    memoized_points: u64,
 }
 
 /// `<out>/run_all_timing.<scale>.<exact|sampled>.json`: one summary per
@@ -152,7 +137,6 @@ fn main() {
     // talks to an external daemon instead.
     let daemon = if opts.serve && opts.serve_addr.is_none() {
         let d = Daemon::start(DaemonConfig {
-            threads: 0,
             procs: opts.jobs,
             worker_cmd: Some(WorkerCmd {
                 program: std::env::current_exe().expect("current_exe"),
@@ -160,12 +144,7 @@ fn main() {
             }),
             store_dir: opts.cache_dir.clone(),
             persist: opts.persist_cache,
-            checkpoint_every: if opts.checkpoint_every > 0 {
-                opts.checkpoint_every
-            } else {
-                4096
-            },
-            fault_plan: FaultPlan::default(),
+            // The default cadence arms points without `--checkpoint-every`.
             max_queue: 4096,
             ..DaemonConfig::default()
         })
@@ -180,11 +159,7 @@ fn main() {
     } else {
         None
     };
-    let baseline = if opts.sampled {
-        load_exact_baseline(&opts)
-    } else {
-        None
-    };
+    let baseline = opts.sampled.then(|| load_exact_baseline(&opts)).flatten();
     let total_start = Instant::now();
     let mut artifacts = Vec::new();
     for (name, run) in ARTIFACTS {
@@ -240,10 +215,17 @@ fn main() {
         headers.push("vs exact");
     }
     print_table(&headers, &rows);
-    println!(
-        "\n{} simulation points memoized across artifacts",
-        opts.cache.len()
-    );
+    // The core every sweep submitted to: the daemon's under `--serve`,
+    // embedded or not, and this process's otherwise.
+    let report = match opts.serve_addr.as_deref() {
+        Some(addr) => Client::connect(addr)
+            .map_err(ProtoError::Io)
+            .and_then(|mut daemon| daemon.stats())
+            .unwrap_or_else(|e| panic!("--serve: stats from {addr}: {e}")),
+        None => opts.sched.report(),
+    };
+    let memoized_points = report.stats.executed + report.stats.disk_hits;
+    println!("\n{memoized_points} simulation points memoized across artifacts");
     if opts.sampled && baseline.is_none() {
         eprintln!(
             "no exact baseline summary found — run `run_all` without --sampled \
@@ -258,7 +240,7 @@ fn main() {
         sampled: opts.sampled,
         artifacts,
         total,
-        memoized_points: opts.cache.len(),
+        memoized_points,
     };
     let path = summary_path(&opts, opts.sampled);
     std::fs::write(
@@ -268,8 +250,8 @@ fn main() {
     .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     eprintln!("wrote {}", path.display());
 
+    println!("\n{}", report.utilization_line());
     if let Some(daemon) = daemon {
-        println!("\n{}", daemon.report().utilization_line());
         daemon.shutdown();
     }
 }

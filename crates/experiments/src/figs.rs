@@ -1,10 +1,10 @@
 //! One module per paper artifact, each exposing `run(&ExpOpts)`.
 //!
 //! The experiment binaries are thin wrappers over these functions so the
-//! `run_all` binary can regenerate every artifact in-process, sharing one
-//! [`crate::sweep::SweepCache`] — points common to several figures
-//! (fig04/05/06 measure the same `1L`/`1bIV-4L`/`1bDV`/`1b-4VL` runs)
-//! then simulate exactly once.
+//! `run_all` binary can regenerate every artifact in-process, submitting
+//! to one shared scheduler core ([`crate::sweep::SweepSched`]) — points
+//! common to several figures (fig04/05/06 measure the same
+//! `1L`/`1bIV-4L`/`1bDV`/`1b-4VL` runs) then simulate exactly once.
 //!
 //! Every module builds its full job matrix up front, fans it out through
 //! [`crate::sweep::run_sweep`] (or [`crate::sweep::run_parallel`] where

@@ -33,7 +33,6 @@ use serde::Serialize;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use sweep::SweepCache;
 
 /// The self-exec sentinel: `run_all --serve` spawns fabric worker
 /// processes by re-executing its own binary with this as the first
@@ -41,29 +40,34 @@ use sweep::SweepCache;
 /// parsing, so every experiment binary is also a capable fabric worker.
 pub const SERVE_WORKER_SENTINEL: &str = "__bvl-serve-worker";
 
+/// The flags of a self-exec fabric worker, after the sentinel.
+const WORKER_USAGE: &str = "__bvl-serve-worker --connect HOST:PORT --token N --store DIR";
+
 /// Runs the fabric worker loop named by `--connect ADDR --token N
 /// --store DIR` (the arguments a daemon appends when spawning), then
-/// exits the process.
+/// exits the process. A bad flag exits 2, as on every command line.
 fn run_serve_worker() -> ! {
-    let mut connect = None;
-    let mut token = 0u64;
-    let mut store = None;
-    let mut args = std::env::args().skip(2);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--connect" => connect = args.next(),
-            "--token" => {
-                token = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--token needs an integer");
-            }
-            "--store" => store = args.next(),
-            other => panic!("unknown worker argument `{other}`"),
-        }
+    fn fail(flag: &str, reason: &str) -> ! {
+        let (flag, reason) = (flag.into(), reason.into());
+        exit_usage(&CliError { flag, reason }, WORKER_USAGE)
     }
-    let addr = connect.expect("worker needs --connect ADDR");
-    let store = store.expect("worker needs --store DIR");
+    let [mut connect, mut token, mut store] = [None, None, None];
+    let mut args = std::env::args().skip(2);
+    while let Some(flag) = args.next() {
+        let slot = match flag.as_str() {
+            "--connect" => &mut connect,
+            "--token" => &mut token,
+            "--store" => &mut store,
+            _ => fail(&flag, "unknown argument"),
+        };
+        *slot = Some(args.next().unwrap_or_else(|| fail(&flag, "needs a value")));
+    }
+    let token = token.map_or(0, |v: String| {
+        let reason = format!("needs a non-negative integer, got `{v}`");
+        v.parse().unwrap_or_else(|_| fail("--token", &reason))
+    });
+    let addr = connect.unwrap_or_else(|| fail("--connect", "is required"));
+    let store = store.unwrap_or_else(|| fail("--store", "is required"));
     match bvl_serve::worker_main(&addr, token, &store) {
         Ok(()) => std::process::exit(0),
         Err(e) => {
@@ -71,6 +75,16 @@ fn run_serve_worker() -> ! {
             std::process::exit(1);
         }
     }
+}
+
+/// Prints `error: <flag>: <reason>` and the program's `usage` line, then
+/// exits with code 2.
+fn exit_usage(e: &CliError, usage: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let program = argv0.rsplit(std::path::MAIN_SEPARATOR).next().unwrap_or("");
+    eprintln!("error: {e}");
+    eprintln!("usage: {program} {usage}");
+    std::process::exit(2)
 }
 
 /// Every flag [`ExpOpts::from_args`] takes, printed after the program
@@ -110,11 +124,12 @@ pub struct ExpOpts {
     /// Worker threads for [`sweep::run_sweep`]/[`sweep::run_parallel`]
     /// (`--jobs N`; default = available parallelism; 1 = serial).
     pub jobs: usize,
-    /// Whether the memoized run cache is consulted at all. `--no-cache`
-    /// clears it, forcing every unique point to simulate fresh.
+    /// Whether sweeps submit to the shared [`ExpOpts::sched`]. Under
+    /// `--no-cache` each sweep gets a core of its own that persists
+    /// nothing, so every unique point simulates fresh.
     pub use_cache: bool,
-    /// Whether runs are also persisted to (and reloaded from)
-    /// [`ExpOpts::cache_dir`] as JSON (`--persist-cache`).
+    /// Whether results are also stored, as their points complete, in (and
+    /// reloaded from) [`ExpOpts::cache_dir`] as JSON (`--persist-cache`).
     pub persist_cache: bool,
     /// On-disk cache location (default `<out>/cache`, `--cache-dir DIR`).
     pub cache_dir: PathBuf,
@@ -137,14 +152,11 @@ pub struct ExpOpts {
     /// Under `--serve` this is also how a sweep recovers from a crashed
     /// daemon: fabric workers always resume from a leftover blob.
     pub resume: bool,
-    /// Run every sweep point with *sampled* simulation (`--sampled`):
-    /// functionally fast-forward between detailed windows and estimate
-    /// whole-run figures by stratified extrapolation (DESIGN.md §4.12).
-    /// Sampled results carry [`bvl_sim::SamplingMeta`] (confidence
-    /// interval, truncation counts) and use distinct memo/disk cache keys
-    /// — an estimate never aliases an exact result. Points that cannot be
-    /// fast-forwarded (work-stealing task mode) fall back to exact
-    /// simulation and say so in the run summary.
+    /// Run every sweep point with *sampled* simulation (`--sampled`,
+    /// DESIGN.md §4.12). Estimates carry [`bvl_sim::SamplingMeta`] and
+    /// their own cache keys, so they never alias exact results; points
+    /// that cannot be fast-forwarded fall back to exact simulation and
+    /// say so in the run summary.
     pub sampled: bool,
     /// Override the sampling period in instructions
     /// (`--sample-period N`; implies `--sampled`). `None` uses
@@ -175,9 +187,9 @@ pub struct ExpOpts {
     /// once — clones share the slot, so exactly one trace is written per
     /// process however many sweeps run.
     pub trace_out: Arc<Mutex<Option<PathBuf>>>,
-    /// The in-memory memo layer, shared by every sweep run through this
-    /// `ExpOpts` (clones share the same map).
-    pub cache: SweepCache,
+    /// The scheduler core every sweep run through this `ExpOpts` submits
+    /// to (clones share it): memo, coalescing, disk hits and stores.
+    pub sched: sweep::SweepSched,
     /// Simulator-throughput counters (runs, simulated edges, skip rate,
     /// host seconds), accumulated by every sweep run through this
     /// `ExpOpts` — clones share the same counters.
@@ -195,15 +207,14 @@ impl ExpOpts {
     pub fn for_scale(scale_name: &str, out_dir: PathBuf) -> Self {
         let scale =
             Scale::by_name(scale_name).unwrap_or_else(|| panic!("unknown scale `{scale_name}`"));
-        let cache_dir = out_dir.join("cache");
         ExpOpts {
             scale,
             scale_name: scale_name.to_string(),
+            cache_dir: out_dir.join("cache"),
             out_dir,
             jobs: sweep::default_jobs(),
             use_cache: true,
             persist_cache: false,
-            cache_dir,
             no_skip: false,
             checkpoint_every: 0,
             resume: false,
@@ -214,8 +225,8 @@ impl ExpOpts {
             serve_addr: None,
             priority: bvl_serve::Priority::Normal,
             trace_out: Arc::new(Mutex::new(None)),
-            cache: SweepCache::new(),
-            throughput: sweep::ThroughputTracker::new(),
+            sched: sweep::SweepSched::default(),
+            throughput: sweep::ThroughputTracker::default(),
         }
     }
 
@@ -267,13 +278,7 @@ impl ExpOpts {
         if std::env::args().nth(1).as_deref() == Some(SERVE_WORKER_SENTINEL) {
             run_serve_worker();
         }
-        ExpOpts::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-            let argv0 = std::env::args().next().unwrap_or_default();
-            let program = argv0.rsplit(std::path::MAIN_SEPARATOR).next().unwrap_or("");
-            eprintln!("error: {e}");
-            eprintln!("usage: {program} {USAGE}");
-            std::process::exit(2)
-        })
+        ExpOpts::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| exit_usage(&e, USAGE))
     }
 
     /// Parses the flags [`ExpOpts::from_args`] takes from `args` (without
@@ -285,112 +290,66 @@ impl ExpOpts {
     /// missing its value, a value that does not parse, or an unknown
     /// `--scale`.
     pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
-        fn number<T: std::str::FromStr>(flag: &str, v: String, what: &str) -> Result<T, CliError> {
-            v.parse().map_err(|_| CliError {
-                flag: flag.into(),
-                reason: format!("needs {what}, got `{v}`"),
-            })
+        fn error(flag: &str, reason: String) -> CliError {
+            let flag = flag.into();
+            CliError { flag, reason }
         }
-        let mut scale_name = "default".to_string();
-        let mut out_dir = PathBuf::from("results");
-        let mut jobs = sweep::default_jobs();
-        let mut use_cache = true;
-        let mut persist_cache = false;
+        fn number<T: std::str::FromStr>(flag: &str, v: String, what: &str) -> Result<T, CliError> {
+            v.parse()
+                .map_err(|_| error(flag, format!("needs {what}, got `{v}`")))
+        }
+        let mut opts = ExpOpts::for_scale("default", PathBuf::from("results"));
         let mut cache_dir = None;
-        let mut no_skip = false;
-        let mut checkpoint_every = 0u64;
-        let mut resume = false;
-        let mut sampled = false;
-        let mut sample_period = None;
-        let mut sample_window = None;
-        let mut serve = false;
-        let mut serve_addr = None;
-        let mut priority = bvl_serve::Priority::Normal;
-        let mut trace_out = None;
         let mut args = args.into_iter();
         while let Some(flag) = args.next() {
             let flag = flag.as_str();
             let mut value = || {
-                args.next().ok_or_else(|| CliError {
-                    flag: flag.into(),
-                    reason: "needs a value".into(),
-                })
+                args.next()
+                    .ok_or_else(|| error(flag, "needs a value".into()))
             };
+            let count = "an instruction count";
             match flag {
                 "--scale" => {
-                    scale_name = value()?;
-                    if Scale::by_name(&scale_name).is_none() {
-                        return Err(CliError {
-                            flag: flag.into(),
-                            reason: format!(
-                                "unknown scale `{scale_name}` (use tiny, default or large)"
-                            ),
-                        });
-                    }
+                    let name = value()?;
+                    let reason = format!("unknown scale `{name}` (use tiny, default or large)");
+                    opts.scale = Scale::by_name(&name).ok_or_else(|| error(flag, reason))?;
+                    opts.scale_name = name;
                 }
-                "--out" => out_dir = PathBuf::from(value()?),
+                "--out" => opts.out_dir = PathBuf::from(value()?),
                 "--jobs" => {
-                    jobs = number::<usize>(flag, value()?, "a positive integer")?.max(1);
+                    opts.jobs = number::<usize>(flag, value()?, "a positive integer")?.max(1)
                 }
-                "--no-cache" => use_cache = false,
-                "--persist-cache" => persist_cache = true,
-                "--no-skip" => no_skip = true,
+                "--no-cache" => opts.use_cache = false,
+                "--persist-cache" => opts.persist_cache = true,
+                "--no-skip" => opts.no_skip = true,
                 "--checkpoint-every" => {
-                    checkpoint_every = number(flag, value()?, "an uncore-cycle count")?;
+                    opts.checkpoint_every = number(flag, value()?, "an uncore-cycle count")?;
                 }
-                "--resume" => resume = true,
-                "--sampled" => sampled = true,
-                "--sample-period" => {
-                    // An explicit period means sampling is wanted even
-                    // without a bare `--sampled`.
-                    sampled = true;
-                    sample_period = Some(number(flag, value()?, "an instruction count")?);
-                }
-                "--sample-window" => {
-                    sampled = true;
-                    sample_window = Some(number(flag, value()?, "an instruction count")?);
-                }
-                "--serve" => serve = true,
-                "--serve-addr" => serve_addr = Some(value()?),
+                "--resume" => opts.resume = true,
+                "--sampled" => opts.sampled = true,
+                "--sample-period" => opts.sample_period = Some(number(flag, value()?, count)?),
+                "--sample-window" => opts.sample_window = Some(number(flag, value()?, count)?),
+                "--serve" => opts.serve = true,
+                "--serve-addr" => opts.serve_addr = Some(value()?),
                 "--priority" => {
                     let v = value()?;
-                    priority = bvl_serve::Priority::parse(&v).ok_or_else(|| CliError {
-                        flag: flag.into(),
-                        reason: format!("needs high, normal or low, got `{v}`"),
-                    })?;
+                    let reason = format!("needs high, normal or low, got `{v}`");
+                    opts.priority =
+                        bvl_serve::Priority::parse(&v).ok_or_else(|| error(flag, reason))?;
                 }
                 "--cache-dir" => cache_dir = Some(PathBuf::from(value()?)),
-                "--trace-out" => trace_out = Some(PathBuf::from(value()?)),
-                other => {
-                    return Err(CliError {
-                        flag: other.into(),
-                        reason: "unknown argument".into(),
-                    })
-                }
+                "--trace-out" => opts.trace_out = Arc::new(Mutex::new(Some(value()?.into()))),
+                other => return Err(error(other, "unknown argument".into())),
             }
         }
-        let mut opts = ExpOpts::for_scale(&scale_name, out_dir);
-        opts.jobs = jobs;
-        opts.use_cache = use_cache;
-        opts.persist_cache = persist_cache;
-        opts.no_skip = no_skip;
-        opts.checkpoint_every = checkpoint_every;
-        opts.resume = resume;
-        opts.sampled = sampled;
-        opts.sample_period = sample_period;
-        opts.sample_window = sample_window;
-        opts.serve = serve || serve_addr.is_some();
-        opts.serve_addr = serve_addr;
-        opts.priority = priority;
-        if opts.resume {
-            // Resuming is meaningless without the persisted cache layers.
-            opts.use_cache = true;
-            opts.persist_cache = true;
-        }
-        if let Some(dir) = cache_dir {
-            opts.cache_dir = dir;
-        }
-        *opts.trace_out.lock().expect("trace_out lock") = trace_out;
+        // An explicit period or window means sampling is wanted even
+        // without a bare `--sampled`, and an address means serving.
+        opts.sampled |= opts.sample_period.is_some() || opts.sample_window.is_some();
+        opts.serve |= opts.serve_addr.is_some();
+        // Resuming is meaningless without the persisted cache layers.
+        opts.use_cache |= opts.resume;
+        opts.persist_cache |= opts.resume;
+        opts.cache_dir = cache_dir.unwrap_or_else(|| opts.out_dir.join("cache"));
         Ok(opts)
     }
 

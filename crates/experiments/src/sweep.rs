@@ -1,48 +1,33 @@
-//! The parallel sweep engine: thread-scoped fan-out plus a memoized run
-//! cache for every figure/table experiment.
+//! The parallel sweep engine: every figure/table experiment's matrix of
+//! points, run on the scheduler core the fabric daemon uses.
 //!
 //! Every paper artifact is a (system × workload × params) matrix of
-//! independent [`bvl_sim::simulate`] calls. This module executes such a
-//! matrix on `std::thread::scope` workers pulling from a shared work queue
-//! (`--jobs N`, default = available parallelism) and returns results in
-//! deterministic matrix order regardless of completion order, so the JSON
+//! independent [`bvl_sim::simulate`] calls. [`run_sweep`] submits each
+//! point to a [`bvl_serve::Sched`], the daemon's core driven through
+//! threads and no sockets: `--jobs N` workers (default = available
+//! parallelism) loop dispatch → run → complete, each reply goes down one
+//! channel per sweep, and results come back in matrix order, so the JSON
 //! an experiment writes is byte-identical at any worker count.
 //!
-//! Layered on top is a memoized run cache keyed by
-//! `(system, workload-key, params-hash)`:
+//! Every memo, coalescing, disk and store decision is the core's, keyed
+//! by `(system, workload-key, params-hash)` (DESIGN.md §4.13): repeated
+//! points simulate once, within a matrix and across every sweep through
+//! clones of one [`ExpOpts`] (`run_all`'s figures share fig04's points);
+//! `--persist-cache` stores each result under `<out>/cache/` as its point
+//! completes, except runs resumed from a checkpoint (`--checkpoint-every
+//! N`, `--resume`, both through [`bvl_serve::worker::run_exact_point`]);
+//! `--no-cache` gives the sweep a core of its own that persists nothing.
+//! A point that fails, by an error or a panic, fails alone: the others
+//! finish and are stored, then [`run_sweep`] panics once, naming every
+//! failed key with its error. Under `--serve`, points with a wire spec
+//! go to the daemon instead, whose core decides the same way.
 //!
-//! * points repeated inside one matrix simulate once (first occurrence
-//!   wins; later ones clone the result);
-//! * points shared *between* figures (fig04/05/06 all measure the same
-//!   `1L`/`1bIV-4L`/`1bDV`/`1b-4VL` runs) simulate once per process when
-//!   the binaries share an [`ExpOpts`] — which is exactly what the
-//!   `run_all` binary does;
-//! * with `--persist-cache`, results are also written under
-//!   `<out>/cache/` as JSON and reused by later invocations;
-//! * `--no-cache` forces a cold run: every unique point simulates fresh
-//!   and nothing is read from or written to either cache layer;
-//! * with `--checkpoint-every N`, every in-flight point periodically
-//!   writes a whole-system checkpoint over the older of its two slot
-//!   files under `<cache_dir>/ckpt/` (both deleted when the point
-//!   completes), and `--resume` restarts interrupted points from their
-//!   newest slot that decodes instead of cycle 0 — both through
-//!   [`bvl_serve::worker::run_exact_point`], the exact-point runner
-//!   every fabric worker uses too. Resumed results are byte-identical
-//!   by the restore-equivalence contract but are deliberately *not*
-//!   persisted to the disk cache — only straight-through runs populate
-//!   it;
-//! * with `--sampled`, every point runs *sampled* simulation
-//!   (DESIGN.md §4.12): a functional fast-forward plans one detailed
-//!   window per sampling period, the windows of **all** missed points fan
-//!   out over the same worker pool (a long point's windows never
-//!   serialize behind a per-point barrier), and each point's estimate is
-//!   combined by stratified extrapolation. Sampled estimates carry
-//!   [`bvl_sim::SamplingMeta`] and use distinct cache keys (the sampling
-//!   config is in the params hash), so they never alias exact results.
-//!   Points whose execution mode cannot be fast-forwarded (work-stealing
-//!   tasks) fall back to exact simulation; fallbacks, dropped windows and
-//!   truncated windows are always reported in the run summary, never
-//!   silently absorbed.
+//! With `--sampled` (DESIGN.md §4.12) the worker that dispatches a point
+//! plans it and queues its windows for the sweep's workers, which take
+//! queued windows before they dispatch another point; the worker that
+//! measures the last window combines the estimate. Estimates carry
+//! [`bvl_sim::SamplingMeta`] and their own cache keys. Exact fallbacks
+//! and truncated windows are reported, in-process and served alike.
 //!
 //! The workload key must identify the workload *instance*, not just its
 //! kernel: the same name built at a different scale (or, for synthetic
@@ -53,21 +38,24 @@
 use crate::ExpOpts;
 use bvl_serve::spec::{PointSpec, WorkloadSpec};
 use bvl_serve::store::ResultStore;
-use bvl_serve::worker::{run_exact_point, PointRun};
-use bvl_serve::Client;
+use bvl_serve::worker::{run_exact_point, PointOutcome, PointRun};
+use bvl_serve::{Client, DaemonConfig, FabricReport, Msg, Sched, ServedResult};
 use bvl_sim::{
     combine_sampled, plan_sampled, run_sample_window, simulate_with, Hooks, RunResult, SamplePlan,
-    SamplingMeta, SimParams, SkipStats, SystemKind, WindowMeasurement,
+    SamplingMeta, SimParams, SystemKind, WindowMeasurement,
 };
 use bvl_workloads::Workload;
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fs;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// One point of a sweep matrix: run `workload` on `system` under `params`.
+#[derive(Clone)]
 pub struct SweepJob {
     /// System composition to simulate.
     pub system: SystemKind,
@@ -142,37 +130,29 @@ impl SweepJob {
 /// exactly the disk-cache entries a serverless run writes.
 pub use bvl_serve::store::cache_key_for;
 
-/// The in-memory memo layer: completed runs keyed by
-/// [`SweepJob::cache_key`]. Cloning shares the underlying map, so every
-/// experiment run from one [`ExpOpts`] (e.g. all figures under `run_all`)
-/// sees every other experiment's results.
-#[derive(Clone, Default)]
-pub struct SweepCache {
-    inner: Arc<Mutex<HashMap<String, RunResult>>>,
+/// The scheduler core every sweep run through one [`ExpOpts`] submits its
+/// points to. Clones share it, so its memo answers any point an earlier
+/// sweep (of any figure) ran.
+#[derive(Clone)]
+pub struct SweepSched(Arc<Mutex<Sched<Sender<Msg>, Arc<SweepJob>>>>);
+
+impl Default for SweepSched {
+    fn default() -> Self {
+        SweepSched(Arc::new(Mutex::new(Sched::new(&DaemonConfig::default()))))
+    }
 }
 
-impl SweepCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        SweepCache::default()
+impl SweepSched {
+    /// The core's counters and occupancy. Its memo holds `executed +
+    /// disk_hits` points.
+    pub fn report(&self) -> FabricReport {
+        self.lock().report()
     }
 
-    /// Number of memoized runs.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").len()
-    }
-
-    /// Whether the cache holds no runs.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn get(&self, key: &str) -> Option<RunResult> {
-        self.inner.lock().expect("cache lock").get(key).cloned()
-    }
-
-    fn insert(&self, key: String, result: RunResult) {
-        self.inner.lock().expect("cache lock").insert(key, result);
+    fn lock(&self) -> MutexGuard<'_, Sched<Sender<Msg>, Arc<SweepJob>>> {
+        self.0
+            .lock()
+            .expect("a sweep worker panicked holding the scheduler")
     }
 }
 
@@ -241,22 +221,17 @@ pub struct ThroughputTracker {
 }
 
 impl ThroughputTracker {
-    /// A zeroed tracker.
-    pub fn new() -> Self {
-        ThroughputTracker::default()
-    }
-
     /// The counters so far.
     pub fn snapshot(&self) -> Throughput {
         *self.inner.lock().expect("throughput lock")
     }
 
-    fn record(&self, stats: SkipStats, secs: f64) {
+    fn record(&self, run: &ServedResult) {
         let mut t = self.inner.lock().expect("throughput lock");
         t.runs += 1;
-        t.edges_run += stats.edges_run;
-        t.edges_skipped += stats.edges_skipped;
-        t.sim_thread_secs += secs;
+        t.edges_run += run.edges_run;
+        t.edges_skipped += run.edges_skipped;
+        t.sim_thread_secs += run.host_secs;
     }
 }
 
@@ -272,9 +247,9 @@ pub fn default_jobs() -> usize {
 /// With `jobs <= 1` (or one item) this degrades to a plain serial loop.
 /// A panic inside `f` propagates to the caller when the scope joins.
 ///
-/// This is the generic fan-out under [`run_sweep`]; experiments whose unit
-/// of work is not a `simulate` call (golden-model characterization,
-/// custom-geometry engine runs) use it directly.
+/// Experiments whose unit of work is not a sweep point (golden-model
+/// characterization, custom-geometry engine runs) fan out through this
+/// instead of [`run_sweep`].
 pub fn run_parallel<I, T, F>(items: &[I], jobs: usize, f: F) -> Vec<T>
 where
     I: Sync,
@@ -314,18 +289,23 @@ where
 ///
 /// Duplicate points (same cache key) simulate once; cached points (from
 /// earlier sweeps through the same [`ExpOpts`], or from `<out>/cache/`
-/// when persistence is on) do not simulate at all. Simulation failures
-/// panic with the workload/system context, matching
-/// [`run_checked`](crate::run_checked).
+/// when persistence is on) do not simulate at all. The cache settings
+/// are read as the sweep starts.
+///
+/// # Panics
+///
+/// Once every point has finished or failed, when any failed: the message
+/// names every failed key with its error.
 pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
-    // `--no-skip` applies to every point of every sweep. It changes the
-    // cache key (the params hash covers `no_skip`), so naive-loop runs
-    // never reuse — or pollute — skip-on cache entries, even though the
-    // results are identical by the skip-equivalence contract.
-    let params: Vec<SimParams> = jobs
+    let points: Vec<Arc<SweepJob>> = jobs
         .iter()
         .map(|j| {
             let mut p = j.params.clone();
+            // `--no-skip` applies to every point of every sweep. It
+            // changes the cache key (the params hash covers `no_skip`), so
+            // naive-loop runs never reuse — or pollute — skip-on cache
+            // entries, even though the results are identical by the
+            // skip-equivalence contract.
             p.no_skip |= opts.no_skip;
             // `--checkpoint-every` arms every point; the cadence is
             // excluded from the cache key (see `cache_key_for`), so this
@@ -340,67 +320,98 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
             if let Some(sp) = opts.sampling_params() {
                 p.sampling = Some(sp);
             }
-            p
+            Arc::new(SweepJob {
+                params: p,
+                ..j.clone()
+            })
         })
         .collect();
-    let keys: Vec<String> = jobs
-        .iter()
-        .zip(&params)
-        .map(|(j, p)| cache_key_for(j.system, &j.workload_key, p))
-        .collect();
+    let keys: Vec<String> = points.iter().map(|p| p.cache_key()).collect();
 
-    // Dedup to first occurrences: `unique[slot]` is a job index, and every
-    // job maps to the slot that computes (or fetched) its result.
-    let mut key_to_slot: HashMap<&str, usize> = HashMap::new();
-    let mut unique: Vec<usize> = Vec::new();
-    for (i, key) in keys.iter().enumerate() {
-        key_to_slot.entry(key).or_insert_with(|| {
-            unique.push(i);
-            unique.len() - 1
-        });
-    }
-
-    // Resolve what the cache layers already know.
-    let store = ResultStore::new(&opts.cache_dir);
-    let mut slot_results: Vec<Option<RunResult>> = Vec::with_capacity(unique.len());
-    for &ji in &unique {
-        let mut hit = None;
-        if opts.use_cache {
-            hit = opts.cache.get(&keys[ji]);
-            if hit.is_none() && opts.persist_cache {
-                hit = store.load(&keys[ji]);
-                if let Some(ref r) = hit {
-                    opts.cache.insert(keys[ji].clone(), r.clone());
-                }
-            }
-        }
-        slot_results.push(hit);
-    }
-
-    // Fan the misses out: across this process's workers, or — when a
-    // fabric daemon is attached — across its workers.
-    let misses: Vec<usize> = (0..unique.len())
-        .filter(|&s| slot_results[s].is_none())
-        .collect();
-    let computed = match opts.serve_addr.as_deref() {
-        Some(addr) => run_misses_served(jobs, &params, &keys, &unique, &misses, opts, addr),
-        None => run_misses(jobs, &params, &keys, &unique, &misses, opts),
+    // Points with a wire spec go to the daemon under `--serve`; the rest
+    // go to this process's core.
+    let (mut served, mut specs) = (Vec::new(), Vec::new());
+    let sched = if opts.use_cache {
+        opts.sched.clone()
+    } else {
+        SweepSched::default()
     };
-    for (&slot, (result, resumed)) in misses.iter().zip(computed) {
-        let key = &keys[unique[slot]];
-        if opts.use_cache {
-            opts.cache.insert(key.clone(), result.clone());
-            // A checkpoint-restored run is byte-identical by contract,
-            // but the persisted cache stays a record of straight-through
-            // runs only — the conservative half of that contract. The
-            // point simulates in full on the next cold invocation.
-            if opts.persist_cache && !resumed {
-                if let Err(e) = store.store(key, &result) {
-                    eprintln!("{key}: result not stored in the disk cache: {e}");
-                }
+    let (tx, rx) = mpsc::channel();
+    {
+        let mut core = sched.lock();
+        core.set_store(&opts.cache_dir, opts.use_cache && opts.persist_cache);
+        let client = core.connect();
+        for (i, point) in points.iter().enumerate() {
+            if let Some(spec) = wire_spec(point, opts) {
+                served.push(i);
+                specs.push(spec);
+                continue;
+            }
+            let (key, to) = (keys[i].clone(), tx.clone());
+            for (to, msg) in
+                core.submit(client, to, i as u64, opts.priority, key, Arc::clone(point))
+            {
+                let _ = to.send(msg);
             }
         }
-        slot_results[slot] = Some(result);
+    }
+    drop(tx);
+    let local = points.len() - served.len();
+    if opts.serve_addr.is_some() && local > 0 {
+        eprintln!("--serve: {local} point(s) have no wire spec and run in-process");
+    }
+    Pool {
+        opts,
+        sched: &sched,
+        windows: Mutex::default(),
+        ready: Condvar::new(),
+    }
+    .run();
+
+    let mut replies: Vec<Option<Result<ServedResult, String>>> = vec![None; points.len()];
+    for msg in rx.iter().take(local) {
+        match msg {
+            Msg::Done { id, served } => replies[id as usize] = Some(Ok(served)),
+            Msg::Failed { id, error } => replies[id as usize] = Some(Err(error)),
+            other => unreachable!("the core replied {other:?}"),
+        }
+    }
+    if let Some(addr) = opts.serve_addr.as_deref().filter(|_| !specs.is_empty()) {
+        let mut client = Client::connect(addr)
+            .unwrap_or_else(|e| panic!("--serve: connect to fabric at {addr}: {e}"));
+        client.set_priority(opts.priority);
+        let out = client
+            .run_each(&specs)
+            .unwrap_or_else(|e| panic!("--serve: {e}"));
+        for (i, reply) in served.into_iter().zip(out) {
+            replies[i] = Some(reply);
+        }
+    }
+
+    // Every reply that ran something counts its simulation and says how a
+    // sampled estimate was made; coalesced and cached replies ran nothing.
+    let mut results = Vec::with_capacity(points.len());
+    let mut failed = Vec::new();
+    for (key, reply) in keys.iter().zip(replies) {
+        match reply.expect("every point is answered") {
+            Ok(r) => {
+                if !r.cache_hit {
+                    opts.throughput.record(&r);
+                    report_sampling(key, r.result.sampling.as_ref());
+                }
+                results.push(r.result);
+            }
+            Err(e) => failed.push(format!("  {key}: {e}")),
+        }
+    }
+    if !failed.is_empty() {
+        failed.sort();
+        failed.dedup();
+        panic!(
+            "{} sweep point(s) failed:\n{}",
+            failed.len(),
+            failed.join("\n")
+        );
     }
 
     // `--trace-out`: re-run the first point of the first sweep with event
@@ -408,315 +419,280 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
     // perturb results (the traced RunResult is discarded; the
     // skip-equivalence/determinism contracts make it identical anyway),
     // so this rides outside the cache entirely.
-    if let Some(path) = opts.take_trace_out() {
-        if let Some(job) = jobs.first() {
-            let traced = SimParams {
-                trace: true,
-                ..params[0].clone()
-            };
-            let log = simulate_with(job.system, &job.workload, &traced, Hooks::default())
-                .unwrap_or_else(|e| panic!("{} on {}: {e}", job.workload_key, job.system.label()))
-                .finished()
-                .and_then(|run| run.trace)
-                .expect("a traced run with no checkpoint callback finishes with a log");
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                fs::create_dir_all(dir).expect("create trace-out dir");
-            }
-            fs::write(&path, log.to_chrome_json())
-                .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-            eprintln!(
-                "wrote {} ({} events, {} dropped) — load in chrome://tracing or Perfetto",
-                path.display(),
-                log.len(),
-                log.dropped()
-            );
-        }
-    }
-
-    // Reassemble in matrix order.
-    keys.iter()
-        .map(|key| {
-            slot_results[key_to_slot[key.as_str()]]
-                .clone()
-                .expect("every slot resolved")
-        })
-        .collect()
-}
-
-/// Executes the missed sweep points and returns `(result, resumed)` per
-/// miss, in miss order, recording throughput along the way.
-///
-/// Exact points are one work item each. Sampled points (those whose
-/// params carry a sampling config) first *plan* in parallel — a
-/// functional fast-forward that materializes one warm checkpoint per
-/// detailed window — and then expand into one work item per window, so
-/// the windows of **every** sampled point share one worker pool: a point
-/// with many windows interleaves with everything else instead of
-/// serializing behind a per-point barrier. Sampled points whose execution
-/// mode cannot be fast-forwarded (work-stealing tasks) collapse back to a
-/// single exact work item, tagged as a fallback.
-fn run_misses(
-    jobs: &[SweepJob],
-    params: &[SimParams],
-    keys: &[String],
-    unique: &[usize],
-    misses: &[usize],
-    opts: &ExpOpts,
-) -> Vec<(RunResult, bool)> {
-    // Phase 1: plan the sampled points (parallel over points; exact
-    // points plan nothing). Planning is the functional fast-forward —
-    // cheap next to the detailed windows, but worth fanning out.
-    let plans: Vec<Option<(SamplePlan, f64)>> = run_parallel(misses, opts.jobs, |&slot| {
-        let ji = unique[slot];
-        params[ji].sampling?;
-        let start = Instant::now();
-        let plan =
-            plan_sampled(jobs[ji].system, &jobs[ji].workload, &params[ji]).unwrap_or_else(|e| {
-                panic!(
-                    "{} on {}: {e}",
-                    jobs[ji].workload_key,
-                    jobs[ji].system.label()
-                )
-            });
-        Some((plan, start.elapsed().as_secs_f64()))
-    });
-
-    // Phase 2: one flat work list across all misses — `(miss index,
-    // window index)` for sampled windows, `(miss index, None)` for exact
-    // points and exact fallbacks.
-    let mut items: Vec<(usize, Option<usize>)> = Vec::new();
-    for (mi, plan) in plans.iter().enumerate() {
-        match plan {
-            Some((p, _)) if !p.exact_fallback => {
-                items.extend((0..p.windows.len()).map(|wi| (mi, Some(wi))));
-            }
-            _ => items.push((mi, None)),
-        }
-    }
-
-    enum ItemOut {
-        Point(RunResult, SkipStats, bool, f64),
-        Window(WindowMeasurement, f64),
-    }
-    let store = ResultStore::new(&opts.cache_dir);
-    let outs = run_parallel(&items, opts.jobs, |&(mi, wi)| {
-        let ji = unique[misses[mi]];
-        let job = &jobs[ji];
-        let start = Instant::now();
-        match wi {
-            Some(wi) => {
-                let (plan, _) = plans[mi].as_ref().expect("window item has a plan");
-                let m =
-                    run_sample_window(job.system, &job.workload, &params[ji], &plan.windows[wi])
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "{} on {} (window {wi}): {e}",
-                                job.workload_key,
-                                job.system.label()
-                            )
-                        });
-                ItemOut::Window(m, start.elapsed().as_secs_f64())
-            }
-            // A sampled point that cannot fast-forward: `combine_sampled`
-            // runs the exact simulator and tags the result as a fallback.
-            None => match &plans[mi] {
-                Some((plan, _)) => {
-                    let (r, s) = combine_sampled(job.system, &job.workload, &params[ji], plan, &[])
-                        .unwrap_or_else(|e| {
-                            panic!("{} on {}: {e}", job.workload_key, job.system.label())
-                        });
-                    ItemOut::Point(r, s, false, start.elapsed().as_secs_f64())
-                }
-                // An exact point: checkpointed when the cadence is armed,
-                // resumed from a leftover checkpoint under `--resume`.
-                None => match run_exact_point(
-                    job.system,
-                    &job.workload,
-                    &params[ji],
-                    &keys[ji],
-                    &store,
-                    opts.resume,
-                    &mut |_| false,
-                ) {
-                    Ok(PointRun::Finished(out)) => {
-                        let skip = SkipStats {
-                            edges_run: out.edges_run,
-                            edges_skipped: out.edges_skipped,
-                            windows: 0,
-                        };
-                        let secs = start.elapsed().as_secs_f64();
-                        ItemOut::Point(out.result, skip, out.resumed, secs)
-                    }
-                    Ok(PointRun::Yielded { .. }) => unreachable!("nothing orders a yield"),
-                    Err(e) => panic!("{} on {}: {e}", job.workload_key, job.system.label()),
-                },
-            },
-        }
-    });
-
-    // Phase 3: regroup window measurements per point (items were emitted
-    // in window order and `run_parallel` preserves item order) and
-    // combine each sampled point's estimate.
-    let mut measurements: Vec<Vec<WindowMeasurement>> =
-        (0..misses.len()).map(|_| Vec::new()).collect();
-    let mut window_secs = vec![0.0f64; misses.len()];
-    let mut finished: Vec<Option<(RunResult, bool)>> = (0..misses.len()).map(|_| None).collect();
-    for (&(mi, _), out) in items.iter().zip(outs) {
-        match out {
-            ItemOut::Point(r, s, resumed, secs) => {
-                opts.throughput.record(s, secs);
-                finished[mi] = Some((r, resumed));
-            }
-            ItemOut::Window(m, secs) => {
-                window_secs[mi] += secs;
-                measurements[mi].push(m);
-            }
-        }
-    }
-    for (mi, plan) in plans.iter().enumerate() {
-        let Some((plan, plan_secs)) = plan else {
-            continue;
+    if let (Some(path), Some(job)) = (opts.take_trace_out(), points.first()) {
+        let traced = SimParams {
+            trace: true,
+            ..job.params.clone()
         };
-        let ji = unique[misses[mi]];
-        if plan.exact_fallback {
-            // Already finished above as a single exact item; say so.
-            eprintln!(
-                "{}: sampled mode fell back to exact simulation \
-                 (work-stealing task execution cannot be fast-forwarded)",
-                keys[ji]
-            );
-            continue;
+        let log = simulate_with(job.system, &job.workload, &traced, Hooks::default())
+            .unwrap_or_else(|e| panic!("{} on {}: {e}", job.workload_key, job.system.label()))
+            .finished()
+            .and_then(|run| run.trace)
+            .expect("a traced run with no checkpoint callback finishes with a log");
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            fs::create_dir_all(dir).expect("create trace-out dir");
         }
-        let job = &jobs[ji];
-        let (result, skip) = combine_sampled(
-            job.system,
-            &job.workload,
-            &params[ji],
-            plan,
-            &measurements[mi],
-        )
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", job.workload_key, job.system.label()));
-        opts.throughput.record(skip, plan_secs + window_secs[mi]);
-        report_sampling(&keys[ji], result.sampling.as_ref());
-        finished[mi] = Some((result, false));
-    }
-    finished
-        .into_iter()
-        .map(|r| r.expect("every miss resolved"))
-        .collect()
-}
-
-/// The wire spec for a job, if one can be stated: either the job carries
-/// one explicitly ([`SweepJob::with_spec`]), or it is a standard suite
-/// job — its key is `"{name}@{scale_name}"` for the preset scale the
-/// sweep runs at, and the name is in the [`bvl_workloads::by_name`]
-/// registry (which rebuilds the byte-identical instance).
-fn derive_spec(job: &SweepJob, opts: &ExpOpts) -> Option<WorkloadSpec> {
-    if let Some(spec) = &job.spec {
-        return Some(spec.clone());
-    }
-    let standard_key = format!("{}@{}", job.workload.name, opts.scale_name);
-    if job.workload_key == standard_key
-        && bvl_workloads::Scale::by_name(&opts.scale_name) == Some(opts.scale)
-        && bvl_workloads::by_name(job.workload.name, opts.scale).is_some()
-    {
-        Some(WorkloadSpec::Named {
-            name: job.workload.name.to_string(),
-            scale: opts.scale,
-        })
-    } else {
-        None
-    }
-}
-
-/// The `--serve` twin of [`run_misses`]: sends every spec-able miss to
-/// the fabric daemon at `addr` (one pipelined batch; the daemon fans out
-/// across its workers and dedupes against its own memo/store) and
-/// runs the rest — custom-built workloads with no wire spec — through
-/// the in-process pool. Results come back `(result, resumed)` per miss
-/// in miss order, exactly like `run_misses`, so the caller cannot tell
-/// the difference; the byte-identity of served artifacts rests on that.
-fn run_misses_served(
-    jobs: &[SweepJob],
-    params: &[SimParams],
-    keys: &[String],
-    unique: &[usize],
-    misses: &[usize],
-    opts: &ExpOpts,
-    addr: &str,
-) -> Vec<(RunResult, bool)> {
-    let mut served: Vec<(usize, PointSpec)> = Vec::new();
-    let mut local: Vec<usize> = Vec::new();
-    for (mi, &slot) in misses.iter().enumerate() {
-        let ji = unique[slot];
-        match derive_spec(&jobs[ji], opts) {
-            Some(workload) => served.push((
-                mi,
-                PointSpec {
-                    system: jobs[ji].system,
-                    workload_key: jobs[ji].workload_key.clone(),
-                    workload,
-                    params: params[ji].clone(),
-                },
-            )),
-            None => local.push(slot),
-        }
-    }
-    if !local.is_empty() {
+        fs::write(&path, log.to_chrome_json())
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         eprintln!(
-            "--serve: {} point(s) have no wire spec and run in-process",
-            local.len()
+            "wrote {} ({} events, {} dropped) — load in chrome://tracing or Perfetto",
+            path.display(),
+            log.len(),
+            log.dropped()
         );
     }
-    let local_results = run_misses(jobs, params, keys, unique, &local, opts);
-
-    let specs: Vec<PointSpec> = served.iter().map(|(_, s)| s.clone()).collect();
-    let fabric_results = if specs.is_empty() {
-        Vec::new()
-    } else {
-        let mut client = Client::connect(addr)
-            .unwrap_or_else(|e| panic!("--serve: connect to fabric at {addr}: {e}"));
-        client.set_priority(opts.priority);
-        client
-            .run_points(&specs)
-            .unwrap_or_else(|e| panic!("--serve: {e}"))
-    };
-
-    let mut out: Vec<Option<(RunResult, bool)>> = (0..misses.len()).map(|_| None).collect();
-    for (&slot, r) in local.iter().zip(local_results) {
-        let mi = misses.iter().position(|&s| s == slot).expect("local slot");
-        out[mi] = Some(r);
-    }
-    for ((mi, _), r) in served.into_iter().zip(fabric_results) {
-        if !r.cache_hit {
-            // Each fabric execution reports to exactly one submission
-            // (coalesced twins come back as cache hits), so client-side
-            // throughput counts each simulation once — same as local.
-            opts.throughput.record(
-                SkipStats {
-                    edges_run: r.edges_run,
-                    edges_skipped: r.edges_skipped,
-                    windows: 0,
-                },
-                r.host_secs,
-            );
-            report_sampling(&keys[unique[misses[mi]]], r.result.sampling.as_ref());
-        }
-        out[mi] = Some((r.result, r.resumed));
-    }
-    out.into_iter()
-        .map(|r| r.expect("every miss resolved"))
-        .collect()
+    results
 }
 
-/// The "no silent caps" half of sampled mode: whenever a point's estimate
-/// stands on fewer or shorter windows than planned, the run summary says
-/// exactly how many were dropped or truncated — a short program (or final
-/// stratum) quietly shrinking the sample would otherwise read as full
-/// coverage. The line is built from the estimate's own metadata, so a
-/// point prints the same line whether it ran here or on the fabric.
+/// One sweep's workers: the core they dispatch from, and the windows of
+/// the sampled points they planned.
+struct Pool<'a> {
+    opts: &'a ExpOpts,
+    sched: &'a SweepSched,
+    windows: Mutex<Windows>,
+    /// Signalled when windows are queued or a plan ends.
+    ready: Condvar,
+}
+
+/// Windows waiting for a worker, and how many sampled points are being
+/// planned, each of which may queue more.
+#[derive(Default)]
+struct Windows {
+    queue: VecDeque<(Arc<Sampled>, usize)>,
+    planning: usize,
+}
+
+/// A planned sampled point. Whichever worker measures its last window
+/// combines the estimate and settles the point.
+struct Sampled {
+    key: String,
+    job: Arc<SweepJob>,
+    plan: SamplePlan,
+    /// Each window's measurement once taken, and the host seconds spent
+    /// planning and measuring so far.
+    measured: Mutex<(Vec<Option<Measured>>, f64)>,
+}
+
+/// One window's measurement, or why it failed.
+type Measured = Result<WindowMeasurement, String>;
+
+impl Pool<'_> {
+    /// Runs `--jobs` workers, the calling thread among them, until nothing
+    /// is queued, no window waits and no plan is under way.
+    fn run(&self) {
+        std::thread::scope(|s| {
+            for worker in 1..self.opts.jobs {
+                s.spawn(move || self.work(worker as u64));
+            }
+            self.work(0);
+        });
+    }
+
+    /// Takes a queued window first, then a point from the core; waits
+    /// while a plan is under way, since it may queue windows.
+    fn work(&self, worker: u64) {
+        let mut windows = self.windows();
+        loop {
+            if let Some((point, i)) = windows.queue.pop_front() {
+                drop(windows);
+                self.measure(&point, i);
+                windows = self.windows();
+                continue;
+            }
+            // Bound first, so that the core's lock is released before the
+            // point runs and settles.
+            let dispatched = self.sched.lock().dispatch(worker);
+            match dispatched {
+                Some((key, job)) => {
+                    let sampled = job.params.sampling.is_some();
+                    windows.planning += usize::from(sampled);
+                    drop(windows);
+                    if sampled {
+                        self.plan(key, job);
+                    } else {
+                        self.settle(&key, caught(|| self.run_exact(&key, &job)));
+                    }
+                    windows = self.windows();
+                }
+                None if windows.planning > 0 => {
+                    windows = self.ready.wait(windows).expect("windows lock");
+                }
+                None => return,
+            }
+        }
+    }
+
+    /// An exact point, checkpointed when the cadence is armed and resumed
+    /// from a leftover checkpoint under `--resume`.
+    fn run_exact(&self, key: &str, job: &SweepJob) -> Result<PointOutcome, String> {
+        match run_exact_point(
+            job.system,
+            &job.workload,
+            &job.params,
+            key,
+            &ResultStore::new(&self.opts.cache_dir),
+            self.opts.resume,
+            &mut |_| false,
+        )? {
+            PointRun::Finished(out) => Ok(*out),
+            PointRun::Yielded { .. } => unreachable!("nothing orders a yield"),
+        }
+    }
+
+    /// Plans a sampled point and queues its windows. A point without
+    /// windows settles here: an exact fallback, which `combine_sampled`
+    /// runs exactly and tags as such.
+    fn plan(&self, key: String, job: Arc<SweepJob>) {
+        let start = Instant::now();
+        let planned = caught(|| plan_sampled(job.system, &job.workload, &job.params));
+        let secs = start.elapsed().as_secs_f64();
+        let mut windows = self.windows();
+        windows.planning -= 1;
+        match planned {
+            Ok(plan) if !plan.windows.is_empty() => {
+                let n = plan.windows.len();
+                let measured = Mutex::new((vec![None; n], secs));
+                let point = Arc::new(Sampled {
+                    key,
+                    job,
+                    plan,
+                    measured,
+                });
+                windows
+                    .queue
+                    .extend((0..n).map(|i| (Arc::clone(&point), i)));
+                drop(windows);
+                self.ready.notify_all();
+            }
+            planned => {
+                drop(windows);
+                self.ready.notify_all();
+                let out = planned.and_then(|plan| caught(|| combine(&job, &plan, &[], secs)));
+                self.settle(&key, out);
+            }
+        }
+    }
+
+    /// Measures window `i` of `point`. The worker that measures its last
+    /// window combines them, or fails the point with the first window
+    /// error.
+    fn measure(&self, point: &Sampled, i: usize) {
+        let (start, job) = (Instant::now(), &point.job);
+        let m = caught(|| {
+            run_sample_window(
+                job.system,
+                &job.workload,
+                &job.params,
+                &point.plan.windows[i],
+            )
+            .map_err(|e| format!("window {i}: {e}"))
+        });
+        let mut measured = point.measured.lock().expect("window lock");
+        measured.0[i] = Some(m);
+        measured.1 += start.elapsed().as_secs_f64();
+        if measured.0.iter().any(Option::is_none) {
+            return;
+        }
+        let (windows, secs) = std::mem::take(&mut *measured);
+        drop(measured);
+        let out = windows
+            .into_iter()
+            .flatten()
+            .collect::<Result<Vec<_>, _>>()
+            .and_then(|windows| caught(|| combine(job, &point.plan, &windows, secs)));
+        self.settle(&point.key, out);
+    }
+
+    /// Completes or fails `key` in the core and sends every waiter its
+    /// reply.
+    fn settle(&self, key: &str, out: Result<PointOutcome, String>) {
+        let replies = match out {
+            Ok(out) => self.sched.lock().complete(key, out),
+            Err(e) => self.sched.lock().fail(key, &e),
+        };
+        for (to, msg) in replies {
+            let _ = to.send(msg);
+        }
+    }
+
+    fn windows(&self) -> MutexGuard<'_, Windows> {
+        self.windows.lock().expect("windows lock")
+    }
+}
+
+/// A sampled point's estimate, from its plan and its windows in order,
+/// as the outcome its waiters get. `secs` is the time spent before it.
+fn combine(
+    job: &SweepJob,
+    plan: &SamplePlan,
+    windows: &[WindowMeasurement],
+    secs: f64,
+) -> Result<PointOutcome, String> {
+    let start = Instant::now();
+    let (result, skip) = combine_sampled(job.system, &job.workload, &job.params, plan, windows)?;
+    Ok(PointOutcome {
+        result,
+        edges_run: skip.edges_run,
+        edges_skipped: skip.edges_skipped,
+        host_secs: secs + start.elapsed().as_secs_f64(),
+        resumed: false,
+        restarted_from_zero: false,
+    })
+}
+
+/// Runs `f`, turning a panic into an error that carries its message: a
+/// worker that panics fails its point, and the sweep goes on.
+fn caught<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    panic::catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        Err(format!("panicked: {message}"))
+    })
+}
+
+/// The point as the fabric takes it under `--serve`, if its workload's
+/// wire spec can be stated: either the job carries one explicitly
+/// ([`SweepJob::with_spec`]), or it is a standard suite job — its key is
+/// `"{name}@{scale_name}"` for the preset scale the sweep runs at, and the
+/// name is in the [`bvl_workloads::by_name`] registry (which rebuilds the
+/// byte-identical instance).
+fn wire_spec(job: &SweepJob, opts: &ExpOpts) -> Option<PointSpec> {
+    opts.serve_addr.as_ref()?;
+    let named = || {
+        let standard = job.workload_key == format!("{}@{}", job.workload.name, opts.scale_name)
+            && bvl_workloads::Scale::by_name(&opts.scale_name) == Some(opts.scale)
+            && bvl_workloads::by_name(job.workload.name, opts.scale).is_some();
+        let name = job.workload.name.to_string();
+        standard.then_some(WorkloadSpec::Named {
+            name,
+            scale: opts.scale,
+        })
+    };
+    let workload = job.spec.clone().or_else(named)?;
+    Some(PointSpec {
+        system: job.system,
+        workload_key: job.workload_key.clone(),
+        workload,
+        params: job.params.clone(),
+    })
+}
+
+/// The "no silent caps" half of sampled mode: a point that fell back to
+/// exact simulation says so, and one whose estimate stands on fewer or
+/// shorter windows than planned says how many were dropped or truncated,
+/// which would otherwise read as full coverage. The lines come from the
+/// estimate's own metadata, the same here and on the fabric.
 fn report_sampling(key: &str, meta: Option<&SamplingMeta>) {
     let Some(meta) = meta else { return };
+    if meta.exact_fallback {
+        eprintln!(
+            "{key}: sampled mode fell back to exact simulation \
+             (work-stealing task execution cannot be fast-forwarded)"
+        );
+    }
     if meta.windows_truncated > 0 {
         eprintln!(
             "{key}: sampled estimate from {} measured windows; {} truncated or empty \

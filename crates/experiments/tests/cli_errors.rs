@@ -1,8 +1,9 @@
 //! A bad command line ends in a typed error and exit code 2, never in a
 //! panic: `run_all` (like every experiment binary, through
-//! `ExpOpts::from_args`) and `difftest` name the flag at fault and print
-//! their usage line before they do any work.
+//! `ExpOpts::from_args`), its self-exec fabric worker and `difftest` name
+//! the flag at fault and print their usage line before they do any work.
 
+use bvl_experiments::SERVE_WORKER_SENTINEL;
 use std::process::Command;
 
 #[test]
@@ -32,6 +33,39 @@ fn a_bad_flag_exits_2_naming_the_flag() {
         assert!(stderr.contains(want), "{args:?}: {stderr}");
         assert!(
             stderr.contains("usage: run_all [--scale"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_self_exec_worker_s_bad_flag_exits_2_naming_the_flag() {
+    for (args, want) in [
+        (&["--bogus"][..], "error: --bogus: unknown argument"),
+        (
+            &["--connect", "127.0.0.1:9", "--token", "x", "--store", "d"][..],
+            "error: --token: needs a non-negative integer, got `x`",
+        ),
+        (
+            &["--token", "1", "--store", "d"][..],
+            "error: --connect: is required",
+        ),
+        (
+            &["--connect", "127.0.0.1:9"][..],
+            "error: --store: is required",
+        ),
+        (&["--store"][..], "error: --store: needs a value"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+            .arg(SERVE_WORKER_SENTINEL)
+            .args(args)
+            .output()
+            .expect("run run_all");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: run_all __bvl-serve-worker --connect"),
             "{args:?}: {stderr}"
         );
     }

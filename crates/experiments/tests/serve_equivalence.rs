@@ -23,13 +23,26 @@ fn scratch(tag: &str) -> PathBuf {
 
 #[test]
 fn served_fig04_is_byte_identical_to_the_serverless_run() {
-    let (name, run) = &ARTIFACTS[0]; // fig04: both suites on all systems
-    let serverless_dir = scratch("serverless");
-    let served_dir = scratch("served");
+    assert_served_fig04_equals_serverless("exact", false);
+}
 
-    // Reference: the plain in-process run.
+/// Under `--sampled` the in-process sweep spreads each point's windows
+/// over its worker pool, while a fabric worker measures them one after
+/// another: the estimates must not depend on that.
+#[test]
+fn served_sampled_fig04_is_byte_identical_to_the_serverless_run() {
+    assert_served_fig04_equals_serverless("sampled", true);
+}
+
+fn assert_served_fig04_equals_serverless(tag: &str, sampled: bool) {
+    let (name, run) = &ARTIFACTS[0]; // fig04: both suites on all systems
+    let serverless_dir = scratch(&format!("{tag}-serverless"));
+    let served_dir = scratch(&format!("{tag}-served"));
+
+    // Reference: the plain in-process run, on two workers.
     {
-        let opts = ExpOpts::for_scale("tiny", serverless_dir.clone());
+        let mut opts = ExpOpts::for_scale("tiny", serverless_dir.clone()).with_jobs(2);
+        opts.sampled = sampled;
         run(&opts);
     }
 
@@ -37,6 +50,7 @@ fn served_fig04_is_byte_identical_to_the_serverless_run() {
     // the topology `run_all --serve --jobs 2` builds.
     let stats = {
         let mut opts = ExpOpts::for_scale("tiny", served_dir.clone());
+        opts.sampled = sampled;
         let daemon = Daemon::start(DaemonConfig {
             threads: 0,
             procs: 2,
@@ -74,7 +88,7 @@ fn served_fig04_is_byte_identical_to_the_serverless_run() {
         fs::read(served_dir.join(&file)).unwrap_or_else(|e| panic!("served artifact {file}: {e}"));
     assert_eq!(
         serverless, served,
-        "{file} differs between the served and the serverless run"
+        "{tag} {file} differs between the served and the serverless run"
     );
 
     fs::remove_dir_all(&serverless_dir).expect("cleanup");

@@ -3,12 +3,14 @@
 //! headline acceptance check — `fig04_speedup --scale tiny` produces
 //! byte-identical JSON at `--jobs 1` and `--jobs 8`.
 
-use bvl_experiments::sweep::{run_sweep, SweepCache, SweepJob};
+use bvl_experiments::sweep::{run_sweep, SweepJob};
 use bvl_experiments::{figs, ExpOpts};
+use bvl_serve::ResultStore;
 use bvl_sim::{simulate, SimParams, SystemKind};
 use bvl_workloads::kernels::{saxpy, vvadd};
 use bvl_workloads::{Scale, Workload};
 use std::fs;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -36,6 +38,13 @@ impl Drop for Scratch {
 
 fn tiny_opts(out_dir: PathBuf, jobs: usize) -> ExpOpts {
     ExpOpts::for_scale("tiny", out_dir).with_jobs(jobs)
+}
+
+/// Points the memo of `opts`'s scheduler core holds: each one it ran or
+/// loaded from disk.
+fn memoized(opts: &ExpOpts) -> u64 {
+    let stats = opts.sched.report().stats;
+    stats.executed + stats.disk_hits
 }
 
 /// A small but non-trivial matrix: two kernels across four systems.
@@ -90,12 +99,13 @@ fn sweep_memoizes_repeated_points() {
     let opts = tiny_opts(scratch.path(), 2);
     let jobs = small_matrix();
     let first = run_sweep(&jobs, &opts);
-    assert_eq!(opts.cache.len(), jobs.len());
+    assert_eq!(memoized(&opts), jobs.len() as u64);
 
     // Same matrix again through the same opts: served entirely from the
     // memo (the cache does not grow) and identical.
     let second = run_sweep(&jobs, &opts);
-    assert_eq!(opts.cache.len(), jobs.len());
+    assert_eq!(memoized(&opts), jobs.len() as u64);
+    assert_eq!(opts.sched.report().stats.memo_hits, jobs.len() as u64);
     assert_eq!(first, second);
 
     // A matrix with internal duplicates memoizes to its unique points.
@@ -104,7 +114,8 @@ fn sweep_memoizes_repeated_points() {
         .map(|_| SweepJob::new(SystemKind::B1, &w, "tiny-dup", SimParams::default()))
         .collect();
     let results = run_sweep(&dup, &opts);
-    assert_eq!(opts.cache.len(), jobs.len() + 1);
+    assert_eq!(memoized(&opts), jobs.len() as u64 + 1);
+    assert_eq!(opts.sched.report().stats.coalesced, 4);
     assert!(results.windows(2).all(|p| p[0] == p[1]));
 }
 
@@ -115,11 +126,14 @@ fn no_cache_forces_cold_runs() {
     opts.use_cache = false;
     let jobs = small_matrix();
     let first = run_sweep(&jobs, &opts);
-    assert!(
-        opts.cache.is_empty(),
-        "--no-cache must not populate the memo"
-    );
+    assert_eq!(memoized(&opts), 0, "--no-cache must not populate the memo");
     assert_eq!(first, run_sweep(&jobs, &opts));
+    assert_eq!(
+        opts.throughput.snapshot().runs,
+        2 * jobs.len() as u64,
+        "--no-cache must simulate every point of every sweep"
+    );
+    assert!(!opts.cache_dir.exists(), "--no-cache wrote a disk cache");
 }
 
 #[test]
@@ -136,13 +150,14 @@ fn persisted_cache_round_trips_across_invocations() {
     // point from disk without growing the file set.
     let mut cold = tiny_opts(scratch.path(), 2);
     cold.persist_cache = true;
-    assert!(cold.cache.is_empty());
+    assert_eq!(memoized(&cold), 0);
     let second = run_sweep(&jobs, &cold);
     assert_eq!(
         first, second,
         "disk-cached results differ from computed ones"
     );
-    assert_eq!(cold.cache.len(), jobs.len());
+    assert_eq!(memoized(&cold), jobs.len() as u64);
+    assert_eq!(cold.sched.report().stats.disk_hits, jobs.len() as u64);
 }
 
 #[test]
@@ -163,11 +178,9 @@ fn fig04_tiny_json_is_byte_identical_across_job_counts() {
 
 #[test]
 fn sweep_cache_is_shared_across_clones() {
-    let cache = SweepCache::new();
-    let clone = cache.clone();
     let scratch = Scratch::new("share");
-    let mut opts = tiny_opts(scratch.path(), 1);
-    opts.cache = clone;
+    let opts = tiny_opts(scratch.path(), 1);
+    let clone = opts.clone();
     let w = Arc::new(vvadd::build(Scale::tiny()));
     let jobs = vec![SweepJob::new(
         SystemKind::B1,
@@ -175,6 +188,110 @@ fn sweep_cache_is_shared_across_clones() {
         "tiny",
         SimParams::default(),
     )];
+    run_sweep(&jobs, &clone);
+    assert_eq!(memoized(&opts), 1, "clones must share one scheduler core");
     run_sweep(&jobs, &opts);
-    assert_eq!(cache.len(), 1, "clones must share one underlying memo map");
+    assert_eq!(
+        opts.sched.report().stats.memo_hits,
+        1,
+        "a clone's result must answer the original's sweep"
+    );
+}
+
+/// One point runs out of its cycle budget: the other two still finish and
+/// are stored as they complete, and the sweep then panics once, naming
+/// the failed key and its error.
+#[test]
+fn a_failing_point_fails_alone_and_the_others_are_stored() {
+    let scratch = Scratch::new("fail");
+    let mut opts = tiny_opts(scratch.path(), 2);
+    opts.persist_cache = true;
+    let vvadd = Arc::new(vvadd::build(Scale::tiny()));
+    let saxpy = Arc::new(saxpy::build(Scale::tiny()));
+    let budget = SimParams {
+        max_uncore_cycles: 1100,
+        ..SimParams::default()
+    };
+    let jobs = [
+        SweepJob::new(SystemKind::B1, &saxpy, "tiny", SimParams::default()),
+        SweepJob::new(SystemKind::B4Vl, &vvadd, "tiny", budget),
+        SweepJob::new(SystemKind::L1, &vvadd, "tiny", SimParams::default()),
+    ];
+    let keys: Vec<String> = jobs.iter().map(SweepJob::cache_key).collect();
+    let payload = panic::catch_unwind(AssertUnwindSafe(|| run_sweep(&jobs, &opts)))
+        .expect_err("a sweep with a failing point panics");
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        message.contains(&keys[1]) && message.contains("exceeded"),
+        "the panic must name the failed key and its error: {message}"
+    );
+    let store = ResultStore::new(&opts.cache_dir);
+    for key in [&keys[0], &keys[2]] {
+        assert!(store.result_path(key).exists(), "{key} was not stored");
+    }
+    assert!(!store.result_path(&keys[1]).exists());
+}
+
+/// A worker that panics fails only its point, with the panic's message:
+/// here a workload whose output check panics. The sweep does not hang,
+/// the other point is stored, and the panic names the failed key.
+#[test]
+fn a_panicking_point_fails_alone_with_its_message() {
+    let scratch = Scratch::new("panic");
+    let mut opts = tiny_opts(scratch.path(), 2);
+    opts.persist_cache = true;
+    fn exploding_check(_: &bvl_mem::SimMemory) -> Result<(), String> {
+        panic!("checker exploded")
+    }
+    let mut broken = vvadd::build(Scale::tiny());
+    broken.check = Box::new(exploding_check);
+    let broken = Arc::new(broken);
+    let saxpy = Arc::new(saxpy::build(Scale::tiny()));
+    let jobs = [
+        SweepJob::keyed(
+            SystemKind::B1,
+            &broken,
+            "vvadd-broken@tiny",
+            SimParams::default(),
+        ),
+        SweepJob::new(SystemKind::B1, &saxpy, "tiny", SimParams::default()),
+    ];
+    let payload = panic::catch_unwind(AssertUnwindSafe(|| run_sweep(&jobs, &opts)))
+        .expect_err("a sweep with a panicking point panics");
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        message.contains(&jobs[0].cache_key()) && message.contains("checker exploded"),
+        "{message}"
+    );
+    let store = ResultStore::new(&opts.cache_dir);
+    assert!(store.result_path(&jobs[1].cache_key()).exists());
+}
+
+/// Two sweeps at once through clones of one options value share its core
+/// but each gets its own results, in its own matrix order.
+#[test]
+fn concurrent_sweeps_through_clones_get_their_own_results() {
+    let scratch = Scratch::new("concurrent");
+    let opts = tiny_opts(scratch.path(), 2);
+    let jobs = small_matrix();
+    let (front, back) = jobs.split_at(jobs.len() / 2);
+    let back_reversed: Vec<SweepJob> = back.iter().rev().cloned().collect();
+    let expected = run_sweep(&jobs, &tiny_opts(scratch.path(), 1));
+    let (a, b) = std::thread::scope(|s| {
+        let (opts_a, opts_b) = (opts.clone(), opts.clone());
+        let a = s.spawn(move || run_sweep(front, &opts_a));
+        let b = s.spawn(move || run_sweep(&back_reversed, &opts_b));
+        (a.join().expect("sweep a"), b.join().expect("sweep b"))
+    });
+    assert_eq!(a, expected[..front.len()]);
+    let mut b = b;
+    b.reverse();
+    assert_eq!(b, expected[front.len()..]);
+    assert_eq!(opts.sched.report().stats.executed, jobs.len() as u64);
 }

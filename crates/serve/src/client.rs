@@ -3,16 +3,18 @@
 //! [`Client`] wraps one connection to a [`crate::daemon::Daemon`]. The
 //! protocol is pipelined — submit any number of points, then collect the
 //! responses in whatever order the daemon finishes them; client-assigned
-//! ids correlate them. [`Client::run_points`] does exactly that and
-//! hands back results in submission order, which is all `run_all
-//! --serve` needs; it also transparently retries submissions the
-//! daemon's bounded admission queue shed with [`Msg::Busy`], and drops
-//! late replies to an earlier batch that ended in a failure.
+//! ids correlate them. [`Client::run_each`] does exactly that and hands
+//! back each point's result or error in submission order;
+//! [`Client::run_points`] fails on the first error instead. Both retry
+//! submissions the daemon's bounded admission queue shed with
+//! [`Msg::Busy`], and drop late replies to an earlier batch that ended in
+//! an error.
 
 use crate::proto::{self, Msg, Priority, ProtoError};
 use crate::sched::FabricReport;
 use crate::spec::PointSpec;
 use bvl_sim::RunResult;
+use bvl_snap::snap_struct;
 use std::collections::HashMap;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -22,8 +24,9 @@ use std::time::Duration;
 /// suggested — a corrupt or hostile hint must not stall a sweep.
 const MAX_BUSY_BACKOFF: Duration = Duration::from_secs(1);
 
-/// One served point's result, as the client sees it.
-#[derive(Debug, Clone, PartialEq)]
+/// One served point's result, as its submitter sees it: a daemon's
+/// client and the in-process sweep alike.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServedResult {
     /// The (checked) simulation result.
     pub result: RunResult,
@@ -40,6 +43,15 @@ pub struct ServedResult {
     /// True when the execution resumed from a persisted checkpoint.
     pub resumed: bool,
 }
+
+snap_struct!(ServedResult {
+    result,
+    edges_run,
+    edges_skipped,
+    host_secs,
+    cache_hit,
+    resumed,
+});
 
 /// A connection to the fabric daemon.
 pub struct Client {
@@ -116,18 +128,34 @@ impl Client {
         proto::read_msg(&mut self.reader)
     }
 
-    /// Submits all `specs` (pipelined), then collects every response,
-    /// retrying any submission the daemon shed with [`Msg::Busy`] after
-    /// the suggested backoff. Results come back in submission order
-    /// regardless of completion order. Replies to an earlier batch on
-    /// this connection, left unread when that batch failed, are dropped.
+    /// [`Client::run_each`], failing on the first failed point.
     ///
     /// # Errors
     ///
-    /// The first point failure (`Msg::Failed`) or protocol error, with
-    /// the offending point's key in the message, and a reply to an id
-    /// this connection never issued.
+    /// The first failed point in submission order, with its key in the
+    /// message, and every error of [`Client::run_each`].
     pub fn run_points(&mut self, specs: &[PointSpec]) -> Result<Vec<ServedResult>, String> {
+        let replies = self.run_each(specs)?.into_iter().zip(specs);
+        replies
+            .map(|(reply, spec)| reply.map_err(|e| format!("{}: {e}", spec.key())))
+            .collect()
+    }
+
+    /// Submits all `specs` (pipelined), then collects every reply in
+    /// submission order: each point's result, or its worker's error.
+    /// Submissions the daemon shed with [`Msg::Busy`] are retried after
+    /// the suggested backoff. Replies to an earlier batch on this
+    /// connection, left unread when that batch ended in an error, are
+    /// dropped.
+    ///
+    /// # Errors
+    ///
+    /// A protocol or socket error, and a reply to an id this connection
+    /// never issued.
+    pub fn run_each(
+        &mut self,
+        specs: &[PointSpec],
+    ) -> Result<Vec<Result<ServedResult, String>>, String> {
         // This batch's ids are `first..end`, in submission order; lower
         // ids belong to earlier batches.
         let first = self.next_id;
@@ -136,7 +164,7 @@ impl Client {
                 .map_err(|e| format!("submit {}: {e}", spec.key()))?;
         }
         let end = self.next_id;
-        let mut by_id: HashMap<u64, ServedResult> = HashMap::with_capacity(specs.len());
+        let mut by_id = HashMap::with_capacity(specs.len());
         while by_id.len() < specs.len() {
             let msg = self.recv().map_err(|e| format!("fabric: {e}"))?;
             let (Msg::Done { id, .. } | Msg::Busy { id, .. } | Msg::Failed { id, .. }) = msg else {
@@ -151,34 +179,18 @@ impl Client {
                 continue; // a late reply to an earlier batch
             };
             match msg {
-                Msg::Done {
-                    id,
-                    result,
-                    edges_run,
-                    edges_skipped,
-                    host_secs,
-                    cache_hit,
-                    resumed,
-                } => {
-                    by_id.insert(
-                        id,
-                        ServedResult {
-                            result,
-                            edges_run,
-                            edges_skipped,
-                            host_secs,
-                            cache_hit,
-                            resumed,
-                        },
-                    );
+                Msg::Done { served, .. } => {
+                    by_id.insert(id, Ok(served));
                 }
-                Msg::Busy { id, retry_after_ms } => {
+                Msg::Failed { error, .. } => {
+                    by_id.insert(id, Err(error));
+                }
+                Msg::Busy { retry_after_ms, .. } => {
                     self.busy_retries += 1;
                     std::thread::sleep(Duration::from_millis(retry_after_ms).min(MAX_BUSY_BACKOFF));
                     self.submit_as(id, &specs[idx])
                         .map_err(|e| format!("resubmit {}: {e}", specs[idx].key()))?;
                 }
-                Msg::Failed { error, .. } => return Err(format!("{}: {error}", specs[idx].key())),
                 _ => unreachable!("only replies carry an id"),
             }
         }

@@ -2,10 +2,10 @@
 //! injection around the scheduler core.
 //!
 //! One [`Daemon`] owns a listener and the [`crate::sched::Sched`] that
-//! makes every scheduling decision — dedupe, priority and fair share,
-//! backpressure, memo and disk hits (see that module).
-//! The daemon turns socket traffic into calls on the core, under one
-//! mutex, and sends the replies the core returns.
+//! makes every scheduling decision (see that module). It turns socket
+//! traffic into calls on the core, under one mutex, and sends the
+//! replies the core returns; a submission without a checkpoint cadence
+//! gets the daemon's before it reaches the core.
 //!
 //! The daemon serves one host: it binds loopback only. Every worker
 //! speaks the [`crate::proto`] protocol over one connection: the
@@ -488,9 +488,19 @@ fn client_loop(shared: &Shared, stream: TcpStream, first: Msg) {
     let mut msg = first;
     loop {
         match msg {
-            Msg::Submit { id, priority, spec } => {
-                let to = Arc::clone(&writer);
-                send_all(shared.update(|s| s.sched.submit(client, to, id, priority, spec)));
+            Msg::Submit {
+                id,
+                priority,
+                mut spec,
+            } => {
+                if spec.params.checkpoint_every == 0 {
+                    // Result-neutral and out of the cache key: a point
+                    // without a cadence gets the daemon's, to survive its
+                    // worker.
+                    spec.params.checkpoint_every = shared.cfg.checkpoint_every;
+                }
+                let (to, key) = (Arc::clone(&writer), spec.key());
+                send_all(shared.update(|s| s.sched.submit(client, to, id, priority, key, spec)));
             }
             Msg::QueryStats => {
                 let report = shared.state().sched.report();

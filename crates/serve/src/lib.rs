@@ -1,25 +1,18 @@
 #![warn(missing_docs)]
 //! # bvl-serve — the one-host, resumable sweep fabric
 //!
-//! A daemon ([`Daemon`]) that accepts experiment-point requests over a
-//! length-prefixed protocol on a loopback socket, schedules them across
-//! workers — in-process worker threads, spawned worker processes and
-//! `bvl-serve --worker` processes started by hand on the same host, each
-//! joining over one connection and speaking the same protocol — dedupes
-//! in-flight identical points by their params-hash cache key, and serves
-//! completed results from a content-addressed store layered on the
-//! sweep's disk cache.
-//!
-//! The PR-5 checkpoint machinery is the fabric's recovery primitive: a
-//! killed worker process loses at most one checkpoint interval of
-//! simulated work, and the point resumes from its last blob on whichever
-//! worker takes it next. Nothing preempts a running point. A killed
-//! daemon keeps no queue to recover: its workers stop at their next
-//! checkpoint, its clients resubmit, finished points come back from the
-//! store and a point that was in flight resumes from its blob.
-//! The restore-equivalence contract (checkpoint → restore →
-//! byte-identical results) is what lets the fabric promise that a served
-//! sweep's artifacts are byte-identical to an in-process run's.
+//! A daemon ([`Daemon`]) takes experiment points over a length-prefixed
+//! protocol on a loopback socket and schedules them across workers —
+//! in-process threads, spawned worker processes and `bvl-serve --worker`
+//! processes started by hand, each joining over one connection — with
+//! the scheduler core every sweep uses: in-process sweeps drive their own
+//! core through threads (`bvl_experiments::sweep`), so a point meets the
+//! same memo, coalescing, store and failure decisions with or without a
+//! daemon. Checkpoints are the recovery primitive: a killed worker loses
+//! at most one checkpoint interval, a killed daemon's clients resubmit
+//! and its in-flight points resume from their blobs, and the
+//! restore-equivalence contract keeps served artifacts byte-identical to
+//! in-process ones (DESIGN.md §4.13–4.14).
 //!
 //! Layering:
 //!
@@ -30,14 +23,15 @@
 //!   in-process sweep, and the worker loop
 //! - [`sched`] — the scheduler core, with no sockets, threads, locks or
 //!   clocks: priority + fair-share dispatch, dedupe, memo and disk hits,
-//!   backpressure, requeues, counters
+//!   storing results as they complete, failures, backpressure, requeues,
+//!   counters
 //! - [`daemon`] — the loopback listener, workers and fault plans around
 //!   the core
-//! - [`client`] — the submit/collect client library
+//! - [`client`] — the submit/collect client library, whose
+//!   [`ServedResult`]s an in-process sweep collects too
 //!
 //! Binaries: `bvl-serve` (standalone daemon) and `bvl-client` (submit
-//! points from the command line); `run_all --serve` embeds the daemon
-//! and drives it through [`client::Client`].
+//! points from the command line); `run_all --serve` embeds the daemon.
 
 pub mod client;
 pub mod daemon;

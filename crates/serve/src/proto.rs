@@ -15,10 +15,10 @@
 //! a *typed* [`ProtoError`], never a panic or an unbounded allocation.
 //! The proptest suite (`tests/proto_props.rs`) enforces exactly that.
 
+use crate::client::ServedResult;
 use crate::sched::FabricReport;
 use crate::spec::PointSpec;
 use crate::worker::PointOutcome;
-use bvl_sim::RunResult;
 use bvl_snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::io::{self, Read, Write};
 
@@ -151,21 +151,8 @@ pub enum Msg {
     Done {
         /// Echo of the submission id.
         id: u64,
-        /// The (checked) simulation result.
-        result: RunResult,
-        /// Clock-domain edges processed cycle-by-cycle.
-        edges_run: u64,
-        /// Clock-domain edges batch-skipped.
-        edges_skipped: u64,
-        /// Host seconds spent simulating (0 for cache/memo hits).
-        host_secs: f64,
-        /// True when the result came from the memo layer or disk store
-        /// rather than a fresh simulation.
-        cache_hit: bool,
-        /// True when the run resumed from a persisted checkpoint (such
-        /// results are never written to the disk store, matching the
-        /// sweep's conservative persistence contract).
-        resumed: bool,
+        /// The result and how it was served.
+        served: ServedResult,
     },
     /// daemon → client: submission `id` failed.
     Failed {
@@ -232,23 +219,10 @@ impl Snap for Msg {
                 priority.save(w);
                 spec.save(w);
             }
-            Msg::Done {
-                id,
-                result,
-                edges_run,
-                edges_skipped,
-                host_secs,
-                cache_hit,
-                resumed,
-            } => {
+            Msg::Done { id, served } => {
                 w.u8(1);
                 w.u64(*id);
-                result.save(w);
-                w.u64(*edges_run);
-                w.u64(*edges_skipped);
-                w.f64(*host_secs);
-                w.bool(*cache_hit);
-                w.bool(*resumed);
+                served.save(w);
             }
             Msg::Failed { id, error } => {
                 w.u8(2);
@@ -299,12 +273,7 @@ impl Snap for Msg {
             },
             1 => Msg::Done {
                 id: r.u64()?,
-                result: RunResult::load(r)?,
-                edges_run: r.u64()?,
-                edges_skipped: r.u64()?,
-                host_secs: r.f64()?,
-                cache_hit: r.bool()?,
-                resumed: r.bool()?,
+                served: ServedResult::load(r)?,
             },
             2 => Msg::Failed {
                 id: r.u64()?,
@@ -400,7 +369,7 @@ pub fn read_msg<R: Read>(r: &mut R) -> Result<Msg, ProtoError> {
 mod tests {
     use super::*;
     use crate::spec::{PointSpec, WorkloadSpec};
-    use bvl_sim::{SimParams, SystemKind};
+    use bvl_sim::{RunResult, SimParams, SystemKind};
     use bvl_workloads::Scale;
 
     fn sample_spec() -> PointSpec {
@@ -425,12 +394,14 @@ mod tests {
             },
             Msg::Done {
                 id: 7,
-                result: RunResult::default(),
-                edges_run: 10,
-                edges_skipped: 20,
-                host_secs: 0.25,
-                cache_hit: true,
-                resumed: false,
+                served: ServedResult {
+                    result: RunResult::default(),
+                    edges_run: 10,
+                    edges_skipped: 20,
+                    host_secs: 0.25,
+                    cache_hit: true,
+                    resumed: false,
+                },
             },
             Msg::Failed {
                 id: 9,

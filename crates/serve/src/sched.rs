@@ -1,31 +1,32 @@
-//! The fabric's scheduler core: every decision the daemon makes about a
-//! point, as a state machine with no sockets, threads, locks or clocks.
+//! The scheduler core: every decision made about a sweep point, as a
+//! state machine with no sockets, threads, locks or clocks.
 //!
-//! The daemon ([`crate::daemon`]) turns what happens on its sockets into
-//! calls on one [`Sched`] and sends the replies each call returns; tests
-//! make the same calls directly. The core decides
+//! Its drivers turn events into calls on one [`Sched`] and send the
+//! replies each call returns: the daemon ([`crate::daemon`]) over client
+//! sockets, the in-process sweep (`bvl_experiments::sweep`) from worker
+//! threads down one channel per sweep, tests directly. The point type `P`
+//! is what a worker runs: a wire [`PointSpec`] for the daemon, a job with
+//! its prebuilt workload in-process. The core decides
 //!
-//! - **admission**: a submission is answered from the in-process memo or
-//!   the disk store, coalesces onto a queued or running twin (priority is
-//!   not part of the cache key, but a higher-priority coalescer upgrades a
-//!   still-queued twin's class), is shed with [`Msg::Busy`] past the
-//!   admission bound, or is queued as a fresh job;
+//! - **admission**: a memo hit, a coalesce onto a queued or running twin
+//!   (priority is not part of the cache key, but a higher-priority
+//!   coalescer upgrades a still-queued twin's class), a disk hit, a
+//!   [`Msg::Busy`] past the admission bound, or a fresh job;
 //! - **dispatch**: three strict priority classes and, within a class,
-//!   unit-quantum round-robin across clients, so no client starves
-//!   another at equal priority (DESIGN.md §4.14);
-//! - **settlement**: a finished point is stored (when it ran
-//!   straight-through and results persist), memoized, and answered to
+//!   unit-quantum round-robin across clients (DESIGN.md §4.14);
+//! - **settlement**: a finished point is stored as it completes (when it
+//!   ran straight-through and results persist), memoized, and answered to
 //!   every waiter; a failed point reaches every waiter and leaves no memo
 //!   entry and no checkpoint blob behind;
 //! - **requeues**: a point whose worker died returns to the front of its
 //!   class and resumes from its blob;
 //! - the [`FabricStats`] counters and the [`FabricReport`] snapshot.
 //!
-//! The core keeps no record of its queue on disk. When the daemon dies,
-//! its clients lose their connections and resubmit to the next one:
-//! finished points are disk hits, and a point that was in flight resumes
-//! from its checkpoint blob (DESIGN.md §4.14).
+//! The core keeps no record of its queue on disk: after a crash, clients
+//! resubmit, finished points are disk hits and a point that was in
+//! flight resumes from its checkpoint blob (DESIGN.md §4.14).
 
+use crate::client::ServedResult;
 use crate::daemon::DaemonConfig;
 use crate::proto::{Msg, Priority};
 use crate::spec::PointSpec;
@@ -34,6 +35,7 @@ use crate::worker::PointOutcome;
 use bvl_sim::RunResult;
 use bvl_snap::snap_struct;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::path::Path;
 
 /// Suggested client backoff after a [`Msg::Busy`] rejection.
 const BUSY_RETRY_MS: u64 = 25;
@@ -158,8 +160,8 @@ struct Waiter<R> {
     coalesced: bool,
 }
 
-struct Job<R> {
-    spec: PointSpec,
+struct Job<R, P> {
+    point: P,
     waiters: Vec<Waiter<R>>,
     priority: Priority,
     client: u64,
@@ -238,18 +240,18 @@ impl ClassQueue {
 }
 
 /// The scheduler core. `R` is where a reply goes: the daemon passes a
-/// client's socket, tests anything they can compare.
-pub struct Sched<R> {
+/// client's socket, the in-process sweep a channel, tests anything they
+/// can compare. `P` is the point a worker is handed at dispatch.
+pub struct Sched<R, P = PointSpec> {
     store: ResultStore,
     persist: bool,
-    checkpoint_every: u64,
     max_queue: usize,
     /// One [`ClassQueue`] per priority class, indexed by
     /// [`Priority::class`]; drained strictly in class order.
     classes: [ClassQueue; 3],
     /// Every admitted point until it completes or fails, queued or
     /// running.
-    jobs: HashMap<String, Job<R>>,
+    jobs: HashMap<String, Job<R, P>>,
     memo: HashMap<String, RunResult>,
     /// Points dispatched per client, for the fair-share report.
     shares: BTreeMap<u64, u64>,
@@ -258,14 +260,12 @@ pub struct Sched<R> {
     next_client: u64,
 }
 
-impl<R> Sched<R> {
-    /// An empty core over `cfg`'s store, admission bound and checkpoint
-    /// cadence.
-    pub fn new(cfg: &DaemonConfig) -> Sched<R> {
+impl<R, P: Clone> Sched<R, P> {
+    /// An empty core over `cfg`'s store and admission bound.
+    pub fn new(cfg: &DaemonConfig) -> Sched<R, P> {
         Sched {
             store: ResultStore::new(&cfg.store_dir),
             persist: cfg.persist,
-            checkpoint_every: cfg.checkpoint_every,
             max_queue: cfg.max_queue,
             classes: Default::default(),
             jobs: HashMap::new(),
@@ -275,6 +275,13 @@ impl<R> Sched<R> {
             workers: 0,
             next_client: 1,
         }
+    }
+
+    /// Moves the disk layer to `dir`, serving and storing results there
+    /// only when `persist`. The memo is kept.
+    pub fn set_store(&mut self, dir: &Path, persist: bool) {
+        self.store = ResultStore::new(dir);
+        self.persist = persist;
     }
 
     /// A client connected: its id, counting from 1, for fair share.
@@ -288,26 +295,19 @@ impl<R> Sched<R> {
         self.workers += 1;
     }
 
-    /// Submission `id` from `client`, answered at `to`: a memo hit, a
-    /// coalesce onto a twin, a disk hit, a [`Msg::Busy`] past the
-    /// admission bound, or a fresh job. A spec without a checkpoint
-    /// cadence gets the daemon's, so that it survives its worker.
+    /// Submission `id` of `point` under cache `key` from `client`,
+    /// answered at `to`: a memo hit, a coalesce onto a twin, a disk hit, a
+    /// [`Msg::Busy`] past the admission bound, or a fresh job.
     pub fn submit(
         &mut self,
         client: u64,
         to: R,
         id: u64,
         priority: Priority,
-        mut spec: PointSpec,
+        key: String,
+        point: P,
     ) -> Replies<R> {
-        let key = spec.key();
         self.stats.submitted += 1;
-        if spec.params.checkpoint_every == 0 {
-            // Observability-only knob, normalized out of the cache key
-            // and proven result-neutral by the restore-equivalence
-            // suite — safe to overlay the fabric's recovery cadence.
-            spec.params.checkpoint_every = self.checkpoint_every;
-        }
         if let Some(result) = self.memo.get(&key) {
             self.stats.memo_hits += 1;
             return vec![(to, cached(id, result.clone()))];
@@ -344,7 +344,7 @@ impl<R> Sched<R> {
         }
         self.classes[priority.class()].push_back(client, key.clone());
         let job = Job {
-            spec,
+            point,
             waiters: vec![Waiter {
                 to,
                 id,
@@ -362,12 +362,13 @@ impl<R> Sched<R> {
     /// `worker` is free: the next point to run, with its cache key, or
     /// `None` when nothing is queued. Dispatch is strictly by class,
     /// round-robin across clients within a class.
-    pub fn dispatch(&mut self, worker: u64) -> Option<(String, PointSpec)> {
+    pub fn dispatch(&mut self, worker: u64) -> Option<(String, P)> {
         let (client, key) = self.classes.iter_mut().find_map(ClassQueue::pop)?;
         *self.shares.entry(client).or_default() += 1;
         let job = self.jobs.get_mut(&key).expect("a queued key has a job");
         job.worker = Some(worker);
-        Some((key, job.spec.clone()))
+        let point = job.point.clone();
+        Some((key, point))
     }
 
     /// The point `key` ran to completion: every waiter gets the result.
@@ -377,7 +378,7 @@ impl<R> Sched<R> {
         let job = self.jobs.remove(key).expect("a completed key has a job");
         if self.persist && !out.resumed {
             if let Err(e) = self.store.store(key, &out.result) {
-                eprintln!("bvl-serve: {key}: result not stored: {e}");
+                eprintln!("{key}: result not stored: {e}");
             }
         }
         self.stats.executed += 1;
@@ -387,8 +388,7 @@ impl<R> Sched<R> {
             .waiters
             .into_iter()
             .map(|w| {
-                let done = Msg::Done {
-                    id: w.id,
+                let served = ServedResult {
                     result: out.result.clone(),
                     edges_run: out.edges_run,
                     edges_skipped: out.edges_skipped,
@@ -396,7 +396,7 @@ impl<R> Sched<R> {
                     cache_hit: w.coalesced,
                     resumed: out.resumed,
                 };
-                (w.to, done)
+                (w.to, Msg::Done { id: w.id, served })
             })
             .collect();
         self.memo.insert(key.to_string(), out.result);
@@ -460,13 +460,10 @@ impl<R> Sched<R> {
 
 /// The reply to a submission served without running anything.
 fn cached(id: u64, result: RunResult) -> Msg {
-    Msg::Done {
-        id,
+    let served = ServedResult {
         result,
-        edges_run: 0,
-        edges_skipped: 0,
-        host_secs: 0.0,
         cache_hit: true,
-        resumed: false,
-    }
+        ..ServedResult::default()
+    };
+    Msg::Done { id, served }
 }

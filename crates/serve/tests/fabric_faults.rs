@@ -391,8 +391,9 @@ fn a_client_survives_a_failed_batch_and_gets_its_next_batch_s_own_results() {
     let (good, next) = (named("vvadd"), named("saxpy"));
     let expected = reference(&next, &dir);
 
-    // One worker runs the first batch in order: the doomed point fails,
-    // and the good point's reply is still due when `run_points` returns.
+    // One worker runs the first batch in order: the doomed point fails
+    // and the good one completes; `run_points` reports the failure once
+    // both replies are in, and the connection serves the next batch.
     let daemon = Daemon::start(DaemonConfig::threads_only(1, dir.join("cache"))).expect("daemon");
     let addr = daemon.addr();
     let (first, second) = within_deadline("two batches on one client", move || {

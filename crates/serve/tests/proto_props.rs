@@ -19,7 +19,7 @@
 use bvl_serve::proto::{encode_frame, read_msg};
 use bvl_serve::{
     Client, Daemon, DaemonConfig, FabricReport, FabricStats, Msg, PointOutcome, PointSpec,
-    Priority, ProtoError, WorkloadSpec, MAX_FRAME,
+    Priority, ProtoError, ServedResult, WorkloadSpec, MAX_FRAME,
 };
 use bvl_sim::{RunResult, SamplingParams, SimParams, SystemKind};
 use bvl_workloads::Scale;
@@ -134,12 +134,14 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
             .prop_map(
                 |(id, edges_run, edges_skipped, host_secs, cache_hit, resumed)| Msg::Done {
                     id,
-                    result: RunResult::default(),
-                    edges_run,
-                    edges_skipped,
-                    host_secs,
-                    cache_hit,
-                    resumed,
+                    served: ServedResult {
+                        result: RunResult::default(),
+                        edges_run,
+                        edges_skipped,
+                        host_secs,
+                        cache_hit,
+                        resumed,
+                    },
                 }
             ),
         (any::<u64>(), any::<u64>()).prop_map(|(id, e)| Msg::Failed {

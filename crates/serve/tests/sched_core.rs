@@ -68,7 +68,7 @@ fn finished(result: RunResult) -> PointOutcome {
 /// Submits `spec` from `client` as request `id`, expecting it to queue
 /// or coalesce (no reply yet).
 fn submit(s: &mut Sched<u64>, client: u64, id: u64, priority: Priority, spec: &PointSpec) {
-    let replies = s.submit(client, client, id, priority, spec.clone());
+    let replies = s.submit(client, client, id, priority, spec.key(), spec.clone());
     assert!(replies.is_empty(), "{}: {replies:?}", spec.key());
 }
 
@@ -189,7 +189,7 @@ fn a_high_submission_upgrades_its_queued_low_twin() {
     let to: Vec<(u64, u64, bool)> = replies
         .iter()
         .map(|(to, msg)| match msg {
-            Msg::Done { id, cache_hit, .. } => (*to, *id, *cache_hit),
+            Msg::Done { id, served } => (*to, *id, served.cache_hit),
             other => panic!("expected Done, got {other:?}"),
         })
         .collect();
@@ -270,7 +270,7 @@ fn admission_past_max_queue_is_busy_and_the_high_water_mark_holds() {
         retry_after_ms: 25,
     };
     assert_eq!(
-        s.submit(c, c, 3, Priority::High, point(32)),
+        s.submit(c, c, 3, Priority::High, point(32).key(), point(32)),
         vec![(c, busy(3))],
         "a third fresh admission overflows a 2-deep queue, whatever its class"
     );
@@ -282,7 +282,7 @@ fn admission_past_max_queue_is_busy_and_the_high_water_mark_holds() {
     let (running, ..) = dispatch(&mut s).expect("a queued point");
     submit(&mut s, c, 5, Priority::Normal, &point(32));
     assert_eq!(
-        s.submit(c, c, 6, Priority::Normal, point(33)),
+        s.submit(c, c, 6, Priority::Normal, point(33).key(), point(33)),
         vec![(c, busy(6))]
     );
     // A requeue is exempt too: a dead worker's point returns to a full

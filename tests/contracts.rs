@@ -1,12 +1,15 @@
 //! Contracts that guard the runs that make artifacts, one tiny instance
 //! each, so that the root package's tests exercise them.
 
+use big_vlittle::experiments::sweep::{run_sweep, SweepJob};
+use big_vlittle::experiments::ExpOpts;
 use big_vlittle::sim::{
-    simulate, simulate_with, simulate_with_stats, CkptControl, FinishedRun, Hooks, SimParams,
-    SysState, SystemKind,
+    simulate, simulate_sampled, simulate_with, simulate_with_stats, CkptControl, FinishedRun,
+    Hooks, SamplingParams, SimParams, SysState, SystemKind,
 };
-use big_vlittle::workloads::{Scale, Workload};
+use big_vlittle::workloads::{kernels, Scale, Workload};
 use bvl_serve::{Client, Daemon, DaemonConfig, PointSpec, ResultStore, WorkloadSpec};
+use std::sync::Arc;
 
 /// `name@tiny` on `system` with default parameters.
 fn tiny_point(system: SystemKind, name: &str) -> PointSpec {
@@ -168,6 +171,50 @@ fn served_points_equal_simulate_and_resubmissions_hit_the_memo() {
 
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The in-process sweep drives the same scheduler core: at two workers,
+/// `vvadd` on `1b-4VL` submitted twice runs once (the twin coalesces),
+/// `saxpy` measures its sampled windows across the pool, and both equal
+/// what `simulate` and `simulate_sampled` give. A second sweep through a
+/// clone of the options is answered from the shared memo.
+#[test]
+fn an_in_process_sweep_equals_simulate_and_runs_each_point_once() {
+    let dir = std::env::temp_dir().join(format!("bvl-contracts-sweep-{}", std::process::id()));
+    let vvadd = Arc::new(kernels::vvadd::build(Scale::tiny()));
+    let saxpy = Arc::new(kernels::saxpy::build(Scale::tiny()));
+    let exact = SimParams::default();
+    let sampled = SimParams {
+        sampling: Some(SamplingParams {
+            period_instrs: 64,
+            window_instrs: 16,
+        }),
+        ..SimParams::default()
+    };
+    let jobs = [
+        SweepJob::new(SystemKind::B4Vl, &vvadd, "tiny", exact.clone()),
+        SweepJob::new(SystemKind::B4Vl, &vvadd, "tiny", exact.clone()),
+        SweepJob::new(SystemKind::B4Vl, &saxpy, "tiny", sampled.clone()),
+    ];
+    let opts = ExpOpts::for_scale("tiny", dir.clone()).with_jobs(2);
+    let results = run_sweep(&jobs, &opts);
+
+    let expected = simulate(SystemKind::B4Vl, &vvadd, &exact).expect("simulate");
+    assert_eq!(results[0], expected, "swept vvadd diverged");
+    assert_eq!(results[1], expected, "the coalesced twin diverged");
+    let (estimate, _) = simulate_sampled(SystemKind::B4Vl, &saxpy, &sampled).expect("sampled");
+    let windows = estimate.sampling.as_ref().map(|m| m.windows_measured);
+    assert!(windows > Some(1), "too few windows to share: {windows:?}");
+    assert_eq!(results[2], estimate, "swept saxpy estimate diverged");
+    assert_eq!(opts.throughput.snapshot().runs, 2, "the twin ran again");
+
+    assert_eq!(run_sweep(&jobs, &opts.clone()), results);
+    assert_eq!(
+        opts.throughput.snapshot().runs,
+        2,
+        "a clone's sweep must hit the shared memo"
+    );
+    assert!(!dir.exists(), "a sweep without --persist-cache wrote files");
 }
 
 /// Serves `spec`, whose store at `dir` holds planted checkpoint slots, on
