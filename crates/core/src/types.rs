@@ -359,11 +359,6 @@ pub trait VectorEngine {
     /// Registers the engine's counters under the system scope `sys`:
     /// its own under `sys.engine`, and lane-level ones beside the cores.
     fn register_stats(&self, sys: &mut bvl_obs::Scope<'_>);
-
-    /// Per-lane statistics, for engines built from lanes (Figure 7).
-    fn lane_stats(&self) -> Vec<CoreStats> {
-        Vec::new()
-    }
 }
 
 #[cfg(test)]

@@ -108,7 +108,7 @@ pub fn replay_divergence_tail(dt: &DtProgram, system: SystemKind) -> Result<Tail
     // A cadence of total/8 puts the last checkpoint in the final eighth
     // of the run; the floor keeps very short runs from checkpointing
     // every cycle.
-    let total = base.result.uncore_cycles;
+    let total = base.result.stat("sys.clock.uncore");
     let mut cadenced = params.clone();
     cadenced.checkpoint_every = (total / 8).max(16);
     let mut last: Option<SysState> = None;

@@ -658,13 +658,14 @@ fn caught<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
 /// ([`SweepJob::with_spec`]), or it is a standard suite job — its key is
 /// `"{name}@{scale_name}"` for the preset scale the sweep runs at, and the
 /// name is in the [`bvl_workloads::by_name`] registry (which rebuilds the
-/// byte-identical instance).
+/// byte-identical instance; [`bvl_workloads::is_registered`] asks without
+/// building one).
 fn wire_spec(job: &SweepJob, opts: &ExpOpts) -> Option<PointSpec> {
     opts.serve_addr.as_ref()?;
     let named = || {
         let standard = job.workload_key == format!("{}@{}", job.workload.name, opts.scale_name)
             && bvl_workloads::Scale::by_name(&opts.scale_name) == Some(opts.scale)
-            && bvl_workloads::by_name(job.workload.name, opts.scale).is_some();
+            && bvl_workloads::is_registered(job.workload.name);
         let name = job.workload.name.to_string();
         standard.then_some(WorkloadSpec::Named {
             name,
@@ -706,43 +707,13 @@ fn report_sampling(key: &str, meta: Option<&SamplingMeta>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvl_core::types::CoreStats;
-    use bvl_mem::MemStats;
     use bvl_obs::StatsSnapshot;
-    use bvl_runtime::RuntimeStats;
     use bvl_serve::store::{run_result_from_value, run_result_to_value};
     use serde_json::Value;
 
     fn sample_result() -> RunResult {
         RunResult {
             wall_ns: 1234.5,
-            uncore_cycles: 42,
-            big: Some(CoreStats {
-                cycles: 10,
-                retired: 9,
-                fetch_groups: 3,
-                breakdown: [1, 2, 3, 4, 0, 0, 0],
-                branches: 2,
-                mispredicts: 1,
-            }),
-            littles: vec![CoreStats::default(); 2],
-            lanes: vec![],
-            fetch_groups: 7,
-            mem: MemStats {
-                ifetch_reqs: 1,
-                data_reqs: 2,
-                l2_reqs: 3,
-                dve_reqs: 6,
-                vmu_reqs: 7,
-                coherence_msgs: 4,
-                line_migrations: 5,
-            },
-            runtime: Some(RuntimeStats {
-                tasks_run: 8,
-                steals: 1,
-                failed_steals: 0,
-                overhead_cycles: 99,
-            }),
             stats: StatsSnapshot::from_entries(vec![
                 ("sys.clock.uncore".into(), 42),
                 ("sys.big.l1d.misses".into(), 11),

@@ -44,10 +44,6 @@ fn check(workload: &Workload, kind: SystemKind, no_skip: bool) {
     if no_skip {
         assert_eq!(skip.edges_skipped, 0, "naive loop must not skip");
     }
-
-    // The snapshot is the source of truth for the figure-facing counters.
-    assert_eq!(r.stat("sys.clock.uncore"), r.uncore_cycles);
-    assert_eq!(r.stat("sys.fetch_groups"), r.fetch_groups);
 }
 
 #[test]

@@ -11,11 +11,14 @@
 //!   (checkpoint cadence, tracing), whose on/off state leaves results
 //!   byte-identical; the sampling configuration is *kept*, so a sampled
 //!   estimate can never alias an exact result.
-//! * **Entries.** Hand-rolled `serde_json::Value` encoding (no derived
-//!   deserializers across bvl-core/mem/runtime). Unreadable files and
-//!   files from older format generations — pre-stats-snapshot (PR-4) and
-//!   pre-sampling (PR-6) entries lack those keys — decode as **misses**,
-//!   never errors: the point just re-simulates.
+//! * **Entries.** A hand-rolled `serde_json::Value` object of the
+//!   result's `wall_ns`, `stats` (the counter snapshot, as `[path,
+//!   value]` pairs) and `sampling`. Unreadable files and files from
+//!   older format generations — pre-stats-snapshot and pre-sampling
+//!   entries lack those keys — decode as **misses**, never errors: the
+//!   point just re-simulates. Keys beyond those three are ignored, so
+//!   entries that also carry the typed counter copies an earlier
+//!   generation wrote still load, as the same result.
 //! * **Writes.** Unique-temp-file + rename. Multiple fabric workers (and
 //!   a daemon) share one store directory, so a plain `fs::write` could
 //!   expose a torn half-written entry to a concurrent reader; the rename
@@ -33,10 +36,7 @@
 //!   slot is skipped, reusing the `SnapError` paths, and with
 //!   neither usable the point restarts from cycle 0.
 
-use bvl_core::types::CoreStats;
-use bvl_mem::MemStats;
 use bvl_obs::StatsSnapshot;
-use bvl_runtime::RuntimeStats;
 use bvl_sim::{params_fingerprint, RunResult, SamplingMeta, SimParams, SysState, SystemKind};
 use serde_json::Value;
 use std::fs::{self, OpenOptions};
@@ -253,81 +253,6 @@ fn map(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-fn core_stats_to_value(c: &CoreStats) -> Value {
-    map(vec![
-        ("cycles", Value::U64(c.cycles)),
-        ("retired", Value::U64(c.retired)),
-        ("fetch_groups", Value::U64(c.fetch_groups)),
-        (
-            "breakdown",
-            Value::Seq(c.breakdown.iter().map(|&x| Value::U64(x)).collect()),
-        ),
-        ("branches", Value::U64(c.branches)),
-        ("mispredicts", Value::U64(c.mispredicts)),
-    ])
-}
-
-fn core_stats_from_value(v: &Value) -> Option<CoreStats> {
-    let breakdown_list = v.get("breakdown")?.as_array()?;
-    let mut breakdown = [0u64; 7];
-    if breakdown_list.len() != breakdown.len() {
-        return None;
-    }
-    for (slot, item) in breakdown.iter_mut().zip(breakdown_list) {
-        *slot = item.as_u64()?;
-    }
-    Some(CoreStats {
-        cycles: v.get("cycles")?.as_u64()?,
-        retired: v.get("retired")?.as_u64()?,
-        fetch_groups: v.get("fetch_groups")?.as_u64()?,
-        breakdown,
-        branches: v.get("branches")?.as_u64()?,
-        mispredicts: v.get("mispredicts")?.as_u64()?,
-    })
-}
-
-fn mem_stats_to_value(m: &MemStats) -> Value {
-    map(vec![
-        ("ifetch_reqs", Value::U64(m.ifetch_reqs)),
-        ("data_reqs", Value::U64(m.data_reqs)),
-        ("l2_reqs", Value::U64(m.l2_reqs)),
-        ("dve_reqs", Value::U64(m.dve_reqs)),
-        ("vmu_reqs", Value::U64(m.vmu_reqs)),
-        ("coherence_msgs", Value::U64(m.coherence_msgs)),
-        ("line_migrations", Value::U64(m.line_migrations)),
-    ])
-}
-
-fn mem_stats_from_value(v: &Value) -> Option<MemStats> {
-    Some(MemStats {
-        ifetch_reqs: v.get("ifetch_reqs")?.as_u64()?,
-        data_reqs: v.get("data_reqs")?.as_u64()?,
-        l2_reqs: v.get("l2_reqs")?.as_u64()?,
-        dve_reqs: v.get("dve_reqs")?.as_u64()?,
-        vmu_reqs: v.get("vmu_reqs")?.as_u64()?,
-        coherence_msgs: v.get("coherence_msgs")?.as_u64()?,
-        line_migrations: v.get("line_migrations")?.as_u64()?,
-    })
-}
-
-fn runtime_stats_to_value(r: &RuntimeStats) -> Value {
-    map(vec![
-        ("tasks_run", Value::U64(r.tasks_run)),
-        ("steals", Value::U64(r.steals)),
-        ("failed_steals", Value::U64(r.failed_steals)),
-        ("overhead_cycles", Value::U64(r.overhead_cycles)),
-    ])
-}
-
-fn runtime_stats_from_value(v: &Value) -> Option<RuntimeStats> {
-    Some(RuntimeStats {
-        tasks_run: v.get("tasks_run")?.as_u64()?,
-        steals: v.get("steals")?.as_u64()?,
-        failed_steals: v.get("failed_steals")?.as_u64()?,
-        overhead_cycles: v.get("overhead_cycles")?.as_u64()?,
-    })
-}
-
 fn opt_to_value(v: Option<Value>) -> Value {
     v.unwrap_or(Value::Null)
 }
@@ -387,26 +312,11 @@ fn snapshot_from_value(v: &Value) -> Option<StatsSnapshot> {
     Some(StatsSnapshot::from_entries(entries))
 }
 
-/// Encodes a [`RunResult`] as the store's JSON entry shape.
+/// Encodes a [`RunResult`] as the store's JSON entry shape: `wall_ns`,
+/// `stats` and `sampling`.
 pub fn run_result_to_value(r: &RunResult) -> Value {
     map(vec![
         ("wall_ns", Value::F64(r.wall_ns)),
-        ("uncore_cycles", Value::U64(r.uncore_cycles)),
-        ("big", opt_to_value(r.big.as_ref().map(core_stats_to_value))),
-        (
-            "littles",
-            Value::Seq(r.littles.iter().map(core_stats_to_value).collect()),
-        ),
-        (
-            "lanes",
-            Value::Seq(r.lanes.iter().map(core_stats_to_value).collect()),
-        ),
-        ("fetch_groups", Value::U64(r.fetch_groups)),
-        ("mem", mem_stats_to_value(&r.mem)),
-        (
-            "runtime",
-            opt_to_value(r.runtime.as_ref().map(runtime_stats_to_value)),
-        ),
         ("stats", snapshot_to_value(&r.stats)),
         (
             "sampling",
@@ -419,31 +329,13 @@ pub fn run_result_to_value(r: &RunResult) -> Value {
 /// including entries written by older format generations:
 /// pre-stats-snapshot files (PR-4) lack the `stats` key, pre-sampling
 /// files (PR-6) lack the `sampling` key, and both must re-simulate
-/// rather than guess.
+/// rather than guess. Other keys are ignored: an entry from the
+/// generation that also wrote typed copies of the counters beside the
+/// snapshot (`uncore_cycles`, `big`, `mem`, …) loads as its `wall_ns`,
+/// `stats` and `sampling`, the same result a current entry holds.
 pub fn run_result_from_value(v: &Value) -> Option<RunResult> {
-    let opt_core = |v: &Value| -> Option<Option<CoreStats>> {
-        if v.is_null() {
-            Some(None)
-        } else {
-            core_stats_from_value(v).map(Some)
-        }
-    };
-    let core_list = |v: &Value| -> Option<Vec<CoreStats>> {
-        v.as_array()?.iter().map(core_stats_from_value).collect()
-    };
     Some(RunResult {
         wall_ns: v.get("wall_ns")?.as_f64()?,
-        uncore_cycles: v.get("uncore_cycles")?.as_u64()?,
-        big: opt_core(v.get("big")?)?,
-        littles: core_list(v.get("littles")?)?,
-        lanes: core_list(v.get("lanes")?)?,
-        fetch_groups: v.get("fetch_groups")?.as_u64()?,
-        mem: mem_stats_from_value(v.get("mem")?)?,
-        runtime: if v.get("runtime")?.is_null() {
-            None
-        } else {
-            Some(runtime_stats_from_value(v.get("runtime")?)?)
-        },
         // Files from before the stats snapshot existed lack this entry and
         // decode as misses, which re-simulates — exactly right.
         stats: snapshot_from_value(v.get("stats")?)?,

@@ -2,10 +2,14 @@
 //!
 //! The store reads entries written by every prior format generation of
 //! this repo — and by interrupted/hostile writers. The contract is
-//! one-sided: anything that is not a complete, current-generation entry
+//! one-sided: an entry loads when it holds a well-typed `wall_ns`,
+//! `stats` and `sampling`, whatever other keys it carries; anything else
 //! is a **miss** (the point re-simulates), never an error and never a
 //! panic. Pinned here:
 //!
+//! * entries that also carry the typed counter copies (`uncore_cycles`,
+//!   `big`, `mem`, …) the previous generation wrote → the same result
+//!   as without them;
 //! * pre-stats-snapshot entries (PR-4 era: no `stats` key) → miss;
 //! * pre-sampling entries (PR-6 era: no `sampling` key) → miss;
 //! * entries with duplicate stats paths (disk corruption; would panic
@@ -28,32 +32,50 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// A syntactically valid entry with the keys named in `omit` removed —
-/// exactly what an older format generation wrote (older generations
-/// didn't have the newer keys to write).
-fn entry_without(omit: &[&str]) -> String {
-    let full = [
-        ("wall_ns", r#"123.5"#),
-        ("uncore_cycles", "42"),
-        ("big", "null"),
-        ("littles", "[]"),
-        ("lanes", "[]"),
-        ("fetch_groups", "7"),
-        (
-            "mem",
-            r#"{"ifetch_reqs":1,"data_reqs":2,"l2_reqs":3,"dve_reqs":4,"vmu_reqs":5,"coherence_msgs":6,"line_migrations":7}"#,
-        ),
-        ("runtime", "null"),
-        ("stats", r#"[["sys.mem.data_reqs",2]]"#),
-        ("sampling", "null"),
-    ];
-    let body = full
+/// The keys a current entry holds.
+const CURRENT: [(&str, &str); 3] = [
+    ("wall_ns", "123.5"),
+    ("stats", r#"[["sys.mem.data_reqs",2]]"#),
+    ("sampling", "null"),
+];
+
+/// The typed copies of the counters that the generation before the
+/// current one wrote between `wall_ns` and `stats`.
+const TYPED_COPIES: [(&str, &str); 7] = [
+    ("uncore_cycles", "42"),
+    (
+        "big",
+        r#"{"cycles":10,"retired":9,"fetch_groups":3,"breakdown":[1,2,3,4,0,0,0],"branches":2,"mispredicts":1}"#,
+    ),
+    ("littles", "[]"),
+    ("lanes", "[]"),
+    ("fetch_groups", "7"),
+    (
+        "mem",
+        r#"{"ifetch_reqs":1,"data_reqs":2,"l2_reqs":3,"dve_reqs":4,"vmu_reqs":5,"coherence_msgs":6,"line_migrations":7}"#,
+    ),
+    ("runtime", "null"),
+];
+
+/// A JSON object of `fields`, in order, laid out as the store writes.
+fn entry(fields: &[(&str, &str)]) -> String {
+    let body = fields
         .iter()
-        .filter(|(k, _)| !omit.contains(k))
         .map(|(k, v)| format!("\"{k}\": {v}"))
         .collect::<Vec<_>>()
         .join(",\n  ");
     format!("{{\n  {body}\n}}")
+}
+
+/// A syntactically valid current entry with the keys named in `omit`
+/// removed — exactly what an older format generation wrote (older
+/// generations didn't have the newer keys to write).
+fn entry_without(omit: &[&str]) -> String {
+    let kept: Vec<_> = CURRENT
+        .into_iter()
+        .filter(|(k, _)| !omit.contains(k))
+        .collect();
+    entry(&kept)
 }
 
 fn plant(store: &ResultStore, key: &str, text: &str) {
@@ -75,6 +97,23 @@ fn legacy_and_corrupt_entries_decode_as_misses_not_errors() {
     assert!(
         store.load(key).is_some(),
         "the control entry must decode — the legacy cases below are meaningless otherwise"
+    );
+
+    // The previous generation: the same three keys, with the typed
+    // counter copies between `wall_ns` and `stats`. The decoder ignores
+    // them, so the entry loads as the same result.
+    let current = store.load(key);
+    let parent_shape: Vec<_> = CURRENT[..1]
+        .iter()
+        .chain(&TYPED_COPIES)
+        .chain(&CURRENT[1..])
+        .copied()
+        .collect();
+    plant(&store, key, &entry(&parent_shape));
+    assert_eq!(
+        store.load(key),
+        current,
+        "an entry with the typed counter copies must load as the entry without them"
     );
 
     // Pre-PR-4 generation: no stats snapshot, no sampling metadata.
@@ -105,10 +144,7 @@ fn legacy_and_corrupt_entries_decode_as_misses_not_errors() {
     plant(
         &store,
         key,
-        &entry_without(&["uncore_cycles"]).replace(
-            "\"wall_ns\": 123.5",
-            "\"wall_ns\": 123.5, \"uncore_cycles\": \"many\"",
-        ),
+        &entry_without(&[]).replace("\"wall_ns\": 123.5", "\"wall_ns\": \"many\""),
     );
     assert!(store.load(key).is_none(), "mistyped field must be a miss");
 

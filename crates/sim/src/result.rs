@@ -1,9 +1,6 @@
 //! Simulation results.
 
-use bvl_core::types::CoreStats;
-use bvl_mem::MemStats;
 use bvl_obs::StatsSnapshot;
-use bvl_runtime::RuntimeStats;
 use bvl_snap::snap_struct;
 
 /// Everything one run reports.
@@ -14,25 +11,12 @@ use bvl_snap::snap_struct;
 pub struct RunResult {
     /// Wall-clock time in nanoseconds (the cross-frequency metric).
     pub wall_ns: f64,
-    /// Uncore cycles elapsed.
-    pub uncore_cycles: u64,
-    /// Big-core statistics, if a big core exists.
-    pub big: Option<CoreStats>,
-    /// Little-core statistics (empty in vector mode, where they are lanes).
-    pub littles: Vec<CoreStats>,
-    /// VLITTLE lane statistics (Figure 7 breakdowns), `1b-4VL` only.
-    pub lanes: Vec<CoreStats>,
-    /// Total instruction fetch groups (L1I reads) across all cores —
-    /// Figure 5's quantity.
-    pub fetch_groups: u64,
-    /// Memory-hierarchy statistics — Figure 6's `data_reqs` lives here.
-    pub mem: MemStats,
-    /// Work-stealing runtime statistics for task runs.
-    pub runtime: Option<RuntimeStats>,
-    /// The unified per-component counter snapshot (`sys.little3.l1d.miss`
-    /// style paths — see `DESIGN.md` §4.10 for the schema). This is the
-    /// single source every figure module reads; the struct fields above
-    /// remain as typed convenience views of the same numbers.
+    /// Every simulator counter of the run, under `sys.little3.l1d.miss`
+    /// style paths (see `DESIGN.md` §4.10 for the schema): uncore cycles
+    /// at `sys.clock.uncore`, Figure 5's fetch groups at
+    /// `sys.fetch_groups`, Figure 6's data requests at
+    /// `sys.mem.data_reqs`, Figure 7's lane breakdowns under
+    /// `sys.lane{i}.breakdown`. The one place a counter lives.
     pub stats: StatsSnapshot,
     /// Present when this result is a *sampled estimate* rather than an
     /// exact measurement: how it was sampled and the confidence interval
@@ -46,13 +30,6 @@ pub struct RunResult {
 // byte-identity acceptance test depends on this.
 snap_struct!(RunResult {
     wall_ns,
-    uncore_cycles,
-    big,
-    littles,
-    lanes,
-    fetch_groups,
-    mem,
-    runtime,
     stats,
     sampling,
 });

@@ -44,9 +44,8 @@ use crate::result::{RunResult, SamplingMeta};
 use crate::snapshot::SysState;
 use crate::system::{simulate_with_stats, ExecMode, SkipStats, System};
 use bvl_core::fetch::TEXT_BASE;
-use bvl_core::types::CoreStats;
 use bvl_isa::exec::{Machine, StepInfo};
-use bvl_mem::{MemStats, SimMemory, WarmTarget};
+use bvl_mem::{SimMemory, WarmTarget};
 use bvl_obs::StatsSnapshot;
 use bvl_snap::{SnapReader, SnapWriter};
 use bvl_workloads::Workload;
@@ -500,52 +499,13 @@ pub fn run_sample_window(
 // Phase 3: stratified combination
 // ---------------------------------------------------------------------
 
-/// Weighted accumulator for [`CoreStats`].
-#[derive(Default)]
-struct CoreAcc {
-    present: bool,
-    cycles: f64,
-    retired: f64,
-    fetch_groups: f64,
-    breakdown: [f64; 7],
-    branches: f64,
-    mispredicts: f64,
-}
-
-impl CoreAcc {
-    fn add(&mut self, w: f64, s: &CoreStats) {
-        self.present = true;
-        self.cycles += w * s.cycles as f64;
-        self.retired += w * s.retired as f64;
-        self.fetch_groups += w * s.fetch_groups as f64;
-        for (acc, v) in self.breakdown.iter_mut().zip(s.breakdown) {
-            *acc += w * v as f64;
-        }
-        self.branches += w * s.branches as f64;
-        self.mispredicts += w * s.mispredicts as f64;
-    }
-
-    fn finish(&self) -> CoreStats {
-        CoreStats {
-            cycles: round_u64(self.cycles),
-            retired: round_u64(self.retired),
-            fetch_groups: round_u64(self.fetch_groups),
-            breakdown: self.breakdown.map(round_u64),
-            branches: round_u64(self.branches),
-            mispredicts: round_u64(self.mispredicts),
-        }
-    }
-}
-
-fn round_u64(x: f64) -> u64 {
-    x.round().max(0.0) as u64
-}
-
 /// Combines per-window measurements into the whole-run estimate.
 ///
 /// Each window `k` is weighted by `stratum_k / instrs_k` — its counters
 /// stand in for its whole stratum, normalized by what the window really
-/// measured. The 95% interval is the usual systematic-sampling
+/// measured. Wall time is summed at full precision; every counter is
+/// extrapolated once, through [`StatsSnapshot::weighted_sum`] over the
+/// windows' snapshots. The 95% interval is the usual systematic-sampling
 /// `1.96·(s_TPI/√n)·N` term (time-per-instruction spread across windows,
 /// scaled to the population) plus the [`SAMPLING_BIAS_FRAC`] allowance.
 ///
@@ -568,8 +528,7 @@ pub fn combine_sampled(
     let sp = plan.params;
     if plan.exact_fallback {
         let (mut r, skip) = simulate_with_stats(kind, workload, params)?;
-        let total = r.big.as_ref().map_or(0, |b| b.retired)
-            + r.littles.iter().map(|l| l.retired).sum::<u64>();
+        let total = r.stat("sys.big.retired") + r.stats.sum_matching("sys.little", ".retired");
         r.sampling = Some(SamplingMeta {
             period_instrs: sp.period_instrs,
             window_instrs: sp.window_instrs,
@@ -590,14 +549,8 @@ pub fn combine_sampled(
     }
 
     let mut est_wall = 0.0f64;
-    let mut uncore = 0.0f64;
-    let mut fetch_groups = 0.0f64;
     let mut tpis: Vec<f64> = Vec::with_capacity(measurements.len());
     let mut parts: Vec<(&StatsSnapshot, f64)> = Vec::with_capacity(measurements.len());
-    let mut big_acc = CoreAcc::default();
-    let mut little_accs: Vec<CoreAcc> = Vec::new();
-    let mut lane_accs: Vec<CoreAcc> = Vec::new();
-    let mut mem = [0.0f64; 7];
     let mut skip = SkipStats::default();
     let mut truncated = 0u64;
 
@@ -614,36 +567,8 @@ pub fn combine_sampled(
         }
         let weight = w.stratum_instrs as f64 / m.instrs as f64;
         est_wall += weight * m.result.wall_ns;
-        uncore += weight * m.result.uncore_cycles as f64;
-        fetch_groups += weight * m.result.fetch_groups as f64;
         tpis.push(m.result.wall_ns / m.instrs as f64);
         parts.push((&m.result.stats, weight));
-        if let Some(b) = m.result.big.as_ref() {
-            big_acc.add(weight, b);
-        }
-        little_accs.resize_with(
-            little_accs.len().max(m.result.littles.len()),
-            CoreAcc::default,
-        );
-        for (acc, s) in little_accs.iter_mut().zip(&m.result.littles) {
-            acc.add(weight, s);
-        }
-        lane_accs.resize_with(lane_accs.len().max(m.result.lanes.len()), CoreAcc::default);
-        for (acc, s) in lane_accs.iter_mut().zip(&m.result.lanes) {
-            acc.add(weight, s);
-        }
-        let ms = &m.result.mem;
-        for (acc, v) in mem.iter_mut().zip([
-            ms.ifetch_reqs,
-            ms.data_reqs,
-            ms.l2_reqs,
-            ms.dve_reqs,
-            ms.vmu_reqs,
-            ms.coherence_msgs,
-            ms.line_migrations,
-        ]) {
-            *acc += weight * v as f64;
-        }
     }
     if parts.is_empty() {
         return Err("every sampled window was dropped; nothing to estimate".into());
@@ -664,22 +589,6 @@ pub fn combine_sampled(
 
     let result = RunResult {
         wall_ns: est_wall,
-        uncore_cycles: round_u64(uncore),
-        big: big_acc.present.then(|| big_acc.finish()),
-        littles: little_accs.iter().map(CoreAcc::finish).collect(),
-        lanes: lane_accs.iter().map(CoreAcc::finish).collect(),
-        fetch_groups: round_u64(fetch_groups),
-        mem: MemStats {
-            ifetch_reqs: round_u64(mem[0]),
-            data_reqs: round_u64(mem[1]),
-            l2_reqs: round_u64(mem[2]),
-            dve_reqs: round_u64(mem[3]),
-            vmu_reqs: round_u64(mem[4]),
-            coherence_msgs: round_u64(mem[5]),
-            line_migrations: round_u64(mem[6]),
-        },
-        // Sampled modes are serial/vector only — no work-stealing stats.
-        runtime: None,
         stats: StatsSnapshot::weighted_sum(&parts),
         sampling: Some(SamplingMeta {
             period_instrs: sp.period_instrs,
@@ -841,7 +750,7 @@ mod tests {
         assert!(meta.exact_fallback);
         let exact = simulate(SystemKind::B4L, &w, &SimParams::default()).expect("exact");
         assert_eq!(r.wall_ns, exact.wall_ns, "fallback must be the exact run");
-        assert!(r.runtime.is_some());
+        assert!(r.stats.get("sys.runtime.tasks_run").is_some());
     }
 
     #[test]

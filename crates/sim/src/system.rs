@@ -780,8 +780,9 @@ impl<'w> System<'w> {
             + self.littles.iter().map(|l| l.fetch_groups()).sum::<u64>();
 
         // ---- unified stats registry: every component's counters under one
-        // hierarchical path schema (DESIGN.md §4.10). This snapshot is what
-        // figure modules read and what the conservation checker audits.
+        // hierarchical path schema (DESIGN.md §4.10). This snapshot is the
+        // result's only copy of them: what figure modules read and what the
+        // conservation checker audits.
         let mut reg = StatsRegistry::new();
         {
             let mut sys = reg.scope("sys");
@@ -811,16 +812,6 @@ impl<'w> System<'w> {
 
         RunResult {
             wall_ns: wall_fs as f64 / 1.0e6,
-            uncore_cycles: self.cyc_u,
-            big: self.big.as_ref().map(|b| *b.stats()),
-            littles: self.littles.iter().map(|l| *l.stats()).collect(),
-            lanes: self
-                .engine
-                .as_ref()
-                .map_or_else(Vec::new, |e| e.lane_stats()),
-            fetch_groups,
-            mem: self.hier.stats(),
-            runtime: self.runtime.as_ref().map(|r| *r.stats()),
             stats: reg.snapshot(),
             sampling: None,
         }
@@ -1320,9 +1311,8 @@ mod tests {
         let w = vvadd::build(Scale::tiny());
         for kind in [SystemKind::B4L, SystemKind::BIv4L] {
             let r = run(kind, &w);
-            let rt = r.runtime.expect("task mode");
-            assert!(rt.tasks_run > 0);
-            assert!(!r.littles.is_empty());
+            assert!(r.stat("sys.runtime.tasks_run") > 0);
+            assert!(r.stats.get("sys.little0.cycles").is_some());
         }
     }
 
@@ -1330,10 +1320,11 @@ mod tests {
     fn vlittle_reports_lane_breakdowns() {
         let w = saxpy::build(Scale::tiny());
         let r = run(SystemKind::B4Vl, &w);
-        assert_eq!(r.lanes.len(), 4);
-        assert!(r.lanes.iter().all(|l| l.cycles > 0));
+        let lane_cycles = r.stats.paths_matching("sys.lane", ".cycles");
+        assert_eq!(lane_cycles.len(), 4);
+        assert!(lane_cycles.iter().all(|p| r.stat(p) > 0));
         // In vector mode the little cores are lanes, not cores.
-        assert!(r.littles.is_empty());
+        assert!(r.stats.get("sys.little0.cycles").is_none());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::regmap::RegMap;
 use crate::vcu::{expand, Expansion, Target, Vcu, VcuParams};
 use crate::vmu::{Vmu, VmuParams};
 use crate::vxu::{Vxu, VxuParams};
-use bvl_core::types::{ClockDomain, CoreStats, Quiescence, VecCmd, VectorEngine};
+use bvl_core::types::{ClockDomain, Quiescence, VecCmd, VectorEngine};
 use bvl_mem::{IdMap, MemHierarchy, PortId, WarmTarget};
 use bvl_snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::VecDeque;
@@ -541,10 +541,6 @@ impl VectorEngine for VLittleEngine {
         self.vmu.stats().register(&mut engine.scope("vmu"));
         self.vxu.stats().register(&mut engine.scope("vxu"));
     }
-
-    fn lane_stats(&self) -> Vec<CoreStats> {
-        self.lanes.iter().map(|l| *l.stats()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -846,7 +842,7 @@ mod tests {
                     .vmu
                     .quiescence()
                     .expect("idle engine implies quiescent VMU");
-                let lanes_before = engine.lane_stats();
+                let lanes_before: Vec<_> = engine.lanes.iter().map(|l| *l.stats()).collect();
                 Some((
                     kinds,
                     bp,
@@ -867,7 +863,11 @@ mod tests {
                 for (c, kind) in kinds.iter().enumerate() {
                     let mut want = lanes_before[c];
                     want.account(*kind);
-                    assert_eq!(engine.lane_stats()[c], want, "lane {c} accounting at t={t}");
+                    assert_eq!(
+                        *engine.lanes[c].stats(),
+                        want,
+                        "lane {c} accounting at t={t}"
+                    );
                 }
                 let mut want_vmu = vmu_before;
                 if bp {
@@ -894,7 +894,8 @@ mod tests {
         let ya = mem.alloc_f32(&xs);
         let a = saxpy_vector_program(n, xa, ya);
         let (_, _, engine, _) = run_vlittle(&a, mem, EngineParams::paper_default());
-        for (c, s) in engine.lane_stats().iter().enumerate() {
+        for (c, lane) in engine.lanes.iter().enumerate() {
+            let s = lane.stats();
             let total: u64 = s.breakdown.iter().sum();
             assert_eq!(total, s.cycles, "lane {c} breakdown incomplete");
             assert!(

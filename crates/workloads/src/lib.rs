@@ -35,21 +35,44 @@ pub mod workload;
 
 pub use workload::{Phase, Scale, Workload, WorkloadClass};
 
+/// Builds one workload at a scale.
+type Builder = fn(Scale) -> Workload;
+
+/// Every workload of the evaluation, by its own `name` field, in suite
+/// order: the data-parallel kernels and apps, then the task-parallel
+/// graph apps. The one table behind [`all_data_parallel`],
+/// [`all_task_parallel`], [`by_name`] and [`is_registered`].
+const REGISTRY: [(&str, Builder); 19] = [
+    ("vvadd", kernels::vvadd::build),
+    ("mmult", kernels::mmult::build),
+    ("saxpy", kernels::saxpy::build),
+    ("backprop", apps::backprop::build),
+    ("kmeans", apps::kmeans::build),
+    ("particlefilter", apps::particlefilter::build),
+    ("blackscholes", apps::blackscholes::build),
+    ("jacobi2d", apps::jacobi2d::build),
+    ("pathfinder", apps::pathfinder::build),
+    ("lavamd", apps::lavamd::build),
+    ("sw", apps::sw::build),
+    ("bfs", graph::bfs::build),
+    ("pagerank", graph::pagerank::build),
+    ("components", graph::components::build),
+    ("radii", graph::radii::build),
+    ("mis", graph::mis::build),
+    ("kcore", graph::kcore::build),
+    ("bc", graph::bc::build),
+    ("trianglecount", graph::tc::build),
+];
+
+/// Where the task-parallel suite starts in [`REGISTRY`].
+const FIRST_TASK_PARALLEL: usize = 11;
+
 /// Builds every data-parallel workload (kernels + apps) at `scale`.
 pub fn all_data_parallel(scale: Scale) -> Vec<Workload> {
-    vec![
-        kernels::vvadd::build(scale),
-        kernels::mmult::build(scale),
-        kernels::saxpy::build(scale),
-        apps::backprop::build(scale),
-        apps::kmeans::build(scale),
-        apps::particlefilter::build(scale),
-        apps::blackscholes::build(scale),
-        apps::jacobi2d::build(scale),
-        apps::pathfinder::build(scale),
-        apps::lavamd::build(scale),
-        apps::sw::build(scale),
-    ]
+    REGISTRY[..FIRST_TASK_PARALLEL]
+        .iter()
+        .map(|(_, build)| build(scale))
+        .collect()
 }
 
 /// Builds the workload called `name` at `scale` — the sweep fabric's
@@ -58,43 +81,23 @@ pub fn all_data_parallel(scale: Scale) -> Vec<Workload> {
 /// seeded, so the rebuilt instance is byte-identical to the submitter's).
 /// Names are the workloads' own `name` fields.
 pub fn by_name(name: &str, scale: Scale) -> Option<Workload> {
-    let w = match name {
-        "vvadd" => kernels::vvadd::build(scale),
-        "mmult" => kernels::mmult::build(scale),
-        "saxpy" => kernels::saxpy::build(scale),
-        "backprop" => apps::backprop::build(scale),
-        "kmeans" => apps::kmeans::build(scale),
-        "particlefilter" => apps::particlefilter::build(scale),
-        "blackscholes" => apps::blackscholes::build(scale),
-        "jacobi2d" => apps::jacobi2d::build(scale),
-        "pathfinder" => apps::pathfinder::build(scale),
-        "lavamd" => apps::lavamd::build(scale),
-        "sw" => apps::sw::build(scale),
-        "bfs" => graph::bfs::build(scale),
-        "pagerank" => graph::pagerank::build(scale),
-        "components" => graph::components::build(scale),
-        "radii" => graph::radii::build(scale),
-        "mis" => graph::mis::build(scale),
-        "kcore" => graph::kcore::build(scale),
-        "bc" => graph::bc::build(scale),
-        "trianglecount" => graph::tc::build(scale),
-        _ => return None,
-    };
-    Some(w)
+    REGISTRY
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, build)| build(scale))
+}
+
+/// Whether [`by_name`] knows `name`, without building anything.
+pub fn is_registered(name: &str) -> bool {
+    REGISTRY.iter().any(|(n, _)| *n == name)
 }
 
 /// Builds every task-parallel (graph) workload at `scale`.
 pub fn all_task_parallel(scale: Scale) -> Vec<Workload> {
-    vec![
-        graph::bfs::build(scale),
-        graph::pagerank::build(scale),
-        graph::components::build(scale),
-        graph::radii::build(scale),
-        graph::mis::build(scale),
-        graph::kcore::build(scale),
-        graph::bc::build(scale),
-        graph::tc::build(scale),
-    ]
+    REGISTRY[FIRST_TASK_PARALLEL..]
+        .iter()
+        .map(|(_, build)| build(scale))
+        .collect()
 }
 
 #[cfg(test)]
@@ -122,5 +125,17 @@ mod tests {
             assert_eq!(*rebuilt.program, *w.program);
         }
         assert!(by_name("no-such-kernel", s).is_none());
+    }
+
+    #[test]
+    fn is_registered_agrees_with_by_name() {
+        let s = Scale::tiny();
+        for w in all_data_parallel(s)
+            .iter()
+            .chain(all_task_parallel(s).iter())
+        {
+            assert!(is_registered(w.name), "`{}` not registered", w.name);
+        }
+        assert!(!is_registered("no-such-kernel"));
     }
 }

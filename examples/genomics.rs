@@ -28,12 +28,11 @@ fn main() -> Result<(), String> {
     );
 
     let tasks = simulate(SystemKind::B4L, &workload, &params)?;
-    let rt = tasks.runtime.expect("task run");
     println!(
         "1b-4L  (chunk tasks):         {:>9.1} µs  ({} tasks, {} steals)",
         tasks.wall_ns / 1000.0,
-        rt.tasks_run,
-        rt.steals
+        tasks.stat("sys.runtime.tasks_run"),
+        tasks.stat("sys.runtime.steals")
     );
 
     let vlittle = simulate(SystemKind::B4Vl, &workload, &params)?;
@@ -45,7 +44,8 @@ fn main() -> Result<(), String> {
 
     println!(
         "\nmemory traffic (data requests): 1b = {}, 1b-4VL = {}",
-        scalar_big.mem.data_reqs, vlittle.mem.data_reqs
+        scalar_big.stat("sys.mem.data_reqs"),
+        vlittle.stat("sys.mem.data_reqs")
     );
     Ok(())
 }

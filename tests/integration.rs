@@ -55,9 +55,9 @@ fn simulation_is_deterministic() {
     let r1 = simulate(SystemKind::B4Vl, &w1, &SimParams::default()).expect("run 1");
     let r2 = simulate(SystemKind::B4Vl, &w2, &SimParams::default()).expect("run 2");
     assert_eq!(r1.wall_ns, r2.wall_ns);
-    assert_eq!(r1.fetch_groups, r2.fetch_groups);
-    assert_eq!(r1.mem.data_reqs, r2.mem.data_reqs);
-    assert_eq!(r1.uncore_cycles, r2.uncore_cycles);
+    assert_eq!(r1.stat("sys.fetch_groups"), r2.stat("sys.fetch_groups"));
+    assert_eq!(r1.stat("sys.mem.data_reqs"), r2.stat("sys.mem.data_reqs"));
+    assert_eq!(r1.stat("sys.clock.uncore"), r2.stat("sys.clock.uncore"));
 }
 
 /// Lane breakdowns always account for every lane cycle.
@@ -66,9 +66,13 @@ fn lane_breakdowns_are_complete() {
     use big_vlittle::cores::types::StallKind;
     let w = big_vlittle::workloads::apps::lavamd::build(Scale::tiny());
     let r = simulate(SystemKind::B4Vl, &w, &SimParams::default()).expect("runs");
-    for lane in &r.lanes {
-        let total: u64 = StallKind::ALL.iter().map(|&k| lane.of(k)).sum();
-        assert_eq!(total, lane.cycles);
+    let lane_cycles = (0..).map_while(|i| r.stats.get(&format!("sys.lane{i}.cycles")));
+    for (i, cycles) in lane_cycles.enumerate() {
+        let total: u64 = StallKind::ALL
+            .iter()
+            .map(|k| r.stat(&format!("sys.lane{i}.breakdown.{}", k.label())))
+            .sum();
+        assert_eq!(total, cycles);
     }
     // lavamd's reductions must put cycles in the cross-element bucket.
     assert!(
