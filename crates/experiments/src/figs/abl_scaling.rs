@@ -3,18 +3,16 @@
 //! VLITTLE cluster to 2, 4 and 8 little cores and measure how the engine's
 //! hardware vector length and bank count track performance.
 //!
-//! The custom-geometry engine runs here are not expressible as
-//! `bvl_sim::simulate` points, so they fan out through
-//! [`crate::sweep::run_parallel`] instead of the cached sweep matrix.
+//! Each (workload, lanes) pair is an ordinary `1b-4VL` sweep point whose
+//! `EngineParams::regmap.cores` sets the engine's lanes and, in vector
+//! mode, the cluster's L1 banks. The ablation therefore runs under every
+//! sweep mode (memo, disk cache, `--sampled`, `--serve`, checkpoints,
+//! `--no-skip`), and its 4-lane column is Figure 4's `1b-4VL` points.
 
-use crate::sweep::run_parallel;
+use crate::sweep::{run_sweep, SweepJob};
 use crate::{fmt2, print_table, ExpOpts};
-use bvl_core::big::{BigCore, BigParams};
-use bvl_core::fetch::TEXT_BASE;
-use bvl_core::types::VectorEngine;
-use bvl_mem::{HierConfig, MemHierarchy, SharedMem};
+use bvl_sim::{SimParams, SystemKind};
 use bvl_vengine::regmap::RegMap;
-use bvl_vengine::{EngineParams, VLittleEngine};
 use bvl_workloads::{all_data_parallel, Workload};
 use serde::Serialize;
 use std::sync::Arc;
@@ -29,54 +27,34 @@ struct ScalePoint {
     cycles: u64,
 }
 
-/// Runs a workload's vectorized entry on a custom-width VLITTLE cluster.
-fn run_vlittle(w: &Workload, lanes: u8) -> u64 {
-    let shared = SharedMem::new(w.mem.fork());
-    let mut hier = MemHierarchy::new(HierConfig::with_little(lanes as usize));
-    hier.set_vector_mode(true);
-    let params = EngineParams {
-        regmap: RegMap {
-            cores: lanes,
-            chimes: 2,
-            packed: true,
-        },
-        ..EngineParams::paper_default()
-    };
-    let mut engine = VLittleEngine::new(params, hier.line_bytes());
-    let mut big = BigCore::new(
-        shared.clone(),
-        Arc::clone(&w.program),
-        TEXT_BASE,
-        hier.line_bytes(),
-        engine.vlen_bits(),
-        BigParams::default(),
-    );
-    big.assign(w.vector_entry.expect("vectorized"));
-    for t in 0..400_000_000u64 {
-        hier.tick(t);
-        engine.tick(t, &mut hier);
-        big.tick(t, &mut hier, Some(&mut engine));
-        if big.done() && engine.idle() {
-            shared
-                .with(|m| (w.check)(m))
-                .unwrap_or_else(|e| panic!("{} x{}: {e}", w.name, lanes));
-            return t;
-        }
-    }
-    panic!("{} on {}-lane VLITTLE did not finish", w.name, lanes);
-}
-
 /// Regenerates the cluster-scaling ablation at `opts`' scale.
 pub fn run(opts: &ExpOpts) {
     let workloads: Vec<Arc<Workload>> = all_data_parallel(opts.scale)
         .into_iter()
         .map(Arc::new)
         .collect();
-    let points: Vec<(&Arc<Workload>, u8)> = workloads
+    let scale = &opts.scale_name;
+    let jobs: Vec<SweepJob> = workloads
         .iter()
-        .flat_map(|w| LANES.into_iter().map(move |lanes| (w, lanes)))
+        .flat_map(|w| {
+            LANES.into_iter().map(move |lanes| {
+                let mut params = SimParams::default();
+                params.engine.regmap = RegMap {
+                    cores: lanes,
+                    chimes: 2,
+                    packed: true,
+                };
+                SweepJob::new(SystemKind::B4Vl, w, scale, params)
+            })
+        })
         .collect();
-    let cycles = run_parallel(&points, opts.jobs, |&(w, lanes)| run_vlittle(w, lanes));
+    // `cycles` keeps the numbers of the single-clock loop this ablation
+    // once ran by hand, which reported the index of its last tick: one
+    // less than the uncore cycles `System` counts.
+    let cycles: Vec<u64> = run_sweep(&jobs, opts)
+        .iter()
+        .map(|r| r.stat("sys.clock.uncore") - 1)
+        .collect();
 
     println!(
         "\n## Ablation: VLITTLE cluster scaling (speedup over 2 lanes, scale = {})\n",

@@ -1,52 +1,9 @@
 //! Figure 6 — data requests entering the memory system, normalized to
 //! `1bDV`.
 
-use crate::sweep::{run_sweep, SweepJob};
-use crate::{fmt2, print_table, ExpOpts, Measurement};
-use bvl_sim::{SimParams, SystemKind};
-use bvl_workloads::{all_data_parallel, Workload};
-use std::sync::Arc;
-
-const SYSTEMS: [SystemKind; 3] = [SystemKind::BIv4L, SystemKind::BDv, SystemKind::B4Vl];
+use crate::ExpOpts;
 
 /// Regenerates Figure 6 at `opts`' scale.
 pub fn run(opts: &ExpOpts) {
-    let params = SimParams::default();
-    let workloads: Vec<Arc<Workload>> = all_data_parallel(opts.scale)
-        .into_iter()
-        .map(Arc::new)
-        .collect();
-    let jobs: Vec<SweepJob> = workloads
-        .iter()
-        .flat_map(|w| {
-            SYSTEMS
-                .into_iter()
-                .map(|kind| SweepJob::new(kind, w, &opts.scale_name, params.clone()))
-        })
-        .collect();
-    let results = run_sweep(&jobs, opts);
-
-    let mut rows = Vec::new();
-    let mut measurements = Vec::new();
-    println!(
-        "\n## Figure 6 (data requests, normalized to 1bDV, scale = {})\n",
-        opts.scale_name
-    );
-    for (wi, w) in workloads.iter().enumerate() {
-        let runs = &results[wi * SYSTEMS.len()..(wi + 1) * SYSTEMS.len()];
-        for (i, kind) in SYSTEMS.into_iter().enumerate() {
-            measurements.push(Measurement::of(w.name, kind, &runs[i]));
-        }
-        let base = runs[1].stat("sys.mem.data_reqs").max(1) as f64; // 1bDV
-        let mut row = vec![w.name.to_string()];
-        for r in runs {
-            row.push(fmt2(r.stat("sys.mem.data_reqs") as f64 / base));
-        }
-        rows.push(row);
-    }
-    let headers: Vec<&str> = std::iter::once("workload")
-        .chain(SYSTEMS.iter().map(|k| k.label()))
-        .collect();
-    print_table(&headers, &rows);
-    opts.save_json("fig06_dreq", &measurements);
+    super::requests_over_1bdv(opts, 6, "data requests", "sys.mem.data_reqs", "fig06_dreq");
 }

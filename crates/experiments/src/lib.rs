@@ -27,8 +27,8 @@
 pub mod figs;
 pub mod sweep;
 
-use bvl_sim::{RunResult, SimParams, SystemKind};
-use bvl_workloads::{Scale, Workload};
+use bvl_sim::{RunResult, SystemKind};
+use bvl_workloads::Scale;
 use serde::Serialize;
 use std::fs;
 use std::path::PathBuf;
@@ -134,9 +134,9 @@ pub struct ExpOpts {
     /// On-disk cache location (default `<out>/cache`, `--cache-dir DIR`).
     pub cache_dir: PathBuf,
     /// Force the naive cycle-by-cycle simulation loop for every run
-    /// (`--no-skip`): sets [`SimParams::no_skip`] on each sweep point.
-    /// Results are bit-identical either way; this exists for A/B timing
-    /// and for auditing the quiescence-skip engine in the field.
+    /// (`--no-skip`): sets [`bvl_sim::SimParams::no_skip`] on each sweep
+    /// point. Results are bit-identical either way; this exists for A/B
+    /// timing and for auditing the quiescence-skip engine in the field.
     pub no_skip: bool,
     /// Emit a whole-system checkpoint every this-many uncore cycles on
     /// every sweep point (`--checkpoint-every N`; 0 disables). Checkpoints
@@ -232,7 +232,8 @@ impl ExpOpts {
 
     /// The effective sampling configuration, `None` unless `--sampled`
     /// (or one of its parameter overrides) was given. This is what the
-    /// sweep harness overlays onto every point's [`SimParams::sampling`].
+    /// sweep harness overlays onto every point's
+    /// [`bvl_sim::SimParams::sampling`].
     pub fn sampling_params(&self) -> Option<bvl_sim::SamplingParams> {
         if !self.sampled {
             return None;
@@ -394,13 +395,6 @@ pub const ARTIFACTS: [Artifact; 15] = [
     ("abl_mode_switch", figs::abl_mode_switch::run),
     ("abl_scaling", figs::abl_scaling::run),
 ];
-
-/// Runs one workload on one system, panicking with context on failure
-/// (every simulated run is checked against the workload's reference).
-pub fn run_checked(kind: SystemKind, w: &Workload, params: &SimParams) -> RunResult {
-    bvl_sim::simulate(kind, w, params)
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", w.name, kind.label()))
-}
 
 /// Prints a markdown table.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {

@@ -51,7 +51,10 @@ impl std::fmt::Display for ProtoError {
             ProtoError::Oversized(n) => {
                 write!(f, "frame length {n} exceeds the {MAX_FRAME}-byte cap")
             }
-            ProtoError::Snap(e) => write!(f, "frame failed validation: {e}"),
+            ProtoError::Snap(e) => write!(
+                f,
+                "frame failed validation: {e} (is the peer from another build?)"
+            ),
             ProtoError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
         }
     }
@@ -494,6 +497,44 @@ mod tests {
                 assert_eq!(tag, 3);
             }
             other => panic!("expected a typed BadTag, got {other:?}"),
+        }
+    }
+
+    /// A peer from another build encodes a `RunResult` its own way, so
+    /// its `Done` frame passes the frame checks and the result inside it
+    /// does not decode. The error says a frame failed and points at the
+    /// build; it calls nothing a checkpoint, which a frame is not.
+    #[test]
+    fn a_cut_result_reads_as_a_stale_peer_not_a_checkpoint() {
+        let served = ServedResult {
+            result: RunResult {
+                wall_ns: 2309.0,
+                stats: bvl_obs::StatsSnapshot::from_entries(vec![
+                    ("sys.clock.uncore".into(), 2309),
+                    ("sys.mem.data_reqs".into(), 7113),
+                ]),
+                sampling: None,
+            },
+            edges_run: 10,
+            edges_skipped: 20,
+            host_secs: 0.25,
+            cache_hit: false,
+            resumed: false,
+        };
+        let mut w = SnapWriter::new();
+        Msg::Done { id: 7, served }.save(&mut w);
+        let payload = w.into_bytes();
+        // The tag and the id take 9 bytes; every cut after them lands in
+        // the result or the counters behind it.
+        for cut in 9..payload.len() {
+            let body = bvl_snap::frame_with(0, |w| payload[..cut].iter().for_each(|&b| w.u8(b)));
+            let text = decode_frame(&body).expect_err("a cut frame").to_string();
+            assert!(
+                text.starts_with("frame failed validation: ")
+                    && text.ends_with("(is the peer from another build?)")
+                    && !text.contains("checkpoint"),
+                "cut at {cut}: {text}"
+            );
         }
     }
 

@@ -47,7 +47,9 @@ impl SystemKind {
         }
     }
 
-    /// Number of little cores in the cluster.
+    /// Number of little cores in the cluster. In vector mode `1b-4VL`'s
+    /// cluster is the VLITTLE engine, and `EngineParams::regmap.cores`
+    /// sizes it instead (4 lanes by default).
     pub const fn num_little(self) -> usize {
         match self {
             SystemKind::L1 => 1,
@@ -184,8 +186,9 @@ pub struct SimParams {
     /// Cluster clocks.
     pub clocks: ClockConfig,
     /// VLITTLE engine geometry/queues (used by `1b-4VL` only). The
-    /// Figure 7 chime/packing ablations and the Figure 8 queue sweep plug
-    /// in here.
+    /// Figure 7 chime/packing ablations, the Figure 8 queue sweep and the
+    /// cluster-scaling ablation's lane counts plug in here; in vector mode
+    /// `regmap.cores` also sets the cluster's L1 bank count.
     pub engine: EngineParams,
     /// Hard cap on simulated uncore cycles before the run aborts.
     pub max_uncore_cycles: u64,

@@ -33,11 +33,11 @@
 //! [`SAMPLING_BIAS_FRAC`]): warmed caches replay the fast-forward trace
 //! in touch order, so their LRU stamps reflect functional order rather
 //! than detailed-simulation cycle times; branch predictors are static
-//! (backward-taken) in both cores and need no warming, so the hook is a
-//! no-op; and each window starts from a drained pipeline and empty
-//! engine queues, so issue/execute overlap across the window boundary
-//! is not modeled. Windows *end* on a quiescent cut (instruction target
-//! reached and engine idle), so queued vector work is never dropped.
+//! (backward-taken) in both cores and need no warming; and each window
+//! starts from a drained pipeline and empty engine queues, so
+//! issue/execute overlap across the window boundary is not modeled.
+//! Windows *end* on a quiescent cut (instruction target reached and
+//! engine idle), so queued vector work is never dropped.
 
 use crate::config::{SamplingParams, SimParams, SystemKind};
 use crate::result::{RunResult, SamplingMeta};
@@ -281,13 +281,6 @@ impl WarmTraces {
     }
 }
 
-/// Warms the active cores' branch predictors from the fast-forward
-/// history. Both core models use static backward-taken prediction, which
-/// carries no run-time state — the hook exists so a future dynamic
-/// predictor has an obvious seam (and so the no-op is a documented
-/// decision rather than an omission).
-fn warm_branch_predictors(_sys: &mut System<'_>, _trace: &WarmTraces) {}
-
 // ---------------------------------------------------------------------
 // Phase 1: planning (fast-forward + boundary materialization)
 // ---------------------------------------------------------------------
@@ -329,7 +322,6 @@ fn materialize_boundary(
         .map_err(|e| format!("fast-forward state injection failed: {e}"))?;
 
     warm.replay(&mut sys);
-    warm_branch_predictors(&mut sys, warm);
 
     Ok(PlannedWindow {
         state: sys.snapshot(),

@@ -216,11 +216,17 @@ impl<'w> System<'w> {
         let program = Arc::clone(&workload.program);
 
         // ---- memory hierarchy
-        let mut hier_cfg = HierConfig::with_little(kind.num_little());
+        // In vector mode the 1b-4VL cluster is the VLITTLE engine: one L1
+        // bank per lane, so the engine's geometry sizes the cluster.
+        let vector_mode_banks = kind == SystemKind::B4Vl && mode == ExecMode::Vector;
+        let mut hier_cfg = HierConfig::with_little(if vector_mode_banks {
+            usize::from(params.engine.regmap.cores)
+        } else {
+            kind.num_little()
+        });
         hier_cfg.has_big = kind.has_big();
         hier_cfg.has_dve = kind == SystemKind::BDv;
         let mut hier = MemHierarchy::new(hier_cfg);
-        let vector_mode_banks = kind == SystemKind::B4Vl && mode == ExecMode::Vector;
         hier.set_vector_mode(vector_mode_banks);
 
         // ---- vector engine

@@ -42,10 +42,11 @@ pub const SNAP_MAGIC: [u8; 4] = *b"BVLS";
 /// Bytes of frame ahead of the payload: magic, version, payload length.
 const FRAME_HEADER: usize = 16;
 
-/// Typed failure modes of checkpoint decoding.
+/// Typed failure modes of snap decoding (checkpoints, wire frames).
 ///
-/// Every variant is a *diagnosis*: corrupted input must map to one of
-/// these, never to a panic (the proptest corruption suite in
+/// The text names no payload kind; a caller that knows what it decoded
+/// says so. Every variant is a *diagnosis*: corrupted input must map to
+/// one of these, never to a panic (the proptest corruption suite in
 /// `crates/snap/tests` enforces this).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapError {
@@ -97,23 +98,23 @@ impl fmt::Display for SnapError {
         match self {
             SnapError::UnexpectedEof { at, wanted, have } => write!(
                 f,
-                "unexpected end of checkpoint at byte {at}: wanted {wanted} bytes, {have} left"
+                "unexpected end of data at byte {at}: wanted {wanted} bytes, {have} left"
             ),
             SnapError::BadMagic { found } => {
-                write!(f, "not a checkpoint blob (magic {found:02x?})")
+                write!(f, "not a snap-framed blob (magic {found:02x?})")
             }
             SnapError::VersionMismatch { found, expected } => write!(
                 f,
-                "checkpoint format version {found}, this build reads version {expected}"
+                "snap format version {found}, this build reads version {expected}"
             ),
             SnapError::ChecksumMismatch { found, computed } => write!(
                 f,
-                "checkpoint checksum mismatch (recorded {found:#018x}, computed {computed:#018x})"
+                "checksum mismatch (recorded {found:#018x}, computed {computed:#018x})"
             ),
             SnapError::BadTag { ty, tag } => {
                 write!(f, "invalid discriminant {tag} while decoding {ty}")
             }
-            SnapError::Corrupt { what } => write!(f, "corrupt checkpoint: {what}"),
+            SnapError::Corrupt { what } => write!(f, "corrupt encoding: {what}"),
         }
     }
 }

@@ -17,6 +17,9 @@ use bvl_snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::VecDeque;
 
 /// Full engine configuration.
+///
+/// On `1b-4VL` in vector mode the engine *is* the little cluster, so
+/// `regmap.cores` sizes the cluster too: one L1 bank per lane.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineParams {
     /// Register-mapping geometry (lanes, chimes, packing).

@@ -50,7 +50,9 @@ pub struct ElemLoc {
 /// The engine's register-mapping geometry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RegMap {
-    /// Number of little cores (lanes).
+    /// Number of little cores (lanes). On `1b-4VL` in vector mode it is
+    /// also the cluster's L1 bank count: the system builds one bank per
+    /// lane.
     pub cores: u8,
     /// Element groups (1 or 2; chime 1 uses the FP register file).
     pub chimes: u8,

@@ -217,6 +217,63 @@ fn an_in_process_sweep_equals_simulate_and_runs_each_point_once() {
     assert!(!dir.exists(), "a sweep without --persist-cache wrote files");
 }
 
+/// One composition for every VLITTLE geometry: the engine's lane count
+/// (`regmap.cores`) also sizes the cluster's L1 banks, so `vvadd` on
+/// `1b-4VL` at 2, 4 and 8 lanes runs as ordinary sweep points, as the
+/// cluster-scaling ablation runs them. The 4-lane point is the default
+/// one, and the 8-lane point gives its straight result when resumed from
+/// its middle checkpoint and when run under `no_skip`.
+#[test]
+fn vlittle_points_of_every_lane_count_are_ordinary_sweep_points() {
+    let dir = std::env::temp_dir().join(format!("bvl-contracts-lanes-{}", std::process::id()));
+    let vvadd = Arc::new(kernels::vvadd::build(Scale::tiny()));
+    let with_lanes = |cores| {
+        let mut params = SimParams::default();
+        params.engine.regmap.cores = cores;
+        params
+    };
+    let jobs =
+        [2, 4, 8].map(|cores| SweepJob::new(SystemKind::B4Vl, &vvadd, "tiny", with_lanes(cores)));
+    let results = run_sweep(&jobs, &ExpOpts::for_scale("tiny", dir).with_jobs(2));
+    let default = simulate(SystemKind::B4Vl, &vvadd, &SimParams::default()).expect("simulate");
+    assert_eq!(
+        results[1], default,
+        "the 4-lane point is not the default one"
+    );
+    assert!(
+        results[2].stat("sys.lane7.cycles") > 0,
+        "the 8-lane point has no eighth lane"
+    );
+
+    let spec = PointSpec {
+        params: with_lanes(8),
+        ..tiny_point(SystemKind::B4Vl, "vvadd")
+    };
+    let (straight, middle) = run_to_middle_checkpoint(&spec, &vvadd);
+    assert_eq!(
+        straight.result, results[2],
+        "8 lanes: checkpointing changed the result"
+    );
+    let hooks = Hooks {
+        resume: Some(&middle),
+        ..Hooks::default()
+    };
+    let resumed = simulate_with(spec.system, &vvadd, &spec.params, hooks)
+        .expect("resumed run")
+        .finished()
+        .expect("no yield ordered");
+    assert_eq!(
+        resumed.result, results[2],
+        "8 lanes: the resumed result diverged"
+    );
+    let naive = SimParams {
+        no_skip: true,
+        ..spec.params.clone()
+    };
+    let naive = simulate(spec.system, &vvadd, &naive).expect("no_skip run");
+    assert_eq!(naive, results[2], "8 lanes: no_skip changed the result");
+}
+
 /// Serves `spec`, whose store at `dir` holds planted checkpoint slots, on
 /// a daemon with one in-process worker. The point must resume, not
 /// restart, to the result `simulate` gives; the daemon must not persist
