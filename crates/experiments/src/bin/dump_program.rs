@@ -1,16 +1,15 @@
-//! Developer tool: disassembles a workload's program, with binary
-//! encodings where the instruction fits the 32-bit formats — an
-//! `objdump`-style view of what the in-library "compiler" emitted.
+//! Developer tool: disassembles a workload's program — an `objdump`-style
+//! view of what the in-library "compiler" emitted, one instruction per
+//! line after its index.
 //!
 //! ```sh
 //! cargo run --release -p bvl-experiments --bin dump_program -- --scale tiny 2>/dev/null | head
 //! ```
 //!
-//! Accepts the common `--scale` flag; dumps every workload, with entry
-//! points and per-label markers.
+//! Accepts the common `--scale` flag; dumps every workload, headed by its
+//! entry points and task counts.
 
 use bvl_experiments::ExpOpts;
-use bvl_isa::encode::encode;
 use bvl_workloads::{all_data_parallel, all_task_parallel};
 
 fn main() {
@@ -28,11 +27,7 @@ fn main() {
             w.phases.len()
         );
         for (pc, instr) in w.program.iter().enumerate() {
-            let word = match encode(instr, pc as u32) {
-                Ok(word) => format!("{word:08x}"),
-                Err(_) => "........".to_string(), // immediate exceeds field
-            };
-            println!("{pc:6}: {word}  {instr}");
+            println!("{pc:6}: {instr}");
         }
     }
 }

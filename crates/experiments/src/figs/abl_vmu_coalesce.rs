@@ -12,7 +12,7 @@ use crate::sweep::{run_sweep, SweepJob};
 use crate::{fmt2, print_table, ExpOpts};
 use bvl_serve::WorkloadSpec;
 use bvl_sim::{SimParams, SystemKind};
-use bvl_workloads::micro::build_gather;
+use bvl_workloads::micro::{build_gather, gather_len};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -33,7 +33,7 @@ pub fn run(opts: &ExpOpts) {
     for locality in LOCALITIES {
         // Same kernel name, different index vector — the key carries the
         // locality so the variants do not collide in the cache.
-        let w = Arc::new(build_gather(opts.scale, locality));
+        let w = Arc::new(build_gather(opts.scale, locality).expect("tables hold 1024 or more"));
         let key = format!("gather-loc{locality}@{}", opts.scale_name);
         for coalesce in COALESCE {
             let mut params = SimParams::default();
@@ -65,7 +65,7 @@ pub fn run(opts: &ExpOpts) {
                 coalesce.to_string(),
                 format!("{:.0}", r.wall_ns),
                 r.stat("sys.mem.data_reqs").to_string(),
-                fmt2(r.stat("sys.mem.data_reqs") as f64 / opts.scale.n.max(1024) as f64),
+                fmt2(r.stat("sys.mem.data_reqs") as f64 / gather_len(opts.scale) as f64),
             ]);
             out.push(Row {
                 locality,

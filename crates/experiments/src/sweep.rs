@@ -38,7 +38,7 @@
 use crate::ExpOpts;
 use bvl_serve::spec::{PointSpec, WorkloadSpec};
 use bvl_serve::store::ResultStore;
-use bvl_serve::worker::{run_exact_point, PointOutcome, PointRun};
+use bvl_serve::worker::{caught, run_exact_point, PointOutcome, PointRun};
 use bvl_serve::{Client, DaemonConfig, FabricReport, Msg, Sched, ServedResult};
 use bvl_sim::{
     combine_sampled, plan_sampled, run_sample_window, simulate_with, Hooks, RunResult, SamplePlan,
@@ -48,7 +48,6 @@ use bvl_workloads::Workload;
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::fs;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -637,19 +636,6 @@ fn combine(
         host_secs: secs + start.elapsed().as_secs_f64(),
         resumed: false,
         restarted_from_zero: false,
-    })
-}
-
-/// Runs `f`, turning a panic into an error that carries its message: a
-/// worker that panics fails its point, and the sweep goes on.
-fn caught<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
-    panic::catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        Err(format!("panicked: {message}"))
     })
 }
 

@@ -1,10 +1,12 @@
 //! The instruction set: an RV64 scalar subset plus an RVV 1.0 vector subset.
 //!
-//! Instructions are represented structurally (an enum), not as raw bits; the
-//! [`crate::encode`] module provides a binary round-trip for tooling. Branch
-//! and jump targets are *resolved instruction indices* produced by the
-//! [`crate::asm::Assembler`]; the timing models map index `i` to the nominal
-//! byte address `text_base + 4 * i` when modeling instruction fetch.
+//! Instructions are represented structurally (an enum), not as raw bits:
+//! no simulated path holds an instruction word. `Display` prints the
+//! disassembly, and [`crate::snap`] holds the one binary form, the
+//! checkpoint encoding. Branch and jump targets are *resolved instruction
+//! indices* produced by the [`crate::asm::Assembler`]; the timing models
+//! map index `i` to the nominal byte address `text_base + 4 * i` when
+//! modeling instruction fetch.
 
 use crate::reg::{FReg, VReg, XReg};
 use crate::vcfg::Sew;
@@ -843,7 +845,7 @@ impl Instr {
 
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        crate::encode::disasm(self, f)
+        crate::disasm::disasm(self, f)
     }
 }
 

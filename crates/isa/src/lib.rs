@@ -9,7 +9,9 @@
 //! * [`vcfg`] — the RVV 1.0 vector-configuration state: selected element
 //!   width ([`Sew`]), granted vector length ([`vcfg::VectorConfig`]).
 //! * [`instr`] — the [`Instr`] enum covering the RV64 scalar subset and the
-//!   RVV 1.0 vector subset used by the paper's workloads.
+//!   RVV 1.0 vector subset used by the paper's workloads. Its `Display`
+//!   is the disassembly, and [`snap`] holds its one binary form, the
+//!   checkpoint encoding.
 //! * [`asm`] — a label-resolving program builder ([`Assembler`]) used by the
 //!   workload crates to emit instruction streams the way a compiler with
 //!   RVV intrinsics would.
@@ -19,9 +21,6 @@
 //!   timing model.
 //! * [`mem`] — the byte-addressable [`Memory`] trait the executor runs
 //!   against, plus a simple in-crate [`mem::VecMemory`] implementation.
-//! * [`encode`] — binary encode/decode for the scalar subset (real RV64
-//!   encodings) and a documented custom 32-bit encoding for the vector
-//!   subset, with round-trip guarantees.
 //! * [`meta`] — static per-instruction metadata (functional-unit class,
 //!   latency class, memory behaviour) consumed by the timing models.
 //!
@@ -47,7 +46,7 @@
 //! ```
 
 pub mod asm;
-pub mod encode;
+mod disasm;
 pub mod exec;
 pub mod instr;
 pub mod mem;

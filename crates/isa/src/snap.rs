@@ -2,10 +2,10 @@
 //!
 //! In-flight pipeline structures (ROB entries, vector commands, little-core
 //! pending slots) carry whole [`Instr`] values, so instructions serialize
-//! *structurally* — one tag byte per variant plus its operands — rather
-//! than through [`crate::encode`]: the binary encoder can reject
-//! structurally-built immediates that are perfectly legal in-flight values,
-//! and a checkpoint save must never fail.
+//! *structurally* — one tag byte per variant plus its operands, each
+//! immediate at its full width. This is an instruction's only binary
+//! form: a structurally-built immediate need not fit a 32-bit instruction
+//! format, and a checkpoint save must never fail.
 //!
 //! Every register decode validates its index before constructing the
 //! newtype (the constructors panic on out-of-range indices; a corrupt

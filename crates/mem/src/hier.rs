@@ -25,7 +25,7 @@
 //!   [`MemStats::line_migrations`]).
 
 use crate::cache::{AccessOutcome, Cache, CacheParams, CacheStats};
-use crate::coherence::Directory;
+use crate::coherence::{Directory, MAX_CACHES};
 use crate::dram::{Dram, DramParams};
 use crate::queue::DelayQueue;
 use crate::req::{AccessKind, MemReq, MemResp, PortId};
@@ -34,6 +34,11 @@ use std::collections::VecDeque;
 
 /// Sentinel id marking internal writeback traffic (responses discarded).
 const WB_ID: u64 = u64::MAX;
+
+/// The most little cores (or VLITTLE lanes, one L1 bank each) a hierarchy
+/// holds: the coherence directory numbers the littles' caches `0..n` and
+/// the big core's `n`, and tracks at most [`MAX_CACHES`] caches.
+pub const MAX_LITTLE: usize = MAX_CACHES - 1;
 
 /// Configuration of the whole hierarchy.
 #[derive(Clone, Copy, Debug)]

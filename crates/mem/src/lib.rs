@@ -19,8 +19,6 @@
 //!   subsystem* (section III-E): in vector mode the little cores' private
 //!   L1Ds become a logically-shared multi-bank cache addressed by bank
 //!   bits placed between the block offset and the index.
-//! * [`sram_fifo`] — L1I SRAM arrays repurposed as load/store data FIFOs
-//!   for the vector memory unit (single read/write port arbitration).
 //!
 //! Timing and function are split: caches track tags/state/latency only,
 //! while data lives in [`SimMemory`] and is moved by the golden executor.
@@ -36,7 +34,6 @@ pub mod idmap;
 pub mod queue;
 pub mod req;
 pub mod simmem;
-pub mod sram_fifo;
 
 pub use cache::{Cache, CacheParams, CacheStats};
 pub use dram::{Dram, DramParams};
@@ -44,4 +41,3 @@ pub use hier::{HierConfig, MemHierarchy, MemStats, WarmTarget};
 pub use idmap::IdMap;
 pub use req::{AccessKind, MemReq, MemResp, PortId};
 pub use simmem::{MemImage, SharedMem, SimMemory};
-pub use sram_fifo::SramFifo;

@@ -1,11 +1,10 @@
 //! Property-based tests for the memory hierarchy: request conservation
-//! (every accepted request gets exactly one response), FIFO ordering, and
-//! bank-mapping invariants.
+//! (every accepted request gets exactly one response) and bank-mapping
+//! invariants.
 
 use bvl_mem::cache::{AccessOutcome, Cache, CacheParams};
 use bvl_mem::hier::{HierConfig, MemHierarchy};
 use bvl_mem::req::{AccessKind, MemReq, PortId};
-use bvl_mem::sram_fifo::SramFifo;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -128,33 +127,6 @@ proptest! {
         }
         prop_assert_eq!(accepted, accesses.len());
         prop_assert_eq!(answered, accepted);
-    }
-
-    /// SRAM FIFOs deliver items in order, never lose or duplicate them.
-    #[test]
-    fn sram_fifo_order(ops in proptest::collection::vec(any::<bool>(), 1..200)) {
-        let mut f = SramFifo::new(8);
-        let mut next_in = 0u32;
-        let mut next_out = 0u32;
-        for (now, &enq) in ops.iter().enumerate() {
-            let now = now as u64;
-            if enq {
-                if f.try_enqueue(now, next_in) {
-                    next_in += 1;
-                }
-            } else if let Some(v) = f.try_dequeue(now) {
-                prop_assert_eq!(v, next_out);
-                next_out += 1;
-            }
-        }
-        // Drain.
-        let mut now = ops.len() as u64;
-        while let Some(v) = f.try_dequeue(now) {
-            prop_assert_eq!(v, next_out);
-            next_out += 1;
-            now += 1;
-        }
-        prop_assert_eq!(next_out, next_in);
     }
 
     /// Bank mapping: same line always maps to the same bank; consecutive

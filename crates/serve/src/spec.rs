@@ -10,6 +10,7 @@
 
 use bvl_sim::{SimParams, SystemKind};
 use bvl_snap::{Snap, SnapError, SnapReader, SnapWriter};
+use bvl_workloads::micro::build_gather;
 use bvl_workloads::{Scale, Workload};
 
 /// How to rebuild one workload instance on the other end of the wire.
@@ -24,11 +25,11 @@ pub enum WorkloadSpec {
         /// The exact build scale.
         scale: Scale,
     },
-    /// The synthetic gather microbenchmark
-    /// ([`bvl_workloads::micro::build_gather`]) with `locality`-way
-    /// clustered indices — the VMIU-coalescing ablation's workload.
+    /// The synthetic gather microbenchmark ([`build_gather`]) with
+    /// `locality`-way clustered indices — the VMIU-coalescing ablation's
+    /// workload.
     Gather {
-        /// Index clustering factor.
+        /// Index clustering factor, in `1..gather_len(scale)`.
         locality: u64,
         /// The build scale.
         scale: Scale,
@@ -41,14 +42,13 @@ impl WorkloadSpec {
     /// # Errors
     ///
     /// Fails when a named workload is not in the registry (a newer
-    /// submitter talking to an older worker).
+    /// submitter talking to an older worker), and when a gather's
+    /// `locality` is outside `1..gather_len(scale)`.
     pub fn build(&self) -> Result<Workload, String> {
         match self {
             WorkloadSpec::Named { name, scale } => bvl_workloads::by_name(name, *scale)
                 .ok_or_else(|| format!("unknown workload `{name}`")),
-            WorkloadSpec::Gather { locality, scale } => {
-                Ok(bvl_workloads::micro::build_gather(*scale, *locality))
-            }
+            WorkloadSpec::Gather { locality, scale } => build_gather(*scale, *locality),
         }
     }
 }
@@ -190,6 +190,30 @@ mod tests {
         };
         let (a, b) = (spec.build().unwrap(), spec.build().unwrap());
         assert_eq!(*a.program, *b.program);
+    }
+
+    #[test]
+    fn gather_locality_is_checked_on_both_sides_of_each_bound() {
+        use bvl_workloads::micro::gather_len;
+
+        let gather = |locality| {
+            WorkloadSpec::Gather {
+                locality,
+                scale: Scale::tiny(),
+            }
+            .build()
+        };
+        let n = gather_len(Scale::tiny());
+        for locality in [1, n - 1] {
+            gather(locality).unwrap_or_else(|e| panic!("locality {locality}: {e}"));
+        }
+        for locality in [0, n] {
+            let err = gather(locality)
+                .err()
+                .unwrap_or_else(|| panic!("locality {locality} built a workload"));
+            let range = format!("locality = {locality} is outside 1..=1023");
+            assert!(err.contains(&range), "{err}");
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! worker thread, a worker process it spawned, or a `bvl-serve --worker`
 //! started by hand on the same host: connect to the daemon, say hello,
 //! then loop executing [`Msg::Assign`]ments over that one connection
-//! until told to shut down (or the daemon goes away).
+//! until told to shut down (or the daemon goes away). Both it and the
+//! in-process sweep run points under [`caught`], so a panicking point
+//! fails alone instead of taking its worker down.
 
 use crate::proto::{self, Msg, ProtoError};
 use crate::spec::PointSpec;
@@ -26,6 +28,7 @@ use bvl_sim::{
 use bvl_snap::snap_struct;
 use bvl_workloads::Workload;
 use std::net::TcpStream;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Instant;
 
@@ -209,6 +212,19 @@ pub fn run_exact_point(
     }
 }
 
+/// Runs `f`, turning a panic into an error that carries its message: a
+/// worker that panics fails its point and goes on to the next.
+pub fn caught<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    panic::catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        Err(format!("panicked: {message}"))
+    })
+}
+
 /// The worker loop: connect to the daemon at `addr`, identify with
 /// `token`, and execute assignments against the store at `store_dir`
 /// until shut down. Returns when the daemon says [`Msg::Shutdown`] or
@@ -217,7 +233,8 @@ pub fn run_exact_point(
 /// still succeed after the daemon's socket closed; it draws the reset
 /// that fails the next): the worker stops at that checkpoint and keeps
 /// its blob, so the next daemon on the same store resumes the point
-/// from it.
+/// from it. A point that panics fails like one that errs: the worker
+/// reports the panic's message and takes its next assignment.
 ///
 /// # Errors
 ///
@@ -240,7 +257,7 @@ pub fn worker_main(addr: &str, token: u64, store_dir: impl AsRef<Path>) -> Resul
             Msg::Assign { spec } => {
                 let mut cb =
                     |cycle: u64| proto::write_msg(&mut conn, &Msg::Progress { cycle }).is_err();
-                let reply = match run_one_point(&spec, &store, &mut cb) {
+                let reply = match caught(|| run_one_point(&spec, &store, &mut cb)) {
                     Ok(PointRun::Finished(outcome)) => Msg::WorkerDone { outcome: *outcome },
                     // Only a vanished daemon stops a point at a checkpoint.
                     Ok(PointRun::Yielded { .. }) => return Ok(()),
@@ -329,6 +346,18 @@ mod tests {
         for state in checkpoints {
             slots.write(state).expect("plant a checkpoint");
         }
+    }
+
+    #[test]
+    fn a_panic_is_caught_as_an_error_carrying_its_message() {
+        assert_eq!(caught(|| Ok::<_, String>(7)), Ok(7));
+        assert_eq!(caught(|| Err::<(), _>("no".into())), Err("no".into()));
+        let panics = |f: fn() -> Result<(), String>| caught(f);
+        assert_eq!(panics(|| panic!("static")), Err("panicked: static".into()));
+        assert_eq!(
+            panics(|| panic!("formatted {}", 1)),
+            Err("panicked: formatted 1".into())
+        );
     }
 
     #[test]

@@ -8,10 +8,13 @@ use bvl_core::fetch::TEXT_BASE;
 use bvl_core::types::{ClockDomain, Quiescence, StallKind, VectorEngine};
 use bvl_core::{BigCore, BigParams, LittleCore, LittleParams};
 use bvl_isa::exec::ArchSnapshot;
+use bvl_mem::coherence::MAX_CACHES;
+use bvl_mem::hier::MAX_LITTLE;
 use bvl_mem::{HierConfig, MemHierarchy, MemImage, PortId, SharedMem, SimMemory};
 use bvl_obs::{trace, StatsRegistry, TraceLog};
 use bvl_runtime::{Fetched, RuntimeParams, WorkStealing};
 use bvl_snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
+use bvl_vengine::regmap::RegMap;
 use bvl_vengine::VLittleEngine;
 use bvl_workloads::{Workload, WorkloadClass};
 use std::sync::Arc;
@@ -212,13 +215,16 @@ impl<'w> System<'w> {
         params: &SimParams,
     ) -> Result<Self, String> {
         let mode = pick_mode(kind, workload);
+        // In vector mode the 1b-4VL cluster is the VLITTLE engine: one L1
+        // bank per lane, so the engine's geometry sizes the cluster.
+        let vector_mode_banks = kind == SystemKind::B4Vl && mode == ExecMode::Vector;
+        if vector_mode_banks {
+            check_regmap(&params.engine.regmap)?;
+        }
         let shared = SharedMem::new(workload.mem.fork());
         let program = Arc::clone(&workload.program);
 
         // ---- memory hierarchy
-        // In vector mode the 1b-4VL cluster is the VLITTLE engine: one L1
-        // bank per lane, so the engine's geometry sizes the cluster.
-        let vector_mode_banks = kind == SystemKind::B4Vl && mode == ExecMode::Vector;
         let mut hier_cfg = HierConfig::with_little(if vector_mode_banks {
             usize::from(params.engine.regmap.cores)
         } else {
@@ -1155,6 +1161,34 @@ fn engine_on(
     engine.as_deref_mut().filter(|e| e.clock_domain() == domain)
 }
 
+/// Checks the VLITTLE geometry `regmap` before a system is built from it,
+/// so a bad point (which may arrive over the fabric's wire) fails with an
+/// error naming the field, not a panic in the hierarchy or the big core.
+fn check_regmap(regmap: &RegMap) -> Result<(), String> {
+    let RegMap { cores, chimes, .. } = *regmap;
+    if !(1..=MAX_LITTLE).contains(&usize::from(cores)) {
+        return Err(format!(
+            "regmap.cores = {cores} is outside 1..={MAX_LITTLE}: each lane is an L1 bank, \
+             numbered below the big core's caches in a {MAX_CACHES}-cache directory"
+        ));
+    }
+    if !(1..=2).contains(&chimes) {
+        return Err(format!(
+            "regmap.chimes = {chimes} is outside 1..=2: a lane keeps chime 0 in its \
+             integer registers and chime 1 in its floating-point registers"
+        ));
+    }
+    let vlen = regmap.vlen_bits();
+    if !vlen.is_multiple_of(64) {
+        return Err(format!(
+            "regmap.cores = {cores} and regmap.chimes = {chimes} unpacked give a {vlen}-bit \
+             vector length; the big core needs a multiple of 64 bits, so unpacked, \
+             cores × chimes must be even"
+        ));
+    }
+    Ok(())
+}
+
 /// The vector length the cores' functional machines are built with: the
 /// engine's, or 64 bits when no engine is attached.
 fn engine_vlen(engine: Option<&dyn VectorEngine>) -> u32 {
@@ -1331,6 +1365,45 @@ mod tests {
         assert!(lane_cycles.iter().all(|p| r.stat(p) > 0));
         // In vector mode the little cores are lanes, not cores.
         assert!(r.stats.get("sys.little0.cycles").is_none());
+    }
+
+    /// `w` on `1b-4VL` with the VLITTLE geometry `cores` × `chimes`.
+    fn vlittle(w: &Workload, cores: u8, chimes: u8, packed: bool) -> Result<RunResult, String> {
+        let mut params = SimParams::default();
+        params.engine.regmap = RegMap {
+            cores,
+            chimes,
+            packed,
+        };
+        simulate(SystemKind::B4Vl, w, &params)
+    }
+
+    #[test]
+    fn vlittle_geometry_is_checked_on_both_sides_of_each_bound() {
+        let w = vvadd::build(Scale::tiny());
+        let runs = |cores, chimes, packed| {
+            vlittle(&w, cores, chimes, packed)
+                .unwrap_or_else(|e| panic!("{cores} lanes x {chimes} chimes: {e}"));
+        };
+        let fails = |cores, chimes, packed, says: &str| {
+            let err = vlittle(&w, cores, chimes, packed)
+                .expect_err("a geometry outside the bounds must not build");
+            assert!(err.contains(says), "{cores} x {chimes}: {err}");
+        };
+        // The big core's caches take the directory id after the lanes'.
+        let max = MAX_LITTLE as u8;
+        runs(1, 2, true);
+        runs(max, 2, true);
+        fails(0, 2, true, "regmap.cores = 0 is outside 1..=31");
+        fails(max + 1, 2, true, "regmap.cores = 32 is outside 1..=31");
+        // One chime per register file.
+        runs(4, 1, true);
+        runs(4, 2, true);
+        fails(4, 0, true, "regmap.chimes = 0 is outside 1..=2");
+        fails(4, 3, true, "regmap.chimes = 3 is outside 1..=2");
+        // Unpacked, a register holds one 32-bit element.
+        runs(4, 1, false);
+        fails(3, 1, false, "96-bit vector length");
     }
 
     #[test]

@@ -12,12 +12,31 @@ use bvl_isa::vcfg::Sew;
 use bvl_mem::SimMemory;
 use std::sync::Arc;
 
+/// The gather kernel's element count at `scale`: the length of its table
+/// and of its index vector.
+pub fn gather_len(scale: Scale) -> u64 {
+    scale.n.max(1024)
+}
+
 /// Builds a gather kernel: `out[i] = table[idx[i]]` with indices that are
 /// `locality`-way clustered (locality 4 = groups of 4 consecutive table
 /// slots — exactly what the VMIU can coalesce into one line request).
 /// Used by the VMIU index-coalescing ablation (paper section III-E).
-pub fn build_gather(scale: Scale, locality: u64) -> Workload {
-    let n = scale.n.max(1024);
+///
+/// # Errors
+///
+/// Fails, naming `locality`, unless `1 <= locality < gather_len(scale)`:
+/// each run of clustered indices holds at least one, and starts inside
+/// the table.
+pub fn build_gather(scale: Scale, locality: u64) -> Result<Workload, String> {
+    let n = gather_len(scale);
+    if !(1..n).contains(&locality) {
+        return Err(format!(
+            "locality = {locality} is outside 1..={}: the gather table has {n} entries \
+             at this scale",
+            n - 1
+        ));
+    }
     let table: Vec<u32> = (0..n as u32)
         .map(|i| i.wrapping_mul(2_654_435_761))
         .collect();
@@ -69,7 +88,7 @@ pub fn build_gather(scale: Scale, locality: u64) -> Workload {
 
     let program = Arc::new(a.assemble().expect("gather assembles"));
     let entry = program.label("vector").expect("label");
-    Workload {
+    Ok(Workload {
         name: "gather",
         class: WorkloadClass::DataParallelKernel,
         serial_entry: entry, // unused: this is a vector-only microbench
@@ -85,5 +104,5 @@ pub fn build_gather(scale: Scale, locality: u64) -> Workload {
                 Err("gather mismatch".into())
             }
         }),
-    }
+    })
 }

@@ -9,7 +9,8 @@ use big_vlittle::sim::{
 };
 use big_vlittle::workloads::{kernels, Scale, Workload};
 use bvl_serve::{Client, Daemon, DaemonConfig, PointSpec, ResultStore, WorkloadSpec};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// `name@tiny` on `system` with default parameters.
 fn tiny_point(system: SystemKind, name: &str) -> PointSpec {
@@ -272,6 +273,71 @@ fn vlittle_points_of_every_lane_count_are_ordinary_sweep_points() {
     };
     let naive = simulate(spec.system, &vvadd, &naive).expect("no_skip run");
     assert_eq!(naive, results[2], "8 lanes: no_skip changed the result");
+}
+
+/// `f`'s value, computed on a thread of its own; the test fails when none
+/// arrives within `secs` seconds.
+fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let thread = std::thread::spawn(move || tx.send(f()).expect("the test is waiting"));
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(value) => {
+            thread.join().expect("the value was sent");
+            value
+        }
+        // A hung fabric leaves the thread behind.
+        Err(e) => panic!("no value within {secs} s ({e})"),
+    }
+}
+
+/// A bad point fails alone, with a typed error: a daemon with one
+/// in-process worker answers a `1b-4VL` point with no lanes and a gather
+/// whose runs overrun its table with `Failed` replies naming the field,
+/// then serves `vvadd` on the same worker, which never died.
+#[test]
+fn bad_point_specs_fail_with_named_errors_and_the_worker_serves_on() {
+    let dir = std::env::temp_dir().join(format!("bvl-contracts-bad-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let vvadd = tiny_point(SystemKind::B4Vl, "vvadd");
+    let mut no_lanes = vvadd.clone();
+    no_lanes.params.engine.regmap.cores = 0;
+    let overrun = PointSpec {
+        workload_key: "gather-loc1024@tiny".into(),
+        workload: WorkloadSpec::Gather {
+            locality: 1024,
+            scale: Scale::tiny(),
+        },
+        ..vvadd.clone()
+    };
+
+    let daemon = Daemon::start(DaemonConfig {
+        persist: false,
+        ..DaemonConfig::threads_only(1, &dir)
+    })
+    .expect("daemon");
+    let mut client = Client::connect(daemon.addr()).expect("connect");
+    let (mut client, replies) = within(30, move || {
+        let replies = client.run_each(&[no_lanes, overrun]);
+        (client, replies)
+    });
+    let replies = replies.expect("fabric replies");
+    for (reply, field) in replies.iter().zip(["regmap.cores = 0", "locality = 1024"]) {
+        match reply {
+            Err(error) => assert!(error.contains(field), "{field}: {error}"),
+            Ok(_) => panic!("{field}: a bad point was served"),
+        }
+    }
+    let served = within(30, move || client.run_points(std::slice::from_ref(&vvadd)));
+    assert!(served.is_ok(), "vvadd after the bad points: {served:?}");
+    let stats = daemon.stats();
+    assert_eq!(
+        (stats.executed, stats.failed, stats.worker_deaths),
+        (1, 2, 0),
+        "{stats:?}"
+    );
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Serves `spec`, whose store at `dir` holds planted checkpoint slots, on
