@@ -274,12 +274,28 @@ impl ExpOpts {
     /// daemon named on the command line and exits.
     ///
     /// On a bad argument it prints `error: <flag>: <reason>` and a usage
-    /// line listing every flag to stderr, then exits with code 2.
+    /// line listing every flag to stderr, then exits with code 2. When a
+    /// `--serve-addr` daemon does not answer a stats query, it prints
+    /// `error: --serve-addr: <addr>: <reason>` and exits with code 1.
     pub fn from_args() -> Self {
         if std::env::args().nth(1).as_deref() == Some(SERVE_WORKER_SENTINEL) {
             run_serve_worker();
         }
-        ExpOpts::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| exit_usage(&e, USAGE))
+        let opts =
+            ExpOpts::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| exit_usage(&e, USAGE));
+        // Ask the daemon for its stats before any work: an address with
+        // nothing behind it, or a peer whose reply is not a fabric frame,
+        // ends here in one line rather than in a panic in the first sweep.
+        if let Some(addr) = &opts.serve_addr {
+            let answer = bvl_serve::Client::connect(addr)
+                .map_err(bvl_serve::ProtoError::Io)
+                .and_then(|mut daemon| daemon.stats());
+            if let Err(e) = answer {
+                eprintln!("error: --serve-addr: {addr}: {e}");
+                std::process::exit(1);
+            }
+        }
+        opts
     }
 
     /// Parses the flags [`ExpOpts::from_args`] takes from `args` (without

@@ -15,19 +15,20 @@
 //! clones of one [`ExpOpts`] (`run_all`'s figures share fig04's points);
 //! `--persist-cache` stores each result under `<out>/cache/` as its point
 //! completes, except runs resumed from a checkpoint (`--checkpoint-every
-//! N`, `--resume`, both through [`bvl_serve::worker::run_exact_point`]);
-//! `--no-cache` gives the sweep a core of its own that persists nothing.
-//! A point that fails, by an error or a panic, fails alone: the others
-//! finish and are stored, then [`run_sweep`] panics once, naming every
-//! failed key with its error. Under `--serve`, points with a wire spec
-//! go to the daemon instead, whose core decides the same way.
+//! N`, `--resume`); `--no-cache` gives the sweep a core of its own that
+//! persists nothing. A point that fails, by an error or a panic, fails
+//! alone: the others finish and are stored, then [`run_sweep`] panics
+//! once, naming every failed key with its error. Under `--serve`, points
+//! with a wire spec go to the daemon instead, whose core decides the same
+//! way.
 //!
-//! With `--sampled` (DESIGN.md §4.12) the worker that dispatches a point
-//! plans it and queues its windows for the sweep's workers, which take
-//! queued windows before they dispatch another point; the worker that
-//! measures the last window combines the estimate. Estimates carry
-//! [`bvl_sim::SamplingMeta`] and their own cache keys. Exact fallbacks
-//! and truncated windows are reported, in-process and served alike.
+//! Each worker runs the points it dispatches whole, through
+//! [`bvl_serve::worker::run_point`] as every fabric worker does. With
+//! `--sampled` (DESIGN.md §4.12) that is [`bvl_sim::simulate_sampled`],
+//! which measures each window as the fast-forward reaches it. Estimates
+//! carry [`bvl_sim::SamplingMeta`] and their own cache keys. Exact
+//! fallbacks and truncated windows are reported, in-process and served
+//! alike.
 //!
 //! The workload key must identify the workload *instance*, not just its
 //! kernel: the same name built at a different scale (or, for synthetic
@@ -38,20 +39,15 @@
 use crate::ExpOpts;
 use bvl_serve::spec::{PointSpec, WorkloadSpec};
 use bvl_serve::store::ResultStore;
-use bvl_serve::worker::{caught, run_exact_point, PointOutcome, PointRun};
+use bvl_serve::worker::{caught, run_point, PointRun};
 use bvl_serve::{Client, DaemonConfig, FabricReport, Msg, Sched, ServedResult};
-use bvl_sim::{
-    combine_sampled, plan_sampled, run_sample_window, simulate_with, Hooks, RunResult, SamplePlan,
-    SamplingMeta, SimParams, SystemKind, WindowMeasurement,
-};
+use bvl_sim::{simulate_with, Hooks, RunResult, SamplingMeta, SimParams, SystemKind};
 use bvl_workloads::Workload;
 use serde::Serialize;
-use std::collections::VecDeque;
 use std::fs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One point of a sweep matrix: run `workload` on `system` under `params`.
 #[derive(Clone)]
@@ -246,9 +242,9 @@ pub fn default_jobs() -> usize {
 /// With `jobs <= 1` (or one item) this degrades to a plain serial loop.
 /// A panic inside `f` propagates to the caller when the scope joins.
 ///
-/// Experiments whose unit of work is not a sweep point (golden-model
-/// characterization, custom-geometry engine runs) fan out through this
-/// instead of [`run_sweep`].
+/// Work whose unit is not a sweep point fans out through this instead of
+/// [`run_sweep`]: Tables IV–V's golden-model characterization, the
+/// `difftest` binary and the benchmark's traced run.
 pub fn run_parallel<I, T, F>(items: &[I], jobs: usize, f: F) -> Vec<T>
 where
     I: Sync,
@@ -359,13 +355,7 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
     if opts.serve_addr.is_some() && local > 0 {
         eprintln!("--serve: {local} point(s) have no wire spec and run in-process");
     }
-    Pool {
-        opts,
-        sched: &sched,
-        windows: Mutex::default(),
-        ready: Condvar::new(),
-    }
-    .run();
+    run_pool(opts, &sched);
 
     let mut replies: Vec<Option<Result<ServedResult, String>>> = vec![None; points.len()];
     for msg in rx.iter().take(local) {
@@ -443,200 +433,46 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
     results
 }
 
-/// One sweep's workers: the core they dispatch from, and the windows of
-/// the sampled points they planned.
-struct Pool<'a> {
-    opts: &'a ExpOpts,
-    sched: &'a SweepSched,
-    windows: Mutex<Windows>,
-    /// Signalled when windows are queued or a plan ends.
-    ready: Condvar,
-}
-
-/// Windows waiting for a worker, and how many sampled points are being
-/// planned, each of which may queue more.
-#[derive(Default)]
-struct Windows {
-    queue: VecDeque<(Arc<Sampled>, usize)>,
-    planning: usize,
-}
-
-/// A planned sampled point. Whichever worker measures its last window
-/// combines the estimate and settles the point.
-struct Sampled {
-    key: String,
-    job: Arc<SweepJob>,
-    plan: SamplePlan,
-    /// Each window's measurement once taken, and the host seconds spent
-    /// planning and measuring so far.
-    measured: Mutex<(Vec<Option<Measured>>, f64)>,
-}
-
-/// One window's measurement, or why it failed.
-type Measured = Result<WindowMeasurement, String>;
-
-impl Pool<'_> {
-    /// Runs `--jobs` workers, the calling thread among them, until nothing
-    /// is queued, no window waits and no plan is under way.
-    fn run(&self) {
-        std::thread::scope(|s| {
-            for worker in 1..self.opts.jobs {
-                s.spawn(move || self.work(worker as u64));
-            }
-            self.work(0);
-        });
-    }
-
-    /// Takes a queued window first, then a point from the core; waits
-    /// while a plan is under way, since it may queue windows.
-    fn work(&self, worker: u64) {
-        let mut windows = self.windows();
-        loop {
-            if let Some((point, i)) = windows.queue.pop_front() {
-                drop(windows);
-                self.measure(&point, i);
-                windows = self.windows();
-                continue;
-            }
-            // Bound first, so that the core's lock is released before the
-            // point runs and settles.
-            let dispatched = self.sched.lock().dispatch(worker);
-            match dispatched {
-                Some((key, job)) => {
-                    let sampled = job.params.sampling.is_some();
-                    windows.planning += usize::from(sampled);
-                    drop(windows);
-                    if sampled {
-                        self.plan(key, job);
-                    } else {
-                        self.settle(&key, caught(|| self.run_exact(&key, &job)));
-                    }
-                    windows = self.windows();
-                }
-                None if windows.planning > 0 => {
-                    windows = self.ready.wait(windows).expect("windows lock");
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// An exact point, checkpointed when the cadence is armed and resumed
-    /// from a leftover checkpoint under `--resume`.
-    fn run_exact(&self, key: &str, job: &SweepJob) -> Result<PointOutcome, String> {
-        match run_exact_point(
-            job.system,
-            &job.workload,
-            &job.params,
-            key,
-            &ResultStore::new(&self.opts.cache_dir),
-            self.opts.resume,
-            &mut |_| false,
-        )? {
-            PointRun::Finished(out) => Ok(*out),
-            PointRun::Yielded { .. } => unreachable!("nothing orders a yield"),
-        }
-    }
-
-    /// Plans a sampled point and queues its windows. A point without
-    /// windows settles here: an exact fallback, which `combine_sampled`
-    /// runs exactly and tags as such.
-    fn plan(&self, key: String, job: Arc<SweepJob>) {
-        let start = Instant::now();
-        let planned = caught(|| plan_sampled(job.system, &job.workload, &job.params));
-        let secs = start.elapsed().as_secs_f64();
-        let mut windows = self.windows();
-        windows.planning -= 1;
-        match planned {
-            Ok(plan) if !plan.windows.is_empty() => {
-                let n = plan.windows.len();
-                let measured = Mutex::new((vec![None; n], secs));
-                let point = Arc::new(Sampled {
-                    key,
-                    job,
-                    plan,
-                    measured,
-                });
-                windows
-                    .queue
-                    .extend((0..n).map(|i| (Arc::clone(&point), i)));
-                drop(windows);
-                self.ready.notify_all();
-            }
-            planned => {
-                drop(windows);
-                self.ready.notify_all();
-                let out = planned.and_then(|plan| caught(|| combine(&job, &plan, &[], secs)));
-                self.settle(&key, out);
-            }
-        }
-    }
-
-    /// Measures window `i` of `point`. The worker that measures its last
-    /// window combines them, or fails the point with the first window
-    /// error.
-    fn measure(&self, point: &Sampled, i: usize) {
-        let (start, job) = (Instant::now(), &point.job);
-        let m = caught(|| {
-            run_sample_window(
+/// Runs `--jobs` workers, the calling thread among them, that loop
+/// dispatch → run → settle until the core has nothing left to dispatch.
+/// Every point is submitted before the pool starts, so none comes later.
+fn run_pool(opts: &ExpOpts, sched: &SweepSched) {
+    let store = ResultStore::new(&opts.cache_dir);
+    let work = |worker: u64| loop {
+        // Bound first, so that the core's lock is released before the
+        // point runs and settles.
+        let Some((key, job)) = sched.lock().dispatch(worker) else {
+            return;
+        };
+        let out = caught(|| {
+            let run = run_point(
                 job.system,
                 &job.workload,
                 &job.params,
-                &point.plan.windows[i],
-            )
-            .map_err(|e| format!("window {i}: {e}"))
+                &key,
+                &store,
+                opts.resume,
+                &mut |_| false,
+            )?;
+            match run {
+                PointRun::Finished(out) => Ok(*out),
+                PointRun::Yielded { .. } => unreachable!("nothing orders a yield"),
+            }
         });
-        let mut measured = point.measured.lock().expect("window lock");
-        measured.0[i] = Some(m);
-        measured.1 += start.elapsed().as_secs_f64();
-        if measured.0.iter().any(Option::is_none) {
-            return;
-        }
-        let (windows, secs) = std::mem::take(&mut *measured);
-        drop(measured);
-        let out = windows
-            .into_iter()
-            .flatten()
-            .collect::<Result<Vec<_>, _>>()
-            .and_then(|windows| caught(|| combine(job, &point.plan, &windows, secs)));
-        self.settle(&point.key, out);
-    }
-
-    /// Completes or fails `key` in the core and sends every waiter its
-    /// reply.
-    fn settle(&self, key: &str, out: Result<PointOutcome, String>) {
         let replies = match out {
-            Ok(out) => self.sched.lock().complete(key, out),
-            Err(e) => self.sched.lock().fail(key, &e),
+            Ok(out) => sched.lock().complete(&key, out),
+            Err(e) => sched.lock().fail(&key, &e),
         };
         for (to, msg) in replies {
             let _ = to.send(msg);
         }
-    }
-
-    fn windows(&self) -> MutexGuard<'_, Windows> {
-        self.windows.lock().expect("windows lock")
-    }
-}
-
-/// A sampled point's estimate, from its plan and its windows in order,
-/// as the outcome its waiters get. `secs` is the time spent before it.
-fn combine(
-    job: &SweepJob,
-    plan: &SamplePlan,
-    windows: &[WindowMeasurement],
-    secs: f64,
-) -> Result<PointOutcome, String> {
-    let start = Instant::now();
-    let (result, skip) = combine_sampled(job.system, &job.workload, &job.params, plan, windows)?;
-    Ok(PointOutcome {
-        result,
-        edges_run: skip.edges_run,
-        edges_skipped: skip.edges_skipped,
-        host_secs: secs + start.elapsed().as_secs_f64(),
-        resumed: false,
-        restarted_from_zero: false,
-    })
+    };
+    std::thread::scope(|s| {
+        for worker in 1..opts.jobs {
+            s.spawn(move || work(worker as u64));
+        }
+        work(0);
+    });
 }
 
 /// The point as the fabric takes it under `--serve`, if its workload's

@@ -2,8 +2,11 @@
 //! panic: `run_all` (like every experiment binary, through
 //! `ExpOpts::from_args`), its self-exec fabric worker and `difftest` name
 //! the flag at fault and print their usage line before they do any work.
+//! A `--serve-addr` with no daemon behind it fails the same way, with
+//! exit code 1.
 
 use bvl_experiments::SERVE_WORKER_SENTINEL;
+use std::net::TcpListener;
 use std::process::Command;
 
 #[test]
@@ -103,4 +106,24 @@ fn difftest_names_the_flag_at_fault() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+#[test]
+fn a_serve_addr_with_no_daemon_exits_1_naming_the_address() {
+    // A loopback port that was just free refuses connections.
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("bind a loopback port")
+        .to_string();
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--scale", "tiny", "--jobs", "1", "--serve-addr", &addr])
+        .output()
+        .expect("run run_all");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("error: --serve-addr: {addr}: ")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -26,9 +26,10 @@ fn served_fig04_is_byte_identical_to_the_serverless_run() {
     assert_served_fig04_equals_serverless("exact", false);
 }
 
-/// Under `--sampled` the in-process sweep spreads each point's windows
-/// over its worker pool, while a fabric worker measures them one after
-/// another: the estimates must not depend on that.
+/// Under `--sampled` an in-process worker and a fabric worker both run
+/// each point whole, through `run_point`. The fabric worker rebuilds the
+/// workload from its wire spec and sends the estimate back over the
+/// wire: the estimates must not depend on that.
 #[test]
 fn served_sampled_fig04_is_byte_identical_to_the_serverless_run() {
     assert_served_fig04_equals_serverless("sampled", true);

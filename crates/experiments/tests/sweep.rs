@@ -236,13 +236,11 @@ fn a_failing_point_fails_alone_and_the_others_are_stored() {
 }
 
 /// A worker that panics fails only its point, with the panic's message:
-/// here a workload whose output check panics. The sweep does not hang,
-/// the other point is stored, and the panic names the failed key.
+/// here a workload whose output check panics, after the exact run or,
+/// in sampled mode, after the fast-forward. The sweep does not hang, the
+/// other point is stored, and the panic names the failed key.
 #[test]
 fn a_panicking_point_fails_alone_with_its_message() {
-    let scratch = Scratch::new("panic");
-    let mut opts = tiny_opts(scratch.path(), 2);
-    opts.persist_cache = true;
     fn exploding_check(_: &bvl_mem::SimMemory) -> Result<(), String> {
         panic!("checker exploded")
     }
@@ -250,27 +248,35 @@ fn a_panicking_point_fails_alone_with_its_message() {
     broken.check = Box::new(exploding_check);
     let broken = Arc::new(broken);
     let saxpy = Arc::new(saxpy::build(Scale::tiny()));
-    let jobs = [
-        SweepJob::keyed(
-            SystemKind::B1,
-            &broken,
-            "vvadd-broken@tiny",
-            SimParams::default(),
-        ),
-        SweepJob::new(SystemKind::B1, &saxpy, "tiny", SimParams::default()),
-    ];
-    let payload = panic::catch_unwind(AssertUnwindSafe(|| run_sweep(&jobs, &opts)))
-        .expect_err("a sweep with a panicking point panics");
-    let message = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
-    assert!(
-        message.contains(&jobs[0].cache_key()) && message.contains("checker exploded"),
-        "{message}"
-    );
-    let store = ResultStore::new(&opts.cache_dir);
-    assert!(store.result_path(&jobs[1].cache_key()).exists());
+    for sampled in [false, true] {
+        let scratch = Scratch::new(&format!("panic-{sampled}"));
+        let mut opts = tiny_opts(scratch.path(), 2);
+        opts.persist_cache = true;
+        opts.sampled = sampled;
+        let params = SimParams {
+            sampling: opts.sampling_params(),
+            ..SimParams::default()
+        };
+        let jobs = [
+            SweepJob::keyed(SystemKind::B1, &broken, "vvadd-broken@tiny", params.clone()),
+            SweepJob::new(SystemKind::B1, &saxpy, "tiny", params),
+        ];
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| run_sweep(&jobs, &opts)))
+            .expect_err("a sweep with a panicking point panics");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            message.contains(&jobs[0].cache_key()) && message.contains("checker exploded"),
+            "sampled {sampled}: {message}"
+        );
+        let store = ResultStore::new(&opts.cache_dir);
+        assert!(
+            store.result_path(&jobs[1].cache_key()).exists(),
+            "sampled {sampled}"
+        );
+    }
 }
 
 /// Two sweeps at once through clones of one options value share its core

@@ -1,13 +1,16 @@
 //! Point execution, shared by every fabric worker and the in-process
 //! sweep.
 //!
-//! [`run_exact_point`] is the single code path that executes one exact
-//! experiment point: it resumes from a persisted checkpoint when asked,
-//! writes a fresh blob at every checkpoint boundary, and can yield mid-run
-//! when its caller asks. [`run_one_point`] is what a fabric worker runs:
-//! it always resumes (that is what makes worker death cheap: whoever
-//! picks the point up next continues from the last blob). The in-process
-//! sweep calls [`run_exact_point`] directly and resumes only under
+//! [`run_point`] is the single code path that executes one experiment
+//! point, exact or sampled, for both. An exact point resumes from a
+//! persisted checkpoint when asked, writes a fresh blob at every
+//! checkpoint boundary, and can yield mid-run when its caller asks. A
+//! sampled point runs whole through [`bvl_sim::simulate_sampled`], which
+//! measures each window as the fast-forward reaches it. [`run_one_point`]
+//! is what a fabric worker runs: it builds the point's workload and
+//! always resumes (that is what makes worker death cheap: whoever picks
+//! the point up next continues from the last blob). The in-process sweep
+//! calls [`run_point`] on its `--jobs` threads and resumes only under
 //! `--resume`.
 //!
 //! [`worker_main`] is every fabric worker's loop — a daemon's in-process
@@ -62,7 +65,7 @@ snap_struct!(PointOutcome {
     restarted_from_zero,
 });
 
-/// How one [`run_one_point`] call ended.
+/// How one [`run_point`] call ended.
 #[derive(Debug)]
 pub enum PointRun {
     /// Ran to completion.
@@ -75,50 +78,69 @@ pub enum PointRun {
     },
 }
 
-/// Executes one point against `store`, always resuming from the newest
-/// decodable checkpoint blob of its key's two slots.
-///
-/// `on_checkpoint(cycle)` fires after each checkpoint blob is persisted;
-/// returning `true` orders a yield at that very checkpoint. Sampled
-/// points (params carry a sampling config) run the serial sampled
-/// pipeline, which has no mid-run checkpoint to yield at; a killed worker
-/// simply re-runs them. Exact points run through [`run_exact_point`].
+/// Builds `spec`'s workload and executes the point against `store`
+/// through [`run_point`], always resuming from the newest decodable
+/// checkpoint blob of its key's two slots.
 ///
 /// # Errors
 ///
-/// Simulation failures (budget exceeded, output check failed, unknown
-/// workload name) and checkpoint blobs that cannot be written. An
-/// unusable blob is not an error: the point restarts from cycle 0.
+/// An unknown workload name, and every error of [`run_point`].
 pub fn run_one_point(
     spec: &PointSpec,
     store: &ResultStore,
     on_checkpoint: &mut dyn FnMut(u64) -> bool,
 ) -> Result<PointRun, String> {
     let workload = spec.workload.build()?;
-    let params = &spec.params;
-
-    if params.sampling.is_some() {
-        let start = Instant::now();
-        let (result, skip) = simulate_sampled(spec.system, &workload, params)?;
-        return Ok(PointRun::Finished(Box::new(PointOutcome {
-            result,
-            edges_run: skip.edges_run,
-            edges_skipped: skip.edges_skipped,
-            host_secs: start.elapsed().as_secs_f64(),
-            resumed: false,
-            restarted_from_zero: false,
-        })));
-    }
     let key = spec.key();
-    run_exact_point(
+    run_point(
         spec.system,
         &workload,
-        params,
+        &spec.params,
         &key,
         store,
         true,
         on_checkpoint,
     )
+}
+
+/// Executes one point under cache key `key`.
+///
+/// An exact point writes a checkpoint blob into one of `key`'s two slots
+/// in `store` at every boundary of the `params.checkpoint_every` cadence,
+/// and resumes from the newest decodable one with `resume`.
+/// `on_checkpoint(cycle)` fires after each blob is persisted; returning
+/// `true` orders a yield at that very checkpoint. A sampled point (its
+/// params carry a sampling config) runs whole through
+/// [`bvl_sim::simulate_sampled`], which has no mid-run checkpoint to
+/// resume or yield at: a killed worker simply re-runs it.
+///
+/// # Errors
+///
+/// Simulation failures (the cycle budget ran out or the output check
+/// failed), and an exact point's checkpoint blob that cannot be written.
+/// An unusable blob is not an error: the point restarts from cycle 0.
+pub fn run_point(
+    system: SystemKind,
+    workload: &Workload,
+    params: &SimParams,
+    key: &str,
+    store: &ResultStore,
+    resume: bool,
+    on_checkpoint: &mut dyn FnMut(u64) -> bool,
+) -> Result<PointRun, String> {
+    if params.sampling.is_none() {
+        return run_exact_point(system, workload, params, key, store, resume, on_checkpoint);
+    }
+    let start = Instant::now();
+    let (result, skip) = simulate_sampled(system, workload, params)?;
+    Ok(PointRun::Finished(Box::new(PointOutcome {
+        result,
+        edges_run: skip.edges_run,
+        edges_skipped: skip.edges_skipped,
+        host_secs: start.elapsed().as_secs_f64(),
+        resumed: false,
+        restarted_from_zero: false,
+    })))
 }
 
 /// Executes one exact point under cache key `key`, writing a checkpoint
@@ -140,7 +162,7 @@ pub fn run_one_point(
 /// Simulation failures (the cycle budget ran out or the output check
 /// failed), and a checkpoint blob that cannot be written: the run stops
 /// at that checkpoint and the error names `key`.
-pub fn run_exact_point(
+fn run_exact_point(
     system: SystemKind,
     workload: &Workload,
     params: &SimParams,

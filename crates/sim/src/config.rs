@@ -169,10 +169,13 @@ impl Default for SamplingParams {
         // window pays a fresh `System::new` + restore, so short periods
         // make sampled runs *slower* than exact ones (a 4096-instr
         // period lost to exact on every run_all artifact). A 1/16
-        // detailed fraction keeps run_all --sampled ahead of exact;
-        // runs shorter than one period degenerate to a single
-        // (near-exact) full-coverage window. Accuracy is pinned by the
-        // sampled-validation suite, which sizes periods per machine.
+        // detailed fraction keeps run_all --sampled ahead of exact. A
+        // run shorter than one period still gets one window, of
+        // min(4096, total) instructions from instruction 0, extrapolated
+        // to the whole run: it is measured in full only up to 4096
+        // instructions (running such points exactly is ROADMAP 1(b)).
+        // Accuracy is pinned by the sampled-validation suite, which
+        // sizes periods per machine.
         SamplingParams {
             period_instrs: 65536,
             window_instrs: 4096,

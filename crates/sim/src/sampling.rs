@@ -6,7 +6,7 @@
 //! sampling-period boundary is simulated in detail. This is SMARTS-style
 //! systematic sampling adapted to this simulator's structure:
 //!
-//! 1. [`plan_sampled`] fast-forwards the whole program once, recording a
+//! 1. The fast-forward runs the whole program once, recording a
 //!    functional cache-warming trace along the way, and materializes a
 //!    whole-system checkpoint ([`SysState`]) at every period boundary —
 //!    the fast-forwarded architectural state injected into a freshly
@@ -17,17 +17,20 @@
 //!    a whole-run estimate with a 95% confidence interval, carried on
 //!    [`RunResult::sampling`].
 //!
-//! The three phases are exposed separately so the experiment sweep
-//! harness can fan the (independent, `Send`) windows out across its
-//! worker pool; [`simulate_sampled`] chains them serially for simple
-//! callers.
+//! [`simulate_sampled`], which every sweep point runs, interleaves the
+//! phases in one pass: it measures each window as soon as the
+//! fast-forward has placed it and drops its checkpoint, so a run holds
+//! one checkpoint at a time. [`plan_sampled`] collects the same windows
+//! from the same loop instead, so that tests and benchmarks can run the
+//! three phases apart; they give the same estimate.
 //!
 //! **Exact fallback.** Work-stealing task mode cannot be functionally
 //! fast-forwarded: which core runs which task is decided by the timing
 //! model, so there is no timing-independent architectural path to skip
-//! along. For task-mode combinations the plan flags
-//! [`SamplePlan::exact_fallback`] and [`combine_sampled`] runs the exact
-//! simulator, attaching a [`SamplingMeta`] that says so.
+//! along. For task-mode combinations [`simulate_sampled`] runs the exact
+//! simulator instead, as [`combine_sampled`] does for a plan flagged
+//! [`SamplePlan::exact_fallback`], attaching a [`SamplingMeta`] that says
+//! so.
 //!
 //! **Known biases** (all folded into the CI's bias allowance,
 //! [`SAMPLING_BIAS_FRAC`]): warmed caches replay the fast-forward trace
@@ -44,7 +47,7 @@ use crate::result::{RunResult, SamplingMeta};
 use crate::snapshot::SysState;
 use crate::system::{simulate_with_stats, ExecMode, SkipStats, System};
 use bvl_core::fetch::TEXT_BASE;
-use bvl_isa::exec::{Machine, StepInfo};
+use bvl_isa::exec::{ArchSnapshot, Machine, StepInfo};
 use bvl_mem::{SimMemory, WarmTarget};
 use bvl_obs::StatsSnapshot;
 use bvl_snap::{SnapReader, SnapWriter};
@@ -93,7 +96,7 @@ pub struct SamplePlan {
     /// The fast-forward `Machine`'s final architectural snapshot — the
     /// sampled run's architectural result, which the differential-test
     /// suite compares against the oracle. `None` on exact fallback.
-    pub final_arch: Option<bvl_isa::exec::ArchSnapshot>,
+    pub final_arch: Option<ArchSnapshot>,
     /// True when this kind/workload runs in task mode and must be
     /// simulated exactly (see the module docs).
     pub exact_fallback: bool,
@@ -282,20 +285,20 @@ impl WarmTraces {
 }
 
 // ---------------------------------------------------------------------
-// Phase 1: planning (fast-forward + boundary materialization)
+// Phase 1: fast-forward + boundary materialization
 // ---------------------------------------------------------------------
 
-/// Builds a freshly constructed system holding the fast-forwarded state:
-/// forked functional memory, the `Machine`'s architectural state restored
-/// into the active core, entry PC assigned, caches warmed.
+/// Builds a freshly constructed system holding the fast-forwarded state
+/// and snapshots it: forked functional memory, the `Machine`'s
+/// architectural state restored into the active core, entry PC assigned,
+/// caches warmed.
 fn materialize_boundary(
     kind: SystemKind,
     workload: &Workload,
     params: &SimParams,
     m: &Machine<SimMemory>,
     warm: &WarmTraces,
-    start_instr: u64,
-) -> Result<PlannedWindow, String> {
+) -> Result<SysState, String> {
     let mut sys = System::new(kind, workload, params)?;
     sys.shared.with_mut(|dst| *dst = m.mem().fork());
 
@@ -322,35 +325,34 @@ fn materialize_boundary(
         .map_err(|e| format!("fast-forward state injection failed: {e}"))?;
 
     warm.replay(&mut sys);
-
-    Ok(PlannedWindow {
-        state: sys.snapshot(),
-        start_instr,
-        // Filled in by `plan_sampled` once the total is known.
-        stratum_instrs: 0,
-        target_instrs: 0,
-    })
+    Ok(sys.snapshot())
 }
 
-/// Fast-forwards `workload` on `kind` functionally and materializes a
-/// detailed-window checkpoint at every sampling-period boundary.
+/// Instructions in the stratum of the window that starts at `start_instr`
+/// of a run that retires `total_instrs`: the period, except for the final
+/// partial stratum.
+fn stratum_instrs(sp: SamplingParams, start_instr: u64, total_instrs: u64) -> u64 {
+    sp.period_instrs.min(total_instrs - start_instr)
+}
+
+/// Fast-forwards `workload` on `kind` functionally, materializes a
+/// detailed-window checkpoint at every sampling-period boundary, and
+/// hands each window to `on_window` as soon as its target is known: once
+/// the fast-forward has retired the window's length past its boundary,
+/// or has halted. A window is never longer than the period, so one
+/// checkpoint is pending at a time. The windows' `stratum_instrs` are
+/// left 0: they need the total, which this returns.
 ///
-/// Uses `params.sampling` (or [`SamplingParams::default`] when unset).
-/// The fast-forwarded final memory image is verified against the
-/// workload's reference check, so a sampled run is still end-to-end
-/// functionally validated.
-///
-/// # Errors
-///
-/// Fails when the sampling parameters are malformed (zero, or a window
-/// longer than the period), the workload has no entry for the execution
-/// mode, functional execution faults or fails the reference check, or a
-/// boundary cannot be materialized.
-pub fn plan_sampled(
+/// Returns `None` for a task-mode run, which has no windows (see the
+/// module docs), and otherwise the instructions retired and the final
+/// architectural snapshot, once the fast-forwarded memory image has
+/// passed the workload's reference check.
+fn fast_forward(
     kind: SystemKind,
     workload: &Workload,
     params: &SimParams,
-) -> Result<SamplePlan, String> {
+    mut on_window: impl FnMut(PlannedWindow) -> Result<(), String>,
+) -> Result<Option<(u64, ArchSnapshot)>, String> {
     let sp = params.sampling.unwrap_or_default();
     if sp.period_instrs == 0 || sp.window_instrs == 0 {
         return Err("sampling period and window must be nonzero".into());
@@ -370,27 +372,18 @@ pub fn plan_sampled(
     let line_bytes = probe.hier.line_bytes();
     drop(probe);
 
-    if mode == ExecMode::Tasks {
-        return Ok(SamplePlan {
-            params: sp,
-            windows: Vec::new(),
-            total_instrs: 0,
-            final_arch: None,
-            exact_fallback: true,
-        });
-    }
     let entry = match mode {
         ExecMode::Serial => workload.serial_entry,
         ExecMode::Vector => workload
             .vector_entry
             .ok_or_else(|| format!("{} has no vectorized variant", workload.name))?,
-        ExecMode::Tasks => unreachable!("handled above"),
+        ExecMode::Tasks => return Ok(None),
     };
 
     let mut m = Machine::new(workload.mem.fork(), vlen);
     m.set_pc(entry);
     let mut warm = WarmTraces::default();
-    let mut windows = Vec::new();
+    let mut pending: Option<PlannedWindow> = None;
     let mut n: u64 = 0;
     // One reusable StepInfo for the whole fast-forward: `step_into`
     // clears and refills its `mem` buffer instead of allocating per
@@ -405,8 +398,19 @@ pub fn plan_sampled(
         halted: false,
     };
     while !m.halted() {
+        // A window is due once `window_instrs` have retired past its
+        // boundary: before the next boundary, or on it when the window is
+        // as long as the period, so it goes before that checkpoint is made.
+        if let Some(w) = pending.take_if(|w| n - w.start_instr == sp.window_instrs) {
+            on_window(w)?;
+        }
         if n.is_multiple_of(sp.period_instrs) {
-            windows.push(materialize_boundary(kind, workload, params, &m, &warm, n)?);
+            pending = Some(PlannedWindow {
+                state: materialize_boundary(kind, workload, params, &m, &warm)?,
+                start_instr: n,
+                stratum_instrs: 0,
+                target_instrs: sp.window_instrs,
+            });
         }
         m.step_into(&workload.program, &mut info)
             .map_err(|e| format!("{} fast-forward failed at instr {n}: {e}", workload.name))?;
@@ -419,19 +423,51 @@ pub fn plan_sampled(
             ));
         }
     }
+    if let Some(mut w) = pending {
+        w.target_instrs = w.target_instrs.min(n - w.start_instr);
+        on_window(w)?;
+    }
     // End-to-end functional validation of the fast-forwarded run.
     (workload.check)(m.mem())?;
+    Ok(Some((n, m.snapshot())))
+}
 
+/// Fast-forwards `workload` on `kind` functionally and materializes a
+/// detailed-window checkpoint at every sampling-period boundary.
+///
+/// Uses `params.sampling` (or [`SamplingParams::default`] when unset).
+/// The fast-forwarded final memory image is verified against the
+/// workload's reference check, so a sampled run is still end-to-end
+/// functionally validated. The plan holds every window's checkpoint at
+/// once; [`simulate_sampled`] measures the same windows one at a time.
+///
+/// # Errors
+///
+/// Fails when the sampling parameters are malformed (zero, or a window
+/// longer than the period), the workload has no entry for the execution
+/// mode, functional execution faults or fails the reference check, or a
+/// boundary cannot be materialized.
+pub fn plan_sampled(
+    kind: SystemKind,
+    workload: &Workload,
+    params: &SimParams,
+) -> Result<SamplePlan, String> {
+    let sp = params.sampling.unwrap_or_default();
+    let mut windows = Vec::new();
+    let forwarded = fast_forward(kind, workload, params, |w| {
+        windows.push(w);
+        Ok(())
+    })?;
+    let total_instrs = forwarded.as_ref().map_or(0, |&(total, _)| total);
     for w in &mut windows {
-        w.stratum_instrs = sp.period_instrs.min(n - w.start_instr);
-        w.target_instrs = w.stratum_instrs.min(sp.window_instrs);
+        w.stratum_instrs = stratum_instrs(sp, w.start_instr, total_instrs);
     }
     Ok(SamplePlan {
         params: sp,
         windows,
-        total_instrs: n,
-        final_arch: Some(m.snapshot()),
-        exact_fallback: false,
+        total_instrs,
+        exact_fallback: forwarded.is_none(),
+        final_arch: forwarded.map(|(_, arch)| arch),
     })
 }
 
@@ -517,20 +553,8 @@ pub fn combine_sampled(
     plan: &SamplePlan,
     measurements: &[WindowMeasurement],
 ) -> Result<(RunResult, SkipStats), String> {
-    let sp = plan.params;
     if plan.exact_fallback {
-        let (mut r, skip) = simulate_with_stats(kind, workload, params)?;
-        let total = r.stat("sys.big.retired") + r.stats.sum_matching("sys.little", ".retired");
-        r.sampling = Some(SamplingMeta {
-            period_instrs: sp.period_instrs,
-            window_instrs: sp.window_instrs,
-            total_instrs: total,
-            windows_measured: 0,
-            windows_truncated: 0,
-            ci_halfwidth_ns: 0.0,
-            exact_fallback: true,
-        });
-        return Ok((r, skip));
+        return simulate_exact_fallback(kind, workload, params, plan.params);
     }
     if measurements.len() != plan.windows.len() {
         return Err(format!(
@@ -539,14 +563,47 @@ pub fn combine_sampled(
             measurements.len()
         ));
     }
+    let strata = plan.windows.iter().map(|w| w.stratum_instrs);
+    estimate(plan.params, plan.total_instrs, strata.zip(measurements))
+}
 
+/// The exact run of a point that sampling cannot fast-forward, tagged as
+/// an exact fallback.
+fn simulate_exact_fallback(
+    kind: SystemKind,
+    workload: &Workload,
+    params: &SimParams,
+    sp: SamplingParams,
+) -> Result<(RunResult, SkipStats), String> {
+    let (mut r, skip) = simulate_with_stats(kind, workload, params)?;
+    let total = r.stat("sys.big.retired") + r.stats.sum_matching("sys.little", ".retired");
+    r.sampling = Some(SamplingMeta {
+        period_instrs: sp.period_instrs,
+        window_instrs: sp.window_instrs,
+        total_instrs: total,
+        windows_measured: 0,
+        windows_truncated: 0,
+        ci_halfwidth_ns: 0.0,
+        exact_fallback: true,
+    });
+    Ok((r, skip))
+}
+
+/// The stratified estimate of [`combine_sampled`] over a run that retired
+/// `total_instrs`, from each window's stratum extent and measurement, in
+/// window order.
+fn estimate<'a>(
+    sp: SamplingParams,
+    total_instrs: u64,
+    windows: impl Iterator<Item = (u64, &'a WindowMeasurement)>,
+) -> Result<(RunResult, SkipStats), String> {
     let mut est_wall = 0.0f64;
-    let mut tpis: Vec<f64> = Vec::with_capacity(measurements.len());
-    let mut parts: Vec<(&StatsSnapshot, f64)> = Vec::with_capacity(measurements.len());
+    let mut tpis: Vec<f64> = Vec::new();
+    let mut parts: Vec<(&StatsSnapshot, f64)> = Vec::new();
     let mut skip = SkipStats::default();
     let mut truncated = 0u64;
 
-    for (w, m) in plan.windows.iter().zip(measurements) {
+    for (stratum_instrs, m) in windows {
         skip.edges_run += m.skip.edges_run;
         skip.edges_skipped += m.skip.edges_skipped;
         skip.windows += m.skip.windows;
@@ -557,7 +614,7 @@ pub fn combine_sampled(
         if m.instrs < sp.window_instrs {
             truncated += 1;
         }
-        let weight = w.stratum_instrs as f64 / m.instrs as f64;
+        let weight = stratum_instrs as f64 / m.instrs as f64;
         est_wall += weight * m.result.wall_ns;
         tpis.push(m.result.wall_ns / m.instrs as f64);
         parts.push((&m.result.stats, weight));
@@ -573,7 +630,7 @@ pub fn combine_sampled(
     let statistical = if tpis.len() > 1 {
         let mean = tpis.iter().sum::<f64>() / n;
         let var = tpis.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        1.96 * (var.sqrt() / n.sqrt()) * plan.total_instrs as f64
+        1.96 * (var.sqrt() / n.sqrt()) * total_instrs as f64
     } else {
         0.0
     };
@@ -585,7 +642,7 @@ pub fn combine_sampled(
         sampling: Some(SamplingMeta {
             period_instrs: sp.period_instrs,
             window_instrs: sp.window_instrs,
-            total_instrs: plan.total_instrs,
+            total_instrs,
             windows_measured: parts.len() as u64,
             windows_truncated: truncated,
             ci_halfwidth_ns,
@@ -595,25 +652,37 @@ pub fn combine_sampled(
     Ok((result, skip))
 }
 
-/// Runs `workload` on `kind` with sampled simulation: plan, measure every
-/// window (serially — the sweep harness parallelizes instead), combine.
+/// Runs `workload` on `kind` with sampled simulation in one pass: each
+/// window is measured as soon as the fast-forward has placed it, and its
+/// checkpoint is dropped before the next one is materialized. The
+/// estimate equals [`plan_sampled`], [`run_sample_window`] on each window
+/// and [`combine_sampled`], with one checkpoint held at a time instead of
+/// all of them.
 ///
 /// # Errors
 ///
-/// Any failure of [`plan_sampled`], [`run_sample_window`] or
-/// [`combine_sampled`].
+/// Any failure of those three. A failing window is reported before the
+/// fast-forwarded run's reference check, which still runs before any
+/// estimate is returned.
 pub fn simulate_sampled(
     kind: SystemKind,
     workload: &Workload,
     params: &SimParams,
 ) -> Result<(RunResult, SkipStats), String> {
-    let plan = plan_sampled(kind, workload, params)?;
-    let measurements: Vec<WindowMeasurement> = plan
-        .windows
+    let sp = params.sampling.unwrap_or_default();
+    let mut measured = Vec::new();
+    let forwarded = fast_forward(kind, workload, params, |w| {
+        let m = run_sample_window(kind, workload, params, &w)?;
+        measured.push((w.start_instr, m));
+        Ok(())
+    })?;
+    let Some((total_instrs, _)) = forwarded else {
+        return simulate_exact_fallback(kind, workload, params, sp);
+    };
+    let strata = measured
         .iter()
-        .map(|w| run_sample_window(kind, workload, params, w))
-        .collect::<Result<_, _>>()?;
-    combine_sampled(kind, workload, params, &plan, &measurements)
+        .map(|(start, m)| (stratum_instrs(sp, *start, total_instrs), m));
+    estimate(sp, total_instrs, strata)
 }
 
 #[cfg(test)]
@@ -743,6 +812,39 @@ mod tests {
         let exact = simulate(SystemKind::B4L, &w, &SimParams::default()).expect("exact");
         assert_eq!(r.wall_ns, exact.wall_ns, "fallback must be the exact run");
         assert!(r.stats.get("sys.runtime.tasks_run").is_some());
+    }
+
+    /// Measuring each window as the fast-forward reaches it gives the
+    /// estimate that planning every window first, measuring each and
+    /// combining gives: the benchmark times those three phases, while
+    /// every sweep point streams.
+    #[test]
+    fn the_streamed_estimate_equals_the_three_phases() {
+        let (vvadd, mmult) = (vvadd::build(Scale::tiny()), mmult::build(Scale::tiny()));
+        for (kind, w, period, window) in [
+            // A final partial stratum.
+            (SystemKind::L1, &vvadd, 1024, 512),
+            // Each window due on the next boundary.
+            (SystemKind::B1, &mmult, 1024, 1024),
+            // The 2048-bit engine.
+            (SystemKind::BDv, &vvadd, 32, 16),
+            // A run shorter than one window.
+            (SystemKind::L1, &vvadd, 1 << 20, 1 << 18),
+            // Task mode: the exact fallback.
+            (SystemKind::B4L, &vvadd, 4096, 1024),
+        ] {
+            let case = format!("{kind} {} {period}/{window}", w.name);
+            let params = sampled_params(period, window);
+            let plan = plan_sampled(kind, w, &params).expect(&case);
+            let measured: Vec<WindowMeasurement> = plan
+                .windows
+                .iter()
+                .map(|win| run_sample_window(kind, w, &params, win).expect(&case))
+                .collect();
+            let phased = combine_sampled(kind, w, &params, &plan, &measured).expect(&case);
+            let streamed = simulate_sampled(kind, w, &params).expect(&case);
+            assert_eq!(streamed, phased, "{case}");
+        }
     }
 
     #[test]

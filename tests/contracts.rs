@@ -176,9 +176,10 @@ fn served_points_equal_simulate_and_resubmissions_hit_the_memo() {
 
 /// The in-process sweep drives the same scheduler core: at two workers,
 /// `vvadd` on `1b-4VL` submitted twice runs once (the twin coalesces),
-/// `saxpy` measures its sampled windows across the pool, and both equal
-/// what `simulate` and `simulate_sampled` give. A second sweep through a
-/// clone of the options is answered from the shared memo.
+/// `saxpy`'s sampled point runs whole on the worker that dispatched it,
+/// and both equal what `simulate` and `simulate_sampled` give. A second
+/// sweep through a clone of the options is answered from the shared
+/// memo.
 #[test]
 fn an_in_process_sweep_equals_simulate_and_runs_each_point_once() {
     let dir = std::env::temp_dir().join(format!("bvl-contracts-sweep-{}", std::process::id()));
