@@ -126,10 +126,13 @@ pub struct ExpOpts {
     pub jobs: usize,
     /// Whether sweeps submit to the shared [`ExpOpts::sched`]. Under
     /// `--no-cache` each sweep gets a core of its own that persists
-    /// nothing, so every unique point simulates fresh.
+    /// nothing, so every unique point simulates fresh. A fabric daemon's
+    /// memo answers every point it has run, so [`ExpOpts::parse_args`]
+    /// refuses `--no-cache` under `--serve`.
     pub use_cache: bool,
     /// Whether results are also stored, as their points complete, in (and
-    /// reloaded from) [`ExpOpts::cache_dir`] as JSON (`--persist-cache`).
+    /// reloaded from) [`ExpOpts::cache_dir`], one snap frame per point
+    /// (`--persist-cache`).
     pub persist_cache: bool,
     /// On-disk cache location (default `<out>/cache`, `--cache-dir DIR`).
     pub cache_dir: PathBuf,
@@ -304,8 +307,8 @@ impl ExpOpts {
     /// # Errors
     ///
     /// A [`CliError`] naming the flag on an unknown argument, a flag
-    /// missing its value, a value that does not parse, or an unknown
-    /// `--scale`.
+    /// missing its value, a value that does not parse, an unknown
+    /// `--scale`, or `--no-cache` under `--serve` or `--serve-addr`.
     pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
         fn error(flag: &str, reason: String) -> CliError {
             let flag = flag.into();
@@ -366,6 +369,11 @@ impl ExpOpts {
         // Resuming is meaningless without the persisted cache layers.
         opts.use_cache |= opts.resume;
         opts.persist_cache |= opts.resume;
+        if opts.serve && !opts.use_cache {
+            let reason = "does not combine with --serve or --serve-addr: \
+                          the fabric daemon's memo answers every point it has run";
+            return Err(error("--no-cache", reason.into()));
+        }
         opts.cache_dir = cache_dir.unwrap_or_else(|| opts.out_dir.join("cache"));
         Ok(opts)
     }
@@ -538,6 +546,10 @@ mod tests {
     #[test]
     fn parse_args_names_the_flag_at_fault() {
         rejects(&["--bogus"], "--bogus", "unknown argument");
+        for serve in [&["--serve"][..], &["--serve-addr", "127.0.0.1:9"]] {
+            let args = [&["--no-cache"][..], serve].concat();
+            rejects(&args, "--no-cache", "the fabric daemon's memo");
+        }
         rejects(&["--scale", "tiny", "extra"], "extra", "unknown argument");
         rejects(&["--scale", "huge"], "--scale", "unknown scale `huge`");
         for flag in [

@@ -20,7 +20,8 @@
 //! alone: the others finish and are stored, then [`run_sweep`] panics
 //! once, naming every failed key with its error. Under `--serve`, points
 //! with a wire spec go to the daemon instead, whose core decides the same
-//! way.
+//! way; a daemon that cannot be reached, or breaks mid-sweep, fails each
+//! of them with its error.
 //!
 //! Each worker runs the points it dispatches whole, through
 //! [`bvl_serve::worker::run_point`] as every fabric worker does. With
@@ -366,12 +367,13 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
         }
     }
     if let Some(addr) = opts.serve_addr.as_deref().filter(|_| !specs.is_empty()) {
-        let mut client = Client::connect(addr)
-            .unwrap_or_else(|e| panic!("--serve: connect to fabric at {addr}: {e}"));
-        client.set_priority(opts.priority);
-        let out = client
-            .run_each(&specs)
-            .unwrap_or_else(|e| panic!("--serve: {e}"));
+        let out = Client::connect(addr)
+            .map_err(|e| format!("--serve: connect to fabric at {addr}: {e}"))
+            .and_then(|mut client| {
+                client.set_priority(opts.priority);
+                client.run_each(&specs).map_err(|e| format!("--serve: {e}"))
+            })
+            .unwrap_or_else(|e| vec![Err(e); specs.len()]);
         for (i, reply) in served.into_iter().zip(out) {
             replies[i] = Some(reply);
         }
@@ -529,36 +531,6 @@ fn report_sampling(key: &str, meta: Option<&SamplingMeta>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvl_obs::StatsSnapshot;
-    use bvl_serve::store::{run_result_from_value, run_result_to_value};
-    use serde_json::Value;
-
-    fn sample_result() -> RunResult {
-        RunResult {
-            wall_ns: 1234.5,
-            stats: StatsSnapshot::from_entries(vec![
-                ("sys.clock.uncore".into(), 42),
-                ("sys.big.l1d.misses".into(), 11),
-            ]),
-            sampling: None,
-        }
-    }
-
-    #[test]
-    fn run_result_round_trips_through_json() {
-        let r = sample_result();
-        let text = serde_json::to_string_pretty(&run_result_to_value(&r)).unwrap();
-        let back = run_result_from_value(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn run_result_none_fields_round_trip() {
-        let r = RunResult::default();
-        let text = serde_json::to_string_pretty(&run_result_to_value(&r)).unwrap();
-        let back = run_result_from_value(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
-    }
 
     #[test]
     fn run_parallel_preserves_item_order() {
@@ -619,35 +591,6 @@ mod tests {
             "checkpoint cadence and tracing leave results byte-identical, \
              so they must not fork the cache"
         );
-    }
-
-    #[test]
-    fn run_result_sampling_meta_round_trips() {
-        let mut r = sample_result();
-        r.sampling = Some(SamplingMeta {
-            period_instrs: 4096,
-            window_instrs: 1024,
-            total_instrs: 123_456,
-            windows_measured: 30,
-            windows_truncated: 1,
-            ci_halfwidth_ns: 345.5,
-            exact_fallback: false,
-        });
-        let text = serde_json::to_string_pretty(&run_result_to_value(&r)).unwrap();
-        let back = run_result_from_value(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn legacy_cache_entry_without_sampling_is_a_miss() {
-        // A cache file written before sampled simulation existed has no
-        // `sampling` entry at all; it must decode as a miss (re-simulate),
-        // not silently as an exact result.
-        let mut v = run_result_to_value(&sample_result());
-        if let Value::Map(entries) = &mut v {
-            entries.retain(|(k, _)| k != "sampling");
-        }
-        assert!(run_result_from_value(&v).is_none());
     }
 
     #[test]

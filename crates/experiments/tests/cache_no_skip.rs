@@ -1,17 +1,18 @@
 //! `--no-skip` cache-identity contract: the flag re-keys every sweep
 //! point (so naive-loop runs never replay memoized skip-on results), yet
-//! the persisted JSON artifacts are byte-identical — the on-disk proof
+//! the persisted store entries are byte-identical — the on-disk proof
 //! of the skip-equivalence guarantee.
 
 use bvl_experiments::sweep::{run_sweep, SweepJob};
 use bvl_experiments::ExpOpts;
+use bvl_serve::ResultStore;
 use bvl_sim::{SimParams, SystemKind};
 use bvl_workloads::{kernels, Scale};
 use std::fs;
 use std::sync::Arc;
 
 #[test]
-fn no_skip_rekeys_cache_but_persists_identical_json() {
+fn no_skip_rekeys_cache_but_persists_identical_entries() {
     let dir = std::env::temp_dir().join(format!("bvl-no-skip-cache-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
 
@@ -45,16 +46,16 @@ fn no_skip_rekeys_cache_but_persists_identical_json() {
         "both points must simulate fresh (distinct keys, cold cache)"
     );
 
-    // Both artifacts exist under their own key, with identical bytes.
-    let on_path = opts.cache_dir.join(format!("{key_on}.json"));
-    let off_path = opts.cache_dir.join(format!("{key_off}.json"));
+    // Both entries exist under their own key, with identical bytes.
+    let store = ResultStore::new(&opts.cache_dir);
+    let (on_path, off_path) = (store.result_path(&key_on), store.result_path(&key_off));
     let on_bytes = fs::read(&on_path)
         .unwrap_or_else(|e| panic!("skip-on artifact {}: {e}", on_path.display()));
     let off_bytes = fs::read(&off_path)
         .unwrap_or_else(|e| panic!("no-skip artifact {}: {e}", off_path.display()));
     assert_eq!(
         on_bytes, off_bytes,
-        "persisted JSON must be byte-identical across skip modes"
+        "persisted entries must be byte-identical across skip modes"
     );
 
     fs::remove_dir_all(&dir).expect("cleanup");

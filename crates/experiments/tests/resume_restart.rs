@@ -18,6 +18,7 @@
 
 use bvl_experiments::sweep::{run_sweep, SweepJob};
 use bvl_experiments::{ExpOpts, ARTIFACTS};
+use bvl_serve::ResultStore;
 use bvl_sim::{simulate_with, CkptControl, Hooks, SimParams, SysState, SystemKind};
 use bvl_workloads::{kernels, Scale};
 use std::collections::BTreeMap;
@@ -174,18 +175,19 @@ fn mid_run_checkpoint_resumes_the_tail_and_is_not_persisted() {
     // The consumed checkpoint is gone, and the resumed result was NOT
     // persisted — results/cache records straight-through runs only.
     assert!(!ckpt.exists(), "consumed checkpoint still on disk");
+    let entry = ResultStore::new(&opts.cache_dir).result_path(&key);
     assert!(
-        !opts.cache_dir.join(format!("{key}.json")).exists(),
+        !entry.exists(),
         "checkpoint-restored run leaked into the persisted memo cache"
     );
 
-    // A later cold invocation finds no checkpoint and no JSON: it
+    // A later cold invocation finds no checkpoint and no entry: it
     // simulates straight through and only then persists.
     let opts2 = resumable_opts(&out).with_jobs(1);
     let again = run_sweep(&[job()], &opts2);
     assert_eq!(again[0], straight);
     assert_eq!(opts2.throughput.snapshot().sim_cycles(), full_edges);
-    assert!(opts2.cache_dir.join(format!("{key}.json")).exists());
+    assert!(entry.exists());
 
     fs::remove_dir_all(&out).expect("cleanup");
 }

@@ -146,8 +146,18 @@ fn persisted_cache_round_trips_across_invocations() {
     let files = fs::read_dir(&opts.cache_dir).expect("cache dir").count();
     assert_eq!(files, jobs.len(), "one cache file per unique point");
 
+    // One entry is damaged, by a single flipped bit in its stats: the
+    // frame's checksum makes it a miss, not another result.
+    let store = ResultStore::new(&opts.cache_dir);
+    let damaged = store.result_path(&jobs[3].cache_key());
+    let mut bytes = fs::read(&damaged).expect("read an entry");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    fs::write(&damaged, bytes).expect("damage the entry");
+
     // A fresh ExpOpts (empty memo) with the same cache dir reloads every
-    // point from disk without growing the file set.
+    // other point from disk, simulates the damaged one again, and does
+    // not grow the file set.
     let mut cold = tiny_opts(scratch.path(), 2);
     cold.persist_cache = true;
     assert_eq!(memoized(&cold), 0);
@@ -157,7 +167,14 @@ fn persisted_cache_round_trips_across_invocations() {
         "disk-cached results differ from computed ones"
     );
     assert_eq!(memoized(&cold), jobs.len() as u64);
-    assert_eq!(cold.sched.report().stats.disk_hits, jobs.len() as u64);
+    let stats = cold.sched.report().stats;
+    assert_eq!(
+        (stats.disk_hits, stats.executed),
+        (jobs.len() as u64 - 1, 1)
+    );
+    assert_eq!(store.load(&jobs[3].cache_key()).as_ref(), Some(&first[3]));
+    let files = fs::read_dir(&opts.cache_dir).expect("cache dir").count();
+    assert_eq!(files, jobs.len());
 }
 
 #[test]
@@ -277,6 +294,48 @@ fn a_panicking_point_fails_alone_with_its_message() {
             "sampled {sampled}"
         );
     }
+}
+
+/// A daemon that vanished after `ExpOpts::from_args` asked it for its
+/// stats: its port refuses the sweep. Each served point fails with that
+/// error, by name, in the sweep's one panic, and the point without a
+/// wire spec still runs in process and is stored.
+#[test]
+fn a_vanished_daemon_fails_each_served_point_by_name() {
+    let scratch = Scratch::new("vanished");
+    let mut opts = tiny_opts(scratch.path(), 2);
+    opts.persist_cache = true;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+    opts.serve_addr = Some(listener.local_addr().expect("its address").to_string());
+    drop(listener);
+    let vvadd = Arc::new(vvadd::build(Scale::tiny()));
+    let saxpy = Arc::new(saxpy::build(Scale::tiny()));
+    let jobs = [
+        SweepJob::new(SystemKind::B1, &vvadd, "tiny", SimParams::default()),
+        SweepJob::new(SystemKind::L1, &saxpy, "tiny", SimParams::default()),
+        SweepJob::keyed(
+            SystemKind::B1,
+            &saxpy,
+            "saxpy-local@tiny",
+            SimParams::default(),
+        ),
+    ];
+    let payload = panic::catch_unwind(AssertUnwindSafe(|| run_sweep(&jobs, &opts)))
+        .expect_err("a sweep whose daemon is gone panics");
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(message.contains("2 sweep point(s) failed"), "{message}");
+    assert!(
+        message.contains("--serve: connect to fabric at"),
+        "{message}"
+    );
+    for job in &jobs[..2] {
+        assert!(message.contains(&job.cache_key()), "{message}");
+    }
+    let store = ResultStore::new(&opts.cache_dir);
+    assert!(store.result_path(&jobs[2].cache_key()).exists());
 }
 
 /// Two sweeps at once through clones of one options value share its core

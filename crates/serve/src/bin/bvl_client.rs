@@ -8,15 +8,16 @@
 //! bvl-client ADDR --shutdown
 //! ```
 //!
-//! The result prints as the same JSON object the disk cache stores, so
+//! The result prints as a JSON object of its `wall_ns`, its `stats` as
+//! `[path, value]` pairs and its `sampling` (`null` for an exact run), so
 //! `bvl-client | jq` composes with the sweep's artifacts. `--stats`
 //! prints the daemon's utilization line. A bad flag prints `error:
 //! <flag>: <reason>` and the usage line, and exits 2.
 
-use bvl_serve::store::run_result_to_value;
 use bvl_serve::{Client, PointSpec, Priority, WorkloadSpec};
-use bvl_sim::{SamplingParams, SimParams, SystemKind};
+use bvl_sim::{RunResult, SamplingParams, SimParams, SystemKind};
 use bvl_workloads::Scale;
+use serde_json::Value;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: bvl-client ADDR --system KEY --workload NAME --scale NAME
@@ -29,6 +30,39 @@ const USAGE: &str = "usage: bvl-client ADDR --system KEY --workload NAME --scale
 fn fail(flag: &str, reason: &str) -> ! {
     eprintln!("error: {flag}: {reason}\n{USAGE}");
     std::process::exit(2)
+}
+
+/// `r` as the JSON object this client prints.
+fn result_json(r: &RunResult) -> Value {
+    let map = |fields: Vec<(&str, Value)>| {
+        Value::Map(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    };
+    let stats = r
+        .stats
+        .iter()
+        .map(|(path, v)| Value::Seq(vec![Value::Str(path.to_string()), Value::U64(v)]))
+        .collect();
+    let sampling = r.sampling.as_ref().map_or(Value::Null, |s| {
+        map(vec![
+            ("period_instrs", Value::U64(s.period_instrs)),
+            ("window_instrs", Value::U64(s.window_instrs)),
+            ("total_instrs", Value::U64(s.total_instrs)),
+            ("windows_measured", Value::U64(s.windows_measured)),
+            ("windows_truncated", Value::U64(s.windows_truncated)),
+            ("ci_halfwidth_ns", Value::F64(s.ci_halfwidth_ns)),
+            ("exact_fallback", Value::Bool(s.exact_fallback)),
+        ])
+    });
+    map(vec![
+        ("wall_ns", Value::F64(r.wall_ns)),
+        ("stats", Value::Seq(stats)),
+        ("sampling", sampling),
+    ])
 }
 
 fn main() -> ExitCode {
@@ -171,8 +205,8 @@ fn main() -> ExitCode {
     match client.run_points(std::slice::from_ref(&spec)) {
         Ok(results) => {
             let r = &results[0];
-            let text = serde_json::to_string_pretty(&run_result_to_value(&r.result))
-                .expect("encode result");
+            let text =
+                serde_json::to_string_pretty(&result_json(&r.result)).expect("encode result");
             println!("{text}");
             eprintln!(
                 "cache_hit={} resumed={} host_secs={:.3}",

@@ -24,8 +24,9 @@ use std::time::Duration;
 /// suggested — a corrupt or hostile hint must not stall a sweep.
 const MAX_BUSY_BACKOFF: Duration = Duration::from_secs(1);
 
-/// One served point's result, as its submitter sees it: a daemon's
-/// client and the in-process sweep alike.
+/// One finished point's result and how it was made: what a worker
+/// reports when the point completes, and what its submitter sees, a
+/// daemon's client and the in-process sweep alike.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServedResult {
     /// The (checked) simulation result.
@@ -42,6 +43,12 @@ pub struct ServedResult {
     pub cache_hit: bool,
     /// True when the execution resumed from a persisted checkpoint.
     pub resumed: bool,
+    /// True when a decodable checkpoint blob did not restore (its
+    /// fingerprints did not match this run, or its body did not fit the
+    /// rebuilt system), so the point restarted from cycle 0. A blob that
+    /// does not decode at all is skipped like a missing one and does not
+    /// count.
+    pub restarted_from_zero: bool,
 }
 
 snap_struct!(ServedResult {
@@ -51,6 +58,7 @@ snap_struct!(ServedResult {
     host_secs,
     cache_hit,
     resumed,
+    restarted_from_zero,
 });
 
 /// A connection to the fabric daemon.

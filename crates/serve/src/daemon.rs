@@ -553,8 +553,8 @@ fn dispatcher(shared: &Arc<Shared>, token: u64, mut conn: TcpStream) {
                         shared.kill_worker(token);
                     }
                 }
-                Ok(Msg::WorkerDone { outcome }) => {
-                    send_all(shared.update(|s| s.sched.complete(&key, outcome)));
+                Ok(Msg::WorkerDone { served }) => {
+                    send_all(shared.update(|s| s.sched.complete(&key, served)));
                     break;
                 }
                 Ok(Msg::WorkerFailed { error }) => {

@@ -47,4 +47,4 @@ pub use proto::{Msg, Priority, ProtoError, MAX_FRAME};
 pub use sched::{FabricReport, FabricStats, Sched};
 pub use spec::{PointSpec, WorkloadSpec};
 pub use store::{cache_key_for, ResultStore};
-pub use worker::{run_one_point, run_point, worker_main, PointOutcome, PointRun};
+pub use worker::{run_one_point, run_point, worker_main, PointRun};

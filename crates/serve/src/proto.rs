@@ -18,7 +18,6 @@
 use crate::client::ServedResult;
 use crate::sched::FabricReport;
 use crate::spec::PointSpec;
-use crate::worker::PointOutcome;
 use bvl_snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::io::{self, Read, Write};
 
@@ -183,7 +182,7 @@ pub enum Msg {
     /// worker → daemon: the assigned point finished.
     WorkerDone {
         /// The result and how the worker got it.
-        outcome: PointOutcome,
+        served: ServedResult,
     },
     /// worker → daemon: the assigned point failed to simulate.
     WorkerFailed {
@@ -244,9 +243,9 @@ impl Snap for Msg {
                 w.u8(6);
                 w.u64(*cycle);
             }
-            Msg::WorkerDone { outcome } => {
+            Msg::WorkerDone { served } => {
                 w.u8(7);
-                outcome.save(w);
+                served.save(w);
             }
             Msg::WorkerFailed { error } => {
                 w.u8(8);
@@ -288,7 +287,7 @@ impl Snap for Msg {
             },
             6 => Msg::Progress { cycle: r.u64()? },
             7 => Msg::WorkerDone {
-                outcome: PointOutcome::load(r)?,
+                served: ServedResult::load(r)?,
             },
             8 => Msg::WorkerFailed { error: r.str()? },
             10 => Msg::Shutdown,
@@ -404,6 +403,7 @@ mod tests {
                     host_secs: 0.25,
                     cache_hit: true,
                     resumed: false,
+                    restarted_from_zero: false,
                 },
             },
             Msg::Failed {
@@ -416,11 +416,12 @@ mod tests {
             },
             Msg::Progress { cycle: 4096 },
             Msg::WorkerDone {
-                outcome: PointOutcome {
+                served: ServedResult {
                     result: RunResult::default(),
                     edges_run: 1,
                     edges_skipped: 2,
                     host_secs: 1.5,
+                    cache_hit: false,
                     resumed: true,
                     restarted_from_zero: true,
                 },
@@ -520,6 +521,7 @@ mod tests {
             host_secs: 0.25,
             cache_hit: false,
             resumed: false,
+            restarted_from_zero: false,
         };
         let mut w = SnapWriter::new();
         Msg::Done { id: 7, served }.save(&mut w);

@@ -31,7 +31,6 @@ use crate::daemon::DaemonConfig;
 use crate::proto::{Msg, Priority};
 use crate::spec::PointSpec;
 use crate::store::ResultStore;
-use crate::worker::PointOutcome;
 use bvl_sim::RunResult;
 use bvl_snap::snap_struct;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -61,7 +60,7 @@ pub struct FabricStats {
     pub resumed: u64,
     /// Executions whose newest decodable checkpoint blob did not restore,
     /// so they restarted from cycle 0 (see
-    /// [`PointOutcome::restarted_from_zero`](crate::PointOutcome::restarted_from_zero)).
+    /// [`ServedResult::restarted_from_zero`]).
     pub restarts_from_zero: u64,
     /// Points whose simulation failed.
     pub failed: u64,
@@ -371,10 +370,11 @@ impl<R, P: Clone> Sched<R, P> {
         Some((key, point))
     }
 
-    /// The point `key` ran to completion: every waiter gets the result.
-    /// A result that cannot be stored is reported and served from the
-    /// memo all the same.
-    pub fn complete(&mut self, key: &str, out: PointOutcome) -> Replies<R> {
+    /// The point `key` ran to completion, as its worker reports in `out`:
+    /// every waiter gets that report, flagged `cache_hit` when it
+    /// coalesced. A result that cannot be stored is reported and served
+    /// from the memo all the same.
+    pub fn complete(&mut self, key: &str, out: ServedResult) -> Replies<R> {
         let job = self.jobs.remove(key).expect("a completed key has a job");
         if self.persist && !out.resumed {
             if let Err(e) = self.store.store(key, &out.result) {
@@ -389,12 +389,8 @@ impl<R, P: Clone> Sched<R, P> {
             .into_iter()
             .map(|w| {
                 let served = ServedResult {
-                    result: out.result.clone(),
-                    edges_run: out.edges_run,
-                    edges_skipped: out.edges_skipped,
-                    host_secs: out.host_secs,
                     cache_hit: w.coalesced,
-                    resumed: out.resumed,
+                    ..out.clone()
                 };
                 (w.to, Msg::Done { id: w.id, served })
             })

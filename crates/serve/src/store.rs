@@ -1,4 +1,4 @@
-//! The content-addressed result store: one JSON file per cache key, plus
+//! The content-addressed result store: one snap frame per cache key, plus
 //! the checkpoint-blob side store — shared by the in-process sweep
 //! runner, the fabric daemon, and every worker process.
 //!
@@ -11,14 +11,14 @@
 //!   (checkpoint cadence, tracing), whose on/off state leaves results
 //!   byte-identical; the sampling configuration is *kept*, so a sampled
 //!   estimate can never alias an exact result.
-//! * **Entries.** A hand-rolled `serde_json::Value` object of the
-//!   result's `wall_ns`, `stats` (the counter snapshot, as `[path,
-//!   value]` pairs) and `sampling`. Unreadable files and files from
-//!   older format generations — pre-stats-snapshot and pre-sampling
-//!   entries lack those keys — decode as **misses**, never errors: the
-//!   point just re-simulates. Keys beyond those three are ignored, so
-//!   entries that also carry the typed counter copies an earlier
-//!   generation wrote still load, as the same result.
+//! * **Entries.** `<dir>/<key>.snap` holds [`bvl_snap::to_framed`] of
+//!   the point's [`RunResult`]: the bytes a `Msg::Done` carries on the
+//!   wire, with magic, [`bvl_snap::SNAP_VERSION`], payload length and
+//!   checksum. An entry that [`bvl_snap::from_framed`] refuses is a
+//!   **miss**, never an error: damaged, truncated, foreign and stale
+//!   entries (another `SNAP_VERSION`) re-simulate their point. The JSON
+//!   entries earlier builds wrote as `<key>.json` are not read; they are
+//!   misses too, and can be deleted.
 //! * **Writes.** Unique-temp-file + rename. Multiple fabric workers (and
 //!   a daemon) share one store directory, so a plain `fs::write` could
 //!   expose a torn half-written entry to a concurrent reader; the rename
@@ -36,9 +36,7 @@
 //!   slot is skipped, reusing the `SnapError` paths, and with
 //!   neither usable the point restarts from cycle 0.
 
-use bvl_obs::StatsSnapshot;
-use bvl_sim::{params_fingerprint, RunResult, SamplingMeta, SimParams, SysState, SystemKind};
-use serde_json::Value;
+use bvl_sim::{params_fingerprint, RunResult, SimParams, SysState, SystemKind};
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -79,14 +77,15 @@ impl ResultStore {
 
     /// Where `key`'s result entry lives.
     pub fn result_path(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{key}.json"))
+        self.dir.join(format!("{key}.snap"))
     }
 
     /// Where `key`'s two checkpoint slots live. Kept in a subdirectory
-    /// so result JSONs and checkpoint blobs cannot collide, and so
-    /// resumption can tell "completed" (JSON present) from "interrupted"
-    /// (a slot present) at a glance. Slot 0 keeps the one-blob name of
-    /// earlier versions, so a blob one of them left behind still resumes.
+    /// so result entries and checkpoint blobs cannot collide, and so
+    /// resumption can tell "completed" (an entry present) from
+    /// "interrupted" (a slot present) at a glance. Slot 0 keeps the
+    /// one-blob name of earlier versions, so a blob one of them left
+    /// behind still resumes.
     pub fn ckpt_paths(&self, key: &str) -> [PathBuf; 2] {
         let dir = self.dir.join("ckpt");
         [
@@ -96,10 +95,9 @@ impl ResultStore {
     }
 
     /// Loads `key`'s result if present and decodable. Anything else —
-    /// no file, torn bytes, a legacy format generation — is a miss.
+    /// no file, torn or flipped bytes, another `SNAP_VERSION` — is a miss.
     pub fn load(&self, key: &str) -> Option<RunResult> {
-        let text = fs::read_to_string(self.result_path(key)).ok()?;
-        run_result_from_value(&serde_json::from_str(&text).ok()?)
+        bvl_snap::from_framed(&fs::read(self.result_path(key)).ok()?).ok()
     }
 
     /// Persists `key`'s result atomically (unique temp file + rename).
@@ -108,8 +106,7 @@ impl ResultStore {
     ///
     /// Any I/O failure, naming the path it happened at.
     pub fn store(&self, key: &str, result: &RunResult) -> io::Result<()> {
-        let text = serde_json::to_string_pretty(&run_result_to_value(result)).expect("encode");
-        write_atomic(&self.result_path(key), text.as_bytes())
+        write_atomic(&self.result_path(key), &bvl_snap::to_framed(result))
     }
 
     /// A writer of `key`'s checkpoint slots for one run. `resumed_from`
@@ -240,112 +237,4 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_file_name(name);
     fs::write(&tmp, bytes).map_err(|e| at("write", &tmp, e))?;
     fs::rename(&tmp, path).map_err(|e| at("rename", path, e))
-}
-
-// --- the JSON entry codec -------------------------------------------------
-
-fn map(entries: Vec<(&str, Value)>) -> Value {
-    Value::Map(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn opt_to_value(v: Option<Value>) -> Value {
-    v.unwrap_or(Value::Null)
-}
-
-fn sampling_meta_to_value(s: &SamplingMeta) -> Value {
-    map(vec![
-        ("period_instrs", Value::U64(s.period_instrs)),
-        ("window_instrs", Value::U64(s.window_instrs)),
-        ("total_instrs", Value::U64(s.total_instrs)),
-        ("windows_measured", Value::U64(s.windows_measured)),
-        ("windows_truncated", Value::U64(s.windows_truncated)),
-        ("ci_halfwidth_ns", Value::F64(s.ci_halfwidth_ns)),
-        ("exact_fallback", Value::Bool(s.exact_fallback)),
-    ])
-}
-
-fn sampling_meta_from_value(v: &Value) -> Option<SamplingMeta> {
-    Some(SamplingMeta {
-        period_instrs: v.get("period_instrs")?.as_u64()?,
-        window_instrs: v.get("window_instrs")?.as_u64()?,
-        total_instrs: v.get("total_instrs")?.as_u64()?,
-        windows_measured: v.get("windows_measured")?.as_u64()?,
-        windows_truncated: v.get("windows_truncated")?.as_u64()?,
-        ci_halfwidth_ns: v.get("ci_halfwidth_ns")?.as_f64()?,
-        exact_fallback: v.get("exact_fallback")?.as_bool()?,
-    })
-}
-
-fn snapshot_to_value(s: &StatsSnapshot) -> Value {
-    Value::Seq(
-        s.iter()
-            .map(|(p, v)| Value::Seq(vec![Value::Str(p.to_string()), Value::U64(v)]))
-            .collect(),
-    )
-}
-
-fn snapshot_from_value(v: &Value) -> Option<StatsSnapshot> {
-    let entries = v
-        .as_array()?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_array()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            Some((pair[0].as_str()?.to_string(), pair[1].as_u64()?))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    // A corrupted (or crafted) entry with duplicate stats paths must be a
-    // miss — `StatsSnapshot::from_entries` treats duplicates as an
-    // in-process wiring bug and panics, which is the wrong failure mode
-    // for bytes read off a shared disk.
-    let mut seen = std::collections::HashSet::with_capacity(entries.len());
-    if !entries.iter().all(|(p, _)| seen.insert(p.clone())) {
-        return None;
-    }
-    Some(StatsSnapshot::from_entries(entries))
-}
-
-/// Encodes a [`RunResult`] as the store's JSON entry shape: `wall_ns`,
-/// `stats` and `sampling`.
-pub fn run_result_to_value(r: &RunResult) -> Value {
-    map(vec![
-        ("wall_ns", Value::F64(r.wall_ns)),
-        ("stats", snapshot_to_value(&r.stats)),
-        (
-            "sampling",
-            opt_to_value(r.sampling.as_ref().map(sampling_meta_to_value)),
-        ),
-    ])
-}
-
-/// Decodes a store entry. `None` — a miss — for any structural problem,
-/// including entries written by older format generations:
-/// pre-stats-snapshot files (PR-4) lack the `stats` key, pre-sampling
-/// files (PR-6) lack the `sampling` key, and both must re-simulate
-/// rather than guess. Other keys are ignored: an entry from the
-/// generation that also wrote typed copies of the counters beside the
-/// snapshot (`uncore_cycles`, `big`, `mem`, …) loads as its `wall_ns`,
-/// `stats` and `sampling`, the same result a current entry holds.
-pub fn run_result_from_value(v: &Value) -> Option<RunResult> {
-    Some(RunResult {
-        wall_ns: v.get("wall_ns")?.as_f64()?,
-        // Files from before the stats snapshot existed lack this entry and
-        // decode as misses, which re-simulates — exactly right.
-        stats: snapshot_from_value(v.get("stats")?)?,
-        // Same migration path: files from before sampled simulation
-        // existed lack the `sampling` entry entirely and decode as
-        // misses, re-simulating rather than guessing they were exact.
-        sampling: if v.get("sampling")?.is_null() {
-            None
-        } else {
-            Some(sampling_meta_from_value(v.get("sampling")?)?)
-        },
-    })
 }

@@ -21,55 +21,25 @@
 //! in-process sweep run points under [`caught`], so a panicking point
 //! fails alone instead of taking its worker down.
 
+use crate::client::ServedResult;
 use crate::proto::{self, Msg, ProtoError};
 use crate::spec::PointSpec;
 use crate::store::ResultStore;
 use bvl_sim::{
-    simulate_sampled, simulate_with, CkptControl, Hooks, RunResult, SimError, SimOutcome,
-    SimParams, SysState, SystemKind,
+    simulate_sampled, simulate_with, CkptControl, Hooks, SimError, SimOutcome, SimParams, SysState,
+    SystemKind,
 };
-use bvl_snap::snap_struct;
 use bvl_workloads::Workload;
 use std::net::TcpStream;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Instant;
 
-/// What one completed point reports back.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PointOutcome {
-    /// The (checked) simulation result.
-    pub result: RunResult,
-    /// Clock-domain edges processed cycle-by-cycle in this execution.
-    pub edges_run: u64,
-    /// Clock-domain edges batch-skipped in this execution.
-    pub edges_skipped: u64,
-    /// Host seconds spent simulating.
-    pub host_secs: f64,
-    /// True when the run resumed from a persisted checkpoint.
-    pub resumed: bool,
-    /// True when a decodable checkpoint blob did not restore (its
-    /// fingerprints did not match this run, or its body did not fit the
-    /// rebuilt system), so the point restarted from cycle 0. A blob that
-    /// does not decode at all is skipped like a missing one and does not
-    /// count.
-    pub restarted_from_zero: bool,
-}
-
-snap_struct!(PointOutcome {
-    result,
-    edges_run,
-    edges_skipped,
-    host_secs,
-    resumed,
-    restarted_from_zero,
-});
-
 /// How one [`run_point`] call ended.
 #[derive(Debug)]
 pub enum PointRun {
     /// Ran to completion.
-    Finished(Box<PointOutcome>),
+    Finished(Box<ServedResult>),
     /// Yielded at a checkpoint because the callback asked (the blob is
     /// persisted in the store); a later run resumes from it.
     Yielded {
@@ -133,13 +103,12 @@ pub fn run_point(
     }
     let start = Instant::now();
     let (result, skip) = simulate_sampled(system, workload, params)?;
-    Ok(PointRun::Finished(Box::new(PointOutcome {
+    Ok(PointRun::Finished(Box::new(ServedResult {
         result,
         edges_run: skip.edges_run,
         edges_skipped: skip.edges_skipped,
         host_secs: start.elapsed().as_secs_f64(),
-        resumed: false,
-        restarted_from_zero: false,
+        ..ServedResult::default()
     })))
 }
 
@@ -219,11 +188,12 @@ fn run_exact_point(
         SimOutcome::Finished(run) => {
             store.remove_checkpoint(key);
             let tail = run.skip.since(&run.skip_resumed);
-            Ok(PointRun::Finished(Box::new(PointOutcome {
+            Ok(PointRun::Finished(Box::new(ServedResult {
                 result: run.result,
                 edges_run: tail.edges_run,
                 edges_skipped: tail.edges_skipped,
                 host_secs: start.elapsed().as_secs_f64(),
+                cache_hit: false,
                 resumed,
                 restarted_from_zero,
             })))
@@ -280,7 +250,7 @@ pub fn worker_main(addr: &str, token: u64, store_dir: impl AsRef<Path>) -> Resul
                 let mut cb =
                     |cycle: u64| proto::write_msg(&mut conn, &Msg::Progress { cycle }).is_err();
                 let reply = match caught(|| run_one_point(&spec, &store, &mut cb)) {
-                    Ok(PointRun::Finished(outcome)) => Msg::WorkerDone { outcome: *outcome },
+                    Ok(PointRun::Finished(served)) => Msg::WorkerDone { served: *served },
                     // Only a vanished daemon stops a point at a checkpoint.
                     Ok(PointRun::Yielded { .. }) => return Ok(()),
                     Err(error) => Msg::WorkerFailed { error },
@@ -299,6 +269,7 @@ pub fn worker_main(addr: &str, token: u64, store_dir: impl AsRef<Path>) -> Resul
 mod tests {
     use super::*;
     use crate::spec::WorkloadSpec;
+    use bvl_sim::RunResult;
     use bvl_workloads::Scale;
     use std::fs;
 
@@ -350,7 +321,7 @@ mod tests {
 
     /// Runs `spec` through [`run_one_point`], which always resumes, and
     /// returns how it ended and the cycle of every checkpoint it wrote.
-    fn run_recorded(spec: &PointSpec, store: &ResultStore) -> (PointOutcome, Vec<u64>) {
+    fn run_recorded(spec: &PointSpec, store: &ResultStore) -> (ServedResult, Vec<u64>) {
         let mut cycles = Vec::new();
         let run = run_one_point(spec, store, &mut |cycle| {
             cycles.push(cycle);

@@ -18,8 +18,8 @@
 
 use bvl_serve::proto::{encode_frame, read_msg};
 use bvl_serve::{
-    Client, Daemon, DaemonConfig, FabricReport, FabricStats, Msg, PointOutcome, PointSpec,
-    Priority, ProtoError, ServedResult, WorkloadSpec, MAX_FRAME,
+    Client, Daemon, DaemonConfig, FabricReport, FabricStats, Msg, PointSpec, Priority, ProtoError,
+    ServedResult, WorkloadSpec, MAX_FRAME,
 };
 use bvl_sim::{RunResult, SamplingParams, SimParams, SystemKind};
 use bvl_workloads::Scale;
@@ -117,33 +117,38 @@ fn report_strategy() -> impl Strategy<Value = FabricReport> {
         )
 }
 
+/// A finished point's report, with every field arbitrary but the result.
+fn served_strategy() -> impl Strategy<Value = ServedResult> {
+    (
+        any::<u64>(),
+        any::<u64>(),
+        secs_strategy(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(
+            |(edges_run, edges_skipped, host_secs, cache_hit, resumed, restarted_from_zero)| {
+                ServedResult {
+                    result: RunResult::default(),
+                    edges_run,
+                    edges_skipped,
+                    host_secs,
+                    cache_hit,
+                    resumed,
+                    restarted_from_zero,
+                }
+            },
+        )
+}
+
 /// A message strategy covering every variant, with arbitrary field
 /// content where the variant has any.
 fn msg_strategy() -> impl Strategy<Value = Msg> {
     prop_oneof![
         (any::<u64>(), priority_strategy(), spec_strategy())
             .prop_map(|(id, priority, spec)| Msg::Submit { id, priority, spec }),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            secs_strategy(),
-            any::<bool>(),
-            any::<bool>()
-        )
-            .prop_map(
-                |(id, edges_run, edges_skipped, host_secs, cache_hit, resumed)| Msg::Done {
-                    id,
-                    served: ServedResult {
-                        result: RunResult::default(),
-                        edges_run,
-                        edges_skipped,
-                        host_secs,
-                        cache_hit,
-                        resumed,
-                    },
-                }
-            ),
+        (any::<u64>(), served_strategy()).prop_map(|(id, served)| Msg::Done { id, served }),
         (any::<u64>(), any::<u64>()).prop_map(|(id, e)| Msg::Failed {
             id,
             error: format!("error {e:x}"),
@@ -151,27 +156,7 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
         any::<u64>().prop_map(|token| Msg::WorkerHello { token }),
         spec_strategy().prop_map(|spec| Msg::Assign { spec }),
         any::<u64>().prop_map(|cycle| Msg::Progress { cycle }),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            secs_strategy(),
-            any::<bool>(),
-            any::<bool>()
-        )
-            .prop_map(
-                |(edges_run, edges_skipped, host_secs, resumed, restarted_from_zero)| {
-                    Msg::WorkerDone {
-                        outcome: PointOutcome {
-                            result: RunResult::default(),
-                            edges_run,
-                            edges_skipped,
-                            host_secs,
-                            resumed,
-                            restarted_from_zero,
-                        },
-                    }
-                }
-            ),
+        served_strategy().prop_map(|served| Msg::WorkerDone { served }),
         any::<u64>().prop_map(|e| Msg::WorkerFailed {
             error: format!("worker error {e:x}"),
         }),

@@ -14,7 +14,7 @@
 //!    its class.
 
 use bvl_serve::{
-    DaemonConfig, Msg, PointOutcome, PointSpec, Priority, ResultStore, Sched, WorkloadSpec,
+    DaemonConfig, Msg, PointSpec, Priority, ResultStore, Sched, ServedResult, WorkloadSpec,
 };
 use bvl_sim::{RunResult, SimParams, SystemKind};
 use bvl_workloads::Scale;
@@ -54,14 +54,10 @@ fn core(dir: &Path, max_queue: usize) -> Sched<u64> {
     })
 }
 
-fn finished(result: RunResult) -> PointOutcome {
-    PointOutcome {
+fn finished(result: RunResult) -> ServedResult {
+    ServedResult {
         result,
-        edges_run: 0,
-        edges_skipped: 0,
-        host_secs: 0.0,
-        resumed: false,
-        restarted_from_zero: false,
+        ..ServedResult::default()
     }
 }
 

@@ -1,14 +1,14 @@
 //! Property tests on result-store entries: the corruption harness that
 //! `proto_props.rs` applies to wire frames and `sysstate_proptest.rs` to
-//! checkpoint blobs, applied to the store's JSON.
+//! checkpoint blobs, applied to the store's snap frames.
 //!
 //! The entries are real: one exact and one sampled result, simulated and
-//! written by [`ResultStore::store`]. Then:
+//! written by [`ResultStore::store`]. Then each of these is a miss, never
+//! a panic and never a different result:
 //!
-//! * every truncation that cuts into the JSON value is a miss;
-//! * any single flipped byte is a miss or a result, never a panic;
-//! * arbitrary byte soup, raw or in JSON's alphabet, is a miss or a
-//!   result, never a panic.
+//! * every truncation;
+//! * any single flipped byte;
+//! * arbitrary byte soup, alone or after a real entry's first bytes.
 
 use bvl_serve::ResultStore;
 use bvl_sim::{simulate, simulate_sampled, RunResult, SamplingParams, SimParams, SystemKind};
@@ -70,8 +70,8 @@ fn entries() -> &'static [(Vec<u8>, RunResult); 2] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A stored entry ends with the object's closing brace, so every
-    /// proper prefix is an unfinished JSON value: a miss.
+    /// A frame records its payload's length, so every proper prefix is
+    /// a miss.
     #[test]
     fn truncation_is_a_miss(which in 0usize..2, cut_frac in 0.0f64..1.0) {
         let (bytes, _) = &entries()[which];
@@ -80,36 +80,32 @@ proptest! {
         prop_assert_eq!(load_bytes(&bytes[..cut]), None, "cut at {} of {}", cut, bytes.len());
     }
 
-    /// One byte replaced by any other value is a miss or a result (a
-    /// flipped digit of a counter still decodes), never a panic.
+    /// One byte replaced by any other value is a miss: the frame's
+    /// checks cover its header, and its checksum every byte behind it, a
+    /// flipped digit of a counter or letter of a stats path included.
     #[test]
-    fn a_flipped_byte_never_panics(which in 0usize..2, pos_frac in 0.0f64..1.0, flip in 1u8..=255) {
+    fn a_flipped_byte_is_a_miss(which in 0usize..2, pos_frac in 0.0f64..1.0, flip in 1u8..=255) {
         let (bytes, _) = &entries()[which];
         let mut corrupt = bytes.clone();
         let pos = ((corrupt.len() as f64) * pos_frac) as usize % corrupt.len();
         corrupt[pos] ^= flip;
-        let _ = load_bytes(&corrupt);
+        prop_assert_eq!(load_bytes(&corrupt), None, "byte {} of {} ^ {:#04x}", pos, bytes.len(), flip);
     }
 
-    /// Arbitrary bytes are a miss or a result, never a panic: raw bytes,
-    /// which are rarely UTF-8, and the same bytes mapped onto JSON's
-    /// alphabet, which reach the parser and the decoder, alone or after
-    /// a real entry's first bytes.
+    /// Arbitrary bytes are a miss, alone or after a real entry's first
+    /// bytes.
     #[test]
-    fn byte_soup_never_panics(
+    fn byte_soup_is_a_miss(
         which in 0usize..2,
         keep_frac in 0.0f64..1.0,
         soup in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
-        const JSON: &[u8] = b"{}[]\":,.-+eE0123456789 \nabcdefghijklmnopqrstuvwxyz_";
-        let _ = load_bytes(&soup);
-        let json_soup: Vec<u8> = soup.iter().map(|&b| JSON[b as usize % JSON.len()]).collect();
-        let _ = load_bytes(&json_soup);
+        prop_assert_eq!(load_bytes(&soup), None);
         let (bytes, _) = &entries()[which];
         let keep = ((bytes.len() as f64) * keep_frac) as usize;
         let mut mixed = bytes[..keep].to_vec();
-        mixed.extend_from_slice(&json_soup);
-        let _ = load_bytes(&mixed);
+        mixed.extend_from_slice(&soup);
+        prop_assert_eq!(load_bytes(&mixed), None, "{} bytes kept", keep);
     }
 }
 
