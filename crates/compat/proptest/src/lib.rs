@@ -215,7 +215,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

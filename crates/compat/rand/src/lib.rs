@@ -1,4 +1,4 @@
-//! Offline stand-in for the [`rand`] crate.
+//! Offline stand-in for the `rand` crate.
 //!
 //! The build environment for this repository has no crates.io access, so
 //! the workspace vendors the *API subset it actually uses*: a seedable

@@ -166,9 +166,9 @@ pub enum DtOp {
         /// Executes under `v0.t` when set.
         masked: bool,
     },
-    /// Three-vector-operand op (see [`VVV`] for text operand order).
+    /// Three-vector-operand op (see `VVV` for text operand order).
     Vvv(&'static str, VReg, VReg, VReg),
-    /// Vector-scalar op (`mn vd, vs2, rs1`; see [`VVX`]).
+    /// Vector-scalar op (`mn vd, vs2, rs1`; see `VVX`).
     Vvx(&'static str, VReg, VReg, XReg),
     /// `vsll.vi vd, vs2, imm`.
     VsllVi(VReg, VReg, i64),

@@ -1,6 +1,6 @@
 //! Thin wrapper over [`bvl_experiments::figs::fig05_ifetch`]; see that module for
 //! the experiment itself. Shared flags: `--scale`, `--out`, `--jobs`,
-//! `--no-cache`, `--persist-cache`, `--cache-dir`, and `--sampled` /
+//! `--persist-cache`, `--cache-dir`, and `--sampled` /
 //! `--sample-period N` / `--sample-window N` for estimated figures via
 //! sampled simulation (DESIGN.md §4.12).
 

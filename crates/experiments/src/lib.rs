@@ -90,9 +90,9 @@ fn exit_usage(e: &CliError, usage: &str) -> ! {
 /// Every flag [`ExpOpts::from_args`] takes, printed after the program
 /// name on a command-line error.
 const USAGE: &str = "[--scale tiny|default|large] [--out DIR] [--jobs N] \
-[--no-cache] [--persist-cache] [--cache-dir DIR] [--no-skip] [--checkpoint-every N] [--resume] \
+[--persist-cache] [--cache-dir DIR] [--no-skip] [--checkpoint-every N] [--resume] \
 [--sampled] [--sample-period N] [--sample-window N] [--serve] [--serve-addr HOST:PORT] \
-[--priority high|normal|low] [--trace-out PATH]";
+[--trace-out PATH]";
 
 /// A command-line argument [`ExpOpts::parse_args`] rejects: the flag at
 /// fault (or the unknown argument itself) and why.
@@ -124,12 +124,6 @@ pub struct ExpOpts {
     /// Worker threads for [`sweep::run_sweep`]/[`sweep::run_parallel`]
     /// (`--jobs N`; default = available parallelism; 1 = serial).
     pub jobs: usize,
-    /// Whether sweeps submit to the shared [`ExpOpts::sched`]. Under
-    /// `--no-cache` each sweep gets a core of its own that persists
-    /// nothing, so every unique point simulates fresh. A fabric daemon's
-    /// memo answers every point it has run, so [`ExpOpts::parse_args`]
-    /// refuses `--no-cache` under `--serve`.
-    pub use_cache: bool,
     /// Whether results are also stored, as their points complete, in (and
     /// reloaded from) [`ExpOpts::cache_dir`], one snap frame per point
     /// (`--persist-cache`).
@@ -151,7 +145,7 @@ pub struct ExpOpts {
     /// Resume an interrupted invocation (`--resume`): completed points
     /// replay from the persisted cache (0 simulate calls), and points
     /// with a leftover checkpoint under `<cache_dir>/ckpt/` restart from
-    /// it instead of cycle 0. Implies `use_cache` and `persist_cache`.
+    /// it instead of cycle 0. Implies `persist_cache`.
     /// Under `--serve` this is also how a sweep recovers from a crashed
     /// daemon: fabric workers always resume from a leftover blob.
     pub resume: bool,
@@ -180,9 +174,6 @@ pub struct ExpOpts {
     /// its embedded daemon is listening). `None` means all simulation is
     /// in-process.
     pub serve_addr: Option<String>,
-    /// Scheduling class stamped on every served submission
-    /// (`--priority high|normal|low`).
-    pub priority: bvl_serve::Priority,
     /// Where to write a Chrome `trace_event` JSON of one traced run
     /// (`--trace-out PATH`): the first sweep through this `ExpOpts`
     /// re-runs its first point with event tracing on and writes the log
@@ -216,7 +207,6 @@ impl ExpOpts {
             cache_dir: out_dir.join("cache"),
             out_dir,
             jobs: sweep::default_jobs(),
-            use_cache: true,
             persist_cache: false,
             no_skip: false,
             checkpoint_every: 0,
@@ -226,7 +216,6 @@ impl ExpOpts {
             sample_window: None,
             serve: false,
             serve_addr: None,
-            priority: bvl_serve::Priority::Normal,
             trace_out: Arc::new(Mutex::new(None)),
             sched: sweep::SweepSched::default(),
             throughput: sweep::ThroughputTracker::default(),
@@ -264,12 +253,11 @@ impl ExpOpts {
         self
     }
 
-    /// Parses `--scale`, `--out`, `--jobs`, `--no-cache`,
-    /// `--persist-cache`, `--cache-dir`, `--no-skip`,
-    /// `--checkpoint-every`, `--resume`, `--sampled`, `--sample-period`,
-    /// `--sample-window`, `--serve`, `--serve-addr`, `--priority` and
-    /// `--trace-out` from `std::env::args`
-    /// (see [`ExpOpts::parse_args`]).
+    /// Parses `--scale`, `--out`, `--jobs`, `--persist-cache`,
+    /// `--cache-dir`, `--no-skip`, `--checkpoint-every`, `--resume`,
+    /// `--sampled`, `--sample-period`, `--sample-window`, `--serve`,
+    /// `--serve-addr` and `--trace-out` from `std::env::args` (see
+    /// [`ExpOpts::parse_args`]).
     ///
     /// When the process was launched as a fabric worker (first argument
     /// `__bvl-serve-worker`, which is how `run_all --serve` re-executes
@@ -307,8 +295,8 @@ impl ExpOpts {
     /// # Errors
     ///
     /// A [`CliError`] naming the flag on an unknown argument, a flag
-    /// missing its value, a value that does not parse, an unknown
-    /// `--scale`, or `--no-cache` under `--serve` or `--serve-addr`.
+    /// missing its value, a value that does not parse, or an unknown
+    /// `--scale`.
     pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
         fn error(flag: &str, reason: String) -> CliError {
             let flag = flag.into();
@@ -339,7 +327,6 @@ impl ExpOpts {
                 "--jobs" => {
                     opts.jobs = number::<usize>(flag, value()?, "a positive integer")?.max(1)
                 }
-                "--no-cache" => opts.use_cache = false,
                 "--persist-cache" => opts.persist_cache = true,
                 "--no-skip" => opts.no_skip = true,
                 "--checkpoint-every" => {
@@ -351,12 +338,6 @@ impl ExpOpts {
                 "--sample-window" => opts.sample_window = Some(number(flag, value()?, count)?),
                 "--serve" => opts.serve = true,
                 "--serve-addr" => opts.serve_addr = Some(value()?),
-                "--priority" => {
-                    let v = value()?;
-                    let reason = format!("needs high, normal or low, got `{v}`");
-                    opts.priority =
-                        bvl_serve::Priority::parse(&v).ok_or_else(|| error(flag, reason))?;
-                }
                 "--cache-dir" => cache_dir = Some(PathBuf::from(value()?)),
                 "--trace-out" => opts.trace_out = Arc::new(Mutex::new(Some(value()?.into()))),
                 other => return Err(error(other, "unknown argument".into())),
@@ -366,14 +347,8 @@ impl ExpOpts {
         // without a bare `--sampled`, and an address means serving.
         opts.sampled |= opts.sample_period.is_some() || opts.sample_window.is_some();
         opts.serve |= opts.serve_addr.is_some();
-        // Resuming is meaningless without the persisted cache layers.
-        opts.use_cache |= opts.resume;
+        // Resuming is meaningless without the persisted cache.
         opts.persist_cache |= opts.resume;
-        if opts.serve && !opts.use_cache {
-            let reason = "does not combine with --serve or --serve-addr: \
-                          the fabric daemon's memo answers every point it has run";
-            return Err(error("--no-cache", reason.into()));
-        }
         opts.cache_dir = cache_dir.unwrap_or_else(|| opts.out_dir.join("cache"));
         Ok(opts)
     }
@@ -503,7 +478,6 @@ mod tests {
             "o",
             "--jobs",
             "0",
-            "--no-cache",
             "--no-skip",
             "--checkpoint-every",
             "200",
@@ -513,8 +487,6 @@ mod tests {
             "512",
             "--serve-addr",
             "127.0.0.1:9",
-            "--priority",
-            "low",
             "--cache-dir",
             "c",
             "--trace-out",
@@ -527,12 +499,11 @@ mod tests {
         assert_eq!(o.out_dir, PathBuf::from("o"));
         assert_eq!(o.jobs, 1, "--jobs 0 runs serially");
         assert!(o.no_skip && o.resume && o.sampled && o.serve);
-        // --resume turns the cache layers back on.
-        assert!(o.use_cache && o.persist_cache);
+        // --resume turns the persisted cache layer on.
+        assert!(o.persist_cache);
         assert_eq!(o.checkpoint_every, 200);
         assert_eq!((o.sample_period, o.sample_window), (Some(4096), Some(512)));
         assert_eq!(o.serve_addr.as_deref(), Some("127.0.0.1:9"));
-        assert_eq!(o.priority, bvl_serve::Priority::Low);
         assert_eq!(o.cache_dir, PathBuf::from("c"));
         assert_eq!(o.take_trace_out(), Some(PathBuf::from("t.json")));
 
@@ -540,16 +511,14 @@ mod tests {
         assert_eq!(o.scale_name, "default");
         assert_eq!(o.out_dir, PathBuf::from("results"));
         assert_eq!(o.cache_dir, PathBuf::from("results/cache"));
-        assert!(!o.sampled && !o.serve && o.use_cache && !o.persist_cache);
+        assert!(!o.sampled && !o.serve && !o.persist_cache);
     }
 
     #[test]
     fn parse_args_names_the_flag_at_fault() {
         rejects(&["--bogus"], "--bogus", "unknown argument");
-        for serve in [&["--serve"][..], &["--serve-addr", "127.0.0.1:9"]] {
-            let args = [&["--no-cache"][..], serve].concat();
-            rejects(&args, "--no-cache", "the fabric daemon's memo");
-        }
+        rejects(&["--no-cache"], "--no-cache", "unknown argument");
+        rejects(&["--priority", "low"], "--priority", "unknown argument");
         rejects(&["--scale", "tiny", "extra"], "extra", "unknown argument");
         rejects(&["--scale", "huge"], "--scale", "unknown scale `huge`");
         for flag in [
@@ -560,7 +529,6 @@ mod tests {
             "--sample-period",
             "--sample-window",
             "--serve-addr",
-            "--priority",
             "--cache-dir",
             "--trace-out",
         ] {
@@ -586,11 +554,6 @@ mod tests {
             &["--sample-window", ""],
             "--sample-window",
             "instruction count",
-        );
-        rejects(
-            &["--priority", "urgent"],
-            "--priority",
-            "high, normal or low",
         );
         let e = parse(&["--jobs", "x"]).err().expect("rejected");
         assert_eq!(e.to_string(), "--jobs: needs a positive integer, got `x`");

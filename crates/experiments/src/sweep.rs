@@ -15,8 +15,7 @@
 //! clones of one [`ExpOpts`] (`run_all`'s figures share fig04's points);
 //! `--persist-cache` stores each result under `<out>/cache/` as its point
 //! completes, except runs resumed from a checkpoint (`--checkpoint-every
-//! N`, `--resume`); `--no-cache` gives the sweep a core of its own that
-//! persists nothing. A point that fails, by an error or a panic, fails
+//! N`, `--resume`). A point that fails, by an error or a panic, fails
 //! alone: the others finish and are stored, then [`run_sweep`] panics
 //! once, naming every failed key with its error. Under `--serve`, points
 //! with a wire spec go to the daemon instead, whose core decides the same
@@ -327,15 +326,10 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
     // Points with a wire spec go to the daemon under `--serve`; the rest
     // go to this process's core.
     let (mut served, mut specs) = (Vec::new(), Vec::new());
-    let sched = if opts.use_cache {
-        opts.sched.clone()
-    } else {
-        SweepSched::default()
-    };
     let (tx, rx) = mpsc::channel();
     {
-        let mut core = sched.lock();
-        core.set_store(&opts.cache_dir, opts.use_cache && opts.persist_cache);
+        let mut core = opts.sched.lock();
+        core.set_store(&opts.cache_dir, opts.persist_cache);
         let client = core.connect();
         for (i, point) in points.iter().enumerate() {
             if let Some(spec) = wire_spec(point, opts) {
@@ -344,9 +338,7 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
                 continue;
             }
             let (key, to) = (keys[i].clone(), tx.clone());
-            for (to, msg) in
-                core.submit(client, to, i as u64, opts.priority, key, Arc::clone(point))
-            {
+            for (to, msg) in core.submit(client, to, i as u64, key, Arc::clone(point)) {
                 let _ = to.send(msg);
             }
         }
@@ -356,7 +348,7 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
     if opts.serve_addr.is_some() && local > 0 {
         eprintln!("--serve: {local} point(s) have no wire spec and run in-process");
     }
-    run_pool(opts, &sched);
+    run_pool(opts);
 
     let mut replies: Vec<Option<Result<ServedResult, String>>> = vec![None; points.len()];
     for msg in rx.iter().take(local) {
@@ -369,10 +361,7 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
     if let Some(addr) = opts.serve_addr.as_deref().filter(|_| !specs.is_empty()) {
         let out = Client::connect(addr)
             .map_err(|e| format!("--serve: connect to fabric at {addr}: {e}"))
-            .and_then(|mut client| {
-                client.set_priority(opts.priority);
-                client.run_each(&specs).map_err(|e| format!("--serve: {e}"))
-            })
+            .and_then(|mut client| client.run_each(&specs).map_err(|e| format!("--serve: {e}")))
             .unwrap_or_else(|e| vec![Err(e); specs.len()]);
         for (i, reply) in served.into_iter().zip(out) {
             replies[i] = Some(reply);
@@ -436,10 +425,11 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &ExpOpts) -> Vec<RunResult> {
 }
 
 /// Runs `--jobs` workers, the calling thread among them, that loop
-/// dispatch → run → settle until the core has nothing left to dispatch.
-/// Every point is submitted before the pool starts, so none comes later.
-fn run_pool(opts: &ExpOpts, sched: &SweepSched) {
-    let store = ResultStore::new(&opts.cache_dir);
+/// dispatch → run → settle until `opts`' core has nothing left to
+/// dispatch. Every point is submitted before the pool starts, so none
+/// comes later.
+fn run_pool(opts: &ExpOpts) {
+    let (sched, store) = (&opts.sched, ResultStore::new(&opts.cache_dir));
     let work = |worker: u64| loop {
         // Bound first, so that the core's lock is released before the
         // point runs and settles.

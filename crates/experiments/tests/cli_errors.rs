@@ -26,6 +26,11 @@ fn a_bad_flag_exits_2_naming_the_flag() {
             &["--secret-file", "s"][..],
             "error: --secret-file: unknown argument",
         ),
+        (&["--no-cache"][..], "error: --no-cache: unknown argument"),
+        (
+            &["--priority", "low"][..],
+            "error: --priority: unknown argument",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
             .args(args)

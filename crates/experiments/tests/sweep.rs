@@ -120,23 +120,6 @@ fn sweep_memoizes_repeated_points() {
 }
 
 #[test]
-fn no_cache_forces_cold_runs() {
-    let scratch = Scratch::new("cold");
-    let mut opts = tiny_opts(scratch.path(), 2);
-    opts.use_cache = false;
-    let jobs = small_matrix();
-    let first = run_sweep(&jobs, &opts);
-    assert_eq!(memoized(&opts), 0, "--no-cache must not populate the memo");
-    assert_eq!(first, run_sweep(&jobs, &opts));
-    assert_eq!(
-        opts.throughput.snapshot().runs,
-        2 * jobs.len() as u64,
-        "--no-cache must simulate every point of every sweep"
-    );
-    assert!(!opts.cache_dir.exists(), "--no-cache wrote a disk cache");
-}
-
-#[test]
 fn persisted_cache_round_trips_across_invocations() {
     let scratch = Scratch::new("disk");
     let mut opts = tiny_opts(scratch.path(), 2);

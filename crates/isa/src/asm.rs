@@ -23,8 +23,8 @@
 //! ```
 
 use crate::instr::{
-    AluOp, AvlSrc, BranchOp, FpCmpOp, FpOp, FpPrec, Instr, MemWidth, VArithOp, VCmpOp, VMaskOp,
-    VMemMode, VRedOp, VSrc,
+    AluOp, AvlSrc, BranchOp, FpCmpOp, FpOp, FpPrec, Instr, MemWidth, VArithOp, VCmpOp, VMemMode,
+    VRedOp, VSrc,
 };
 use crate::predecode::PreDecoded;
 use crate::reg::{FReg, VReg, XReg};
@@ -502,21 +502,6 @@ impl Assembler {
         self.fp_op(FpOp::Sqrt, FpPrec::S, rd, rs1, rs1)
     }
 
-    /// `fmin.s rd, rs1, rs2`.
-    pub fn fmin_s(&mut self, rd: FReg, rs1: FReg, rs2: FReg) -> &mut Self {
-        self.fp_op(FpOp::Min, FpPrec::S, rd, rs1, rs2)
-    }
-
-    /// `fmax.s rd, rs1, rs2`.
-    pub fn fmax_s(&mut self, rd: FReg, rs1: FReg, rs2: FReg) -> &mut Self {
-        self.fp_op(FpOp::Max, FpPrec::S, rd, rs1, rs2)
-    }
-
-    /// `fneg.s rd, rs1` (pseudo for `fsgnjn.s rd, rs1, rs1`).
-    pub fn fneg_s(&mut self, rd: FReg, rs1: FReg) -> &mut Self {
-        self.fp_op(FpOp::Sgnjn, FpPrec::S, rd, rs1, rs1)
-    }
-
     /// `fabs.s rd, rs1` (pseudo for `fsgnjx.s rd, rs1, rs1`).
     pub fn fabs_s(&mut self, rd: FReg, rs1: FReg) -> &mut Self {
         self.fp_op(FpOp::Sgnjx, FpPrec::S, rd, rs1, rs1)
@@ -582,15 +567,6 @@ impl Assembler {
     /// `fcvt.s.w rd, rs1` (signed int -> f32).
     pub fn fcvt_s_w(&mut self, rd: FReg, rs1: XReg) -> &mut Self {
         self.push(Instr::FpCvtFromInt {
-            prec: FpPrec::S,
-            rd,
-            rs1,
-        })
-    }
-
-    /// `fcvt.w.s rd, rs1` (f32 -> signed int, truncating).
-    pub fn fcvt_w_s(&mut self, rd: XReg, rs1: FReg) -> &mut Self {
-        self.push(Instr::FpCvtToInt {
             prec: FpPrec::S,
             rd,
             rs1,
@@ -869,11 +845,6 @@ impl Assembler {
         self.vcmp(VCmpOp::FLt, vd, vs2, VSrc::V(vs1))
     }
 
-    /// `vmflt.vf vd, vs2, fs1`.
-    pub fn vmflt_vf(&mut self, vd: VReg, vs2: VReg, fs1: FReg) -> &mut Self {
-        self.vcmp(VCmpOp::FLt, vd, vs2, VSrc::F(fs1))
-    }
-
     /// `vredsum.vs vd, vs2, vs1`.
     pub fn vredsum(&mut self, vd: VReg, vs2: VReg, vs1: VReg) -> &mut Self {
         self.push(Instr::VRed {
@@ -937,11 +908,6 @@ impl Assembler {
     /// `vfirst.m rd, vs2` — index of first set bit or -1.
     pub fn vfirst(&mut self, rd: XReg, vs2: VReg) -> &mut Self {
         self.push(Instr::VFirst { rd, vs2 })
-    }
-
-    /// Mask logical op.
-    pub fn vmask(&mut self, op: VMaskOp, vd: VReg, vs1: VReg, vs2: VReg) -> &mut Self {
-        self.push(Instr::VMask { op, vd, vs1, vs2 })
     }
 
     /// `vrgather.vv vd, vs2, vs1`.

@@ -239,19 +239,9 @@ impl<M: Memory> Machine<M> {
         self.halted
     }
 
-    /// Current vector configuration.
-    pub fn vector_config(&self) -> VectorConfig {
-        self.vcfg
-    }
-
     /// Accumulated dynamic counters.
     pub fn counters(&self) -> ExecCounters {
         self.counters
-    }
-
-    /// Resets the dynamic counters to zero.
-    pub fn reset_counters(&mut self) {
-        self.counters = ExecCounters::default();
     }
 
     /// Reads an integer register.
@@ -293,16 +283,6 @@ impl<M: Memory> Machine<M> {
     /// Borrow of the backing memory.
     pub fn mem(&self) -> &M {
         &self.mem
-    }
-
-    /// Mutable borrow of the backing memory.
-    pub fn mem_mut(&mut self) -> &mut M {
-        &mut self.mem
-    }
-
-    /// Consumes the machine and returns the memory.
-    pub fn into_mem(self) -> M {
-        self.mem
     }
 
     /// Captures the complete architectural state for differential

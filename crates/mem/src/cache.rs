@@ -212,11 +212,6 @@ impl Cache {
         &self.stats
     }
 
-    /// Number of MSHRs currently allocated.
-    pub fn outstanding_misses(&self) -> usize {
-        self.mshrs.len()
-    }
-
     fn line_addr(&self, addr: u64) -> u64 {
         addr & !(self.params.line_bytes - 1)
     }
@@ -434,12 +429,6 @@ impl Cache {
     /// [`Cache::pending_miss_out`]).
     pub fn pending_wb_out(&self) -> u64 {
         self.wb_out.len() as u64
-    }
-
-    /// True if a miss for this line is outstanding.
-    pub fn miss_pending(&self, line_addr: u64) -> bool {
-        let tag = self.line_addr(line_addr);
-        self.mshrs.iter().any(|m| m.line_addr == tag)
     }
 
     /// The first cycle at which ticking the cache does anything: the hit

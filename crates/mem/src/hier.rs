@@ -257,20 +257,6 @@ impl MemHierarchy {
         self.little_l1d[c].stats()
     }
 
-    /// A little core's L1I statistics.
-    pub fn little_l1i_stats(&self, c: usize) -> &CacheStats {
-        self.little_l1i[c].stats()
-    }
-
-    /// The big core's L1D statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system has no big core.
-    pub fn big_l1d_stats(&self) -> &CacheStats {
-        self.big_l1d.as_ref().expect("no big core").stats()
-    }
-
     /// Shared L2 statistics.
     pub fn l2_stats(&self) -> &CacheStats {
         self.l2.stats()

@@ -100,15 +100,6 @@ impl SimMemory {
         base
     }
 
-    /// Allocates and fills a `u64` array, returning its base address.
-    pub fn alloc_u64(&mut self, data: &[u64]) -> u64 {
-        let base = self.alloc(data.len() as u64 * 8, 64);
-        for (i, v) in data.iter().enumerate() {
-            self.write_uint(base + i as u64 * 8, 8, *v);
-        }
-        base
-    }
-
     /// Reads back a `u32` array.
     pub fn read_u32_array(&self, base: u64, len: usize) -> Vec<u32> {
         (0..len)
@@ -196,11 +187,6 @@ impl MemImage {
             bytes: mem.live_bytes().to_vec(),
             total_len: mem.len(),
         }
-    }
-
-    /// Length of the captured live prefix (the high-water mark).
-    pub fn live_len(&self) -> usize {
-        self.bytes.len()
     }
 
     /// The captured bytes.

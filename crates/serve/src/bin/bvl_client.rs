@@ -3,7 +3,6 @@
 //! ```text
 //! bvl-client ADDR --system KEY --workload NAME --scale NAME
 //!            [--gather-locality N] [--sampled] [--no-skip]
-//!            [--priority high|normal|low]
 //! bvl-client ADDR --stats
 //! bvl-client ADDR --shutdown
 //! ```
@@ -14,7 +13,7 @@
 //! prints the daemon's utilization line. A bad flag prints `error:
 //! <flag>: <reason>` and the usage line, and exits 2.
 
-use bvl_serve::{Client, PointSpec, Priority, WorkloadSpec};
+use bvl_serve::{Client, PointSpec, WorkloadSpec};
 use bvl_sim::{RunResult, SamplingParams, SimParams, SystemKind};
 use bvl_workloads::Scale;
 use serde_json::Value;
@@ -22,7 +21,6 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: bvl-client ADDR --system KEY --workload NAME --scale NAME
                   [--gather-locality N] [--sampled] [--no-skip]
-                  [--priority high|normal|low]
        bvl-client ADDR --stats
        bvl-client ADDR --shutdown";
 
@@ -80,7 +78,6 @@ fn main() -> ExitCode {
     let mut no_skip = false;
     let mut shutdown = false;
     let mut stats = false;
-    let mut priority = Priority::Normal;
 
     let mut it = args.iter().skip(1);
     while let Some(arg) = it.next() {
@@ -124,12 +121,6 @@ fn main() -> ExitCode {
             "--no-skip" => no_skip = true,
             "--shutdown" => shutdown = true,
             "--stats" => stats = true,
-            "--priority" => {
-                let v = val();
-                priority = Priority::parse(&v).unwrap_or_else(|| {
-                    fail(flag, &format!("needs high, normal or low, got `{v}`"))
-                });
-            }
             _ => fail(flag, "unknown argument"),
         }
     }
@@ -176,7 +167,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    client.set_priority(priority);
 
     if stats {
         return match client.stats() {

@@ -10,7 +10,7 @@
 //! [`Msg::Busy`], and drop late replies to an earlier batch that ended in
 //! an error.
 
-use crate::proto::{self, Msg, Priority, ProtoError};
+use crate::proto::{self, Msg, ProtoError};
 use crate::sched::FabricReport;
 use crate::spec::PointSpec;
 use bvl_sim::RunResult;
@@ -66,7 +66,6 @@ pub struct Client {
     reader: TcpStream,
     writer: TcpStream,
     next_id: u64,
-    priority: Priority,
     busy_retries: u64,
 }
 
@@ -84,14 +83,8 @@ impl Client {
             reader,
             writer,
             next_id: 1,
-            priority: Priority::Normal,
             busy_retries: 0,
         })
-    }
-
-    /// Sets the scheduling class stamped on subsequent submissions.
-    pub fn set_priority(&mut self, priority: Priority) {
-        self.priority = priority;
     }
 
     /// How many submissions the daemon shed with [`Msg::Busy`] and this
@@ -116,14 +109,8 @@ impl Client {
     /// (Re)submits a point under an explicit id — the `Busy` retry
     /// path, where the original correlation id must be preserved.
     fn submit_as(&mut self, id: u64, spec: &PointSpec) -> io::Result<()> {
-        proto::write_msg(
-            &mut self.writer,
-            &Msg::Submit {
-                id,
-                priority: self.priority,
-                spec: spec.clone(),
-            },
-        )
+        let spec = spec.clone();
+        proto::write_msg(&mut self.writer, &Msg::Submit { id, spec })
     }
 
     /// Reads the next message from the daemon.

@@ -488,11 +488,7 @@ fn client_loop(shared: &Shared, stream: TcpStream, first: Msg) {
     let mut msg = first;
     loop {
         match msg {
-            Msg::Submit {
-                id,
-                priority,
-                mut spec,
-            } => {
+            Msg::Submit { id, mut spec } => {
                 if spec.params.checkpoint_every == 0 {
                     // Result-neutral and out of the cache key: a point
                     // without a cadence gets the daemon's, to survive its
@@ -500,7 +496,7 @@ fn client_loop(shared: &Shared, stream: TcpStream, first: Msg) {
                     spec.params.checkpoint_every = shared.cfg.checkpoint_every;
                 }
                 let (to, key) = (Arc::clone(&writer), spec.key());
-                send_all(shared.update(|s| s.sched.submit(client, to, id, priority, key, spec)));
+                send_all(shared.update(|s| s.sched.submit(client, to, id, key, spec)));
             }
             Msg::QueryStats => {
                 let report = shared.state().sched.report();

@@ -22,9 +22,8 @@
 //! - [`worker`] — point execution shared by every fabric worker and the
 //!   in-process sweep, and the worker loop
 //! - [`sched`] — the scheduler core, with no sockets, threads, locks or
-//!   clocks: priority + fair-share dispatch, dedupe, memo and disk hits,
-//!   storing results as they complete, failures, backpressure, requeues,
-//!   counters
+//!   clocks: fair-share dispatch, dedupe, memo and disk hits, storing
+//!   results as they complete, failures, backpressure, requeues, counters
 //! - [`daemon`] — the loopback listener, workers and fault plans around
 //!   the core
 //! - [`client`] — the submit/collect client library, whose
@@ -43,7 +42,7 @@ pub mod worker;
 
 pub use client::{Client, ServedResult};
 pub use daemon::{Daemon, DaemonConfig, FaultPlan, WorkerCmd};
-pub use proto::{Msg, Priority, ProtoError, MAX_FRAME};
+pub use proto::{Msg, ProtoError, MAX_FRAME};
 pub use sched::{FabricReport, FabricStats, Sched};
 pub use spec::{PointSpec, WorkloadSpec};
 pub use store::{cache_key_for, ResultStore};

@@ -75,64 +75,6 @@ impl ProtoError {
     }
 }
 
-/// A submission's scheduling class. Lower-indexed classes dispatch
-/// strictly first; within a class the scheduler round-robins across
-/// clients (DESIGN.md §4.14). Priority is *scheduling-only* — it is not
-/// part of the cache key, so identical points submitted at different
-/// priorities coalesce onto one execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum Priority {
-    /// Dispatches before everything else.
-    High,
-    /// The default class.
-    #[default]
-    Normal,
-    /// Dispatches only when no higher class has work.
-    Low,
-}
-
-impl Priority {
-    /// All classes, in dispatch order.
-    pub const ALL: [Priority; 3] = [Priority::High, Priority::Normal, Priority::Low];
-
-    /// This class's queue index (0 = dispatched first).
-    pub fn class(self) -> usize {
-        self as usize
-    }
-
-    /// The CLI spelling (`high`/`normal`/`low`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Priority::High => "high",
-            Priority::Normal => "normal",
-            Priority::Low => "low",
-        }
-    }
-
-    /// Parses the CLI spelling.
-    pub fn parse(s: &str) -> Option<Priority> {
-        Priority::ALL.into_iter().find(|p| p.name() == s)
-    }
-}
-
-impl Snap for Priority {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(*self as u8);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(Priority::High),
-            1 => Ok(Priority::Normal),
-            2 => Ok(Priority::Low),
-            tag => Err(SnapError::BadTag {
-                ty: "Priority",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
-
 /// One protocol message. A single enum serves both directions — each
 /// endpoint simply ignores variants it never expects (they decode fine
 /// and are answered with [`Msg::Failed`] or dropped).
@@ -144,8 +86,6 @@ pub enum Msg {
     Submit {
         /// Client-side correlation id.
         id: u64,
-        /// Scheduling class for this submission.
-        priority: Priority,
         /// The point to run.
         spec: PointSpec,
     },
@@ -205,20 +145,20 @@ pub enum Msg {
     QueryStats,
     /// daemon → client: the [`FabricReport`] snapshot.
     Stats {
-        /// Queue depths, worker occupancy, per-client shares, counters.
+        /// Queue depth, worker occupancy, per-client shares, counters.
         report: FabricReport,
     },
 }
 
-// Tags 4, 9 and 13–17 belonged to messages that no longer exist. They
-// are not reused, so a peer that still sends one gets a typed `BadTag`.
+// Tags 0, 4, 9, 13–17 and 19 belonged to messages, or to layouts of
+// messages, that no longer exist. They are not reused, so a peer that
+// still sends one gets a typed `BadTag`.
 impl Snap for Msg {
     fn save(&self, w: &mut SnapWriter) {
         match self {
-            Msg::Submit { id, priority, spec } => {
-                w.u8(0);
+            Msg::Submit { id, spec } => {
+                w.u8(20);
                 w.u64(*id);
-                priority.save(w);
                 spec.save(w);
             }
             Msg::Done { id, served } => {
@@ -260,7 +200,7 @@ impl Snap for Msg {
             }
             Msg::QueryStats => w.u8(18),
             Msg::Stats { report } => {
-                w.u8(19);
+                w.u8(21);
                 report.save(w);
             }
         }
@@ -268,11 +208,6 @@ impl Snap for Msg {
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(match r.u8()? {
-            0 => Msg::Submit {
-                id: r.u64()?,
-                priority: Priority::load(r)?,
-                spec: PointSpec::load(r)?,
-            },
             1 => Msg::Done {
                 id: r.u64()?,
                 served: ServedResult::load(r)?,
@@ -297,7 +232,11 @@ impl Snap for Msg {
                 retry_after_ms: r.u64()?,
             },
             18 => Msg::QueryStats,
-            19 => Msg::Stats {
+            20 => Msg::Submit {
+                id: r.u64()?,
+                spec: PointSpec::load(r)?,
+            },
+            21 => Msg::Stats {
                 report: FabricReport::load(r)?,
             },
             tag => {
@@ -391,7 +330,6 @@ mod tests {
         let msgs = vec![
             Msg::Submit {
                 id: 7,
-                priority: Priority::Low,
                 spec: sample_spec(),
             },
             Msg::Done {
@@ -437,7 +375,6 @@ mod tests {
             Msg::Stats {
                 report: FabricReport {
                     queue_depth: 3,
-                    queue_by_class: [1, 2, 0],
                     busy_workers: 2,
                     total_workers: 4,
                     shares: vec![(1, 10), (2, 7)],
@@ -479,25 +416,26 @@ mod tests {
         ));
     }
 
+    /// A peer from an older build sends `Submit` under tag 0 and `Stats`
+    /// under tag 19, each with a layout this build does not read. Both
+    /// tags are retired, so such a frame is a typed `BadTag`, never a
+    /// misread message.
     #[test]
-    fn invalid_priority_tag_is_typed() {
-        // Hand-assemble a Submit whose priority byte is out of range:
-        // the decode must be a typed BadTag, not a panic or a silent
-        // default.
-        let framed = bvl_snap::frame_with(0, |w| {
-            w.u8(0); // Msg::Submit
-            w.u64(9); // id
-            w.u8(3); // invalid Priority tag
-            sample_spec().save(w);
-        });
-        let mut wire = (framed.len() as u32).to_le_bytes().to_vec();
-        wire.extend_from_slice(&framed);
-        match read_msg(&mut std::io::Cursor::new(&wire)) {
-            Err(ProtoError::Snap(SnapError::BadTag { ty, tag })) => {
-                assert_eq!(ty, "Priority");
-                assert_eq!(tag, 3);
+    fn a_retired_tag_is_typed() {
+        for tag in [0, 19] {
+            let framed = bvl_snap::frame_with(0, |w| {
+                w.u8(tag);
+                w.u64(9);
+                sample_spec().save(w);
+            });
+            let mut wire = (framed.len() as u32).to_le_bytes().to_vec();
+            wire.extend_from_slice(&framed);
+            match read_msg(&mut std::io::Cursor::new(&wire)) {
+                Err(ProtoError::Snap(SnapError::BadTag { ty, tag: got })) => {
+                    assert_eq!((ty, got), ("Msg", u64::from(tag)));
+                }
+                other => panic!("tag {tag}: expected a typed BadTag, got {other:?}"),
             }
-            other => panic!("expected a typed BadTag, got {other:?}"),
         }
     }
 

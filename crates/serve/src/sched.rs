@@ -8,18 +8,17 @@
 //! is what a worker runs: a wire [`PointSpec`] for the daemon, a job with
 //! its prebuilt workload in-process. The core decides
 //!
-//! - **admission**: a memo hit, a coalesce onto a queued or running twin
-//!   (priority is not part of the cache key, but a higher-priority
-//!   coalescer upgrades a still-queued twin's class), a disk hit, a
-//!   [`Msg::Busy`] past the admission bound, or a fresh job;
-//! - **dispatch**: three strict priority classes and, within a class,
-//!   unit-quantum round-robin across clients (DESIGN.md §4.14);
+//! - **admission**: a memo hit, a coalesce onto a queued or running twin,
+//!   a disk hit, a [`Msg::Busy`] past the admission bound, or a fresh
+//!   job;
+//! - **dispatch**: one queue, a FIFO per client drained unit-quantum
+//!   round-robin across clients (DESIGN.md §4.14);
 //! - **settlement**: a finished point is stored as it completes (when it
 //!   ran straight-through and results persist), memoized, and answered to
 //!   every waiter; a failed point reaches every waiter and leaves no memo
 //!   entry and no checkpoint blob behind;
-//! - **requeues**: a point whose worker died returns to the front of its
-//!   class and resumes from its blob;
+//! - **requeues**: a point whose worker died returns to the front of the
+//!   queue and resumes from its blob;
 //! - the [`FabricStats`] counters and the [`FabricReport`] snapshot.
 //!
 //! The core keeps no record of its queue on disk: after a crash, clients
@@ -28,7 +27,7 @@
 
 use crate::client::ServedResult;
 use crate::daemon::DaemonConfig;
-use crate::proto::{Msg, Priority};
+use crate::proto::Msg;
 use crate::spec::PointSpec;
 use crate::store::ResultStore;
 use bvl_sim::RunResult;
@@ -92,8 +91,6 @@ pub struct FabricReport {
     pub stats: FabricStats,
     /// Points queued (admitted, not yet dispatched).
     pub queue_depth: u64,
-    /// Queue depth per priority class (high/normal/low).
-    pub queue_by_class: [u64; 3],
     /// Workers currently running a point.
     pub busy_workers: u64,
     /// Registered workers: in-process worker threads and worker
@@ -106,7 +103,6 @@ pub struct FabricReport {
 snap_struct!(FabricReport {
     stats,
     queue_depth,
-    queue_by_class,
     busy_workers,
     total_workers,
     shares,
@@ -123,13 +119,10 @@ impl FabricReport {
             .join(" ");
         let s = &self.stats;
         format!(
-            "fabric: queue {} (hi {} norm {} low {}, peak {}) | workers {}/{} busy | \
+            "fabric: queue {} (peak {}) | workers {}/{} busy | \
              executed {} failed {} | dedupe memo {} disk {} coalesced {} | \
              resumed {} restarts0 {} deaths {} | busy-shed {} | shares [{shares}]",
             self.queue_depth,
-            self.queue_by_class[0],
-            self.queue_by_class[1],
-            self.queue_by_class[2],
             s.max_queue_depth,
             self.busy_workers,
             self.total_workers,
@@ -162,22 +155,21 @@ struct Waiter<R> {
 struct Job<R, P> {
     point: P,
     waiters: Vec<Waiter<R>>,
-    priority: Priority,
     client: u64,
     /// The worker running the point; `None` while it is queued.
     worker: Option<u64>,
 }
 
-/// One priority class: a FIFO per client, drained unit-quantum
+/// The dispatch queue: a FIFO per client, drained unit-quantum
 /// round-robin. The `rr` ring holds exactly the clients with non-empty
 /// queues, each once, in service order.
 #[derive(Default)]
-struct ClassQueue {
+struct Queue {
     per_client: HashMap<u64, VecDeque<String>>,
     rr: VecDeque<u64>,
 }
 
-impl ClassQueue {
+impl Queue {
     fn push_back(&mut self, client: u64, key: String) {
         let q = self.per_client.entry(client).or_default();
         if q.is_empty() {
@@ -214,25 +206,7 @@ impl ClassQueue {
         Some((client, key))
     }
 
-    /// Removes a specific queued key (priority-upgrade path). Returns
-    /// whether it was present.
-    fn remove(&mut self, client: u64, key: &str) -> bool {
-        let Some(q) = self.per_client.get_mut(&client) else {
-            return false;
-        };
-        let Some(pos) = q.iter().position(|k| k == key) else {
-            return false;
-        };
-        q.remove(pos);
-        if q.is_empty() {
-            self.per_client.remove(&client);
-            if let Some(rpos) = self.rr.iter().position(|c| *c == client) {
-                self.rr.remove(rpos);
-            }
-        }
-        true
-    }
-
+    /// Points admitted and not yet dispatched — what `max_queue` bounds.
     fn len(&self) -> usize {
         self.per_client.values().map(VecDeque::len).sum()
     }
@@ -245,9 +219,7 @@ pub struct Sched<R, P = PointSpec> {
     store: ResultStore,
     persist: bool,
     max_queue: usize,
-    /// One [`ClassQueue`] per priority class, indexed by
-    /// [`Priority::class`]; drained strictly in class order.
-    classes: [ClassQueue; 3],
+    queue: Queue,
     /// Every admitted point until it completes or fails, queued or
     /// running.
     jobs: HashMap<String, Job<R, P>>,
@@ -266,7 +238,7 @@ impl<R, P: Clone> Sched<R, P> {
             store: ResultStore::new(&cfg.store_dir),
             persist: cfg.persist,
             max_queue: cfg.max_queue,
-            classes: Default::default(),
+            queue: Queue::default(),
             jobs: HashMap::new(),
             memo: HashMap::new(),
             shares: BTreeMap::new(),
@@ -297,15 +269,7 @@ impl<R, P: Clone> Sched<R, P> {
     /// Submission `id` of `point` under cache `key` from `client`,
     /// answered at `to`: a memo hit, a coalesce onto a twin, a disk hit, a
     /// [`Msg::Busy`] past the admission bound, or a fresh job.
-    pub fn submit(
-        &mut self,
-        client: u64,
-        to: R,
-        id: u64,
-        priority: Priority,
-        key: String,
-        point: P,
-    ) -> Replies<R> {
+    pub fn submit(&mut self, client: u64, to: R, id: u64, key: String, point: P) -> Replies<R> {
         self.stats.submitted += 1;
         if let Some(result) = self.memo.get(&key) {
             self.stats.memo_hits += 1;
@@ -318,14 +282,6 @@ impl<R, P: Clone> Sched<R, P> {
                 id,
                 coalesced: true,
             });
-            let (owner, old) = (job.client, job.priority);
-            if priority < old
-                && job.worker.is_none()
-                && self.classes[old.class()].remove(owner, &key)
-            {
-                job.priority = priority;
-                self.classes[priority.class()].push_back(owner, key);
-            }
             return Vec::new();
         }
         if let Some(result) = self.stored(&key) {
@@ -333,7 +289,7 @@ impl<R, P: Clone> Sched<R, P> {
             self.memo.insert(key, result.clone());
             return vec![(to, cached(id, result))];
         }
-        if self.max_queue > 0 && self.queued() >= self.max_queue {
+        if self.max_queue > 0 && self.queue.len() >= self.max_queue {
             self.stats.busy_rejections += 1;
             let busy = Msg::Busy {
                 id,
@@ -341,7 +297,7 @@ impl<R, P: Clone> Sched<R, P> {
             };
             return vec![(to, busy)];
         }
-        self.classes[priority.class()].push_back(client, key.clone());
+        self.queue.push_back(client, key.clone());
         let job = Job {
             point,
             waiters: vec![Waiter {
@@ -349,20 +305,19 @@ impl<R, P: Clone> Sched<R, P> {
                 id,
                 coalesced: false,
             }],
-            priority,
             client,
             worker: None,
         };
         self.jobs.insert(key, job);
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queued() as u64);
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len() as u64);
         Vec::new()
     }
 
     /// `worker` is free: the next point to run, with its cache key, or
-    /// `None` when nothing is queued. Dispatch is strictly by class,
-    /// round-robin across clients within a class.
+    /// `None` when nothing is queued. Dispatch is round-robin across
+    /// clients.
     pub fn dispatch(&mut self, worker: u64) -> Option<(String, P)> {
-        let (client, key) = self.classes.iter_mut().find_map(ClassQueue::pop)?;
+        let (client, key) = self.queue.pop()?;
         *self.shares.entry(client).or_default() += 1;
         let job = self.jobs.get_mut(&key).expect("a queued key has a job");
         job.worker = Some(worker);
@@ -421,32 +376,25 @@ impl<R, P: Clone> Sched<R, P> {
     }
 
     /// A registered worker died while running `key`: the point returns
-    /// to the *front* of its owner's class, so it resumes promptly from
-    /// its persisted checkpoint.
+    /// to the *front* of the queue, so it resumes promptly from its
+    /// persisted checkpoint.
     pub fn worker_died(&mut self, key: &str) {
         let job = self.jobs.get_mut(key).expect("a running key has a job");
         job.worker = None;
-        self.classes[job.priority.class()].push_front(job.client, key.to_string());
+        self.queue.push_front(job.client, key.to_string());
         self.workers -= 1;
         self.stats.worker_deaths += 1;
     }
 
     /// Counters plus queue and worker occupancy.
     pub fn report(&self) -> FabricReport {
-        let queue_by_class = self.classes.each_ref().map(|c| c.len() as u64);
         FabricReport {
             stats: self.stats,
-            queue_depth: queue_by_class.iter().sum(),
-            queue_by_class,
+            queue_depth: self.queue.len() as u64,
             busy_workers: self.jobs.values().filter(|j| j.worker.is_some()).count() as u64,
             total_workers: self.workers,
             shares: self.shares.iter().map(|(&c, &n)| (c, n)).collect(),
         }
-    }
-
-    /// Points admitted and not yet dispatched — what `max_queue` bounds.
-    fn queued(&self) -> usize {
-        self.classes.iter().map(ClassQueue::len).sum()
     }
 
     fn stored(&self, key: &str) -> Option<RunResult> {

@@ -67,8 +67,8 @@ fn bvl_client_names_the_flag_at_fault() {
                 "error: --scale: unknown scale `huge`",
             ),
             (
-                &[addr, "--stats", "--priority", "urgent"],
-                "error: --priority: needs high, normal or low, got `urgent`",
+                &[addr, "--stats", "--priority", "low"],
+                "error: --priority: unknown argument",
             ),
             (
                 &[addr, "--gather-locality", "x"],

@@ -14,7 +14,7 @@
 //! * and answer a second resubmission of everything from the memo with
 //!   zero re-simulation.
 
-use bvl_serve::{run_one_point, Client, PointRun, PointSpec, Priority, ResultStore, WorkloadSpec};
+use bvl_serve::{run_one_point, Client, PointRun, PointSpec, ResultStore, WorkloadSpec};
 use bvl_sim::{simulate_with, CkptControl, Hooks, RunResult, SimParams, SysState, SystemKind};
 use bvl_workloads::Scale;
 use std::collections::HashMap;
@@ -124,11 +124,9 @@ fn sigkilled_daemon_recovers_by_resubmission_byte_identically_with_zero_resimula
     );
     let mut worker = {
         let mut client = Client::connect(&addr).expect("connect");
-        // sw at High so the single worker picks it first; the other
-        // two queue behind it and die with the daemon.
-        client.set_priority(Priority::High);
+        // sw first, so the single worker picks it first; the other two
+        // queue behind it and die with the daemon.
         client.submit(&spec("sw")).expect("submit sw");
-        client.set_priority(Priority::Normal);
         client.submit(&spec("vvadd")).expect("submit vvadd");
         client.submit(&spec("saxpy")).expect("submit saxpy");
         let report = client.stats().expect("admission barrier");

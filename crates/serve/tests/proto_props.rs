@@ -18,7 +18,7 @@
 
 use bvl_serve::proto::{encode_frame, read_msg};
 use bvl_serve::{
-    Client, Daemon, DaemonConfig, FabricReport, FabricStats, Msg, PointSpec, Priority, ProtoError,
+    Client, Daemon, DaemonConfig, FabricReport, FabricStats, Msg, PointSpec, ProtoError,
     ServedResult, WorkloadSpec, MAX_FRAME,
 };
 use bvl_sim::{RunResult, SamplingParams, SimParams, SystemKind};
@@ -73,11 +73,6 @@ fn secs_strategy() -> impl Strategy<Value = f64> {
     (0u64..1 << 40).prop_map(|micros| micros as f64 / 1e6)
 }
 
-/// All three scheduling classes, uniformly.
-fn priority_strategy() -> impl Strategy<Value = Priority> {
-    (0usize..Priority::ALL.len()).prop_map(|i| Priority::ALL[i])
-}
-
 /// A stats snapshot with arbitrary counter values.
 fn stats_strategy() -> impl Strategy<Value = FabricStats> {
     proptest::collection::vec(any::<u64>(), 11..12).prop_map(|v| FabricStats {
@@ -100,19 +95,15 @@ fn report_strategy() -> impl Strategy<Value = FabricReport> {
     (
         stats_strategy(),
         (any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>()),
         proptest::collection::vec((any::<u64>(), any::<u64>()), 0..8),
     )
         .prop_map(
-            |(stats, (hi, norm, low), (queue_depth, busy_workers, total_workers), shares)| {
-                FabricReport {
-                    stats,
-                    queue_depth,
-                    queue_by_class: [hi, norm, low],
-                    busy_workers,
-                    total_workers,
-                    shares,
-                }
+            |(stats, (queue_depth, busy_workers, total_workers), shares)| FabricReport {
+                stats,
+                queue_depth,
+                busy_workers,
+                total_workers,
+                shares,
             },
         )
 }
@@ -146,8 +137,7 @@ fn served_strategy() -> impl Strategy<Value = ServedResult> {
 /// content where the variant has any.
 fn msg_strategy() -> impl Strategy<Value = Msg> {
     prop_oneof![
-        (any::<u64>(), priority_strategy(), spec_strategy())
-            .prop_map(|(id, priority, spec)| Msg::Submit { id, priority, spec }),
+        (any::<u64>(), spec_strategy()).prop_map(|(id, spec)| Msg::Submit { id, spec }),
         (any::<u64>(), served_strategy()).prop_map(|(id, served)| Msg::Done { id, served }),
         (any::<u64>(), any::<u64>()).prop_map(|(id, e)| Msg::Failed {
             id,

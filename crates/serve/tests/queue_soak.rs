@@ -1,6 +1,6 @@
 //! The bounded admission queue under load, over real sockets.
 //!
-//! 4 clients × 400 mixed-priority submissions over 16 unique points
+//! 4 clients × 400 submissions over 16 unique points
 //! against a daemon with an 8-deep admission bound and two workers that
 //! join only once the bound has shed a submission. Every submission
 //! completes with the right result, each unique point executes exactly
@@ -9,7 +9,7 @@
 //! is capped). Dispatch order itself is pinned against the scheduler core
 //! in `sched_core.rs`.
 
-use bvl_serve::{worker_main, Client, Daemon, DaemonConfig, PointSpec, Priority, WorkloadSpec};
+use bvl_serve::{worker_main, Client, Daemon, DaemonConfig, PointSpec, WorkloadSpec};
 use bvl_sim::{RunResult, SimParams, SystemKind};
 use bvl_workloads::Scale;
 use std::collections::HashMap;
@@ -38,7 +38,7 @@ fn point(tag: u64) -> PointSpec {
 }
 
 #[test]
-fn soak_mixed_priorities_against_a_bounded_queue_complete_exactly_once() {
+fn soak_against_a_bounded_queue_completes_exactly_once() {
     const CLIENTS: usize = 4;
     const CHUNKS: usize = 8;
     const CHUNK: usize = 50;
@@ -59,12 +59,11 @@ fn soak_mixed_priorities_against_a_bounded_queue_complete_exactly_once() {
     // keys against an 8-deep bound) deterministically draws `Busy`
     // rejections; the clients must ride them out.
     let handles: Vec<_> = (0..CLIENTS)
-        .map(|ci| {
+        .map(|_| {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
                 let mut results: HashMap<String, RunResult> = HashMap::new();
                 for chunk in 0..CHUNKS {
-                    client.set_priority(Priority::ALL[(ci + chunk) % Priority::ALL.len()]);
                     let specs: Vec<PointSpec> = (0..CHUNK)
                         .map(|i| point(((chunk * CHUNK + i) as u64) % UNIQUE))
                         .collect();

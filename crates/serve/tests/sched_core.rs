@@ -2,20 +2,19 @@
 //! every reply a returned value, so these contracts hold without sockets,
 //! threads or timing.
 //!
-//! 1. **Dispatch order**: strictly by priority class, then unit-quantum
-//!    round-robin across clients within a class, with per-client shares.
-//! 2. **Coalesce upgrades**: a High submission landing on a queued Low
-//!    twin re-classes the queued job instead of executing twice.
+//! 1. **Dispatch order**: unit-quantum round-robin across clients, each
+//!    client's points in submission order, with per-client shares. A
+//!    one-point client waits at most one dispatch per other client with
+//!    queued work, however deep their backlogs.
+//! 2. **Coalescing**: a submission landing on a queued twin joins its
+//!    execution instead of executing twice.
 //! 3. **Shared failure**: a failed execution reaches every waiter and
 //!    retires its key — no memo entry, no checkpoint blob.
 //! 4. **Backpressure**: past `max_queue` a fresh admission is `Busy`;
 //!    coalesces and requeues are exempt, and the high-water mark holds.
-//! 5. **Requeue**: a dead worker's point resumes before fresh work of
-//!    its class.
+//! 5. **Requeue**: a dead worker's point resumes before fresh work.
 
-use bvl_serve::{
-    DaemonConfig, Msg, PointSpec, Priority, ResultStore, Sched, ServedResult, WorkloadSpec,
-};
+use bvl_serve::{DaemonConfig, Msg, PointSpec, ResultStore, Sched, ServedResult, WorkloadSpec};
 use bvl_sim::{RunResult, SimParams, SystemKind};
 use bvl_workloads::Scale;
 use std::fs;
@@ -63,14 +62,14 @@ fn finished(result: RunResult) -> ServedResult {
 
 /// Submits `spec` from `client` as request `id`, expecting it to queue
 /// or coalesce (no reply yet).
-fn submit(s: &mut Sched<u64>, client: u64, id: u64, priority: Priority, spec: &PointSpec) {
-    let replies = s.submit(client, client, id, priority, spec.key(), spec.clone());
+fn submit(s: &mut Sched<u64>, client: u64, id: u64, spec: &PointSpec) {
+    let replies = s.submit(client, client, id, spec.key(), spec.clone());
     assert!(replies.is_empty(), "{}: {replies:?}", spec.key());
 }
 
-/// Dispatches the next point, returning its key, the client whose share
-/// it counted against, and the class it left.
-fn dispatch(s: &mut Sched<u64>) -> Option<(String, u64, Priority)> {
+/// Dispatches the next point, returning its key and the client whose
+/// share it counted against.
+fn dispatch(s: &mut Sched<u64>) -> Option<(String, u64)> {
     let before = s.report();
     let (key, _) = s.dispatch(WORKER)?;
     let after = s.report();
@@ -80,105 +79,84 @@ fn dispatch(s: &mut Sched<u64>) -> Option<(String, u64, Priority)> {
         .find(|share| !before.shares.contains(share))
         .expect("a dispatch grows one client's share")
         .0;
-    let class = (0..3)
-        .find(|&c| after.queue_by_class[c] < before.queue_by_class[c])
-        .expect("a dispatch shrinks one class");
-    Some((key, client, Priority::ALL[class]))
+    assert_eq!(after.queue_depth + 1, before.queue_depth, "{after:?}");
+    Some((key, client))
 }
 
-fn keys(dispatched: &[(String, u64, Priority)]) -> Vec<&str> {
+fn keys(dispatched: &[(String, u64)]) -> Vec<&str> {
     dispatched.iter().map(|(key, ..)| key.as_str()).collect()
 }
 
 #[test]
-fn dispatch_is_strict_priority_then_round_robin_across_clients() {
+fn dispatch_is_round_robin_across_clients() {
     let dir = scratch("fair");
     let mut s = core(&dir, 0);
     let clients: Vec<u64> = (0..4).map(|_| s.connect()).collect();
     assert_eq!(clients, [1, 2, 3, 4], "client ids count from 1");
 
-    // Client 1: two Normal points; client 2: two Normal; client 3: one
-    // High and one Low; client 4: two Normal.
-    let a = [point(0), point(1)];
-    let b = [point(2), point(3)];
-    let high = point(4);
-    let low = point(5);
-    let c = [point(6), point(7)];
-    for (i, p) in a.iter().enumerate() {
-        submit(&mut s, 1, i as u64, Priority::Normal, p);
+    // Client 1 queues a backlog of 20 points, clients 2 and 4 two each,
+    // and client 3 one point, submitted last.
+    let a: Vec<PointSpec> = (0..20).map(point).collect();
+    let b = [point(20), point(21)];
+    let c = [point(22), point(23)];
+    let one = point(24);
+    for (client, points) in [(1, &a[..]), (2, &b[..]), (4, &c[..])] {
+        for (i, p) in points.iter().enumerate() {
+            submit(&mut s, client, i as u64, p);
+        }
     }
-    for (i, p) in b.iter().enumerate() {
-        submit(&mut s, 2, i as u64, Priority::Normal, p);
-    }
-    submit(&mut s, 3, 0, Priority::High, &high);
-    submit(&mut s, 3, 1, Priority::Low, &low);
-    for (i, p) in c.iter().enumerate() {
-        submit(&mut s, 4, i as u64, Priority::Normal, p);
-    }
+    submit(&mut s, 3, 0, &one);
     let report = s.report();
     assert_eq!(
-        report.queue_depth, 8,
+        report.queue_depth, 25,
         "all submissions admitted: {report:?}"
     );
-    assert_eq!(report.queue_by_class, [1, 6, 1], "{report:?}");
 
+    // The backlog does not hold back the late one-point client: it waits
+    // one dispatch per other client, then each client's second point
+    // follows, and the backlog drains alone.
     let order: Vec<_> = std::iter::from_fn(|| dispatch(&mut s)).collect();
-    let expected = vec![
-        high.key(), // the one High point, before any Normal work
-        a[0].key(), // Normal: one point per client per round...
-        b[0].key(),
-        c[0].key(),
-        a[1].key(), // ...then each client's second point
-        b[1].key(),
-        c[1].key(),
-        low.key(), // the one Low point, after everything else
-    ];
+    let mut expected = vec![a[0].key(), b[0].key(), c[0].key(), one.key()];
+    expected.extend([a[1].key(), b[1].key(), c[1].key()]);
+    expected.extend(a[2..].iter().map(PointSpec::key));
     assert_eq!(keys(&order), expected, "dispatch order diverged: {order:?}");
-    assert_eq!((order[0].1, order[0].2), (3, Priority::High));
-    assert_eq!((order[7].1, order[7].2), (3, Priority::Low));
-    assert!(order[1..7].iter().all(|d| d.2 == Priority::Normal));
+    let first_round: Vec<u64> = order[..4].iter().map(|d| d.1).collect();
+    assert_eq!(first_round, [1, 2, 4, 3], "one point per client per round");
 
-    // Fair share: every client got exactly its own two points.
+    // Fair share: every client got exactly its own points.
     assert_eq!(
         s.report().shares,
-        vec![(1, 2), (2, 2), (3, 2), (4, 2)],
-        "dispatch shares must be even across clients"
+        vec![(1, 20), (2, 2), (3, 1), (4, 2)],
+        "each dispatch counts against the client that queued it"
     );
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn a_high_submission_upgrades_its_queued_low_twin() {
-    let dir = scratch("upgrade");
+fn a_coalesced_submission_shares_its_queued_twins_execution() {
+    let dir = scratch("coalesce");
     let mut s = core(&dir, 0);
     let (c1, c2) = (s.connect(), s.connect());
     let x = point(10);
     let y = point(11);
-    submit(&mut s, c1, 1, Priority::Low, &x);
-    submit(&mut s, c1, 2, Priority::Low, &y);
+    submit(&mut s, c1, 1, &x);
+    submit(&mut s, c1, 2, &y);
 
-    // Client 2 submits the same point `y` at High while it is still
-    // queued at Low: the queued job must be re-classed (not run twice),
-    // and the coalesced waiter must still get its reply.
-    submit(&mut s, c2, 1, Priority::High, &y);
+    // Client 2 submits the same point `y` while it is still queued: it
+    // must join the queued job (not run twice) and still get its reply.
+    submit(&mut s, c2, 1, &y);
     let report = s.report();
     assert_eq!(report.stats.coalesced, 1, "{report:?}");
     assert_eq!(
-        report.queue_by_class,
-        [1, 0, 1],
-        "y must have moved Low → High: {report:?}"
+        report.queue_depth, 2,
+        "a coalesce queues nothing: {report:?}"
     );
 
     let order: Vec<_> = std::iter::from_fn(|| dispatch(&mut s)).collect();
+    assert_eq!(keys(&order), [x.key(), y.key()], "{order:?}");
     assert_eq!(
-        keys(&order),
-        [y.key(), x.key()],
-        "the upgraded twin must dispatch first: {order:?}"
-    );
-    assert_eq!(order[0].2, Priority::High);
-    assert_eq!(
-        order[0].1, c1,
-        "the upgraded job still belongs to its original submitter"
+        order[1].1, c1,
+        "the coalesced job still belongs to its original submitter"
     );
 
     let replies = s.complete(&y.key(), finished(RunResult::default()));
@@ -195,9 +173,10 @@ fn a_high_submission_upgrades_its_queued_low_twin() {
         "one execution answers both submissions, the coalescer as a hit"
     );
     s.complete(&x.key(), finished(RunResult::default()));
-    let stats = s.report().stats;
-    assert_eq!(stats.executed, 2, "{stats:?}");
-    assert_eq!(stats.coalesced, 1, "{stats:?}");
+    let report = s.report();
+    assert_eq!(report.stats.executed, 2, "{report:?}");
+    assert_eq!(report.stats.coalesced, 1, "{report:?}");
+    assert_eq!(report.shares, vec![(c1, 2)], "{report:?}");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -216,8 +195,8 @@ fn a_shared_failure_reaches_every_waiter_and_leaves_no_memo_entry_or_checkpoint(
 
     let mut s = core(&dir, 0);
     let (c1, c2) = (s.connect(), s.connect());
-    submit(&mut s, c1, 7, Priority::Normal, &bad);
-    submit(&mut s, c2, 9, Priority::Normal, &bad);
+    submit(&mut s, c1, 7, &bad);
+    submit(&mut s, c2, 9, &bad);
     assert_eq!(s.report().stats.coalesced, 1);
     assert_eq!(dispatch(&mut s).map(|d| d.0), Some(key.clone()));
 
@@ -244,7 +223,7 @@ fn a_shared_failure_reaches_every_waiter_and_leaves_no_memo_entry_or_checkpoint(
 
     // No negative cache: the resubmission queues to run again rather
     // than replaying a memoized failure.
-    submit(&mut s, c1, 8, Priority::Normal, &bad);
+    submit(&mut s, c1, 8, &bad);
     let report = s.report();
     assert_eq!(report.queue_depth, 1, "{report:?}");
     assert_eq!(
@@ -259,26 +238,26 @@ fn admission_past_max_queue_is_busy_and_the_high_water_mark_holds() {
     let dir = scratch("busy");
     let mut s = core(&dir, 2);
     let c = s.connect();
-    submit(&mut s, c, 1, Priority::Normal, &point(30));
-    submit(&mut s, c, 2, Priority::Normal, &point(31));
+    submit(&mut s, c, 1, &point(30));
+    submit(&mut s, c, 2, &point(31));
     let busy = |id| Msg::Busy {
         id,
         retry_after_ms: 25,
     };
     assert_eq!(
-        s.submit(c, c, 3, Priority::High, point(32).key(), point(32)),
+        s.submit(c, c, 3, point(32).key(), point(32)),
         vec![(c, busy(3))],
-        "a third fresh admission overflows a 2-deep queue, whatever its class"
+        "a third fresh admission overflows a 2-deep queue"
     );
     // A coalesce adds no queue state, so it is exempt.
-    submit(&mut s, c, 4, Priority::Normal, &point(30));
+    submit(&mut s, c, 4, &point(30));
 
     // A dispatch frees a slot; the next fresh admission takes it and the
     // one after is shed again.
     let (running, ..) = dispatch(&mut s).expect("a queued point");
-    submit(&mut s, c, 5, Priority::Normal, &point(32));
+    submit(&mut s, c, 5, &point(32));
     assert_eq!(
-        s.submit(c, c, 6, Priority::Normal, point(33).key(), point(33)),
+        s.submit(c, c, 6, point(33).key(), point(33)),
         vec![(c, busy(6))]
     );
     // A requeue is exempt too: a dead worker's point returns to a full
@@ -298,15 +277,15 @@ fn admission_past_max_queue_is_busy_and_the_high_water_mark_holds() {
 }
 
 #[test]
-fn a_requeued_point_goes_to_the_front_of_its_class() {
+fn a_requeued_point_goes_to_the_front_of_the_queue() {
     let dir = scratch("requeue");
     let mut s = core(&dir, 0);
     let (c1, c2) = (s.connect(), s.connect());
     let a = [point(40), point(41)];
     let b = point(42);
-    submit(&mut s, c1, 1, Priority::Normal, &a[0]);
-    submit(&mut s, c1, 2, Priority::Normal, &a[1]);
-    submit(&mut s, c2, 1, Priority::Normal, &b);
+    submit(&mut s, c1, 1, &a[0]);
+    submit(&mut s, c1, 2, &a[1]);
+    submit(&mut s, c2, 1, &b);
     s.join();
 
     // Orphaned: a[0]'s worker dies mid-point, and a[0] goes back ahead

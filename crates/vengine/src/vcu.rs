@@ -728,11 +728,6 @@ impl Vcu {
         self.resp.next_ready()
     }
 
-    /// Micro-ops currently queued.
-    pub fn uopq_len(&self) -> usize {
-        self.uopq.len()
-    }
-
     /// Appends the VCU's mutable state to a checkpoint (`params` is
     /// configuration and not written).
     pub fn save_state(&self, w: &mut SnapWriter) {

@@ -41,17 +41,6 @@ pub struct PhaseSpec {
 /// Backwards-compatible alias used by single-body workloads.
 pub type PhaseArgs = Vec<Vec<(XReg, u64)>>;
 
-/// Builds single-body phase specs from plain argument lists.
-pub fn specs_for(body: &'static str, phase_args: &PhaseArgs) -> Vec<PhaseSpec> {
-    phase_args
-        .iter()
-        .map(|args| PhaseSpec {
-            body,
-            args: args.clone(),
-        })
-        .collect()
-}
-
 /// Emits one halting task wrapper per distinct body (`task$<body>`) plus
 /// the unrolled `serial` driver running every phase over the full range.
 pub fn emit_phase_entries(asm: &mut Assembler, specs: &[PhaseSpec], v: u64) {
